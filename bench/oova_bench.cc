@@ -1,24 +1,23 @@
 /**
  * @file
- * Unified figure driver: run any paper table/figure (or all of
- * them) by name through the parallel sweep engine.
+ * The figure driver: run any paper table/figure (or all of them) by
+ * name through the parallel sweep engine.
  *
  *   oova_bench --list
  *   oova_bench fig5 --threads 8
- *   oova_bench all --store .oova-store --workers 4 --store-stats
+ *   oova_bench all --store .oova-store --threads 4 --store-stats
  *   oova_bench all --json > BENCH_all.json
  *   oova_bench hydro2d --pipetrace=hydro2d.pipeview
  *
  * Trace scale comes from OOVA_SCALE or --scale; --json emits the
  * machine-readable result tables used to track the perf trajectory
  * across PRs, each wrapped in a run-manifest envelope. --store makes
- * the run read and feed a content-addressed result store, and
- * --workers shards the sweep over forked worker processes — both
- * produce byte-identical figure output, so they compose freely with
- * the golden gate. With --pipetrace=FILE the positional name selects
- * a benchmark instead of a figure: one OOOVA run is traced per
- * instruction and written in O3PipeView format, which Konata renders
- * as a pipeline waterfall.
+ * the run read and feed a content-addressed result store; like
+ * --threads it leaves figure output byte-identical, so it composes
+ * freely with the golden gate. With --pipetrace=FILE the positional
+ * name selects a benchmark instead of a figure: one OOOVA run is
+ * traced per instruction and written in O3PipeView format, which
+ * Konata renders as a pipeline waterfall.
  */
 
 #include <cctype>
@@ -49,32 +48,15 @@ printUsage(std::FILE *to, const char *argv0)
 {
     std::fprintf(
         to,
-        "usage: %s <figure>|all|--list [--threads N | --workers N]\n"
+        "usage: %s <figure>|all|--list [--threads N]\n"
         "       %*s [--store DIR] [--store-stats] [--store-max-mb N]\n"
-        "       %*s [--store-fsync] [--job-timeout-ms N] "
-        "[--max-retries N]\n"
-        "       %*s [--stats FILE] [--perfetto FILE] [--json] "
-        "[--progress] [--scale S]\n"
+        "       %*s [--store-fsync] [--stats FILE] [--perfetto FILE]\n"
+        "       %*s [--json] [--progress] [--scale S]\n"
         "       %s <benchmark> --pipetrace=FILE [--trace-limit=N] "
         "[--scale S]\n"
         "\n"
-        "  --threads N     in-process worker threads (default "
-        "backend; 0 = all cores)\n"
-        "  --workers N     forked worker processes instead of "
-        "threads (0 = all cores)\n"
-        "                  --threads and --workers are mutually "
-        "exclusive: neither\n"
-        "                  takes precedence, passing both is an "
-        "error\n"
-        "  --job-timeout-ms N  kill and respawn a forked worker "
-        "whose next result\n"
-        "                  is overdue by N ms, requeueing its jobs "
-        "(needs --workers)\n"
-        "  --max-retries N extra attempts per job after a worker "
-        "failure before\n"
-        "                  the sweep fails with the job's attempt "
-        "history\n"
-        "                  (default 2; needs --workers)\n"
+        "  --threads N     sweep worker threads (0 = all cores, the "
+        "default)\n"
         "  --store DIR     content-addressed result store: serve "
         "previously computed\n"
         "                  results from DIR, persist fresh results "
@@ -267,7 +249,6 @@ main(int argc, char **argv)
         StoreStats before;
         if (store)
             before = store->stats();
-        SweepFaultStats faultsBefore = engine.faultStats();
         auto t0 = std::chrono::steady_clock::now();
         FigureResult result = figs[i]->fn(engine);
         std::string out;
@@ -284,7 +265,6 @@ main(int argc, char **argv)
                 manifest.hasStore = true;
                 manifest.store = store->stats() - before;
             }
-            manifest.faults = engine.faultStats() - faultsBefore;
             manifest.jobs.assign(
                 engine.manifest().begin() +
                     static_cast<std::ptrdiff_t>(firstJob),

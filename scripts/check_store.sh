@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Sweep-farm gate: run every figure twice against one result store —
-# cold (populating it), then warm over forked workers — and require
+# Result-store gate: run every figure twice against one result store —
+# cold (populating it), then warm at 4 threads — and require
 # (a) byte-identical stdout per figure and (b) a >90% aggregate hit
 # rate on the warm pass. Proves the store key covers everything that
-# matters and that store + sharding never perturb figure output.
+# matters and that the store never perturbs figure output.
 #
 # usage: check_store.sh <oova_bench> <store-dir> <out-dir>
 #
@@ -37,7 +37,7 @@ for fig in $figures; do
     fi
 done
 for fig in $figures; do
-    if ! "$BENCH" "$fig" --store "$STORE" --workers 4 --store-stats \
+    if ! "$BENCH" "$fig" --store "$STORE" --threads 4 --store-stats \
             > "$OUT/$fig.warm.txt" 2> "$OUT/$fig.warm.stats.txt"; then
         echo "FAIL: $fig warm run exited non-zero" >&2
         fail=1
@@ -94,7 +94,7 @@ else
         fail=1
     }
     for fig in $figures; do
-        if ! "$BENCH" "$fig" --store "$STORE" --workers 4 \
+        if ! "$BENCH" "$fig" --store "$STORE" --threads 4 \
                 --store-stats > "$OUT/$fig.corrupt.txt" \
                 2> "$OUT/$fig.corrupt.stats.txt"; then
             echo "FAIL: $fig corrupt-store run exited non-zero" >&2

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint gate.
 
-Nine repo invariants that neither the compiler nor clang-tidy can
+Eight repo invariants that neither the compiler nor clang-tidy can
 see, each of which has bitten (or nearly bitten) a past PR:
 
   1. Every registered figure has a checked-in golden
@@ -36,12 +36,6 @@ see, each of which has bitten (or nearly bitten) a past PR:
      so every registered occupancy distribution reaches both output
      surfaces — a structure nobody can read about, parse out of the
      JSON, or grep out of the stats dump is dead telemetry.
-  9. Every fault-injection Site enum entry has a siteName() label
-     and a row in the README's fault-injection-site table, and vice
-     versa — OOVA_FAULT specs are parsed by resolving names through
-     siteName(), so a site missing a label is unreachable from any
-     spec, and a site missing from the README is one nobody knows
-     how to inject.
 
 Exit code: 0 clean, 1 violations (each printed as "LINT: ...").
 """
@@ -72,20 +66,17 @@ def err(msg: str) -> None:
 # Rules 1 + 2: figure registry <-> goldens, both directions.
 # ---------------------------------------------------------------
 
-def registered_figures() -> dict:
-    """Figure name -> bench binary name, from the registry table."""
+def registered_figures() -> list:
+    """Figure names, from the registry table."""
     src = (ROOT / "src/harness/figures.cc").read_text()
     # Parse only the figureRegistry() body: other tables in the file
-    # also hold brace-initialized string pairs.
+    # also hold brace-initialized string literals.
     m = re.search(r"figureRegistry\(\)\s*\{(.*)", src, re.S)
     if not m:
         err("figureRegistry() not found in src/harness/figures.cc")
-        return {}
-    figs = {}
-    for fm in re.finditer(r'\{"([a-z0-9]+)",\s*"([a-z0-9_]+)"',
-                          m.group(1)):
-        figs[fm.group(1)] = fm.group(2)
-    return figs
+        return []
+    # Each entry opens with its short name: {"fig5", "Figure 5: ...",
+    return re.findall(r'\{"([a-z0-9]+)",', m.group(1))
 
 
 figures = registered_figures()
@@ -108,14 +99,6 @@ for name in sorted(goldens):
     if name not in figures:
         err(f"orphan golden tests/golden/{name}.txt matches no "
             "registered figure")
-
-# Each figure's standalone bench wrapper must exist (the registry's
-# binary column is what `oova_bench --list` advertises).
-for name, binary in sorted(figures.items()):
-    if not ((ROOT / f"bench/{binary}.cc").exists() or
-            (ROOT / f"bench/{name}.cc").exists()):
-        err(f"figure '{name}' names bench binary '{binary}' but "
-            f"bench/{binary}.cc does not exist")
 
 # ---------------------------------------------------------------
 # Rules 3 + 4: every SimResult field surfaced by toJson(), every
@@ -413,78 +396,6 @@ for rel in ("src/mem/simresult.cc", "src/harness/statsdump.cc"):
             "occStructName() — a new OccStruct entry would silently "
             "miss this output surface")
 
-# ---------------------------------------------------------------
-# Rule 9: fault-injection Site enum <-> siteName() labels <-> README
-# fault-site table, all three in sync, both directions.
-# ---------------------------------------------------------------
-
-def fault_enum_entries() -> list:
-    """faultinj::Site enumerators (minus the NumSites sentinel)."""
-    src = (ROOT / "src/harness/faultinj.hh").read_text()
-    m = re.search(r"enum class Site[^{]*\{(.*?)\n\};", src, re.S)
-    if not m:
-        err("enum class Site not found in src/harness/faultinj.hh")
-        return []
-    body = re.sub(r"/\*.*?\*/", "", m.group(1), flags=re.S)
-    body = re.sub(r"//[^\n]*", "", body)
-    entries = re.findall(r"\b([A-Z]\w*)\b", body)
-    return [e for e in entries if e != "NumSites"]
-
-
-def fault_name_labels() -> dict:
-    """Enumerator -> spec name, from siteName()'s switch."""
-    src = (ROOT / "src/harness/faultinj.cc").read_text()
-    # Anchor to the definition: the spec parser *calls* siteName()
-    # earlier in the file.
-    m = re.search(r"siteName\(Site site\).*?\n\}", src, re.S)
-    if not m:
-        err("siteName() definition not found in "
-            "src/harness/faultinj.cc")
-        return {}
-    return dict(re.findall(
-        r'case Site::(\w+):\s*return "([a-z-]+)"', m.group(0)))
-
-
-def readme_fault_labels() -> list:
-    """Site names from the README's fault-injection table."""
-    text = (ROOT / "README.md").read_text()
-    m = re.search(r"### Fault-injection sites\n(.*?)(?:\n#|\Z)",
-                  text, re.S)
-    if not m:
-        err("README.md has no '### Fault-injection sites' section")
-        return []
-    return re.findall(r"^\| `([a-z-]+)` \|", m.group(1), re.M)
-
-
-fault_entries = fault_enum_entries()
-fault_labels = fault_name_labels()
-fault_readme = readme_fault_labels()
-
-for entry in fault_entries:
-    if entry not in fault_labels:
-        err(f"faultinj::Site::{entry} has no label in siteName() "
-            "(src/harness/faultinj.cc) — no OOVA_FAULT spec can "
-            "reach it")
-for entry in fault_labels:
-    if entry not in fault_entries:
-        err(f"siteName() labels unknown fault site Site::{entry}")
-for entry, label in sorted(fault_labels.items()):
-    if label not in fault_readme:
-        err(f"fault site '{label}' (Site::{entry}) missing from the "
-            "README's '### Fault-injection sites' table")
-for label in fault_readme:
-    if label not in fault_labels.values():
-        err(f"README fault-site table row '{label}' matches no "
-            "siteName() label")
-
-# The spec parser must resolve site names through siteName() — that
-# is what keeps the enum, the spec grammar and the docs one list.
-if "siteName(static_cast<Site>" not in (
-        ROOT / "src/harness/faultinj.cc").read_text():
-    err("src/harness/faultinj.cc's spec parser does not resolve "
-        "site names through siteName() — the spec grammar would "
-        "drift from the enum")
-
 if errors:
     print(f"lint_oova: {len(errors)} violation(s)")
     sys.exit(1)
@@ -492,5 +403,4 @@ print("lint_oova: all checks passed "
       f"({len(figures)} figures, {len(fields)} SimResult fields, "
       f"{len(cpi_entries)} CPI buckets, "
       f"{config_member_count} config-key members, "
-      f"{len(occ_entries)} occupancy structures, "
-      f"{len(fault_entries)} fault sites)")
+      f"{len(occ_entries)} occupancy structures)")

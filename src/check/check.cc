@@ -150,12 +150,6 @@ processExitCode()
 }
 
 void
-noteExternalViolations(uint64_t count)
-{
-    processViolations.fetch_add(count, std::memory_order_relaxed);
-}
-
-void
 resetProcessViolations()
 {
     processViolations.store(0, std::memory_order_relaxed);

@@ -189,18 +189,6 @@ uint64_t processViolationCount();
 /** Exit code for the current tally: 0 clean, 3 on violations. */
 int processExitCode();
 
-/**
- * Fold @p count violations observed outside this process into the
- * tally. The forked sweep backend runs jobs in worker processes
- * whose tallies would otherwise die with them; every result frame
- * carries its job's violation delta, the parent sums the deltas as
- * frames arrive (so tallies survive a worker dying mid-batch and
- * requeued jobs are counted exactly once, by the frame that finally
- * delivers them) and records the total here, so processExitCode()
- * is identical however the sweep was executed — or recovered.
- */
-void noteExternalViolations(uint64_t count);
-
 /** Reset the tally (tests only). */
 void resetProcessViolations();
 

@@ -2,31 +2,26 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
-#include <deque>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <thread>
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include "check/check.hh"
 #include "common/logging.hh"
-#include "harness/faultinj.hh"
 #include "harness/perfetto.hh"
 #include "trace/trace_io.hh"
 
 namespace oova
 {
 
+namespace
+{
+
+/**
+ * Resolve and run one job on the calling thread: look the trace up,
+ * simulate, stamp the program label, time it.
+ */
 JobOutcome
 runSweepJob(const TraceCache &traces, const SweepJob &job)
 {
@@ -43,35 +38,18 @@ runSweepJob(const TraceCache &traces, const SweepJob &job)
     return o;
 }
 
-namespace
-{
-
-unsigned
-defaultedWorkers(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
-/**
- * Record one finished job on @p tid's track, anchored at its end
- * time @p endUs so the span covers [end - dur, end] — the only
- * placement the forked protocol supports (a frame carries the
- * duration; the arrival is the end), applied uniformly.
- */
+/** Record one job that began at @p startUs and just finished. */
 void
 recordJobSpan(SweepTraceLog *log, const JobOutcome &o, uint32_t tid,
-              uint64_t endUs, uint64_t dur)
+              uint64_t startUs)
 {
     TraceSpan s;
+    s.tsUs = startUs;
+    s.durUs = log->nowUs() - startUs;
     s.name = o.result.machine.empty()
                  ? o.result.program + " (prefetch)"
                  : o.result.program + " " + o.result.machine;
     s.category = o.fromStore ? "store-hit" : "sim";
-    s.durUs = dur;
-    s.tsUs = endUs >= dur ? endUs - dur : 0;
     s.tid = tid;
     s.args = {{"program", o.result.program},
               {"machine", o.result.machine},
@@ -85,8 +63,10 @@ recordJobSpan(SweepTraceLog *log, const JobOutcome &o, uint32_t tid,
 
 InProcessBackend::InProcessBackend(const TraceCache &traces,
                                    unsigned threads)
-    : traces_(traces), threads_(defaultedWorkers(threads))
+    : traces_(traces), threads_(threads)
 {
+    if (threads_ == 0)
+        threads_ = std::max(1u, std::thread::hardware_concurrency());
 }
 
 std::string
@@ -102,11 +82,10 @@ InProcessBackend::run(const std::vector<SweepJob> &jobs)
     std::atomic<size_t> done{0};
 
     auto runOne = [&](size_t i, uint32_t tid) {
+        uint64_t startUs = traceLog_ ? traceLog_->nowUs() : 0;
         out[i] = runSweepJob(traces_, jobs[i]);
         if (traceLog_)
-            recordJobSpan(
-                traceLog_, out[i], tid, traceLog_->nowUs(),
-                static_cast<uint64_t>(out[i].wallMs * 1000.0));
+            recordJobSpan(traceLog_, out[i], tid, startUs);
         if (progress_)
             progress_(done.fetch_add(1) + 1, jobs.size());
     };
@@ -155,640 +134,6 @@ InProcessBackend::run(const std::vector<SweepJob> &jobs)
     return out;
 }
 
-// ---------------------------------------------------------- forked
-
-namespace
-{
-
-/**
- * One pipe frame: fixed header then @c len payload bytes. @c vio
- * carries the job's invariant-audit violation delta, folded into
- * the parent's tally per frame so a later worker death can never
- * lose tallies already earned. The sentinel frame (idx == kDoneIdx,
- * len == 0) ends a worker's stream.
- */
-struct FrameHeader
-{
-    uint32_t len = 0;
-    uint64_t idx = 0;
-    uint64_t wallUs = 0;
-    uint64_t vio = 0;
-};
-
-constexpr uint64_t kDoneIdx = ~0ull;
-/** Far above any toJson() payload; a violation means a torn pipe. */
-constexpr uint32_t kMaxFrameLen = 1u << 20;
-
-/** First respawn delay; doubles per respawn up to the cap. */
-constexpr uint64_t kBackoffBaseMs = 25;
-constexpr uint64_t kBackoffCapMs = 2000;
-
-bool
-writeAll(int fd, const void *data, size_t n)
-{
-    const char *p = static_cast<const char *>(data);
-    while (n > 0) {
-        ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-/**
- * Worker-side frame write. The two frame fault sites live here:
- * frame-truncate dies mid-write (what a crash between write()s
- * leaves behind), frame-garbage sends a well-formed header over a
- * corrupted payload (what a buffer bug would produce).
- */
-bool
-sendFrame(int fd, uint64_t idx, uint64_t wallUs, uint64_t vio,
-          const std::string &payload)
-{
-    FrameHeader h;
-    h.len = static_cast<uint32_t>(payload.size());
-    h.idx = idx;
-    h.wallUs = wallUs;
-    h.vio = vio;
-    if (faultinj::shouldFire(faultinj::Site::FrameTruncate)) {
-        writeAll(fd, &h, sizeof(h));
-        writeAll(fd, payload.data(), payload.size() / 2);
-        _exit(1);
-    }
-    if (faultinj::shouldFire(faultinj::Site::FrameGarbage)) {
-        std::string junk(payload.size(), '\xa5');
-        return writeAll(fd, &h, sizeof(h)) &&
-               writeAll(fd, junk.data(), junk.size());
-    }
-    return writeAll(fd, &h, sizeof(h)) &&
-           writeAll(fd, payload.data(), payload.size());
-}
-
-/**
- * Worker-process body: run the assigned job indices in order,
- * stream each result back, then the sentinel. Exits the process —
- * never returns — and uses _exit so the child cannot flush
- * inherited stdio buffers or run parent atexit hooks. Respawned
- * workers disarm fault injection (see faultinj.hh); the injected
- * exit/hang faults are decided by the parent per spawn.
- */
-[[noreturn]] void
-workerLoop(const TraceCache &traces,
-           const std::vector<SweepJob> &jobs,
-           const std::vector<size_t> &mine, int fd, bool injectExit,
-           bool injectHang, bool disarmFaults)
-{
-    if (disarmFaults)
-        faultinj::disarmAll();
-    bool first = true;
-    try {
-        for (size_t i : mine) {
-            uint64_t before = check::processViolationCount();
-            JobOutcome o = runSweepJob(traces, jobs[i]);
-            uint64_t vio =
-                check::processViolationCount() - before;
-            auto us = static_cast<uint64_t>(o.wallMs * 1000.0);
-            if (!sendFrame(fd, i, us, vio, o.result.toJson()))
-                _exit(1);
-            if (first) {
-                first = false;
-                if (injectExit)
-                    _exit(17);
-                while (injectHang)
-                    ::pause();
-            }
-        }
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "sweep worker: %s\n", e.what());
-        _exit(1);
-    } catch (...) {
-        std::fprintf(stderr, "sweep worker: unknown exception\n");
-        _exit(1);
-    }
-    // Zero assigned jobs still spawns a worker; let the injected
-    // faults fire on it so a spec can never silently miss.
-    if (injectExit)
-        _exit(17);
-    while (injectHang)
-        ::pause();
-    if (!sendFrame(fd, kDoneIdx, 0, 0, ""))
-        _exit(1);
-    _exit(0);
-}
-
-std::string
-describeStatus(int status)
-{
-    if (WIFEXITED(status))
-        return csprintf("exited with status %d",
-                        WEXITSTATUS(status));
-    if (WIFSIGNALED(status))
-        return csprintf("killed by signal %d", WTERMSIG(status));
-    return "ended with unknown status";
-}
-
-} // namespace
-
-ForkedBackend::ForkedBackend(const TraceCache &traces,
-                             unsigned workers, uint64_t jobTimeoutMs,
-                             unsigned maxRetries)
-    : traces_(traces), workers_(defaultedWorkers(workers)),
-      jobTimeoutMs_(jobTimeoutMs), maxRetries_(maxRetries)
-{
-}
-
-std::string
-ForkedBackend::describe() const
-{
-    return csprintf("forked x%u", workers_);
-}
-
-std::vector<JobOutcome>
-ForkedBackend::run(const std::vector<SweepJob> &jobs)
-{
-    using Clock = std::chrono::steady_clock;
-
-    std::vector<JobOutcome> out(jobs.size());
-    if (jobs.empty())
-        return out;
-
-    // Generate every named trace up front (with a transient thread
-    // pool, matching the in-process backend's parallelism) so the
-    // forked children inherit the generated pages copy-on-write
-    // instead of each regenerating its own copies.
-    uint64_t genStartUs = traceLog_ ? traceLog_->nowUs() : 0;
-    size_t namedTraces = 0;
-    {
-        std::vector<std::string> names;
-        for (const auto &job : jobs)
-            if (!job.inlineTrace)
-                names.push_back(job.trace);
-        std::atomic<size_t> next{0};
-        unsigned genThreads = std::min<size_t>(
-            workers_, names.empty() ? 1 : names.size());
-        std::vector<std::thread> pool;
-        for (unsigned w = 0; w < genThreads; ++w)
-            pool.emplace_back([&] {
-                for (;;) {
-                    size_t i = next.fetch_add(1);
-                    if (i >= names.size())
-                        return;
-                    traces_.get(names[i]);
-                }
-            });
-        for (auto &t : pool)
-            t.join();
-        namedTraces = names.size();
-    }
-    if (traceLog_) {
-        // The pre-fork generation phase is otherwise invisible: no
-        // job runs during it, yet on a cold cache it can dominate
-        // the sweep's wall time.
-        traceLog_->setThreadName(0, "sweep-main");
-        TraceSpan gen;
-        gen.name = "trace-gen";
-        gen.category = "sweep";
-        gen.tsUs = genStartUs;
-        gen.durUs = traceLog_->nowUs() - genStartUs;
-        gen.tid = 0;
-        gen.args = {{"traces", csprintf("%zu", namedTraces)}};
-        traceLog_->addSpan(std::move(gen));
-    }
-
-    unsigned w = workers_;
-    if (jobs.size() < w)
-        w = static_cast<unsigned>(jobs.size());
-
-    // A dying worker must cost at most a requeue, never the sweep:
-    // with SIGPIPE ignored, a write into a dead worker's pipe fails
-    // with EPIPE instead of killing this process.
-    std::signal(SIGPIPE, SIG_IGN);
-
-    /** One spawned worker process and its read-side pipe state. */
-    struct Slot
-    {
-        pid_t pid = -1;
-        int fd = -1;
-        /** Bytes received but not yet parsed into frames — this is
-         *  what makes partial read()s of a frame a non-event. */
-        std::string rx;
-        /** Assigned jobs not yet answered, in execution order. */
-        std::deque<size_t> pending;
-        /** Last frame arrival; the watchdog's reference point. */
-        Clock::time_point lastFrame;
-        bool sentinel = false;
-        /** Spawn ordinal across the run, for reports and spans. */
-        unsigned ordinal = 0;
-    };
-    struct Respawn
-    {
-        Clock::time_point due;
-        std::vector<size_t> indices;
-    };
-
-    std::vector<Slot> slots;
-    std::deque<Respawn> respawnQueue;
-    std::vector<unsigned> attempts(jobs.size(), 0);
-    std::map<size_t, std::vector<std::string>> history;
-    std::vector<char> filled(jobs.size(), 0);
-    std::vector<size_t> fallbackIdx;
-    bool fallbackMode = false;
-    size_t done = 0;
-    uint64_t childViolations = 0;
-    unsigned spawned = 0;
-    unsigned respawns = 0;
-
-    auto enterFallback = [&](std::vector<size_t> lost,
-                             const char *why) {
-        if (!fallbackMode)
-            warn("sweep: %s; falling back to in-process execution "
-                 "for the affected jobs (results are unchanged — "
-                 "every backend is submission-order identical)",
-                 why);
-        fallbackMode = true;
-        faults_.fallbackJobs += lost.size();
-        fallbackIdx.insert(fallbackIdx.end(), lost.begin(),
-                           lost.end());
-    };
-
-    /** Fork one worker over @p indices; false when forking fails. */
-    auto spawnWorker = [&](const std::vector<size_t> &indices,
-                           bool isRespawn) -> bool {
-        // Parent-side fault decisions, one evaluation per spawn
-        // attempt (respawns included, so a spec can exhaust a job's
-        // retries deterministically).
-        bool injectExit =
-            faultinj::shouldFire(faultinj::Site::WorkerExit);
-        bool injectHang =
-            faultinj::shouldFire(faultinj::Site::WorkerHang);
-        bool injectForkFail =
-            faultinj::shouldFire(faultinj::Site::ForkFail);
-        int fds[2];
-        if (::pipe(fds) != 0)
-            return false;
-        if (injectForkFail) {
-            ::close(fds[0]);
-            ::close(fds[1]);
-            return false;
-        }
-        // Stdio buffers are duplicated into each child; flush now so
-        // a child can never replay half-written parent output.
-        std::fflush(stdout);
-        std::fflush(stderr);
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(fds[0]);
-            ::close(fds[1]);
-            return false;
-        }
-        if (pid == 0) {
-            // Child: drop every parent-side read end, keep only our
-            // write end.
-            for (const Slot &s : slots)
-                if (s.fd >= 0)
-                    ::close(s.fd);
-            ::close(fds[0]);
-            workerLoop(traces_, jobs, indices, fds[1], injectExit,
-                       injectHang, isRespawn);
-        }
-        ::close(fds[1]);
-        // Nonblocking reads let one supervisor thread drain every
-        // pipe as bytes arrive, frame boundaries or not.
-        int flags = ::fcntl(fds[0], F_GETFL, 0);
-        ::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK);
-        Slot s;
-        s.pid = pid;
-        s.fd = fds[0];
-        s.pending.assign(indices.begin(), indices.end());
-        s.lastFrame = Clock::now();
-        s.ordinal = spawned++;
-        if (traceLog_)
-            traceLog_->setThreadName(
-                1000 + s.ordinal,
-                csprintf("forked-worker-%u", s.ordinal));
-        slots.push_back(std::move(s));
-        return true;
-    };
-
-    /** Close + waitpid; returns the worker's exit status. */
-    auto reap = [](Slot &s) -> int {
-        if (s.fd >= 0) {
-            ::close(s.fd);
-            s.fd = -1;
-        }
-        int status = 0;
-        if (s.pid >= 0) {
-            ::waitpid(s.pid, &status, 0);
-            s.pid = -1;
-        }
-        return status;
-    };
-
-    /**
-     * Account a dead worker's unfinished jobs: one attempt burned
-     * per job (exhaustion is fatal with the full history), then a
-     * respawn with exponential backoff — or the fallback list once
-     * forking has already failed.
-     */
-    auto requeueLost = [&](Slot &s, pid_t pid,
-                           const std::string &reason) {
-        std::vector<size_t> lost(s.pending.begin(),
-                                 s.pending.end());
-        s.pending.clear();
-        if (lost.empty())
-            return;
-        for (size_t i : lost) {
-            ++attempts[i];
-            ++faults_.retriedJobs;
-            history[i].push_back(csprintf(
-                "attempt %u: worker %u (pid %d) %s", attempts[i],
-                s.ordinal, static_cast<int>(pid), reason.c_str()));
-            if (attempts[i] > maxRetries_) {
-                std::string hist;
-                for (const std::string &line : history[i])
-                    hist += "  " + line + "\n";
-                fatal("sweep: job %zu (program %s, machine %s) "
-                      "failed %u times; --max-retries %u "
-                      "exhausted:\n%s",
-                      i, jobs[i].trace.c_str(),
-                      jobs[i].configKey.empty()
-                          ? "(uncacheable)"
-                          : jobs[i].configKey.c_str(),
-                      attempts[i], maxRetries_, hist.c_str());
-            }
-        }
-        if (fallbackMode) {
-            enterFallback(std::move(lost), "worker respawn "
-                                           "unavailable");
-            return;
-        }
-        unsigned shift = std::min(respawns, 6u);
-        uint64_t delayMs = std::min(kBackoffBaseMs << shift,
-                                    kBackoffCapMs);
-        ++respawns;
-        warn("sweep: worker %u (pid %d) %s; requeueing %zu jobs "
-             "onto a respawned worker in %llu ms",
-             s.ordinal, static_cast<int>(pid), reason.c_str(),
-             lost.size(),
-             static_cast<unsigned long long>(delayMs));
-        respawnQueue.push_back(
-            {Clock::now() + std::chrono::milliseconds(delayMs),
-             std::move(lost)});
-    };
-
-    /** Kill + reap a misbehaving worker and requeue its jobs. */
-    auto failWorker = [&](Slot &s, const std::string &reason) {
-        pid_t pid = s.pid;
-        if (s.pid >= 0)
-            ::kill(s.pid, SIGKILL);
-        reap(s);
-        requeueLost(s, pid, reason);
-    };
-
-    /**
-     * Consume every complete frame in @p s's receive buffer.
-     * Returns false when the slot was closed (worker finished or
-     * failed) and parsing must stop.
-     */
-    auto parseFrames = [&](Slot &s) -> bool {
-        for (;;) {
-            if (s.rx.size() < sizeof(FrameHeader))
-                return true;
-            FrameHeader h;
-            std::memcpy(&h, s.rx.data(), sizeof(h));
-            if (h.idx == kDoneIdx) {
-                if (h.len != 0 || !s.pending.empty()) {
-                    failWorker(
-                        s, h.len != 0
-                               ? std::string("sent a malformed "
-                                             "sentinel frame")
-                               : csprintf("claimed completion with "
-                                          "%zu jobs outstanding",
-                                          s.pending.size()));
-                    return false;
-                }
-                int status = reap(s);
-                if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                    warn("sweep: worker %u finished its jobs but "
-                         "%s",
-                         s.ordinal, describeStatus(status).c_str());
-                return false;
-            }
-            if (h.len > kMaxFrameLen || s.pending.empty() ||
-                h.idx != s.pending.front()) {
-                failWorker(s, csprintf("broke frame protocol "
-                                       "(header len=%u idx=%llu)",
-                                       h.len,
-                                       static_cast<unsigned long long>(
-                                           h.idx)));
-                return false;
-            }
-            if (s.rx.size() < sizeof(h) + h.len)
-                return true; // partial frame: wait for more bytes
-            size_t i = static_cast<size_t>(h.idx);
-            std::string payload = s.rx.substr(sizeof(h), h.len);
-            s.rx.erase(0, sizeof(h) + h.len);
-            if (!SimResult::fromJson(payload, out[i].result)) {
-                failWorker(s, csprintf("sent an unparsable payload "
-                                       "for job %zu",
-                                       i));
-                return false;
-            }
-            out[i].wallMs = static_cast<double>(h.wallUs) / 1000.0;
-            filled[i] = 1;
-            s.pending.pop_front();
-            s.lastFrame = Clock::now();
-            childViolations += h.vio;
-            ++done;
-            // The frame carries the job's duration and arrives
-            // (pipe latency aside) when the job ends, which is all
-            // a span needs; the worker's track is its own.
-            if (traceLog_)
-                recordJobSpan(traceLog_, out[i], 1000 + s.ordinal,
-                              traceLog_->nowUs(), h.wallUs);
-            if (progress_)
-                progress_(done, jobs.size());
-        }
-    };
-
-    /** Drain @p s's pipe until EAGAIN, parsing frames as they
-     *  complete; handles EOF (clean or premature) and errors. */
-    auto drainSlot = [&](Slot &s) {
-        char buf[65536];
-        for (;;) {
-            ssize_t r = ::read(s.fd, buf, sizeof(buf));
-            if (r < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    return;
-                failWorker(s, csprintf("pipe read failed (errno "
-                                       "%d)",
-                                       errno));
-                return;
-            }
-            if (r == 0) {
-                // EOF. A clean finish consumed the sentinel already
-                // (parseFrames reaped the slot), so reaching here
-                // means the worker died early.
-                pid_t pid = s.pid;
-                int status = reap(s);
-                requeueLost(s, pid,
-                            csprintf("exited before finishing "
-                                     "(%s)",
-                                     describeStatus(status)
-                                         .c_str()));
-                return;
-            }
-            s.rx.append(buf, static_cast<size_t>(r));
-            if (!parseFrames(s))
-                return;
-        }
-    };
-
-    // Initial assignment keeps the historical striping (job i on
-    // worker i mod w): deterministic and COW-friendly. A failed
-    // initial fork degrades that worker's share to the fallback.
-    {
-        std::vector<std::vector<size_t>> initial(w);
-        for (size_t i = 0; i < jobs.size(); ++i)
-            initial[i % w].push_back(i);
-        for (unsigned k = 0; k < w; ++k) {
-            if (fallbackMode || !spawnWorker(initial[k], false))
-                enterFallback(std::move(initial[k]),
-                              "cannot fork a sweep worker");
-        }
-    }
-
-    // The supervisor: one thread, poll()-driven. Runs until every
-    // worker slot is reaped and no respawn is owed.
-    for (;;) {
-        bool anyLive = false;
-        for (const Slot &s : slots)
-            anyLive = anyLive || s.pid >= 0;
-        if (!anyLive && respawnQueue.empty())
-            break;
-
-        std::vector<pollfd> pfds;
-        std::vector<size_t> slotOf;
-        for (size_t si = 0; si < slots.size(); ++si)
-            if (slots[si].pid >= 0 && slots[si].fd >= 0) {
-                pfds.push_back({slots[si].fd, POLLIN, 0});
-                slotOf.push_back(si);
-            }
-
-        // Sleep until the next deadline: a watchdog expiry or a
-        // respawn coming due — otherwise until bytes arrive (with a
-        // coarse cap as a safety net against clock edge cases).
-        Clock::time_point now = Clock::now();
-        int timeoutMs = anyLive ? 10000 : 50;
-        auto consider = [&](Clock::time_point due) {
-            auto ms = std::chrono::duration_cast<
-                          std::chrono::milliseconds>(due - now)
-                          .count();
-            long clamped = ms < 0 ? 0 : static_cast<long>(ms) + 1;
-            if (clamped < timeoutMs)
-                timeoutMs = static_cast<int>(clamped);
-        };
-        if (jobTimeoutMs_ != 0)
-            for (const Slot &s : slots)
-                if (s.pid >= 0 && !s.pending.empty())
-                    consider(s.lastFrame +
-                             std::chrono::milliseconds(
-                                 jobTimeoutMs_));
-        for (const Respawn &r : respawnQueue)
-            consider(r.due);
-
-        int ready = ::poll(pfds.data(),
-                           static_cast<nfds_t>(pfds.size()),
-                           timeoutMs);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            fatal("sweep: poll failed (errno %d)", errno);
-        }
-        for (size_t p = 0; p < pfds.size(); ++p)
-            if (pfds[p].revents != 0)
-                drainSlot(slots[slotOf[p]]);
-
-        // Watchdog: a worker whose next frame is overdue is hung
-        // (or so slow it is indistinguishable from hung) — kill it
-        // and rerun its unfinished jobs elsewhere.
-        if (jobTimeoutMs_ != 0) {
-            now = Clock::now();
-            for (Slot &s : slots) {
-                if (s.pid < 0 || s.pending.empty())
-                    continue;
-                if (now - s.lastFrame >=
-                    std::chrono::milliseconds(jobTimeoutMs_)) {
-                    ++faults_.timeouts;
-                    failWorker(
-                        s, csprintf("timed out (no frame within "
-                                    "--job-timeout-ms %llu, %zu "
-                                    "jobs outstanding)",
-                                    static_cast<unsigned long long>(
-                                        jobTimeoutMs_),
-                                    s.pending.size()));
-                }
-            }
-        }
-
-        // Respawns that have served their backoff.
-        now = Clock::now();
-        while (!respawnQueue.empty() &&
-               respawnQueue.front().due <= now) {
-            Respawn r = std::move(respawnQueue.front());
-            respawnQueue.pop_front();
-            std::sort(r.indices.begin(), r.indices.end());
-            if (fallbackMode || !spawnWorker(r.indices, true))
-                enterFallback(std::move(r.indices),
-                              "cannot fork a replacement worker");
-            else
-                ++faults_.respawnedWorkers;
-        }
-    }
-
-    // Graceful degradation: whatever could not be run in a worker
-    // process runs right here, scattered back into submission-order
-    // slots — byte-identical output, just without process isolation.
-    if (!fallbackIdx.empty()) {
-        std::sort(fallbackIdx.begin(), fallbackIdx.end());
-        std::vector<SweepJob> rest;
-        rest.reserve(fallbackIdx.size());
-        for (size_t i : fallbackIdx)
-            rest.push_back(jobs[i]);
-        InProcessBackend inner(traces_, workers_);
-        if (traceLog_)
-            inner.setTraceLog(traceLog_);
-        if (progress_) {
-            size_t base = done;
-            size_t total = jobs.size();
-            inner.setProgress([this, base, total](size_t d, size_t) {
-                progress_(base + d, total);
-            });
-        }
-        std::vector<JobOutcome> ran = inner.run(rest);
-        for (size_t m = 0; m < fallbackIdx.size(); ++m) {
-            out[fallbackIdx[m]] = std::move(ran[m]);
-            filled[fallbackIdx[m]] = 1;
-        }
-    }
-
-    for (size_t i = 0; i < jobs.size(); ++i)
-        if (!filled[i])
-            fatal("sweep: job %zu (%s) was never completed — "
-                  "supervisor accounting bug",
-                  i, jobs[i].trace.c_str());
-
-    check::noteExternalViolations(childViolations);
-    return out;
-}
-
 // ----------------------------------------------------------- store
 
 StoreBackend::StoreBackend(ResultStore &store,
@@ -802,12 +147,6 @@ std::string
 StoreBackend::describe() const
 {
     return "store+" + inner_->describe();
-}
-
-void
-StoreBackend::setProgress(std::function<void(size_t, size_t)> cb)
-{
-    progress_ = std::move(cb);
 }
 
 void
@@ -856,11 +195,10 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
                 // Hits get job spans too (category "store-hit",
                 // cached=true), spanning the load itself — the
                 // waterfall shows what a warm store saved.
-                if (traceLog_) {
-                    uint64_t end = traceLog_->nowUs();
-                    recordJobSpan(traceLog_, out[i], 0, end,
-                                  end - loadStartUs);
-                }
+                if (traceLog_)
+                    recordJobSpan(traceLog_, out[i], 0, loadStartUs);
+                if (progress_)
+                    progress_(hits, jobs.size());
                 continue;
             }
         }
@@ -882,8 +220,6 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
     }
 
     if (progress_) {
-        if (hits)
-            progress_(hits, jobs.size());
         // Re-base the inner backend's progress on top of the hits.
         size_t total = jobs.size();
         size_t base = hits;

@@ -5,9 +5,6 @@
  *
  *   InProcessBackend  worker threads in this process (the default;
  *                     byte-identical to the original engine).
- *   ForkedBackend     N forked worker processes, results streamed
- *                     back over pipes with a length-prefixed frame
- *                     protocol and merged in submission order.
  *   StoreBackend      decorator: consults a content-addressed
  *                     ResultStore first, delegates only the misses
  *                     to the wrapped backend, persists their
@@ -16,7 +13,7 @@
  * Every backend returns outcomes index-aligned with the submitted
  * jobs, so figure output is byte-identical whichever backend (and
  * whatever parallelism) ran the sweep — that invariant is what lets
- * the golden-figure gate double as the farm's correctness net.
+ * the golden-figure gate double as the store's correctness net.
  */
 
 #ifndef OOVA_HARNESS_BACKEND_HH
@@ -59,7 +56,7 @@ class SweepBackend
     virtual std::vector<JobOutcome>
     run(const std::vector<SweepJob> &jobs) = 0;
 
-    /** Worker parallelism (threads or processes). */
+    /** Worker parallelism (threads). */
     virtual unsigned parallelism() const = 0;
 
     /** Human-readable description, e.g. "in-process x8". */
@@ -85,23 +82,10 @@ class SweepBackend
      */
     virtual void setTraceLog(SweepTraceLog *log) { traceLog_ = log; }
 
-    /**
-     * Fault-recovery counters accumulated across run() calls.
-     * Backends without failure modes report all zeros.
-     */
-    virtual SweepFaultStats faultStats() const { return {}; }
-
   protected:
     std::function<void(size_t, size_t)> progress_;
     SweepTraceLog *traceLog_ = nullptr;
 };
-
-/**
- * Resolve and run one job on the calling thread: look the trace up,
- * simulate, stamp the program label, time it. The unit of work every
- * backend is built from.
- */
-JobOutcome runSweepJob(const TraceCache &traces, const SweepJob &job);
 
 /** The original thread-pool execution, behind the backend API. */
 class InProcessBackend : public SweepBackend
@@ -122,62 +106,6 @@ class InProcessBackend : public SweepBackend
   private:
     const TraceCache &traces_;
     unsigned threads_;
-};
-
-/**
- * Fork-based sharding with worker supervision. Job i initially runs
- * in worker (i mod N); the parent generates every named trace before
- * forking, so workers inherit the trace pages copy-on-write instead
- * of regenerating them. Each worker streams
- * [u32 len][u64 idx][u64 wallUs][u64 vio][toJson() payload] frames
- * back over its pipe (vio = the job's invariant-audit violation
- * delta, folded into the parent's tally per frame so no tally is
- * lost with a dying worker), ending with a zero-length sentinel
- * frame.
- *
- * The parent is a single-threaded poll() supervisor over nonblocking
- * pipes: it detects worker death (EOF / waitpid), protocol breakage
- * (torn or garbage frames) and stalls (--job-timeout-ms wall-clock
- * watchdog), requeues the lost worker's unfinished jobs onto a
- * respawned worker with exponential backoff, and gives every job up
- * to 1 + maxRetries attempts before failing the sweep with the job's
- * full attempt history. When forking itself fails (or stops being
- * worth retrying), the remaining jobs fall back to an in-process
- * run with a structured warning — submission-order results either
- * way, so recovered output is byte-identical to a clean run.
- */
-class ForkedBackend : public SweepBackend
-{
-  public:
-    /** Default extra attempts per job after its first failure. */
-    static constexpr unsigned kDefaultMaxRetries = 2;
-
-    /**
-     * @param workers      forked worker processes; 0 means hardware
-     *                     concurrency.
-     * @param jobTimeoutMs kill + requeue a worker whose next frame
-     *                     is overdue by this much; 0 disables the
-     *                     watchdog.
-     * @param maxRetries   extra attempts per job after its first
-     *                     failure; exhausting them is fatal.
-     */
-    explicit ForkedBackend(const TraceCache &traces,
-                           unsigned workers = 0,
-                           uint64_t jobTimeoutMs = 0,
-                           unsigned maxRetries = kDefaultMaxRetries);
-
-    std::vector<JobOutcome>
-    run(const std::vector<SweepJob> &jobs) override;
-    unsigned parallelism() const override { return workers_; }
-    std::string describe() const override;
-    SweepFaultStats faultStats() const override { return faults_; }
-
-  private:
-    const TraceCache &traces_;
-    unsigned workers_;
-    uint64_t jobTimeoutMs_;
-    unsigned maxRetries_;
-    SweepFaultStats faults_;
 };
 
 /**
@@ -203,15 +131,8 @@ class StoreBackend : public SweepBackend
         return inner_->parallelism();
     }
     std::string describe() const override;
-    void setProgress(std::function<void(size_t, size_t)> cb) override;
     /** Kept by the decorator and forwarded to the inner backend. */
     void setTraceLog(SweepTraceLog *log) override;
-    /** The inner backend's counters (the store itself never forks). */
-    SweepFaultStats
-    faultStats() const override
-    {
-        return inner_->faultStats();
-    }
 
   private:
     ResultStore &store_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared machinery for the bench binaries that regenerate the
+ * Shared machinery for the figure functions that regenerate the
  * paper's tables and figures: a cached workload set, standard
  * machine-configuration builders, and speedup helpers.
  */

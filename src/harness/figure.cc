@@ -10,11 +10,8 @@
 #include <mutex>
 #include <sstream>
 
-#include "check/check.hh"
 #include "common/logging.hh"
 #include "harness/backend.hh"
-#include "harness/perfetto.hh"
-#include "harness/statsdump.hh"
 
 namespace oova
 {
@@ -23,7 +20,7 @@ const FigureDef *
 findFigure(const std::string &name)
 {
     for (const auto &fig : figureRegistry())
-        if (name == fig.name || name == fig.binary)
+        if (name == fig.name)
             return &fig;
     return nullptr;
 }
@@ -129,16 +126,6 @@ jsonManifest(std::ostringstream &os, const RunManifest &manifest)
                        static_cast<unsigned long long>(
                            s.quarantined));
     }
-    const SweepFaultStats &f = manifest.faults;
-    os << csprintf("    \"faults\": {\"retriedJobs\": %llu, "
-                   "\"respawnedWorkers\": %llu, "
-                   "\"timeouts\": %llu, "
-                   "\"fallbackJobs\": %llu},\n",
-                   static_cast<unsigned long long>(f.retriedJobs),
-                   static_cast<unsigned long long>(
-                       f.respawnedWorkers),
-                   static_cast<unsigned long long>(f.timeouts),
-                   static_cast<unsigned long long>(f.fallbackJobs));
     os << "    \"jobs\": [";
     for (size_t i = 0; i < manifest.jobs.size(); ++i) {
         const JobRecord &job = manifest.jobs[i];
@@ -223,23 +210,6 @@ takeValue(int argc, char **argv, int &i, const char *flag,
     return 1;
 }
 
-/** Shared --threads/--workers validation: digits only, sane ceiling. */
-bool
-parseWorkerCount(const char *flag, const char *val, unsigned &out)
-{
-    // strtoul silently wraps negative input ("-3" becomes a huge
-    // unsigned), so insist on digits and a sane ceiling.
-    char *end = nullptr;
-    unsigned long n = std::strtoul(val, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(val[0])) ||
-        end == val || *end != '\0' || n > kMaxSweepThreads) {
-        std::fprintf(stderr, "bad %s '%s'\n", flag, val);
-        return false;
-    }
-    out = static_cast<unsigned>(n);
-    return true;
-}
-
 } // namespace
 
 int
@@ -265,15 +235,18 @@ parseCommonFlag(int argc, char **argv, int &i, FigureOptions &opts)
     const char *val = nullptr;
     int r;
     if ((r = takeValue(argc, argv, i, "--threads", &val)) != 0) {
-        if (r < 0 || !parseWorkerCount("--threads", val, opts.threads))
+        if (r < 0)
             return -1;
-        opts.threadsSet = true;
-        return 1;
-    }
-    if ((r = takeValue(argc, argv, i, "--workers", &val)) != 0) {
-        if (r < 0 || !parseWorkerCount("--workers", val, opts.workers))
+        // strtoul silently wraps negative input ("-3" becomes a huge
+        // unsigned), so insist on digits and a sane ceiling.
+        char *end = nullptr;
+        unsigned long n = std::strtoul(val, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(val[0])) ||
+            end == val || *end != '\0' || n > kMaxSweepThreads) {
+            std::fprintf(stderr, "bad --threads '%s'\n", val);
             return -1;
-        opts.workersSet = true;
+        }
+        opts.threads = static_cast<unsigned>(n);
         return 1;
     }
     if ((r = takeValue(argc, argv, i, "--scale", &val)) != 0) {
@@ -299,36 +272,6 @@ parseCommonFlag(int argc, char **argv, int &i, FigureOptions &opts)
             return -1;
         }
         opts.storeMaxMb = static_cast<uint64_t>(n);
-        return 1;
-    }
-    if ((r = takeValue(argc, argv, i, "--job-timeout-ms", &val)) !=
-        0) {
-        if (r < 0)
-            return -1;
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(val, &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>(val[0])) ||
-            end == val || *end != '\0' || n == 0) {
-            std::fprintf(stderr, "bad --job-timeout-ms '%s'\n", val);
-            return -1;
-        }
-        opts.jobTimeoutMs = static_cast<uint64_t>(n);
-        opts.jobTimeoutSet = true;
-        return 1;
-    }
-    if ((r = takeValue(argc, argv, i, "--max-retries", &val)) != 0) {
-        if (r < 0)
-            return -1;
-        char *end = nullptr;
-        unsigned long n = std::strtoul(val, &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>(val[0])) ||
-            end == val || *end != '\0' || n == 0 ||
-            n > kMaxSweepThreads) {
-            std::fprintf(stderr, "bad --max-retries '%s'\n", val);
-            return -1;
-        }
-        opts.maxRetries = static_cast<unsigned>(n);
-        opts.maxRetriesSet = true;
         return 1;
     }
     if ((r = takeValue(argc, argv, i, "--store", &val)) != 0) {
@@ -367,15 +310,6 @@ parseCommonFlag(int argc, char **argv, int &i, FigureOptions &opts)
 bool
 validateFigureOptions(const FigureOptions &opts)
 {
-    if (opts.threadsSet && opts.workersSet) {
-        std::fprintf(
-            stderr,
-            "--threads and --workers are mutually exclusive: "
-            "--threads sizes the in-process thread pool, --workers "
-            "switches to forked worker processes; pass exactly "
-            "one\n");
-        return false;
-    }
     if (opts.storeStats && opts.storeDir.empty()) {
         std::fprintf(stderr,
                      "--store-stats needs --store DIR (there are no "
@@ -394,19 +328,6 @@ validateFigureOptions(const FigureOptions &opts)
                      "nothing to sync without a store)\n");
         return false;
     }
-    if (opts.jobTimeoutSet && !opts.workersSet) {
-        std::fprintf(stderr,
-                     "--job-timeout-ms needs --workers N (the "
-                     "watchdog supervises forked workers; the "
-                     "in-process backend has none)\n");
-        return false;
-    }
-    if (opts.maxRetriesSet && !opts.workersSet) {
-        std::fprintf(stderr,
-                     "--max-retries needs --workers N (only forked "
-                     "workers can fail and be retried)\n");
-        return false;
-    }
     return true;
 }
 
@@ -414,14 +335,8 @@ SweepEngine
 makeSweepEngine(const TraceCache &traces, const FigureOptions &opts,
                 ResultStore *store)
 {
-    std::unique_ptr<SweepBackend> backend;
-    if (opts.workersSet)
-        backend = std::make_unique<ForkedBackend>(
-            traces, opts.workers, opts.jobTimeoutMs,
-            opts.maxRetries);
-    else
-        backend =
-            std::make_unique<InProcessBackend>(traces, opts.threads);
+    std::unique_ptr<SweepBackend> backend =
+        std::make_unique<InProcessBackend>(traces, opts.threads);
     if (store)
         backend = std::make_unique<StoreBackend>(*store, traces,
                                                  std::move(backend));
@@ -478,148 +393,6 @@ installProgressMeter(SweepEngine &engine)
                      "~%.1fs left\n",
                      done, total, elapsed, eta);
     });
-}
-
-namespace
-{
-
-/** Shared by --help (stdout, exit 0) and bad usage (stderr, exit 2). */
-constexpr char kFigureUsage[] =
-    "[--threads N | --workers N] [--store DIR] [--store-stats]\n"
-    "       [--store-max-mb N] [--store-fsync] "
-    "[--job-timeout-ms N]\n"
-    "       [--max-retries N] [--stats FILE] [--perfetto FILE]\n"
-    "       [--json] [--progress] [--scale S]\n"
-    "\n"
-    "  --threads N     in-process worker threads (default backend; "
-    "0 = all cores)\n"
-    "  --workers N     forked worker processes instead of threads "
-    "(0 = all cores)\n"
-    "                  --threads and --workers are mutually "
-    "exclusive: neither\n"
-    "                  takes precedence, passing both is an error\n"
-    "  --job-timeout-ms N  kill and respawn a forked worker whose "
-    "next result is\n"
-    "                  overdue by N ms, requeueing its jobs (needs "
-    "--workers)\n"
-    "  --max-retries N extra attempts per job after a worker "
-    "failure before the\n"
-    "                  sweep fails with the job's attempt history "
-    "(default 2;\n"
-    "                  needs --workers)\n"
-    "  --store DIR     content-addressed result store: serve "
-    "previously computed\n"
-    "                  results from DIR, persist fresh results into "
-    "it\n"
-    "  --store-stats   print the [store] hit/miss line to stderr "
-    "(needs --store)\n"
-    "  --store-max-mb N  cap the store's payload at N MiB: storing "
-    "past the cap\n"
-    "                  evicts the oldest entries first (needs "
-    "--store)\n"
-    "  --store-fsync   fsync store entries before publishing them "
-    "(crash\n"
-    "                  durability; needs --store)\n"
-    "  --stats FILE    gem5-style `name value` telemetry dump of "
-    "every result\n"
-    "                  (\"-\" = stdout); occupancy needs "
-    "OOVA_TELEMETRY=1 or a\n"
-    "                  telemetry figure\n"
-    "  --perfetto FILE Chrome trace-event JSON of the sweep; open "
-    "in\n"
-    "                  ui.perfetto.dev\n"
-    "  --json          machine-readable output with a run manifest\n"
-    "  --progress      per-job heartbeat on stderr\n"
-    "  --scale S       trace scale (overrides OOVA_SCALE)";
-
-} // namespace
-
-int
-runFigureMain(const std::string &name, int argc, char **argv)
-{
-    FigureOptions opts;
-    opts.scale = envTraceScale();
-
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf("usage: %s %s\n", argv[0], kFigureUsage);
-            return 0;
-        }
-        int r = parseCommonFlag(argc, argv, i, opts);
-        if (r < 0)
-            return 2;
-        if (r == 0) {
-            std::fprintf(stderr, "usage: %s %s\n", argv[0],
-                         kFigureUsage);
-            return 2;
-        }
-    }
-    if (!validateFigureOptions(opts))
-        return 2;
-
-    const FigureDef *fig = findFigure(name);
-    if (!fig) {
-        std::fprintf(stderr, "unknown figure '%s'\n", name.c_str());
-        return 2;
-    }
-
-    TraceCache traces(opts.scale);
-    std::unique_ptr<ResultStore> store;
-    if (!opts.storeDir.empty()) {
-        store = std::make_unique<ResultStore>(opts.storeDir);
-        if (opts.storeMaxMb)
-            store->setMaxBytes(opts.storeMaxMb << 20);
-        if (opts.storeFsync)
-            store->setFsync(true);
-    }
-    SweepEngine engine = makeSweepEngine(traces, opts, store.get());
-    if (opts.progress)
-        installProgressMeter(engine);
-    if (opts.json)
-        engine.enableManifest();
-    SweepTraceLog traceLog;
-    if (!opts.perfettoPath.empty())
-        engine.setTraceLog(&traceLog);
-    if (!opts.statsPath.empty())
-        engine.enableResultCapture();
-    auto t0 = std::chrono::steady_clock::now();
-    FigureResult result = fig->fn(engine);
-    std::string out;
-    if (opts.json) {
-        RunManifest manifest;
-        manifest.scale = traces.scale();
-        manifest.threads = engine.threads();
-        manifest.backend = engine.backendName();
-        manifest.wallMs = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (store) {
-            manifest.hasStore = true;
-            manifest.store = store->stats();
-        }
-        manifest.faults = engine.faultStats();
-        manifest.jobs = engine.manifest();
-        out = renderFigureJson(*fig, result, traces.scale(),
-                               engine.threads(), &manifest);
-    } else {
-        out = renderFigureText(*fig, result, traces.scale());
-    }
-    std::fputs(out.c_str(), stdout);
-    if (store && opts.storeStats)
-        printStoreStats(*store);
-    bool sideFilesOk = true;
-    if (!opts.statsPath.empty())
-        sideFilesOk = writeStatsDump(opts.statsPath,
-                                     engine.captured()) &&
-                      sideFilesOk;
-    if (!opts.perfettoPath.empty())
-        sideFilesOk = traceLog.write(opts.perfettoPath) &&
-                      sideFilesOk;
-    if (!sideFilesOk)
-        return 1;
-    // Invariant-audit violations (observe-only, reported on stderr)
-    // turn the exit code red without touching the figure output.
-    return check::processExitCode();
 }
 
 } // namespace oova

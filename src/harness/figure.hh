@@ -7,9 +7,7 @@
  * original hand-rolled bench binaries); another emits JSON so sweep
  * results are machine-readable for perf tracking across PRs.
  *
- * The per-figure binaries under bench/ are thin wrappers around
- * runFigureMain(); the unified oova_bench driver can run any entry
- * by name.
+ * The oova_bench driver runs any entry by name.
  */
 
 #ifndef OOVA_HARNESS_FIGURE_HH
@@ -51,19 +49,15 @@ using FigureFn = FigureResult (*)(const SweepEngine &engine);
 /** A registered figure. */
 struct FigureDef
 {
-    const char *name;   ///< short id, e.g. "fig5"
-    const char *binary; ///< bench binary name, e.g. "fig5_speedup"
-    const char *title;  ///< banner title
+    const char *name;  ///< short id, e.g. "fig5"
+    const char *title; ///< banner title
     FigureFn fn;
 };
 
 /** All figures, in the paper's order. */
 const std::vector<FigureDef> &figureRegistry();
 
-/**
- * Look up a figure by short name or by binary name; nullptr if
- * unknown.
- */
+/** Look up a figure by short name; nullptr if unknown. */
 const FigureDef *findFigure(const std::string &name);
 
 /** Classic text rendering (banner, tables, footnote). */
@@ -84,22 +78,21 @@ struct RunManifest
      * store-stats block, and the per-job "cached" flag. v3: the
      * store block gained "evictions" (the --store-max-mb cap). v4:
      * the store block gained "quarantined" and the envelope gained
-     * the "faults" recovery-counter block, so a run that survived
-     * worker deaths or store corruption says so on the record.
+     * a "faults" recovery-counter block. v5: the "faults" block is
+     * gone with the forked worker backend whose recoveries it
+     * counted.
      */
-    static constexpr int kSchemaVersion = 4;
+    static constexpr int kSchemaVersion = 5;
     /** SimResult::kResultSchemaVersion in force when this ran. */
     int resultSchemaVersion = SimResult::kResultSchemaVersion;
     double scale = 1.0;   ///< effective OOVA_SCALE
     unsigned threads = 1; ///< sweep worker count
-    /** Backend self-description, e.g. "store+forked x4". */
+    /** Backend self-description, e.g. "store+in-process x4". */
     std::string backend;
     double wallMs = 0.0;  ///< wall time for the whole figure
     /** Result-store traffic for this run; valid when hasStore. */
     bool hasStore = false;
     StoreStats store;
-    /** Backend fault-recovery counters (all zero when healthy). */
-    SweepFaultStats faults;
     std::vector<JobRecord> jobs;
 };
 
@@ -112,19 +105,10 @@ std::string renderFigureJson(const FigureDef &fig,
                              unsigned threads,
                              const RunManifest *manifest = nullptr);
 
-/** Options shared by every figure driver. */
+/** The oova_bench driver's common options. */
 struct FigureOptions
 {
     unsigned threads = 0; ///< 0 = hardware concurrency
-    /**
-     * --threads and --workers select competing execution backends
-     * (in-process thread pool vs. forked processes), so passing both
-     * is rejected by validateFigureOptions() rather than one
-     * silently winning. The *Set flags record what was given.
-     */
-    bool threadsSet = false;
-    unsigned workers = 0; ///< 0 = hardware concurrency
-    bool workersSet = false;
     bool json = false;
     bool progress = false; ///< stderr heartbeat while sweeping
     double scale = 1.0;
@@ -141,37 +125,21 @@ struct FigureOptions
     std::string statsPath;
     /** --perfetto FILE: Chrome trace-event JSON of the sweep. */
     std::string perfettoPath;
-    /**
-     * --job-timeout-ms N: the forked backend's per-job watchdog —
-     * a worker whose next result is overdue by N ms is killed and
-     * its jobs requeued. 0 = no watchdog (the default).
-     */
-    uint64_t jobTimeoutMs = 0;
-    bool jobTimeoutSet = false;
-    /**
-     * --max-retries N: extra attempts per job after its first
-     * worker failure before the sweep fails with the job's attempt
-     * history.
-     */
-    unsigned maxRetries = 2;
-    bool maxRetriesSet = false;
     /** --store-fsync: fsync entries before publishing them. */
     bool storeFsync = false;
 };
 
 /**
- * Cross-flag validation after parsing: rejects --threads combined
- * with --workers; --store-stats, --store-max-mb or --store-fsync
- * without --store; and --job-timeout-ms or --max-retries without
- * --workers — each with an explanatory message on stderr. Returns
- * false on rejection.
+ * Cross-flag validation after parsing: rejects --store-stats,
+ * --store-max-mb or --store-fsync without --store, each with an
+ * explanatory message on stderr. Returns false on rejection.
  */
 bool validateFigureOptions(const FigureOptions &opts);
 
 /**
- * Build the engine the options ask for: a ForkedBackend under
- * --workers, otherwise an InProcessBackend, either wrapped in a
- * StoreBackend when @p store is non-null.
+ * Build the engine the options ask for: an InProcessBackend of
+ * --threads workers, wrapped in a StoreBackend when @p store is
+ * non-null.
  */
 SweepEngine makeSweepEngine(const TraceCache &traces,
                             const FigureOptions &opts,
@@ -200,11 +168,10 @@ constexpr unsigned kMaxSweepThreads = 4096;
 
 /**
  * Try to consume argv[i] (and its value, if any) as one of the
- * common flags --threads N / --workers N / --json / --progress /
- * --scale S / --store DIR / --store-stats / --store-max-mb N /
- * --store-fsync / --job-timeout-ms N / --max-retries N /
- * --stats FILE / --perfetto FILE (value-taking flags also
- * accept the --flag=value spelling). Returns 1 if consumed
+ * common flags --threads N / --json / --progress / --scale S /
+ * --store DIR / --store-stats / --store-max-mb N / --store-fsync /
+ * --stats FILE / --perfetto FILE (value-taking flags also accept
+ * the --flag=value spelling). Returns 1 if consumed
  * (advancing @p i past any value), 0 if argv[i] is not a common
  * flag, -1 on a malformed value (after printing an error to stderr).
  * Cross-flag rules are validateFigureOptions()'s job, once parsing
@@ -212,13 +179,6 @@ constexpr unsigned kMaxSweepThreads = 4096;
  */
 int parseCommonFlag(int argc, char **argv, int &i,
                     FigureOptions &opts);
-
-/**
- * Shared main() for the per-figure bench binaries: parses the
- * common flags (plus --help), runs figure @p name through
- * makeSweepEngine() and prints it. Returns the process exit code.
- */
-int runFigureMain(const std::string &name, int argc, char **argv);
 
 } // namespace oova
 

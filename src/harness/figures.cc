@@ -4,9 +4,8 @@
  * each builds a flat batch of (benchmark × config) jobs, hands it to
  * the SweepEngine, and assembles its tables from the index-aligned
  * results, so the output is identical no matter how many worker
- * threads execute the batch. The per-figure documentation (what the
- * paper reports and what to compare against) lives in the matching
- * wrapper under bench/.
+ * threads execute the batch. Each figure's banner comment below says
+ * what it sweeps and what the paper reports to compare against.
  */
 
 #include <array>
@@ -27,9 +26,16 @@ namespace oova
 namespace
 {
 
-// ------------------------------------------------------------ fig3/7
-// Shared helper: the 8-state execution breakdown tables list states
-// from fully-busy down to all-idle, then a total-cycles row.
+// ------------------------------------------------------------- fig3
+// Functional-unit usage breakdown for the reference architecture.
+// Each execution cycle is classified by the 3-tuple (FU2, FU1, MEM)
+// of busy units; the paper plots the time in each of the 8 states
+// for memory latencies 1, 20, 70 and 100 (hydro2d and dyfesm shown
+// there; we print all ten programs). The tables list states from
+// fully-busy down to all-idle, then a total-cycles row.
+//
+// Paper: few cycles at the peak state <FU2,FU1,MEM>; the all-idle
+// state < , , > grows with memory latency.
 
 FigureResult
 fig3RefStates(const SweepEngine &engine)
@@ -76,6 +82,11 @@ fig3RefStates(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- fig4
+// Percentage of cycles the memory port is idle on the reference
+// architecture, for memory latencies of 1, 20, 70 and 100 cycles.
+//
+// Paper: 30-65% idle at latency 70 across the ten programs — the
+// in-order machine cannot keep its single memory port busy.
 
 FigureResult
 fig4PortIdle(const SweepEngine &engine)
@@ -107,6 +118,14 @@ fig4PortIdle(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- fig5
+// Speedup of the OOOVA over the reference architecture as the number
+// of physical vector registers varies (9, 12, 16, 32, 64), for
+// 16-deep and 128-deep instruction queues, against the IDEAL bound.
+// Memory latency 50 cycles, early commit.
+//
+// Paper: speedups of 1.24-1.72 at 16 registers (lowest tomcatv,
+// highest trfd/dyfesm); 12 registers already close; little further
+// gain past 16 except bdna; deeper queues add little.
 
 FigureResult
 fig5Speedup(const SweepEngine &engine)
@@ -162,6 +181,12 @@ fig5Speedup(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- fig6
+// Percentage of idle memory-port cycles, REF vs OOOVA (16 physical
+// vector registers, memory latency 50).
+//
+// Paper: "the fraction of idle memory cycles is more than cut in
+// half in most cases; for all but two benchmarks the port is idle
+// less than 20% of the time."
 
 FigureResult
 fig6PortIdleOoo(const SweepEngine &engine)
@@ -193,6 +218,12 @@ fig6PortIdleOoo(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- fig7
+// Breakdown of execution cycles into the 8 (FU2, FU1, MEM) states
+// for REF vs OOOVA (16 physical vector registers, latency 50).
+//
+// Paper: the all-idle state ( , , ) almost disappears under the
+// OOOVA and the fully-utilized state becomes relatively more
+// frequent.
 
 FigureResult
 fig7StatesOoo(const SweepEngine &engine)
@@ -238,6 +269,13 @@ fig7StatesOoo(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- fig8
+// Total execution time as main-memory latency varies over
+// {1, 50, 100} cycles, for REF, OOOVA-16 and IDEAL (16 physical
+// vector registers).
+//
+// Paper: REF is very sensitive to latency; OOOVA performance is
+// nearly flat from 1 to 100 cycles (less than 6% degradation at
+// 100), and OOOVA beats REF by 1.15-1.25 even at latency 1.
 
 FigureResult
 fig8Latency(const SweepEngine &engine)
@@ -293,6 +331,13 @@ fig8Latency(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- fig9
+// Early vs late commit (precise traps, section 5): speedups over REF
+// for 9..64 physical vector registers at memory latency 50.
+//
+// Paper: late commit costs <5% for five programs, 7%/10.3% for
+// flo52/nasa7, but 41%/47% for trfd/dyfesm, whose cross-iteration
+// store->load dependences serialize on stores executing only at the
+// ROB head; and 12 registers are no longer enough under late commit.
 
 FigureResult
 fig9Commit(const SweepEngine &engine)
@@ -353,6 +398,12 @@ fig9Commit(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------ fig11
+// Speedup of scalar load elimination (SLE) over the late-commit
+// OOOVA, for 16/32/64 physical vector registers.
+//
+// Paper: most programs gain under 5%, but trfd and dyfesm reach
+// 1.30/1.36 because bypassing scalar loop-carried data lets the
+// machine overlap ("dynamically unroll") more iterations.
 
 FigureResult
 fig11Sle(const SweepEngine &engine)
@@ -403,6 +454,12 @@ fig11Sle(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------ fig12
+// Speedup of SLE+VLE (scalar + vector dynamic load elimination) over
+// the late-commit OOOVA, for 16/32/64 physical vector registers.
+//
+// Paper: 1.04-1.16 for most programs at 16 registers (1.78 and 2.13
+// for dyfesm/trfd); at 32 registers typically 1.10-1.20; 64
+// registers add little except tomcatv (1.19 -> 1.40).
 
 FigureResult
 fig12SleVle(const SweepEngine &engine)
@@ -457,6 +514,13 @@ fig12SleVle(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------ fig13
+// Memory-traffic reduction under dynamic load elimination with 32
+// physical vector registers: the ratio of address-bus requests
+// issued by the baseline late-commit OOOVA to those issued by the
+// SLE and SLE+VLE configurations.
+//
+// Paper: SLE+VLE removes 15-20% of all memory requests for most
+// programs and up to 40% for trfd/dyfesm.
 
 FigureResult
 fig13Traffic(const SweepEngine &engine)
@@ -503,6 +567,10 @@ fig13Traffic(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- tab1
+// Functional-unit latencies of the two architectures. The scanned
+// paper's table is partially illegible; these are the reconstructed
+// values used throughout this reproduction (see DESIGN.md section
+// 2), printed so every experiment's parameters are on record.
 
 FigureResult
 tab1Machine(const SweepEngine &)
@@ -538,6 +606,10 @@ tab1Machine(const SweepEngine &)
 }
 
 // ------------------------------------------------------------- tab2
+// Basic operation counts for the ten benchmark programs —
+// scalar/vector instruction counts, vector operations, percentage of
+// vectorization and average vector length — regenerated from the
+// synthetic traces (the paper's are from Convex C3480 runs).
 
 FigureResult
 tab2Programs(const SweepEngine &engine)
@@ -565,6 +637,11 @@ tab2Programs(const SweepEngine &engine)
 }
 
 // ------------------------------------------------------------- tab3
+// Vector memory spill operations (words moved) per program, split
+// into real and spill traffic, plus the scalar spill census.
+//
+// Paper: bdna stands out, with over 69% of all memory traffic being
+// spill traffic.
 
 FigureResult
 tab3Spills(const SweepEngine &engine)
@@ -595,6 +672,15 @@ tab3Spills(const SweepEngine &engine)
 }
 
 // -------------------------------------------------------- ablations
+// Ablation studies beyond the paper (DESIGN.md section 8):
+//   1. load->FU chaining in the OOOVA (the paper's machine inherits
+//      the C3400's no-load-chaining datapath; what would adding the
+//      chaining path buy?)
+//   2. instruction-queue depth sweep (extends figure 5's two points)
+//   3. REF with dynamic port-conflict modeling (what careless,
+//      port-oblivious register allocation would cost the in-order
+//      machine)
+//   4. commit width sweep
 
 FigureResult
 ablAblations(const SweepEngine &engine)
@@ -866,7 +952,10 @@ figMemStride(const SweepEngine &engine)
 // against 1/2/4 memory units over 8 and 16 banks. "dual-load" is
 // two independent strided loads on disjoint bank sets; "ld+st" is a
 // load stream plus a store of the loaded value, the case a Split
-// policy is built for.
+// policy is built for. Independent streams on disjoint bank sets
+// overlap their address phases as soon as a second unit exists; a
+// Split (dedicated load/store) policy only helps when the program
+// actually mixes the two directions.
 
 FigureResult
 figMemUnits(const SweepEngine &engine)
@@ -964,7 +1053,10 @@ figMemUnits(const SweepEngine &engine)
 // mod 8 (every element on one of 8 banks), and as uniform random,
 // against an 8-bank memory. The REF machine isolates the pattern:
 // in-order issue leaves the banks idle while the index vector
-// loads, so gather conflicts come from the index pattern alone.
+// loads, so gather conflicts come from the index pattern alone. With
+// per-element bank mapping the three patterns separate cleanly: the
+// permutation runs conflict-free, congruent-mod-8 serializes on one
+// bank, and random indices sit in between.
 
 FigureResult
 figMemGather(const SweepEngine &engine)
@@ -1433,63 +1525,49 @@ const std::vector<FigureDef> &
 figureRegistry()
 {
     static const std::vector<FigureDef> registry = {
-        {"tab1", "tab1_machine",
-         "Table 1: functional unit latencies (cycles)", tab1Machine},
-        {"tab2", "tab2_programs", "Table 2: basic operation counts",
-         tab2Programs},
-        {"tab3", "tab3_spills",
-         "Table 3: vector memory spill operations", tab3Spills},
-        {"fig3", "fig3_ref_states",
-         "Figure 3: REF execution-state breakdown", fig3RefStates},
-        {"fig4", "fig4_port_idle",
-         "Figure 4: REF memory-port idle cycles", fig4PortIdle},
-        {"fig5", "fig5_speedup",
-         "Figure 5: OOOVA speedup vs physical vector registers",
+        {"tab1", "Table 1: functional unit latencies (cycles)",
+         tab1Machine},
+        {"tab2", "Table 2: basic operation counts", tab2Programs},
+        {"tab3", "Table 3: vector memory spill operations", tab3Spills},
+        {"fig3", "Figure 3: REF execution-state breakdown",
+         fig3RefStates},
+        {"fig4", "Figure 4: REF memory-port idle cycles", fig4PortIdle},
+        {"fig5", "Figure 5: OOOVA speedup vs physical vector registers",
          fig5Speedup},
-        {"fig6", "fig6_port_idle_ooo",
-         "Figure 6: memory-port idle, REF vs OOOVA", fig6PortIdleOoo},
-        {"fig7", "fig7_states_ooo",
-         "Figure 7: execution-state breakdown, REF vs OOOVA",
+        {"fig6", "Figure 6: memory-port idle, REF vs OOOVA",
+         fig6PortIdleOoo},
+        {"fig7", "Figure 7: execution-state breakdown, REF vs OOOVA",
          fig7StatesOoo},
-        {"fig8", "fig8_latency",
-         "Figure 8: tolerance of main-memory latency", fig8Latency},
-        {"fig9", "fig9_commit",
-         "Figure 9: early vs late commit (precise traps)",
+        {"fig8", "Figure 8: tolerance of main-memory latency",
+         fig8Latency},
+        {"fig9", "Figure 9: early vs late commit (precise traps)",
          fig9Commit},
-        {"fig11", "fig11_sle",
-         "Figure 11: SLE speedup over late-commit OOOVA", fig11Sle},
-        {"fig12", "fig12_slevle",
-         "Figure 12: SLE+VLE speedup over late-commit OOOVA",
+        {"fig11", "Figure 11: SLE speedup over late-commit OOOVA",
+         fig11Sle},
+        {"fig12", "Figure 12: SLE+VLE speedup over late-commit OOOVA",
          fig12SleVle},
-        {"fig13", "fig13_traffic",
-         "Figure 13: traffic reduction at 32 registers",
+        {"fig13", "Figure 13: traffic reduction at 32 registers",
          fig13Traffic},
-        {"abl", "abl_ablations",
-         "Ablations: chaining, queue depth, ports, commit width",
+        {"abl", "Ablations: chaining, queue depth, ports, commit width",
          ablAblations},
-        {"membank", "mem_banks",
-         "Memory: OOOVA speedup vs bank count", figMemBanks},
-        {"memstride", "mem_stride",
-         "Memory: stride vs bank conflicts (8 banks)", figMemStride},
-        {"memunits", "mem_units",
-         "Memory: load/store unit scaling (units x banks)",
+        {"membank", "Memory: OOOVA speedup vs bank count", figMemBanks},
+        {"memstride", "Memory: stride vs bank conflicts (8 banks)",
+         figMemStride},
+        {"memunits", "Memory: load/store unit scaling (units x banks)",
          figMemUnits},
-        {"memgather", "mem_gather",
-         "Memory: gather/scatter index patterns (8 banks)",
+        {"memgather", "Memory: gather/scatter index patterns (8 banks)",
          figMemGather},
-        {"memtlb", "mem_tlb",
+        {"memtlb",
          "Memory: TLB reach and refill policy (entries x page size)",
          figMemTlb},
-        {"memlat", "mem_latbanks",
-         "Memory: latency tolerance x bank count", figMemLatBanks},
-        {"cpistack", "cpi_stack",
-         "CPI stack: top-down cycle accounting, REF vs OOOVA",
+        {"memlat", "Memory: latency tolerance x bank count",
+         figMemLatBanks},
+        {"cpistack", "CPI stack: top-down cycle accounting, REF vs OOOVA",
          figCpiStack},
-        {"occupancy", "occupancy_hist",
+        {"occupancy",
          "Occupancy: structure-occupancy telemetry, REF vs OOOVA",
          figOccupancy},
-        {"simspeed", "simspeed_sweep", "Sweep-engine throughput",
-         simspeedThroughput},
+        {"simspeed", "Sweep-engine throughput", simspeedThroughput},
     };
     return registry;
 }

@@ -1,21 +1,19 @@
 /**
  * @file
- * Sweep-farm tracing in Chrome trace-event JSON (--perfetto FILE):
- * one complete-event ("ph":"X") span per executed job, laid out on
- * one track per worker, plus spans for the silent batch phases
- * (pre-fork trace generation, result-store lookup). The file loads
- * directly into ui.perfetto.dev or chrome://tracing, turning a sweep
- * run into a waterfall: which worker ran what, where the stragglers
- * are, and how much of the wall time the store absorbed.
+ * Sweep tracing in Chrome trace-event JSON (--perfetto FILE): one
+ * complete-event ("ph":"X") span per executed job, laid out on one
+ * track per worker thread, plus a span for the silent result-store
+ * lookup phase of each batch. The file loads directly into
+ * ui.perfetto.dev or chrome://tracing, turning a sweep run into a
+ * waterfall: which worker ran what, where the stragglers are, and
+ * how much of the wall time the store absorbed.
  *
  * The log is a passive sink shared by every backend in the chain
  * (SweepEngine::setTraceLog): backends record spans only when a log
  * is installed, so the default costs nothing and figure output is
  * untouched either way. Recording is mutex-serialized — workers call
  * in concurrently — and timestamps are microseconds since the log's
- * construction, so spans from forked workers (reconstructed by the
- * parent from frame wall times) and in-process threads share one
- * clock.
+ * construction, so every worker's spans share one clock.
  */
 
 #ifndef OOVA_HARNESS_PERFETTO_HH
@@ -67,7 +65,7 @@ class SweepTraceLog
         spans_.push_back(std::move(span));
     }
 
-    /** Label @p tid's track ("worker-0", "forked-worker-3", ...). */
+    /** Label @p tid's track ("worker-0", "sweep-main", ...). */
     void
     setThreadName(uint32_t tid, std::string name)
     {

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "harness/faultinj.hh"
 
 namespace oova
 {
@@ -184,11 +183,6 @@ void
 ResultStore::store(const std::string &key, const SimResult &res)
 {
     std::string body = headerLine(key) + "\n" + res.toJson();
-    // Injected corruption: publish only half the entry, the on-disk
-    // shape a lost write or truncated copy leaves behind. load()
-    // must quarantine it, never serve or perpetually re-miss it.
-    if (faultinj::shouldFire(faultinj::Site::StoreCorrupt))
-        body.resize(body.size() / 2);
 
     uint64_t seq;
     {
@@ -231,16 +225,10 @@ ResultStore::store(const std::string &key, const SimResult &res)
     // Advisory provenance log; one formatted line per append so
     // interleaved writers stay line-atomic in practice.
     {
-        std::string line =
-            csprintf("%s %s %s\n", key.c_str(), res.program.c_str(),
-                     res.machine.c_str());
-        // Injected tear: half a line, no newline — the ctor repair
-        // and the hex-key filter in replay must both shrug it off.
-        if (faultinj::shouldFire(faultinj::Site::StoreTornIndex))
-            line.resize(line.size() / 2);
         std::ofstream idx(dir_ + "/index.log",
                           std::ios::app | std::ios::binary);
-        idx << line;
+        idx << csprintf("%s %s %s\n", key.c_str(), res.program.c_str(),
+                        res.machine.c_str());
     }
 
     {

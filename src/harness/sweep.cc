@@ -176,12 +176,6 @@ SweepEngine::backendName() const
     return backend_->describe();
 }
 
-SweepFaultStats
-SweepEngine::faultStats() const
-{
-    return backend_->faultStats();
-}
-
 void
 SweepEngine::setProgress(std::function<void(size_t, size_t)> cb)
 {

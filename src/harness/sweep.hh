@@ -3,15 +3,14 @@
  * The parallel sweep engine. Every paper figure is a sweep — a batch
  * of (benchmark × machine configuration) simulation jobs — and this
  * engine executes such a batch through a pluggable SweepBackend
- * (in-process threads, forked worker processes, or either wrapped by
- * the content-addressed result store), against the shared TraceCache,
- * returning results in submission order so table layout is
- * deterministic regardless of completion order.
+ * (in-process threads, optionally wrapped by the content-addressed
+ * result store), against the shared TraceCache, returning results in
+ * submission order so table layout is deterministic regardless of
+ * completion order.
  *
  * Jobs must be independent pure functions of (trace, config); both
- * simulators satisfy this, which is what makes the --threads 1 and
- * --threads N (and --workers N, and warm-store) outputs
- * bit-identical.
+ * simulators satisfy this, which is what makes the --threads 1,
+ * --threads N and warm-store outputs bit-identical.
  */
 
 #ifndef OOVA_HARNESS_SWEEP_HH
@@ -88,36 +87,6 @@ SweepJob refTraceJob(std::shared_ptr<const Trace> trace,
 SweepJob idealJob(std::string trace);
 
 /**
- * Fault-recovery counters of a backend, accumulated across run()
- * calls: how often the supervision layer had to intervene. All zero
- * on a healthy sweep; surfaced in the --json run manifest so a run
- * that survived faults says so.
- */
-struct SweepFaultStats
-{
-    /** Jobs requeued after their worker died, hung or broke
-     *  protocol (one count per job per failure). */
-    uint64_t retriedJobs = 0;
-    /** Replacement workers spawned to take over requeued jobs. */
-    uint64_t respawnedWorkers = 0;
-    /** Workers killed by the --job-timeout-ms watchdog. */
-    uint64_t timeouts = 0;
-    /** Jobs that ran in-process because forking failed or stopped
-     *  being worth retrying. */
-    uint64_t fallbackJobs = 0;
-};
-
-/** Per-figure deltas for the run manifest. */
-inline SweepFaultStats
-operator-(const SweepFaultStats &a, const SweepFaultStats &b)
-{
-    return {a.retriedJobs - b.retriedJobs,
-            a.respawnedWorkers - b.respawnedWorkers,
-            a.timeouts - b.timeouts,
-            a.fallbackJobs - b.fallbackJobs};
-}
-
-/**
  * One executed job's entry in the run manifest: what ran (program ×
  * machine label), how long the job took on its worker, and whether
  * the result was served from the result store instead of simulated.
@@ -133,7 +102,7 @@ struct JobRecord
 /**
  * Executes batches of SweepJobs through a SweepBackend. The engine
  * owns manifest recording and prefetching; all execution policy
- * (threads, processes, store) lives in the backend.
+ * (threads, store) lives in the backend.
  */
 class SweepEngine
 {
@@ -167,13 +136,10 @@ class SweepEngine
      */
     void prefetch(const std::vector<std::string> &names) const;
 
-    /** The backend's worker parallelism (threads or processes). */
+    /** The backend's worker parallelism (threads). */
     unsigned threads() const;
-    /** The backend's self-description, e.g. "store+forked x4". */
+    /** The backend's self-description, e.g. "store+in-process x4". */
     std::string backendName() const;
-    /** The backend's fault-recovery counters (all zero when the
-     *  backend has no failure modes, e.g. in-process). */
-    SweepFaultStats faultStats() const;
     const TraceCache &traces() const { return traces_; }
 
     /**

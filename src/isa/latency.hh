@@ -6,7 +6,7 @@
  * reconstructed defaults consistent with the legible fragments
  * ("write x-bar 1|2", "3 4/9" patterns) and with Convex C34xx
  * descriptions in the authors' related work. Everything is a knob;
- * the bench binaries print the values in force.
+ * `oova_bench tab1` prints the values in force.
  */
 
 #ifndef OOVA_ISA_LATENCY_HH

@@ -4,7 +4,7 @@
  *
  * The format is a small fixed-width little-endian record stream with
  * a magic/version header, so traces can be generated once and
- * replayed by the bench binaries, mirroring the paper's
+ * replayed by the simulators, mirroring the paper's
  * trace-once/simulate-many Dixie workflow.
  */
 

@@ -16,7 +16,6 @@
 
 #include "check/check.hh"
 #include "core/ooosim.hh"
-#include "harness/backend.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "ref/refsim.hh"
@@ -120,48 +119,6 @@ TEST(Determinism, SweepResultsIndependentOfThreadCount)
     ASSERT_EQ(one.size(), many.size());
     for (size_t i = 0; i < one.size(); ++i)
         expectSameResult(one[i], many[i]);
-}
-
-/**
- * The sweep farm's sharding layer: results streamed back from
- * forked worker processes must agree field for field with the
- * in-process run, at any worker count, with the full invariant
- * audit riding along in every worker (its per-child violation tally
- * crosses the pipe too; zero violations expected throughout).
- */
-TEST(Determinism, ForkedWorkersMatchInProcessRun)
-{
-    check::resetProcessViolations();
-    TraceCache traces(kScale);
-    std::vector<SweepJob> jobs;
-    for (const char *prog : {"hydro2d", "nasa7", "arc2d"}) {
-        for (auto cfg : sweepConfigs()) {
-            cfg.checkLevel = 2; // full audit inside every worker
-            jobs.push_back(oooJob(prog, cfg));
-        }
-        RefConfig rc;
-        rc.checkLevel = 2;
-        jobs.push_back(refJob(prog, rc));
-    }
-
-    SweepEngine inProcess(traces, 2);
-    SweepEngine forkedOne(
-        traces, std::make_unique<ForkedBackend>(traces, 1));
-    SweepEngine forkedFour(
-        traces, std::make_unique<ForkedBackend>(traces, 4));
-
-    std::vector<SimResult> reference = inProcess.run(jobs);
-    std::vector<SimResult> one = forkedOne.run(jobs);
-    std::vector<SimResult> four = forkedFour.run(jobs);
-
-    ASSERT_EQ(reference.size(), one.size());
-    ASSERT_EQ(reference.size(), four.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-        expectSameResult(reference[i], one[i]);
-        expectSameResult(reference[i], four[i]);
-    }
-    EXPECT_EQ(check::processViolationCount(), 0u);
-    check::resetProcessViolations();
 }
 
 /**

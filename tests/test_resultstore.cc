@@ -523,8 +523,22 @@ TEST(StoreBackend, WarmRunEqualsColdRunFieldForField)
     EXPECT_EQ(store.stats().misses, jobs.size());
     EXPECT_EQ(store.stats().stores, jobs.size());
 
+    // Truncate one stored entry on disk, the shape a lost write or a
+    // torn copy leaves behind.
+    const size_t victim = 1;
+    std::string victimPath =
+        dir + "/" +
+        ResultStore::makeKey(traces.contentHash(jobs[victim].trace),
+                             jobs[victim].configKey, traces.scale()) +
+        ".json";
+    ASSERT_TRUE(std::filesystem::exists(victimPath));
+    std::filesystem::resize_file(
+        victimPath, std::filesystem::file_size(victimPath) / 2);
+
     // A fresh store object over the same directory (a new process
-    // in real sweeps) must serve every job without simulating.
+    // in real sweeps) must serve every intact job without simulating
+    // and heal the truncated one: quarantine it, re-simulate it,
+    // store it again.
     ResultStore warmStore(dir);
     SweepEngine warm(
         traces, std::make_unique<StoreBackend>(
@@ -532,17 +546,70 @@ TEST(StoreBackend, WarmRunEqualsColdRunFieldForField)
                     std::make_unique<InProcessBackend>(traces, 2)));
     warm.enableManifest();
     std::vector<SimResult> second = warm.run(jobs);
-    EXPECT_EQ(warmStore.stats().hits, jobs.size());
-    EXPECT_EQ(warmStore.stats().misses, 0u);
+    EXPECT_EQ(warmStore.stats().hits, jobs.size() - 1);
+    EXPECT_EQ(warmStore.stats().misses, 1u);
+    EXPECT_EQ(warmStore.stats().quarantined, 1u);
+    EXPECT_EQ(warmStore.stats().stores, 1u);
 
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i)
         expectSameResult(first[i], second[i]);
 
-    // The manifest records the hits as cached.
+    // The manifest records the hits as cached, the healed job not.
     ASSERT_EQ(warm.manifest().size(), jobs.size());
-    for (const JobRecord &rec : warm.manifest())
-        EXPECT_TRUE(rec.cached);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(warm.manifest()[i].cached, i != victim) << "job " << i;
+
+    // The healed key is a plain hit from then on.
+    ResultStore healedStore(dir);
+    StoreBackend healed(healedStore, traces,
+                        std::make_unique<InProcessBackend>(traces, 2));
+    std::vector<JobOutcome> third = healed.run(jobs);
+    EXPECT_EQ(healedStore.stats().hits, jobs.size());
+    EXPECT_EQ(healedStore.stats().quarantined, 0u);
+    ASSERT_EQ(third.size(), jobs.size());
+    EXPECT_TRUE(third[victim].fromStore);
+    expectSameResult(first[victim], third[victim].result);
+}
+
+TEST(StoreBackend, ProgressFiresPerJobOnHalfWarmBatch)
+{
+    // Hits are reported during the lookup and the inner backend's
+    // progress is re-based on top of them: one callback per job, the
+    // done count climbing 1, 2, ..., N with hits and misses
+    // interleaved in the batch.
+    std::string dir = makeStoreDir("progress");
+    TraceCache traces(kScale);
+    std::vector<SweepJob> jobs;
+    for (const char *prog : {"hydro2d", "nasa7", "trfd"}) {
+        jobs.push_back(oooJob(prog, makeOooConfig(16)));
+        jobs.push_back(refJob(prog, makeRefConfig(50)));
+    }
+    std::vector<SweepJob> warmHalf;
+    for (size_t i = 0; i < jobs.size(); i += 2)
+        warmHalf.push_back(jobs[i]);
+
+    ResultStore store(dir);
+    StoreBackend backend(store, traces,
+                         std::make_unique<InProcessBackend>(traces, 1));
+    backend.run(warmHalf);
+
+    std::vector<size_t> seen;
+    size_t badTotal = 0;
+    backend.setProgress([&](size_t done, size_t total) {
+        seen.push_back(done);
+        if (total != jobs.size())
+            ++badTotal;
+    });
+    std::vector<JobOutcome> out = backend.run(jobs);
+
+    ASSERT_EQ(out.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(out[i].fromStore, i % 2 == 0) << "job " << i;
+    ASSERT_EQ(seen.size(), jobs.size());
+    for (size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], i + 1);
+    EXPECT_EQ(badTotal, 0u);
 }
 
 TEST(StoreBackend, InlineTraceJobsAreCacheable)
