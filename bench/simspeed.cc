@@ -113,6 +113,9 @@ BM_SweepEngine(benchmark::State &state)
     uint64_t elems = 0;
     for (const auto &name : traces.names()) {
         jobs.push_back(oooJob(name, makeOooConfig(16, 16, 50)));
+        // Without a key every iteration simulates; with one, the
+        // engine would copy its first iteration's results.
+        jobs.back().configKey.clear();
         elems += traces.get(name).size();
     }
     for (auto _ : state) {

@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Simulator-throughput tracking: measure simulated instructions per
-# second and record it in BENCH_simspeed.json at the repo root.
+# second and suite wall time, and record them in BENCH_simspeed.json
+# at the repo root.
 #
-# Two sources feed the record:
+# Three sources feed the record:
 #   - the google-benchmark binary build/simspeed (single-simulation
 #     throughput per model; BM_OooSim/16 on hydro2d is the headline
-#     number perf PRs are judged by), and
+#     number perf PRs are judged by),
 #   - `oova_bench simspeed --json` (sweep-engine batch throughput,
-#     the path every figure runs on).
+#     the path every figure runs on), and
+#   - `oova_bench all` wall time (the "suite" section): OOVA_SCALE
+#     0.25 and 1.0, each on one thread and on every core (nproc
+#     threads), the median of three runs.
 #
 # Usage:
 #   scripts/bench_speed.sh [--build-dir DIR] [--out FILE]
@@ -25,6 +29,8 @@
 # metric that regressed by more than 20% — it never fails the build
 # (timing on shared CI runners is noisy; the warning is a prompt to
 # look, not a gate), and the measurement is still recorded to --out.
+# Suite wall times are compared the same way (slower by more than
+# 20%); the all-cores rows only when nproc matches the reference.
 #
 # Throughput is wall-clock dependent: only compare numbers measured
 # on the same machine. The checked-in numbers document the dev
@@ -96,16 +102,37 @@ else
     echo "bench_speed: '$MICRO' not built; recording sweep only" >&2
 fi
 
+# Suite wall time: one "<scale> <1|all> <seconds>" line per run.
+NPROC="$(nproc)"
+for scale in 0.25 1.0; do
+    for cores in 1 all; do
+        threads=1
+        if [ "$cores" = all ]; then
+            threads="$NPROC"
+        fi
+        for _ in 1 2 3; do
+            t0="$(date +%s%N)"
+            OOVA_SCALE="$scale" "$BENCH" all --threads "$threads" \
+                > /dev/null
+            t1="$(date +%s%N)"
+            echo "$scale $cores $(((t1 - t0) / 1000))e-6" \
+                >> "$TMP/suite.txt"
+        done
+    done
+done
+
 # --dirty: a number measured from an uncommitted tree must not be
 # attributed to a commit that cannot reproduce it.
 LABEL="$(git -C "$ROOT" describe --always --dirty 2> /dev/null || echo unknown)"
 
-python3 - "$TMP" "$OUT" "$MODE" "$CHECK" "$LABEL" "$ROOT/BENCH_simspeed.json" << 'EOF'
+python3 - "$TMP" "$OUT" "$MODE" "$CHECK" "$LABEL" "$ROOT/BENCH_simspeed.json" \
+    "$NPROC" << 'EOF'
 import json
 import os
+import statistics
 import sys
 
-tmp, out, mode, check, label, ref_path = sys.argv[1:7]
+tmp, out, mode, check, label, ref_path, nproc = sys.argv[1:8]
 
 # ---- parse the sweep figure: Model -> instr/s (raw integer column)
 with open(os.path.join(tmp, "sweep.json")) as f:
@@ -135,11 +162,25 @@ if os.path.exists(micro_path):
             if "items_per_second" in b:
                 micro[b["name"]] = int(b["items_per_second"])
 
+# ---- suite wall time: "scale=S threads=1|all" -> median seconds
+runs = {}
+with open(os.path.join(tmp, "suite.txt")) as f:
+    for line in f:
+        scale, cores, secs = line.split()
+        runs.setdefault(f"scale={scale} threads={cores}", []).append(
+            float(secs))
+suite = {
+    "nproc": int(nproc),
+    "runs": 3,
+    "wall_s": {k: round(statistics.median(v), 3) for k, v in runs.items()},
+}
+
 measurement = {
     "label": label,
     "scale": 0.5,
     "microbench_instr_per_sec": micro,
     "sweep_instr_per_sec": sweep,
+    "suite": suite,
 }
 
 # Start from the record at --out; a fresh --out location inherits
@@ -151,13 +192,14 @@ for path in (out, ref_path):
         with open(path) as f:
             record = json.load(f)
         break
-record.setdefault("schema", 1)
+# Schema 2 added the "suite" section.
+record["schema"] = 2
 record.setdefault(
     "note",
-    "Simulated instructions/sec (OOVA_SCALE=0.5, --threads 1). "
-    "Wall-clock dependent: compare only numbers from the same "
-    "machine. Update with scripts/bench_speed.sh; see README "
-    "'Performance'.",
+    "Simulated instructions/sec (OOVA_SCALE=0.5, --threads 1) and "
+    "`oova_bench all` wall seconds (suite). Wall-clock dependent: "
+    "compare only numbers from the same machine. Update with "
+    "scripts/bench_speed.sh; see README 'Performance'.",
 )
 
 if int(check):
@@ -196,6 +238,25 @@ if int(check):
             else:
                 print(f"{name}: {old} -> {new} instr/s "
                       f"({new / scaled:.2f}x host-normalized)")
+    # Wall time scales inversely with host speed. The all-cores rows
+    # also depend on the core count, so they compare only on a host
+    # with as many cores as the reference's.
+    ref_suite = ref.get("suite", {})
+    same_cores = ref_suite.get("nproc") == suite["nproc"]
+    for name, old in ref_suite.get("wall_s", {}).items():
+        new = suite["wall_s"].get(name)
+        if not new or not old or (name.endswith("all") and not same_cores):
+            continue
+        scaled = old / host
+        if new > 1.2 * scaled:
+            print(
+                f"::warning::suite wall-time regression: {name} "
+                f"{old} -> {new} s ({new / scaled:.2f}x host-normalized, "
+                f"checked-in reference {ref.get('label', '?')})"
+            )
+        else:
+            print(f"suite {name}: {old} -> {new} s "
+                  f"({new / scaled:.2f}x host-normalized)")
 
 record["baseline" if mode == "baseline" else "current"] = measurement
 with open(out, "w") as f:

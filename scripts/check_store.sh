@@ -10,8 +10,7 @@
 # Writes per-figure outputs and [store] stat lines into <out-dir>
 # (kept as a CI artifact). simspeed is exempt from the byte-diff for
 # the same reason it carries no golden: it prints wall-clock
-# timings. Its results still flow through the store, so it counts
-# toward the hit rate.
+# timings.
 set -u
 
 BENCH="${1:?usage: check_store.sh <oova_bench> <store-dir> <out-dir>}"

@@ -18,6 +18,14 @@ namespace oova
 namespace
 {
 
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
 /**
  * Resolve and run one job on the calling thread: look the trace up,
  * simulate, stamp the program label, time it.
@@ -30,18 +38,20 @@ runSweepJob(const TraceCache &traces, const SweepJob &job)
     const Trace &t =
         job.inlineTrace ? *job.inlineTrace : traces.get(job.trace);
     o.result = job.run(t);
-    o.wallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
+    o.wallMs = msSince(t0);
     if (o.result.program.empty())
         o.result.program = job.trace;
     return o;
 }
 
-/** Record one job that began at @p startUs and just finished. */
+/**
+ * Record one job that began at @p startUs and just finished, under
+ * @p category: "sim", "copy" (served from the in-process memo) or
+ * "store-hit".
+ */
 void
-recordJobSpan(SweepTraceLog *log, const JobOutcome &o, uint32_t tid,
-              uint64_t startUs)
+recordJobSpan(SweepTraceLog *log, const JobOutcome &o,
+              const char *category, uint32_t tid, uint64_t startUs)
 {
     TraceSpan s;
     s.tsUs = startUs;
@@ -49,7 +59,7 @@ recordJobSpan(SweepTraceLog *log, const JobOutcome &o, uint32_t tid,
     s.name = o.result.machine.empty()
                  ? o.result.program + " (prefetch)"
                  : o.result.program + " " + o.result.machine;
-    s.category = o.fromStore ? "store-hit" : "sim";
+    s.category = category;
     s.tid = tid;
     s.args = {{"program", o.result.program},
               {"machine", o.result.machine},
@@ -80,57 +90,103 @@ InProcessBackend::run(const std::vector<SweepJob> &jobs)
 {
     std::vector<JobOutcome> out(jobs.size());
     std::atomic<size_t> done{0};
+    auto reportDone = [&] {
+        if (progress_)
+            progress_(done.fetch_add(1) + 1, jobs.size());
+    };
+
+    // Serve job i as a copy of @p from, on the calling thread.
+    auto copyInto = [&](size_t i, const SimResult &from) {
+        uint64_t startUs = traceLog_ ? traceLog_->nowUs() : 0;
+        auto t0 = std::chrono::steady_clock::now();
+        out[i].result = from;
+        out[i].fromStore = true;
+        out[i].wallMs = msSince(t0);
+        if (traceLog_)
+            recordJobSpan(traceLog_, out[i], "copy", 0, startUs);
+        reportDone();
+    };
+
+    // Only distinct, unmapped jobs reach the workers. A job whose key
+    // an earlier batch ran is copied now; a repeat of a key first
+    // seen in this batch waits for that occurrence and is copied
+    // after the join.
+    std::vector<size_t> toRun;
+    std::vector<std::pair<size_t, size_t>> repeats; // (job, first)
+    std::map<MemoKey, size_t> firstInBatch;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &job = jobs[i];
+        if (job.configKey.empty() || job.inlineTrace) {
+            toRun.push_back(i);
+            continue;
+        }
+        MemoKey key{job.trace, job.configKey};
+        auto mapped = memo_.find(key);
+        if (mapped != memo_.end()) {
+            copyInto(i, mapped->second);
+            continue;
+        }
+        auto [first, isNew] = firstInBatch.emplace(std::move(key), i);
+        if (isNew)
+            toRun.push_back(i);
+        else
+            repeats.emplace_back(i, first->second);
+    }
 
     auto runOne = [&](size_t i, uint32_t tid) {
         uint64_t startUs = traceLog_ ? traceLog_->nowUs() : 0;
         out[i] = runSweepJob(traces_, jobs[i]);
         if (traceLog_)
-            recordJobSpan(traceLog_, out[i], tid, startUs);
-        if (progress_)
-            progress_(done.fetch_add(1) + 1, jobs.size());
+            recordJobSpan(traceLog_, out[i], "sim", tid, startUs);
+        reportDone();
     };
 
     unsigned workers = threads_;
-    if (jobs.size() < workers)
-        workers = static_cast<unsigned>(jobs.size());
+    if (toRun.size() < workers)
+        workers = static_cast<unsigned>(toRun.size());
 
     if (traceLog_)
         for (unsigned k = 0; k < std::max(workers, 1u); ++k)
             traceLog_->setThreadName(k, csprintf("worker-%u", k));
 
     if (workers <= 1) {
-        for (size_t i = 0; i < jobs.size(); ++i)
+        for (size_t i : toRun)
             runOne(i, 0);
-        return out;
+    } else {
+        // Each worker claims the next unstarted job; results land in
+        // their submission-order slot, so completion order is
+        // invisible.
+        std::atomic<size_t> next{0};
+        std::exception_ptr error;
+        std::mutex error_mutex;
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w) {
+            pool.emplace_back([&, w] {
+                for (;;) {
+                    size_t k = next.fetch_add(1);
+                    if (k >= toRun.size())
+                        return;
+                    try {
+                        runOne(toRun[k], w);
+                    } catch (...) {
+                        std::lock_guard<std::mutex> lock(error_mutex);
+                        if (!error)
+                            error = std::current_exception();
+                    }
+                }
+            });
+        }
+        for (auto &t : pool)
+            t.join();
+        if (error)
+            std::rethrow_exception(error);
     }
 
-    // Each worker claims the next unstarted index; results land in
-    // their submission-order slot, so completion order is invisible.
-    std::atomic<size_t> next{0};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            for (;;) {
-                size_t i = next.fetch_add(1);
-                if (i >= jobs.size())
-                    return;
-                try {
-                    runOne(i, w);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!error)
-                        error = std::current_exception();
-                }
-            }
-        });
-    }
-    for (auto &t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
+    for (auto &[key, i] : firstInBatch)
+        memo_.emplace(key, out[i].result);
+    for (auto [i, first] : repeats)
+        copyInto(i, out[first].result);
     return out;
 }
 
@@ -196,7 +252,8 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
                 // cached=true), spanning the load itself — the
                 // waterfall shows what a warm store saved.
                 if (traceLog_)
-                    recordJobSpan(traceLog_, out[i], 0, loadStartUs);
+                    recordJobSpan(traceLog_, out[i], "store-hit", 0,
+                                  loadStartUs);
                 if (progress_)
                     progress_(hits, jobs.size());
                 continue;
@@ -234,7 +291,9 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
         return out;
     std::vector<JobOutcome> ran = inner_->run(missJobs);
     for (size_t m = 0; m < missIdx.size(); ++m) {
-        if (!missKeys[m].empty())
+        // A copy repeats a job the inner backend simulated, and that
+        // first occurrence was stored when its batch came back.
+        if (!missKeys[m].empty() && !ran[m].fromStore)
             store_.store(missKeys[m], ran[m].result);
         out[missIdx[m]] = std::move(ran[m]);
     }

@@ -3,8 +3,10 @@
  * Execution backends for the sweep engine: figures declare *what*
  * to run (a batch of SweepJobs), a backend decides *how*.
  *
- *   InProcessBackend  worker threads in this process (the default;
- *                     byte-identical to the original engine).
+ *   InProcessBackend  worker threads in this process (the default);
+ *                     simulates each distinct named (trace, config)
+ *                     once per instance and copies the result to
+ *                     every repeat.
  *   StoreBackend      decorator: consults a content-addressed
  *                     ResultStore first, delegates only the misses
  *                     to the wrapped backend, persists their
@@ -20,8 +22,10 @@
 #define OOVA_HARNESS_BACKEND_HH
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/resultstore.hh"
@@ -36,9 +40,12 @@ class SweepTraceLog;
 struct JobOutcome
 {
     SimResult result;
-    /** Worker wall time (store hits: the load is effectively free). */
+    /** Worker wall time; for a served result, the load or copy time. */
     double wallMs = 0.0;
-    /** Served from the ResultStore instead of simulated. */
+    /**
+     * Served without simulating: from the ResultStore, or copied
+     * from an identical job this backend already ran.
+     */
     bool fromStore = false;
 };
 
@@ -87,7 +94,18 @@ class SweepBackend
     SweepTraceLog *traceLog_ = nullptr;
 };
 
-/** The original thread-pool execution, behind the backend API. */
+/**
+ * The thread pool, behind the backend API. It simulates each distinct
+ * job once for its lifetime: the paper's figures compare their
+ * variants against the same baseline machines, so a suite repeats
+ * many (trace, config) pairs. A job with a non-empty configKey and a
+ * named trace is keyed by (trace name, configKey); a key seen in an
+ * earlier batch, or earlier in the same batch, is served as a copy of
+ * the first result (JobOutcome::fromStore) instead of reaching a
+ * worker. Jobs are pure, so a copy is identical to a rerun. Inline-
+ * trace and empty-key jobs always simulate. Each distinct result is
+ * kept until the backend is destroyed.
+ */
 class InProcessBackend : public SweepBackend
 {
   public:
@@ -104,17 +122,26 @@ class InProcessBackend : public SweepBackend
     std::string describe() const override;
 
   private:
+    /** (trace name, configKey): a memoizable job's identity. */
+    using MemoKey = std::pair<std::string, std::string>;
+
     const TraceCache &traces_;
     unsigned threads_;
+    /**
+     * Results of the distinct jobs run so far. Read and written only
+     * by run()'s calling thread, before dispatch and after the join.
+     */
+    std::map<MemoKey, SimResult> memo_;
 };
 
 /**
  * Content-addressed caching decorator: keys every cacheable job
  * (non-empty SweepJob::configKey) through ResultStore::makeKey,
  * serves hits without simulating, runs only the misses through the
- * wrapped backend, and persists their results. Outcomes keep
- * submission order, so a warm store is byte-identical to a cold
- * run.
+ * wrapped backend, and persists the results it simulated (a miss the
+ * wrapped backend served as a copy was stored with its first
+ * occurrence). Outcomes keep submission order, so a warm store is
+ * byte-identical to a cold run.
  */
 class StoreBackend : public SweepBackend
 {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -264,10 +265,15 @@ parseCommonFlag(int argc, char **argv, int &i, FigureOptions &opts)
     if ((r = takeValue(argc, argv, i, "--store-max-mb", &val)) != 0) {
         if (r < 0)
             return -1;
+        // The cap is applied as storeMaxMb << 20 bytes, so a value
+        // past UINT64_MAX >> 20 would wrap to a tiny cap. The bound
+        // also rejects out-of-range input, which strtoull saturates
+        // to ULLONG_MAX.
         char *end = nullptr;
         unsigned long long n = std::strtoull(val, &end, 10);
         if (!std::isdigit(static_cast<unsigned char>(val[0])) ||
-            end == val || *end != '\0' || n == 0) {
+            end == val || *end != '\0' || n == 0 ||
+            n > (UINT64_MAX >> 20)) {
             std::fprintf(stderr, "bad --store-max-mb '%s'\n", val);
             return -1;
         }

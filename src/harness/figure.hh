@@ -80,9 +80,11 @@ struct RunManifest
      * the store block gained "quarantined" and the envelope gained
      * a "faults" recovery-counter block. v5: the "faults" block is
      * gone with the forked worker backend whose recoveries it
-     * counted.
+     * counted. v6: a job's "cached" also marks a copy of an
+     * identical job the engine already ran, so it no longer counts
+     * store hits (the store block does).
      */
-    static constexpr int kSchemaVersion = 5;
+    static constexpr int kSchemaVersion = 6;
     /** SimResult::kResultSchemaVersion in force when this ran. */
     int resultSchemaVersion = SimResult::kResultSchemaVersion;
     double scale = 1.0;   ///< effective OOVA_SCALE
@@ -118,7 +120,8 @@ struct FigureOptions
     bool storeStats = false;
     /**
      * Store size cap in MiB (--store-max-mb); on-disk payload past
-     * it evicts the oldest entries at store time. 0 = uncapped.
+     * it evicts the oldest entries at store time. 0 = uncapped. At
+     * most UINT64_MAX >> 20, so the cap in bytes cannot overflow.
      */
     uint64_t storeMaxMb = 0;
     /** --stats FILE: gem5-style `name value` dump ("-" = stdout). */

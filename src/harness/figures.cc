@@ -1490,9 +1490,14 @@ simspeedThroughput(const SweepEngine &engine)
     TextTable table({"Model", "jobs", "Minstr", "wall ms",
                      "Minstr/s", "instr/s"});
     for (const auto &m : models) {
+        // An empty configKey makes every job simulate: neither the
+        // result store nor the engine's copy of an earlier identical
+        // job may stand in for the run being timed.
         std::vector<SweepJob> jobs;
-        for (const auto &n : names)
+        for (const auto &n : names) {
             jobs.push_back(m.make(n));
+            jobs.back().configKey.clear();
+        }
         auto t0 = std::chrono::steady_clock::now();
         std::vector<SimResult> res = engine.run(jobs);
         auto t1 = std::chrono::steady_clock::now();

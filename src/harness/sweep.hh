@@ -10,7 +10,9 @@
  *
  * Jobs must be independent pure functions of (trace, config); both
  * simulators satisfy this, which is what makes the --threads 1,
- * --threads N and warm-store outputs bit-identical.
+ * --threads N and warm-store outputs bit-identical, and what lets
+ * one engine simulate each distinct (trace, configKey) only once
+ * (see InProcessBackend).
  */
 
 #ifndef OOVA_HARNESS_SWEEP_HH
@@ -50,8 +52,11 @@ struct SweepJob
      * Canonical serialization of the complete machine configuration,
      * produced by sweepConfigKey(); together with the trace content
      * hash and scale it addresses this job's result in the
-     * ResultStore. Empty means uncacheable (prefetch dummies, jobs
-     * with observation side effects such as pipeline tracing).
+     * ResultStore, and with the trace name it lets the in-process
+     * backend copy a repeat instead of simulating it again. Empty
+     * means the job always simulates (prefetch dummies, jobs with
+     * observation side effects such as pipeline tracing, and timing
+     * runs such as the simspeed figure's).
      */
     std::string configKey;
 };
@@ -89,13 +94,18 @@ SweepJob idealJob(std::string trace);
 /**
  * One executed job's entry in the run manifest: what ran (program ×
  * machine label), how long the job took on its worker, and whether
- * the result was served from the result store instead of simulated.
+ * the result was served instead of simulated.
  */
 struct JobRecord
 {
     std::string program;
     std::string machine;
     double wallMs = 0.0;
+    /**
+     * Served without simulating (JobOutcome::fromStore): a result
+     * store hit, or a copy of an identical job the engine already
+     * ran. Not a store-hit count on its own.
+     */
     bool cached = false;
 };
 

@@ -2,9 +2,10 @@
  * @file
  * Tests for the experiment harness: the parallel sweep engine
  * (determinism across thread counts, submission-order results,
- * progress callbacks), the shared trace cache (single generation and
- * stable references under concurrency), OOVA_SCALE parsing, and the
- * speedup() degenerate case.
+ * progress callbacks, one simulation per distinct job), the shared
+ * trace cache (single generation and stable references under
+ * concurrency), OOVA_SCALE parsing, the speedup() degenerate case,
+ * and the whole golden-gated suite through one shared engine.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <mutex>
+#include <random>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -149,6 +154,154 @@ TEST(SweepEngine, ProgressFiresPerJobInProcess)
     std::sort(seen.begin(), seen.end());
     for (size_t i = 0; i < seen.size(); ++i)
         EXPECT_EQ(seen[i], i + 1);
+    EXPECT_EQ(badTotal, 0u);
+}
+
+namespace
+{
+
+/** How often each counting job's (trace, key) was simulated. */
+struct RunCounter
+{
+    std::mutex mutex;
+    std::map<std::string, unsigned> runs;
+
+    unsigned
+    of(const std::string &id)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return runs[id];
+    }
+
+    unsigned
+    total()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        unsigned n = 0;
+        for (const auto &entry : runs)
+            n += entry.second;
+        return n;
+    }
+};
+
+/**
+ * A job that counts its simulations in @p counter. Like a real one,
+ * its result depends on (trace, key) alone: the machine label is
+ * "<trace>|<key>" and the cycle count is the trace length.
+ */
+SweepJob
+countingJob(RunCounter &counter, std::string trace, std::string key)
+{
+    SweepJob job;
+    job.trace = std::move(trace);
+    job.run = [&counter, id = job.trace + "|" + key](const Trace &t) {
+        {
+            std::lock_guard<std::mutex> lock(counter.mutex);
+            ++counter.runs[id];
+        }
+        SimResult r;
+        r.machine = id;
+        r.cycles = t.size();
+        return r;
+    };
+    job.configKey = std::move(key);
+    return job;
+}
+
+} // namespace
+
+TEST(SweepEngine, SimulatesEachDistinctJobOnce)
+{
+    // Four distinct (trace, key) pairs, each submitted three times in
+    // one interleaved batch at 4 threads: only the first occurrence
+    // of each reaches a worker, and the repeats carry its result.
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 4);
+    RunCounter counter;
+    std::vector<SweepJob> batch;
+    for (int rep = 0; rep < 3; ++rep)
+        for (const char *prog : {"hydro2d", "trfd"})
+            for (const char *key : {"A", "B"})
+                batch.push_back(countingJob(counter, prog, key));
+
+    std::vector<SimResult> first = engine.run(batch);
+    EXPECT_EQ(counter.total(), 4u);
+    for (const char *id : {"hydro2d|A", "hydro2d|B", "trfd|A", "trfd|B"})
+        EXPECT_EQ(counter.of(id), 1u) << id;
+    ASSERT_EQ(first.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(first[i].program, batch[i].trace) << "job " << i;
+        EXPECT_EQ(first[i].machine,
+                  batch[i].trace + "|" + batch[i].configKey)
+            << "job " << i;
+        EXPECT_EQ(first[i].cycles, traces.get(batch[i].trace).size())
+            << "job " << i;
+    }
+
+    // A later batch repeating every key simulates only its new one:
+    // the same trace under another key is another job.
+    batch.push_back(countingJob(counter, "hydro2d", "C"));
+    std::vector<SimResult> second = engine.run(batch);
+    EXPECT_EQ(counter.total(), 5u);
+    EXPECT_EQ(counter.of("hydro2d|C"), 1u);
+    EXPECT_EQ(second.back().machine, "hydro2d|C");
+
+    // The results live in the engine: a fresh one simulates again.
+    SweepEngine fresh(traces, 4);
+    fresh.run(batch);
+    EXPECT_EQ(counter.total(), 10u);
+}
+
+TEST(SweepEngine, UnkeyedAndInlineTraceJobsAlwaysSimulate)
+{
+    // Only jobs the result store could key by name are copied: an
+    // empty key (prefetch, pipe tracing, timing runs) or an inline
+    // trace (keyed by content, not name) simulates every time.
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 4);
+    RunCounter counter;
+    auto synthetic = std::make_shared<const Trace>(traces.get("trfd"));
+    std::vector<SweepJob> batch;
+    for (int rep = 0; rep < 3; ++rep) {
+        batch.push_back(countingJob(counter, "hydro2d", ""));
+        SweepJob job = countingJob(counter, "trfd", "K");
+        job.inlineTrace = synthetic;
+        batch.push_back(std::move(job));
+    }
+    engine.run(batch);
+    engine.run(batch);
+    EXPECT_EQ(counter.of("hydro2d|"), 6u);
+    EXPECT_EQ(counter.of("trfd|K"), 6u);
+}
+
+TEST(SweepEngine, ProgressFiresOncePerJobWithCopies)
+{
+    // Copies report progress like simulated jobs: the first batch
+    // copies its second half, the second batch copies every job, and
+    // both count exactly 1..N against the full batch size.
+    TraceCache traces(kTestScale);
+    std::vector<SweepJob> jobs = testBatch(traces);
+    std::vector<SweepJob> doubled = jobs;
+    doubled.insert(doubled.end(), jobs.begin(), jobs.end());
+    SweepEngine engine(traces, 4);
+
+    std::mutex mutex;
+    std::vector<size_t> seen;
+    size_t badTotal = 0;
+    engine.setProgress([&](size_t done, size_t total) {
+        std::lock_guard<std::mutex> lock(mutex);
+        seen.push_back(done);
+        if (total != doubled.size())
+            ++badTotal;
+    });
+    for (int batch = 0; batch < 2; ++batch) {
+        seen.clear();
+        engine.run(doubled);
+        ASSERT_EQ(seen.size(), doubled.size()) << "batch " << batch;
+        std::sort(seen.begin(), seen.end());
+        for (size_t i = 0; i < seen.size(); ++i)
+            EXPECT_EQ(seen[i], i + 1) << "batch " << batch;
+    }
     EXPECT_EQ(badTotal, 0u);
 }
 
@@ -409,6 +562,29 @@ TEST(FigureFlags, ParsesTelemetryFlags)
     EXPECT_FALSE(validateFigureOptions(capOnly));
 }
 
+TEST(FigureFlags, RejectsStoreMaxMbPastTheByteRange)
+{
+    // The cap is applied in bytes, MiB << 20: from 2^44 MiB on, the
+    // shift would wrap to a tiny (or zero) cap, and strtoull turns
+    // out-of-range input into ULLONG_MAX with ERANGE. All rejected.
+    FigureOptions opts;
+    EXPECT_EQ(parseAll({"--store-max-mb", "17592186044416"}, opts), -1)
+        << "2^44";
+    EXPECT_EQ(parseAll({"--store-max-mb", "17592186044417"}, opts), -1)
+        << "2^44 + 1";
+    EXPECT_EQ(parseAll({"--store-max-mb", "18446744073709551615"}, opts),
+              -1)
+        << "UINT64_MAX";
+    EXPECT_EQ(parseAll({"--store-max-mb=99999999999999999999999"}, opts),
+              -1)
+        << "out of range for strtoull";
+    EXPECT_EQ(opts.storeMaxMb, 0u);
+
+    // The largest cap whose byte count fits still parses.
+    EXPECT_EQ(parseAll({"--store-max-mb", "17592186044415"}, opts), 1);
+    EXPECT_EQ(opts.storeMaxMb, 17592186044415u);
+}
+
 TEST(FigureFlags, AcceptsEqualsSpellings)
 {
     FigureOptions opts;
@@ -476,6 +652,44 @@ TEST(FigureRegistry, FigureOutputIdenticalAcrossThreadCounts)
         renderFigureText(*fig, fig->fn(parallel), traces.scale());
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("== Figure 6"), std::string::npos);
+}
+
+TEST(FigureRegistry, OneSharedEngineMatchesEveryGolden)
+{
+    // `oova_bench all` and the benchmark run every figure through one
+    // engine, which copies each job an earlier figure already ran.
+    // The golden gate runs one figure per process, so it never sees
+    // a copy; this runs every golden-gated figure through one
+    // 4-thread engine, in a seeded shuffled order, against the same
+    // goldens (captured at OOVA_SCALE=0.25).
+    TraceCache traces(0.25);
+    SweepEngine engine(traces, 4);
+    engine.enableManifest();
+    std::vector<const FigureDef *> figs;
+    for (const FigureDef &fig : figureRegistry())
+        if (std::string(fig.name) != "simspeed") // timing, no golden
+            figs.push_back(&fig);
+    std::shuffle(figs.begin(), figs.end(), std::mt19937(2024));
+    std::string order;
+    for (const FigureDef *fig : figs)
+        order += std::string(" ") + fig->name;
+    SCOPED_TRACE("figure order:" + order);
+
+    for (const FigureDef *fig : figs) {
+        std::ifstream in(std::string(OOVA_GOLDEN_DIR) + "/" + fig->name +
+                         ".txt");
+        ASSERT_TRUE(in) << "no golden for " << fig->name;
+        std::ostringstream golden;
+        golden << in.rdbuf();
+        EXPECT_EQ(renderFigureText(*fig, fig->fn(engine), traces.scale()),
+                  golden.str())
+            << fig->name;
+    }
+    // The suite repeats jobs across figures, so copies did happen.
+    size_t copies = std::count_if(
+        engine.manifest().begin(), engine.manifest().end(),
+        [](const JobRecord &job) { return job.cached; });
+    EXPECT_GT(copies, 0u);
 }
 
 TEST(SimResultJsonTest, SurfacesEveryCounter)

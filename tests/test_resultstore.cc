@@ -3,8 +3,9 @@
  * Sweep-farm result store tests: the exact toJson()/fromJson()
  * round trip the store persists records through, key stability and
  * sensitivity, hit/miss/corruption behaviour of the on-disk store,
- * concurrent writers, and warm-vs-cold equality through the
- * StoreBackend.
+ * concurrent writers, warm-vs-cold equality through the
+ * StoreBackend, and the in-process backend's copies of repeated
+ * jobs, alone and under the store.
  */
 
 #include <gtest/gtest.h>
@@ -636,6 +637,130 @@ TEST(StoreBackend, InlineTraceJobsAreCacheable)
         EXPECT_TRUE(second[i].fromStore);
         expectSameResult(first[i].result, second[i].result);
     }
+}
+
+// ------------------------------------------- in-process copies
+
+namespace
+{
+
+/**
+ * Real simulations with repeats: the second hydro2d OOOVA job and the
+ * second nasa7 IDEAL job repeat earlier ones, as the figures repeat
+ * their baseline machines.
+ */
+std::vector<SweepJob>
+batchWithRepeats()
+{
+    return {oooJob("hydro2d", makeOooConfig(16)),
+            refJob("hydro2d", makeRefConfig(50)),
+            idealJob("nasa7"),
+            oooJob("hydro2d", makeOooConfig(16)),
+            oooJob("nasa7", makeOooConfig(16)),
+            idealJob("nasa7")};
+}
+
+} // namespace
+
+TEST(InProcessBackend, CopiesAreServedMarkedAndExact)
+{
+    TraceCache traces(kScale);
+    std::vector<SweepJob> jobs = batchWithRepeats();
+    // Every job simulated from scratch: no key, nothing to copy.
+    std::vector<SweepJob> unkeyed = jobs;
+    for (SweepJob &job : unkeyed)
+        job.configKey.clear();
+    std::vector<SimResult> fresh = SweepEngine(traces, 4).run(unkeyed);
+
+    SweepEngine engine(traces, 4);
+    engine.enableManifest();
+    std::vector<SimResult> first = engine.run(jobs);
+    std::vector<SimResult> second = engine.run(jobs);
+
+    ASSERT_EQ(first.size(), jobs.size());
+    ASSERT_EQ(second.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(csprintf("job %zu", i));
+        expectSameResult(fresh[i], first[i]);
+        expectSameResult(fresh[i], second[i]);
+    }
+    // In the first batch only the in-batch repeats (3 and 5) were
+    // copies; in the second, every job was.
+    ASSERT_EQ(engine.manifest().size(), 2 * jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(engine.manifest()[i].cached, i == 3 || i == 5)
+            << "job " << i;
+        EXPECT_TRUE(engine.manifest()[jobs.size() + i].cached)
+            << "job " << i;
+    }
+}
+
+TEST(StoreBackend, StoresAnInBatchRepeatOnce)
+{
+    // Both occurrences of a repeated key miss the cold store, but
+    // only the simulated one is stored: the copy's result is the same
+    // record, already written.
+    std::string dir = makeStoreDir("repeats");
+    TraceCache traces(kScale);
+    std::vector<SweepJob> jobs = batchWithRepeats();
+    const size_t distinct = 4;
+
+    ResultStore store(dir);
+    StoreBackend backend(store, traces,
+                         std::make_unique<InProcessBackend>(traces, 4));
+    std::vector<JobOutcome> cold = backend.run(jobs);
+    EXPECT_EQ(store.stats().misses, jobs.size());
+    EXPECT_EQ(store.stats().stores, distinct);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(cold[i].fromStore, i == 3 || i == 5) << "job " << i;
+
+    // Every job, repeats included, is a hit for a fresh store over
+    // the same directory.
+    ResultStore warmStore(dir);
+    StoreBackend warm(warmStore, traces,
+                      std::make_unique<InProcessBackend>(traces, 4));
+    std::vector<JobOutcome> served = warm.run(jobs);
+    EXPECT_EQ(warmStore.stats().hits, jobs.size());
+    EXPECT_EQ(warmStore.stats().stores, 0u);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        expectSameResult(cold[i].result, served[i].result);
+}
+
+TEST(StoreBackend, SimspeedAlwaysSimulates)
+{
+    // simspeed times real simulation, so neither a warm store nor
+    // the engine's copies may serve its jobs. Warm both with the
+    // keyed versions of its machines first, then run it twice.
+    std::string dir = makeStoreDir("simspeed");
+    TraceCache traces(kScale);
+    ResultStore store(dir);
+    SweepEngine engine(
+        traces, std::make_unique<StoreBackend>(
+                    store, traces,
+                    std::make_unique<InProcessBackend>(traces, 4)));
+    std::vector<SweepJob> warmup;
+    for (const auto &name : traces.names()) {
+        warmup.push_back(refJob(name, RefConfig{}));
+        warmup.push_back(oooJob(name, makeOooConfig(16, 16, 50)));
+        warmup.push_back(oooJob(name, makeOooConfig(32, 16, 50,
+                                                    CommitMode::Late,
+                                                    LoadElimMode::SleVle)));
+    }
+    engine.run(warmup);
+    engine.run(warmup);
+    ASSERT_EQ(store.stats().hits, warmup.size());
+
+    const FigureDef *simspeed = findFigure("simspeed");
+    ASSERT_NE(simspeed, nullptr);
+    StoreStats before = store.stats();
+    engine.enableManifest();
+    simspeed->fn(engine);
+    simspeed->fn(engine);
+    StoreStats delta = store.stats() - before;
+    EXPECT_EQ(delta.hits + delta.misses + delta.stores, 0u);
+    ASSERT_EQ(engine.manifest().size(), 2 * warmup.size());
+    for (const JobRecord &job : engine.manifest())
+        EXPECT_FALSE(job.cached) << job.program << " " << job.machine;
 }
 
 TEST(StoreBackend, UncacheableJobsBypassTheStore)
