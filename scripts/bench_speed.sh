@@ -6,7 +6,9 @@
 # Three sources feed the record:
 #   - the google-benchmark binary build/simspeed (single-simulation
 #     throughput per model; BM_OooSim/16 on hydro2d is the headline
-#     number perf PRs are judged by),
+#     number perf PRs are judged by; the mem layer's reserve() and
+#     TLB rows, in elements/s; and the BM_HostCanary host-speed
+#     canary), each row the median of five interleaved repetitions,
 #   - `oova_bench simspeed --json` (sweep-engine batch throughput,
 #     the path every figure runs on), and
 #   - `oova_bench all` wall time (the "suite" section): OOVA_SCALE
@@ -31,6 +33,8 @@
 # look, not a gate), and the measurement is still recorded to --out.
 # Suite wall times are compared the same way (slower by more than
 # 20%); the all-cores rows only when nproc matches the reference.
+# Every comparison is normalized by the host canary, BM_HostCanary,
+# which runs no oova code.
 #
 # Throughput is wall-clock dependent: only compare numbers measured
 # on the same machine. The checked-in numbers document the dev
@@ -94,9 +98,15 @@ trap 'rm -rf "$TMP"' EXIT
 "$BENCH" simspeed --threads 1 --json > "$TMP/sweep.json"
 
 # Microbenchmarks (optional: the binary only exists when
-# google-benchmark is installed).
+# google-benchmark is installed). Every row runs five times, all
+# repetitions shuffled together, and records its median: the host
+# canary then samples the same stretch of host speed as the rows it
+# normalizes, instead of only the last few seconds.
 if [ -x "$MICRO" ]; then
     "$MICRO" --benchmark_min_time="$MIN_TIME" \
+        --benchmark_repetitions=5 \
+        --benchmark_enable_random_interleaving=true \
+        --benchmark_report_aggregates_only=true \
         --benchmark_format=json > "$TMP/micro.json" 2> /dev/null
 else
     echo "bench_speed: '$MICRO' not built; recording sweep only" >&2
@@ -153,14 +163,27 @@ sweep = {
     for row in sec["rows"]
 }
 
-# ---- parse google-benchmark: name -> items_per_second
+# ---- parse google-benchmark: name -> median items_per_second. The
+# mem layer's rows count elements, and the host canary table updates,
+# so each gets its own section.
 micro = {}
+mem = {}
+canary = None
 micro_path = os.path.join(tmp, "micro.json")
 if os.path.exists(micro_path):
     with open(micro_path) as f:
         for b in json.load(f)["benchmarks"]:
-            if "items_per_second" in b:
-                micro[b["name"]] = int(b["items_per_second"])
+            if (b.get("aggregate_name") != "median"
+                    or "items_per_second" not in b):
+                continue
+            name = b["run_name"]
+            rate = int(b["items_per_second"])
+            if name == "BM_HostCanary":
+                canary = rate
+            elif name.startswith(("BM_MemReserve", "BM_TlbTranslate")):
+                mem[name] = rate
+            else:
+                micro[name] = rate
 
 # ---- suite wall time: "scale=S threads=1|all" -> median seconds
 runs = {}
@@ -179,9 +202,12 @@ measurement = {
     "label": label,
     "scale": 0.5,
     "microbench_instr_per_sec": micro,
+    "mem_elems_per_sec": mem,
     "sweep_instr_per_sec": sweep,
     "suite": suite,
 }
+if canary:
+    measurement["host_canary_per_sec"] = canary
 
 # Start from the record at --out; a fresh --out location inherits
 # the checked-in record so its baseline (and anything else already
@@ -192,8 +218,9 @@ for path in (out, ref_path):
         with open(path) as f:
             record = json.load(f)
         break
-# Schema 2 added the "suite" section.
-record["schema"] = 2
+# Schema 2 added the "suite" section, schema 3 the mem layer's
+# "mem_elems_per_sec" and the "host_canary_per_sec" canary.
+record["schema"] = 3
 record.setdefault(
     "note",
     "Simulated instructions/sec (OOVA_SCALE=0.5, --threads 1) and "
@@ -209,34 +236,32 @@ if int(check):
             ref = json.load(f).get("current", {})
     # The checked-in numbers come from a different machine than the
     # CI runner, so absolute throughput would warn (or stay silent)
-    # based on host speed, not code. Normalize by the trace-generation
-    # microbenchmark — a pure-CPU workload the simulator rework never
-    # touches — so host-speed differences cancel to first order and
-    # the 20% threshold tracks genuine simulator regressions.
-    old_canary = ref.get("microbench_instr_per_sec", {}).get(
-        "BM_TraceGeneration")
-    new_canary = measurement["microbench_instr_per_sec"].get(
-        "BM_TraceGeneration")
+    # based on host speed, not code. Normalize by BM_HostCanary, a
+    # fixed table-update loop that runs no oova code, so host-speed
+    # differences roughly cancel and the 20% threshold mostly tracks
+    # simulator regressions (README "Performance" says how roughly).
+    old_canary = ref.get("host_canary_per_sec")
+    new_canary = measurement.get("host_canary_per_sec")
     host = (new_canary / old_canary
             if old_canary and new_canary else 1.0)
     if host != 1.0:
-        print(f"host-speed normalization (BM_TraceGeneration): "
-              f"{host:.2f}x")
-    for kind in ("microbench_instr_per_sec", "sweep_instr_per_sec"):
+        print(f"host-speed normalization (BM_HostCanary): {host:.2f}x")
+    for kind in ("microbench_instr_per_sec", "mem_elems_per_sec",
+                 "sweep_instr_per_sec"):
         for name, old in ref.get(kind, {}).items():
             new = measurement[kind].get(name)
-            if not new or not old or name == "BM_TraceGeneration":
+            if not new or not old:
                 continue
             scaled = old * host
             if new < 0.8 * scaled:
                 print(
                     f"::warning::simulator throughput regression: "
-                    f"{name} {old} -> {new} instr/s "
+                    f"{name} {old} -> {new} items/s "
                     f"({new / scaled:.2f}x host-normalized, "
                     f"checked-in reference {ref.get('label', '?')})"
                 )
             else:
-                print(f"{name}: {old} -> {new} instr/s "
+                print(f"{name}: {old} -> {new} items/s "
                       f"({new / scaled:.2f}x host-normalized)")
     # Wall time scales inversely with host speed. The all-cores rows
     # also depend on the core count, so they compare only on a host

@@ -3,7 +3,7 @@
  * The invariant-audit framework: a registry of named checkers that
  * observe simulator state and report structural violations.
  *
- * The event-driven hot path (intrusive wakeup lists, the min-heap
+ * The event-driven hot path (intrusive wakeup lists, the timing-wheel
  * event calendar, slab/sliding-queue storage, TLB accounting) is
  * correct only while a web of conservation laws holds — every
  * physical register is exactly one of free / mapped / pending-free,

@@ -105,6 +105,49 @@ checkScalarMatch(const char *what, uint64_t actual, uint64_t expected,
 }
 
 void
+checkSlabSlots(const SlabAudit &slab, Reporter &r)
+{
+    enum : uint8_t { kHeld, kFree, kLive };
+    std::vector<uint8_t> state(slab.allocated, kHeld);
+    uint64_t n_free = 0, n_live = 0;
+    for (uint32_t i : slab.freeSlots) {
+        if (i >= slab.allocated) {
+            r.fail("free slot %u out of range (%llu allocated)", i,
+                   static_cast<unsigned long long>(slab.allocated));
+        } else if (state[i] == kFree) {
+            r.fail("slot %u is on the free list twice", i);
+        } else {
+            state[i] = kFree;
+            ++n_free;
+        }
+    }
+    for (uint32_t i : slab.reachable) {
+        if (i >= slab.allocated) {
+            r.fail("reachable slot %u out of range (%llu allocated)", i,
+                   static_cast<unsigned long long>(slab.allocated));
+        } else if (state[i] == kFree) {
+            r.fail("freed slot %u is still reachable", i);
+            state[i] = kLive; // report each slot once
+        } else if (state[i] == kHeld) {
+            state[i] = kLive;
+            ++n_live;
+        }
+    }
+    if (n_live + n_free < slab.allocated) {
+        r.fail("%llu slots leaked: %llu allocated, %llu live, %llu free",
+               static_cast<unsigned long long>(slab.allocated - n_live -
+                                               n_free),
+               static_cast<unsigned long long>(slab.allocated),
+               static_cast<unsigned long long>(n_live),
+               static_cast<unsigned long long>(n_free));
+    }
+    if (slab.runOver && n_live > 0) {
+        r.fail("%llu slots still live after the run",
+               static_cast<unsigned long long>(n_live));
+    }
+}
+
+void
 checkCalendarAgreement(Cycle calendarNext, Cycle scanNext,
                        Reporter &r)
 {

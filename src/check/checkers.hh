@@ -86,10 +86,34 @@ void checkScalarMatch(const char *what, uint64_t actual,
                       uint64_t expected, Reporter &r);
 
 /**
+ * Plain-data view of the OOOVA's recycled entry slab: the slots ever
+ * allocated, the free list, and every slot index the live structures
+ * still reach (ROB, issue queues, memory pipe, wait set,
+ * eliminated-load list and register waiter lists; an entry on
+ * several of them appears several times).
+ */
+struct SlabAudit
+{
+    uint64_t allocated = 0;
+    std::vector<uint32_t> freeSlots;
+    std::vector<uint32_t> reachable;
+    /** The run is over: nothing may still hold a slot. */
+    bool runOver = false;
+};
+
+/**
+ * Slot recycling soundness: every free slot in range and listed
+ * once, no freed slot reachable (a reused slot would alias two
+ * entries), live + free == allocated (a slot neither reachable nor
+ * free has leaked), and once the run is over every slot is free.
+ */
+void checkSlabSlots(const SlabAudit &slab, Reporter &r);
+
+/**
  * Event-calendar soundness at an idle jump: the calendar's next live
  * event must agree with the ground-truth full rescan. A scan value
  * below the calendar's would mean a live state transition earlier
- * than the heap minimum (the calendar would skip it); above, a stale
+ * than the calendar minimum (it would be skipped); above, a stale
  * event survived validation. kNoCycle means "no event" on both sides.
  */
 void checkCalendarAgreement(Cycle calendarNext, Cycle scanNext,

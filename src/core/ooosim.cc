@@ -1,6 +1,7 @@
 #include "core/ooosim.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <vector>
 
@@ -61,6 +62,8 @@ struct RobEntry
     bool faulted = false;          ///< fault pending trap at head
     bool wasMispredicted = false;  ///< fetch stalled on this branch
     bool inRob = false;            ///< between dispatch and commit
+    bool inWaitSet = false;        ///< on waitSet_
+    bool inElimWait = false;       ///< on elimWait_
 
     /**
      * Wakeup bookkeeping (no timing semantics): issue scans skip
@@ -93,8 +96,13 @@ struct RobEntry
  * Stable storage for in-flight records. Pointer-stable like the
  * std::deque it replaces, but chunked at a size that costs a handful
  * of allocations per simulation instead of one malloc per two
- * entries; never shrinks, so pointers in the wait sets survive early
- * commit.
+ * entries. Slots are recycled through a free list once their entry
+ * has left the ROB, the memory wait set and the eliminated-load list
+ * (OooMachine::releaseIfDone), so a run touches about a ROB's worth
+ * of slots rather than one per dispatched instruction. Chunks are
+ * never freed, so every index ever handed out stays addressable:
+ * waiter lists and calendar events name slots by index (see
+ * eventLive for why a reused slot is safe for them).
  */
 class EntrySlab
 {
@@ -113,22 +121,38 @@ class EntrySlab
         return chunks_[i / kChunk][i % kChunk];
     }
 
+    /** Slots ever handed out (live plus free). */
     size_t size() const { return size_; }
 
-    /** Hand out the next (default-constructed) entry. */
+    /** Released slots; the last one is reused first. */
+    const std::vector<uint32_t> &freeSlots() const { return free_; }
+
+    /** Hand out a default-constructed entry, reusing a freed slot. */
     RobEntry *
     alloc()
     {
+        if (!free_.empty()) {
+            uint32_t idx = free_.back();
+            free_.pop_back();
+            RobEntry &e = (*this)[idx];
+            e = RobEntry{};
+            e.slabIdx = idx;
+            return &e;
+        }
         if (size_ == chunks_.size() * kChunk)
             chunks_.push_back(std::make_unique<RobEntry[]>(kChunk));
-        RobEntry *e = &chunks_[size_ / kChunk][size_ % kChunk];
-        ++size_;
-        return e;
+        RobEntry &e = (*this)[size_];
+        e.slabIdx = static_cast<uint32_t>(size_++);
+        return &e;
     }
+
+    /** Return @p e's slot; nothing may reach the entry any more. */
+    void release(const RobEntry &e) { free_.push_back(e.slabIdx); }
 
   private:
     std::vector<std::unique_ptr<RobEntry[]>> chunks_;
     size_t size_ = 0;
+    std::vector<uint32_t> free_;
 };
 
 class OooMachine
@@ -143,6 +167,7 @@ class OooMachine
           mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency))
     {
         pipeStage_.fill(nullptr);
+        wheel_.fill(kNoNode);
         check::CheckLevel lvl =
             cfg.checkLevel >= 0
                 ? static_cast<check::CheckLevel>(
@@ -226,9 +251,19 @@ class OooMachine
     // (nextEventAfterScan(), kept as the debug cross-check and the
     // ground truth for the deadlock diagnostics); it is now
     // maintained incrementally: every site that writes a future time
-    // pushes it into a min-heap, and popped candidates are validated
+    // pushes it into the calendar, and candidates are validated
     // against live state so a stale value can never surface a cycle
     // the scan would not have.
+    //
+    // The calendar is a timing wheel of kWheelSlots one-cycle slots,
+    // each an intrusive list of pooled event nodes, with an occupancy
+    // bitmap. An event at t lives in slot t mod kWheelSlots while
+    // now_ < t < now_ + kWheelSlots, so a slot holds at most one
+    // time: advanceTo() empties every slot now_ leaves behind. The
+    // rare event further out waits in a small min-heap. The nodes
+    // share one pool rather than a vector per slot: a machine lives
+    // for one simulation, and allocating up to kWheelSlots vectors
+    // per machine made the figure suite's ~1 ms jobs ~20% slower.
     enum EvKind : uint8_t
     {
         EvFu1,
@@ -261,45 +296,64 @@ class OooMachine
         }
     };
 
-    void
-    pushEvent(Cycle t, EvKind kind, uint32_t id = 0,
-              RegClass cls = RegClass::None)
+    /** One pooled wheel entry; next links the slot's list. */
+    struct EventNode
     {
-        if (t == kNoCycle || t <= now_)
-            return;
-        // Stale events normally drain at idle-cycle queries; a
-        // progress-heavy stretch never queries, so bound the heap by
-        // compacting dead entries once it outgrows twice its size
-        // after the last compaction (amortized O(1) per push).
-        // Dropping a dead event is always safe: liveness only comes
-        // back through a fresh push (every value overwrite and every
-        // refcount rise from zero re-announces).
-        if (events_.size() >= eventCompactAt_) {
-            std::erase_if(events_, [this](const Event &ev) {
-                return ev.t <= now_ || !eventLive(ev);
-            });
-            std::make_heap(events_.begin(), events_.end(),
-                           EventAfter{});
-            eventCompactAt_ = std::max<size_t>(
-                kEventCompactMin, 2 * events_.size());
-        }
-        events_.push_back(
-            {t, id, static_cast<uint8_t>(kind),
-             static_cast<uint8_t>(cls)});
-        std::push_heap(events_.begin(), events_.end(), EventAfter{});
-    }
+        Event ev;
+        uint32_t next;
+    };
 
+    static constexpr uint32_t kWheelSlots = 1024;
+    static constexpr uint32_t kNoNode = UINT32_MAX;
+
+    void pushEvent(Cycle t, EvKind kind, uint32_t id = 0,
+                   RegClass cls = RegClass::None);
     bool eventLive(const Event &ev) const;
     Cycle nextEventFromCalendar();
+    bool pruneWheelSlot(uint32_t slot);
+    void clearWheelSlot(uint32_t slot);
+
+    /** Move now_ to @p next, emptying the wheel slot it leaves. */
+    void
+    advanceTo(Cycle next)
+    {
+        // Slots between the two were emptied by the calendar walk
+        // that chose @p next (or hold nothing: progress steps by 1).
+        clearWheelSlot(static_cast<uint32_t>(now_ % kWheelSlots));
+        now_ = next;
+    }
+
+    /**
+     * Recycle @p e's slot once nothing can reach it: it has left the
+     * ROB, the memory wait set and the eliminated-load list. A parked
+     * entry is always in the ROB or on elimWait_, so no waiter list
+     * can hold a released slot.
+     */
+    void
+    releaseIfDone(const RobEntry &e)
+    {
+        if (!e.inRob && !e.inWaitSet && !e.inElimWait)
+            slab_.release(e);
+    }
+
+    /** Nothing left to fetch, dispatch or commit: the run is over. */
+    bool
+    drained() const
+    {
+        return fetchIndex_ >= trace_.size() && fetchBuffer_.empty() &&
+               rob_.empty();
+    }
 
     // Subscriptions mirror exactly the set of registers
     // nextEventAfterScan() would look at: a register's ready-time
     // events count only while some live ROB entry (or unresolved
-    // eliminated load) references it. A time announced while the
-    // register was referenced is still in the heap (pops only drop
-    // an event whose reference count was zero or whose value went
-    // stale — and every overwrite re-announces), so subscribing only
-    // re-announces when the relevant count rises from zero.
+    // eliminated load) references it. A future time announced while
+    // the register was referenced is still in the calendar: events
+    // are dropped only when dead (reference count zero, or the value
+    // went stale — and every overwrite re-announces) or when their
+    // cycle has passed (the wheel slot advanceTo() leaves, a far-heap
+    // top at or below now_). So subscribing only re-announces when
+    // the relevant count rises from zero.
     void
     subscribeSrc(RegClass cls, int phys)
     {
@@ -430,10 +484,14 @@ class OooMachine
     std::vector<RobEntry *> elimWait_;    // eliminated, unresolved
     unsigned memSlotsUsed_ = 0;
 
-    std::vector<Event> events_;  ///< pending-event min-heap
-    static constexpr size_t kEventCompactMin = 4096;
-    /** Heap size that triggers the next dead-event compaction. */
-    size_t eventCompactAt_ = kEventCompactMin;
+    /** Wheel slot list heads (kNoNode = empty). */
+    std::array<uint32_t, kWheelSlots> wheel_;
+    /** Occupancy bitmap over wheel_: bit s set iff slot s is listed. */
+    std::array<uint64_t, kWheelSlots / 64> wheelBusy_{};
+    std::vector<EventNode> eventNodes_; ///< node pool for the wheel
+    uint32_t freeEventNode_ = kNoNode;  ///< pool free list
+    /** Min-heap of events kWheelSlots or more cycles ahead. */
+    std::vector<Event> farEvents_;
     /**
      * Per-queue scan gate: the minimum next-possible-progress cycle
      * over the queue's entries as of its last fruitless scan. While
@@ -757,10 +815,11 @@ OooMachine::commitStep()
         if (e.oldPhys >= 0)
             renamer_.releaseOld(e.dstCls, e.oldPhys);
         // Note: an early-committed eliminated load may still await
-        // its source value. It stays on elimWait_ (its storage is in
-        // the slab, which outlives retirement) so its destination
-        // register's ready times are still established, and it keeps
-        // its copy-source claim until then.
+        // its source value. It stays on elimWait_ (its slot is not
+        // recycled until it leaves) so its destination register's
+        // ready times are still established, and it keeps its
+        // copy-source claim until then. An early-committed memory
+        // op likewise stays on waitSet_ until its address phase ends.
         e.retired = true;
         e.inRob = false;
         unsubscribeEntry(e);
@@ -770,6 +829,7 @@ OooMachine::commitStep()
         if (e.completeAt != kNoCycle)
             finish(e.completeAt);
         rob_.pop_front();
+        releaseIfDone(e);
         ++committed_;
         ++done;
     }
@@ -869,6 +929,7 @@ OooMachine::depStage(RobEntry *e)
             // Completion resolves once the matched register's value
             // is fully written.
             elimWait_.push_back(e);
+            e->inElimWait = true;
             if (vregOf(e->physDst).fullReadyAt != kNoCycle)
                 elimWaitDirty_ = true;
             else
@@ -928,6 +989,7 @@ OooMachine::depStage(RobEntry *e)
             e->holdsCopyClaim = true;
             f.reg(e->physDst).tag = tag;
             elimWait_.push_back(e);
+            e->inElimWait = true;
             // The copy source now backs an unresolved elimination:
             // its full-ready time is a live event until resolution.
             PhysReg &src = f.reg(match);
@@ -969,6 +1031,7 @@ OooMachine::depStage(RobEntry *e)
         e->depCycle = now_;
         e->queueId = 3;
         waitSet_.push_back(e);
+        e->inWaitSet = true;
         queueCheckAt_[3] = 0;
         return true;
     }
@@ -1046,7 +1109,11 @@ OooMachine::cleanupWaitSet()
     if (waitSet_.empty() || now_ < waitCleanupAt_)
         return;
     std::erase_if(waitSet_, [this](RobEntry *e) {
-        return e->memIssued && e->memDoneAt <= now_;
+        if (!e->memIssued || e->memDoneAt > now_)
+            return false;
+        e->inWaitSet = false;
+        releaseIfDone(*e);
+        return true;
     });
     waitCleanupAt_ = kNoCycle;
     for (const RobEntry *e : waitSet_)
@@ -1403,6 +1470,8 @@ OooMachine::resolveEliminated()
             if (tracer_)
                 tracer_->complete(e->traceRec, done);
             finish(done);
+            e->inElimWait = false;
+            releaseIfDone(*e);
             return true;
         }
         // VLE: the load became a mapping onto its match; it is
@@ -1415,6 +1484,8 @@ OooMachine::resolveEliminated()
         if (tracer_)
             tracer_->complete(e->traceRec, e->completeAt);
         finish(e->completeAt);
+        e->inElimWait = false;
+        releaseIfDone(*e);
         return true;
     });
     elimWaitDirty_ = false;
@@ -1478,7 +1549,6 @@ OooMachine::dispatchStep()
     RobEntry *e = slab_.alloc();
     e->di = &di;
     e->seq = seq;
-    e->slabIdx = static_cast<uint32_t>(slab_.size() - 1);
     e->inRob = true;
     if (fault_.faultSeq != kNoSeq && seq == fault_.faultSeq)
         e->faultArmed = true;
@@ -1653,6 +1723,17 @@ OooMachine::takeTrap()
             f.reg(static_cast<int>(r)).waiterHead = -1;
     }
 
+    // Return the squashed entries' slots: every ROB entry, plus the
+    // retired entries the wait set and the eliminated-load list still
+    // held (an entry is never on both, and a non-retired entry on
+    // either is also in the ROB).
+    for (RobEntry *e : rob_)
+        slab_.release(*e);
+    for (const auto *list : {&waitSet_, &elimWait_})
+        for (RobEntry *e : *list)
+            if (e->retired)
+                slab_.release(*e);
+
     rob_.clear();
     aQueue_.clear();
     sQueue_.clear();
@@ -1690,15 +1771,82 @@ OooMachine::takeTrap()
 }
 
 // ---------------------------------------------------------------
-// Main loop
+// Event calendar and main loop
 // ---------------------------------------------------------------
 
+void
+OooMachine::pushEvent(Cycle t, EvKind kind, uint32_t id, RegClass cls)
+{
+    if (t == kNoCycle || t <= now_)
+        return;
+    Event ev{t, id, static_cast<uint8_t>(kind),
+             static_cast<uint8_t>(cls)};
+    if (t - now_ >= kWheelSlots) {
+        farEvents_.push_back(ev);
+        std::push_heap(farEvents_.begin(), farEvents_.end(),
+                       EventAfter{});
+        return;
+    }
+    uint32_t n = freeEventNode_;
+    if (n != kNoNode) {
+        freeEventNode_ = eventNodes_[n].next;
+    } else {
+        n = static_cast<uint32_t>(eventNodes_.size());
+        eventNodes_.emplace_back();
+    }
+    auto slot = static_cast<uint32_t>(t % kWheelSlots);
+    eventNodes_[n] = {ev, wheel_[slot]};
+    wheel_[slot] = n;
+    wheelBusy_[slot / 64] |= uint64_t{1} << (slot % 64);
+}
+
 /**
- * Is a popped calendar candidate still a time the full rescan would
- * report? Each case checks exactly what nextEventAfterScan() would
- * look at: the value must still be current, and register times must
- * still be referenced by a live ROB entry (or, for full-ready times,
- * an unresolved eliminated load).
+ * Free @p slot's dead events from the head on. True if a live one
+ * remains: the slot's time is then a real next event. Dropping a dead
+ * event is always safe: liveness only comes back through a fresh
+ * push (every value overwrite and every refcount rise from zero
+ * re-announces).
+ */
+bool
+OooMachine::pruneWheelSlot(uint32_t slot)
+{
+    while (wheel_[slot] != kNoNode) {
+        uint32_t n = wheel_[slot];
+        if (eventLive(eventNodes_[n].ev))
+            return true;
+        wheel_[slot] = eventNodes_[n].next;
+        eventNodes_[n].next = freeEventNode_;
+        freeEventNode_ = n;
+    }
+    wheelBusy_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+    return false;
+}
+
+/** Return every event in @p slot to the pool, live or not. */
+void
+OooMachine::clearWheelSlot(uint32_t slot)
+{
+    uint32_t head = wheel_[slot];
+    if (head == kNoNode)
+        return;
+    uint32_t tail = head;
+    while (eventNodes_[tail].next != kNoNode)
+        tail = eventNodes_[tail].next;
+    eventNodes_[tail].next = freeEventNode_;
+    freeEventNode_ = head;
+    wheel_[slot] = kNoNode;
+    wheelBusy_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+}
+
+/**
+ * Is a calendar candidate still a time the full rescan would report?
+ * Each case checks exactly what nextEventAfterScan() would look at:
+ * the value must still be current, and register times must still be
+ * referenced by a live ROB entry (or, for full-ready times, an
+ * unresolved eliminated load). An EvComplete/EvMemDone whose slot
+ * has since been recycled is judged against the new occupant's live
+ * inRob and times, so it can only pass with a time the rescan also
+ * sees.
  */
 bool
 OooMachine::eventLive(const Event &ev) const
@@ -1751,14 +1899,34 @@ OooMachine::eventLive(const Event &ev) const
 Cycle
 OooMachine::nextEventFromCalendar()
 {
-    while (!events_.empty()) {
-        const Event &top = events_.front();
-        if (top.t > now_ && eventLive(top))
-            return top.t;
-        std::pop_heap(events_.begin(), events_.end(), EventAfter{});
-        events_.pop_back();
+    // Walk the occupied wheel slots in time order from now_ + 1,
+    // freeing dead events; the first live one is the wheel's minimum.
+    Cycle best = kNoCycle;
+    for (uint32_t off = 0; off < kWheelSlots - 1;) {
+        auto slot = static_cast<uint32_t>((now_ + 1 + off) % kWheelSlots);
+        uint64_t bits = wheelBusy_[slot / 64] >> (slot % 64);
+        if (bits & 1) {
+            if (pruneWheelSlot(slot)) {
+                best = now_ + 1 + off;
+                break;
+            }
+            ++off;
+        } else {
+            // On to the word's next occupied slot, or past the word.
+            off += bits ? static_cast<uint32_t>(std::countr_zero(bits))
+                        : 64 - slot % 64;
+        }
     }
-    return kNoCycle;
+    // Events past the wheel: drop dead or passed tops.
+    while (!farEvents_.empty()) {
+        const Event &top = farEvents_.front();
+        if (top.t > now_ && eventLive(top))
+            return std::min(best, top.t);
+        std::pop_heap(farEvents_.begin(), farEvents_.end(),
+                      EventAfter{});
+        farEvents_.pop_back();
+    }
+    return best;
 }
 
 Cycle
@@ -2063,6 +2231,45 @@ OooMachine::registerAuditCheckers()
                                 expected, r);
     });
 
+    // Slot recycling: no slot freed twice or while something still
+    // reaches it (the ROB, issue queues, memory pipe, wait set,
+    // eliminated-load list or a waiter list), none leaked, and all
+    // of them free once the run is over.
+    audit_.add("slab-slots", kSweep, [this](Reporter &r) {
+        check::SlabAudit s;
+        s.allocated = slab_.size();
+        s.freeSlots = slab_.freeSlots();
+        s.runOver = drained();
+        auto reach = [&s](const auto &container) {
+            for (const RobEntry *e : container)
+                if (e)
+                    s.reachable.push_back(e->slabIdx);
+        };
+        reach(rob_);
+        reach(aQueue_);
+        reach(sQueue_);
+        reach(vQueue_);
+        reach(pipeFifo_);
+        reach(pipeStage_);
+        reach(waitSet_);
+        reach(elimWait_);
+        for (unsigned c = 0; c < kNumRegClasses; ++c) {
+            const PhysRegFile &f =
+                renamer_.file(static_cast<RegClass>(c));
+            for (unsigned p = 0; p < f.size(); ++p) {
+                // Bounded, so a corrupt cyclic list cannot hang us.
+                int32_t i = f.reg(static_cast<int>(p)).waiterHead;
+                for (uint64_t n = 0; i >= 0 && n <= s.allocated; ++n) {
+                    s.reachable.push_back(static_cast<uint32_t>(i));
+                    if (static_cast<uint64_t>(i) >= s.allocated)
+                        break;
+                    i = slab_[static_cast<size_t>(i)].waitNext;
+                }
+            }
+        }
+        check::checkSlabSlots(s, r);
+    });
+
     // Memory-system counter containment and monotonicity.
     audit_.add("mem-stats", kSweep, [this](Reporter &r) {
         const MemStats &s = mem_->stats();
@@ -2144,10 +2351,8 @@ OooMachine::run()
         progress |= dispatchStep();
         progress |= fetchStep();
 
-        if (fetchIndex_ >= trace_.size() && fetchBuffer_.empty() &&
-            rob_.empty()) {
+        if (drained())
             break;
-        }
 
         if (progress) {
             if (cfg_.cpiStack) {
@@ -2163,7 +2368,7 @@ OooMachine::run()
             }
             if (telemetry_)
                 sampleOccupancy(1);
-            ++now_;
+            advanceTo(now_ + 1);
         } else {
             Cycle next = nextEventFromCalendar();
 #ifndef NDEBUG
@@ -2234,10 +2439,17 @@ OooMachine::run()
                 // skipped cycle sees today's occupancies.
                 sampleOccupancy(next - now_);
             }
-            now_ = next;
+            advanceTo(next);
         }
     }
     finish(now_);
+    // Every address phase ends by endCycle_, so the wait set's
+    // retired stragglers are done with the run: return their slots.
+    for (RobEntry *e : waitSet_) {
+        e->inWaitSet = false;
+        releaseIfDone(*e);
+    }
+    waitSet_.clear();
     if (cfg_.cpiStack) {
         // The loop exits when the ROB empties; functional units and
         // the memory system keep draining until endCycle_. The final

@@ -36,31 +36,35 @@ constexpr unsigned kMaxSrcRegs = 3;
  * hardware ahead of time, so the generator supplies the conservative
  * enclosing region [addr, addr+regionBytes) used for disambiguation,
  * matching the paper's range mechanism.
+ *
+ * Fields are ordered by size, widest first, so the record packs into
+ * one 64-byte cache line with no padding (traces hold millions of
+ * them). The order is not the serialized order: trace_io writes the
+ * fields one by one, so the trace format does not depend on it.
  */
 struct DynInst
 {
     Addr pc = 0;
-    Opcode op = Opcode::SMove;
+    int64_t strideBytes = kElemBytes;
+    Addr addr = 0;
+    uint64_t idxSeed = 0; ///< per-instance gather seed (window placement)
+    Addr target = 0;      ///< branch target
 
-    RegId dst;
-    std::array<RegId, kMaxSrcRegs> src{};
-    uint8_t numSrc = 0;
+    uint32_t regionBytes = 0; ///< gather/scatter only
+    uint32_t idxParam = 0;    ///< index-pattern parameter (e.g. the modulus)
 
     /** Vector length in elements for vector ops (1 for scalars). */
     uint16_t vl = 1;
-    int64_t strideBytes = kElemBytes;
-    Addr addr = 0;
-    uint32_t regionBytes = 0; ///< gather/scatter only
+
+    RegId dst;
+    std::array<RegId, kMaxSrcRegs> src{};
+
+    Opcode op = Opcode::SMove;
+    uint8_t numSrc = 0;
     uint8_t elemSize = kElemBytes;
-
-    // Gather/scatter index-vector shape (see indexedElemAddrs()).
+    /** Gather/scatter index-vector shape (see indexedElemAddrs()). */
     IndexPattern idxPattern = IndexPattern::None;
-    uint32_t idxParam = 0; ///< pattern parameter (e.g. the modulus)
-    uint64_t idxSeed = 0;  ///< per-instance seed (window placement)
-
-    bool taken = false; ///< branch outcome from the trace
-    Addr target = 0;    ///< branch target
-
+    bool taken = false;   ///< branch outcome from the trace
     bool isSpill = false; ///< compiler-generated spill load/store
 
     const OpTraits &traits() const { return oova::traits(op); }
@@ -108,6 +112,9 @@ struct DynInst
     /** Disassembly for debugging and trace dumps. */
     std::string toString() const;
 };
+
+static_assert(sizeof(DynInst) == 64,
+              "DynInst must pack into one 64-byte cache line");
 
 /**
  * Reconstruct the per-element addresses of a gather/scatter from its

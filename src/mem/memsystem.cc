@@ -1,6 +1,7 @@
 #include "mem/memsystem.hh"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/logging.hh"
@@ -202,9 +203,10 @@ class BankedMemory : public MemorySystem
 {
   public:
     BankedMemory(const MemConfig &cfg, unsigned latency)
-        : latency_(latency), banks_(cfg.banks),
+        : latency_(latency), bankMask_(cfg.banks - 1),
           ports_(cfg.addressPorts), bankBusy_(cfg.bankBusyCycles),
-          interleave_(std::max(cfg.interleaveBytes, 1u)),
+          interleaveShift_(static_cast<unsigned>(
+              std::countr_zero(cfg.interleaveBytes))),
           bankFreeAt_(cfg.banks, 0), units_(cfg),
           unitPorts_(units_.count())
     {
@@ -259,7 +261,7 @@ class BankedMemory : public MemorySystem
         for (unsigned i = 0; i < elems; ++i) {
             Addr a = addr_of(i);
             unsigned bank =
-                static_cast<unsigned>((a / interleave_) % banks_);
+                static_cast<unsigned>((a >> interleaveShift_) & bankMask_);
             Cycle t = portSlot(ports, cur);
             if (bankFreeAt_[bank] > t) {
                 Cycle delayed = portSlot(ports, bankFreeAt_[bank]);
@@ -310,10 +312,10 @@ class BankedMemory : public MemorySystem
     }
 
     unsigned latency_;
-    unsigned banks_;
+    unsigned bankMask_; ///< banks - 1 (the bank count is 2^k)
     unsigned ports_;
     unsigned bankBusy_;
-    unsigned interleave_;
+    unsigned interleaveShift_; ///< log2(interleaveBytes)
     std::vector<Cycle> bankFreeAt_;
     UnitPool units_;
     std::vector<PortState> unitPorts_;
@@ -337,13 +339,27 @@ class CachedMemory : public MemorySystem
   public:
     CachedMemory(const MemConfig &cfg, unsigned latency)
         : hitLat_(cfg.cacheHitLatency),
-          lineBytes_(std::max(cfg.lineBytes, kWordBytes)),
+          lineShift_(static_cast<unsigned>(
+              std::countr_zero(cfg.lineBytes))),
           assoc_(std::max(cfg.associativity, 1u)),
-          lineElems_(std::max(cfg.lineBytes / kWordBytes, 1u)),
+          lineElems_(cfg.lineBytes / kWordBytes),
           units_(cfg)
     {
-        sets_ = std::max(cfg.cacheBytes / (lineBytes_ * assoc_), 1u);
-        ways_.assign(static_cast<size_t>(sets_) * assoc_, Way{});
+        // Refuse to round: 33000 bytes would model a 32 KiB cache
+        // under the same /c32k label. The line and set indices are a
+        // shift and a mask, so the set count must be a power of two.
+        uint64_t way_bytes = uint64_t{cfg.lineBytes} * assoc_;
+        if (cfg.cacheBytes % way_bytes != 0)
+            fatal("cache: %u bytes is not a whole number of %u-byte "
+                  "lines x %u ways",
+                  cfg.cacheBytes, cfg.lineBytes, assoc_);
+        auto sets = static_cast<unsigned>(cfg.cacheBytes / way_bytes);
+        if (!std::has_single_bit(sets))
+            fatal("cache: %u sets (%u bytes / %u-byte lines / %u "
+                  "ways) is not a power of two",
+                  sets, cfg.cacheBytes, cfg.lineBytes, assoc_);
+        setMask_ = sets - 1;
+        ways_.assign(static_cast<size_t>(sets) * assoc_, Way{});
         mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
         MemConfig back = cfg;
         back.model = cfg.backing == MemModel::Banked
@@ -421,7 +437,7 @@ class CachedMemory : public MemorySystem
         BusyRunMerger busy(busy_);
         for (unsigned i = 0; i < elems; ++i) {
             Addr a = addr_of(i);
-            Addr line = a / lineBytes_;
+            Addr line = a >> lineShift_;
             Cycle t = cur;
             Cycle dataAt;
             if (Way *w = lookup(line)) {
@@ -437,7 +453,7 @@ class CachedMemory : public MemorySystem
                     t = *m;
                 }
                 MemAccess fill = backing_->reserve(
-                    t, line * lineBytes_, kWordBytes, lineElems_,
+                    t, line << lineShift_, kWordBytes, lineElems_,
                     MemOp::Load);
                 // fill.lastData is one past the last element's
                 // arrival; the line is usable on the arrival cycle
@@ -482,7 +498,7 @@ class CachedMemory : public MemorySystem
     Way *
     lookup(Addr line)
     {
-        Way *set = &ways_[(line % sets_) * assoc_];
+        Way *set = &ways_[(line & setMask_) * assoc_];
         for (unsigned w = 0; w < assoc_; ++w)
             if (set[w].valid && set[w].line == line)
                 return &set[w];
@@ -493,7 +509,7 @@ class CachedMemory : public MemorySystem
     Way &
     victim(Addr line, Cycle)
     {
-        Way *set = &ways_[(line % sets_) * assoc_];
+        Way *set = &ways_[(line & setMask_) * assoc_];
         Way *best = &set[0];
         for (unsigned w = 0; w < assoc_; ++w) {
             if (!set[w].valid)
@@ -505,10 +521,10 @@ class CachedMemory : public MemorySystem
     }
 
     unsigned hitLat_;
-    unsigned lineBytes_;
+    unsigned lineShift_; ///< log2(lineBytes)
     unsigned assoc_;
     unsigned lineElems_;
-    unsigned sets_;
+    Addr setMask_ = 0; ///< sets - 1 (the set count is 2^k)
     std::vector<Way> ways_;
     std::vector<Cycle> mshrFreeAt_;
     std::unique_ptr<MemorySystem> backing_;
@@ -604,11 +620,24 @@ makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
     case MemModel::Banked:
         if (cfg.banks == 0 || cfg.addressPorts == 0)
             fatal("banked memory needs >= 1 bank and >= 1 port");
+        // The bank index is a shift and a mask, not two divisions.
+        if (!std::has_single_bit(cfg.banks))
+            fatal("banked memory: %u banks is not a power of two",
+                  cfg.banks);
+        if (!std::has_single_bit(cfg.interleaveBytes))
+            fatal("banked memory: %u-byte interleave is not a power "
+                  "of two",
+                  cfg.interleaveBytes);
         mem = std::make_unique<BankedMemory>(cfg, mem_latency);
         break;
     case MemModel::Cached:
         if (cfg.backing == MemModel::Cached)
             fatal("cache backing must be FlatBus or Banked");
+        if (!std::has_single_bit(cfg.lineBytes) ||
+            cfg.lineBytes < kWordBytes)
+            fatal("cache line size %u is not a power of two of at "
+                  "least %u bytes",
+                  cfg.lineBytes, kWordBytes);
         mem = std::make_unique<CachedMemory>(cfg, mem_latency);
         break;
     }

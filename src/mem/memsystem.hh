@@ -100,19 +100,24 @@ struct MemConfig
     LsPolicy lsPolicy = LsPolicy::Shared;
 
     // ---- BankedMemory knobs ----
-    /** Number of interleaved banks (power of two recommended). */
+    /** Number of interleaved banks (a power of two). */
     unsigned banks = 8;
     /** Addresses the memory unit can drive per cycle. */
     unsigned addressPorts = 1;
     /** Cycles a bank stays busy after accepting one access. */
     unsigned bankBusyCycles = 4;
-    /** Interleave granularity in bytes (one element by default). */
+    /**
+     * Interleave granularity in bytes, a power of two (one element
+     * by default).
+     */
     unsigned interleaveBytes = 8;
 
     // ---- CachedMemory knobs ----
     /** Backing model behind the cache (FlatBus or Banked). */
     MemModel backing = MemModel::FlatBus;
+    /** Exactly lineBytes x associativity x a power-of-two set count. */
     unsigned cacheBytes = 32 * 1024;
+    /** A power of two of at least one 8-byte word. */
     unsigned lineBytes = 64;
     unsigned associativity = 4;
     /** Outstanding-miss registers; misses stall when all are busy. */

@@ -1,6 +1,7 @@
 #include "mem/tlb.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "mem/memsystem.hh"
@@ -94,6 +95,10 @@ Tlb::Tlb(const TlbConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.entries == 0 || cfg_.pageBytes == 0)
         fatal("TLB needs >= 1 entry and a non-zero page size");
+    // pageOf() runs once per gather element: a shift, not a divide.
+    if (!std::has_single_bit(cfg_.pageBytes))
+        fatal("TLB page size %u is not a power of two", cfg_.pageBytes);
+    pageShift_ = static_cast<unsigned>(std::countr_zero(cfg_.pageBytes));
     l1_.init(cfg_.entries, cfg_.associativity);
     l2_.init(cfg_.l2Entries, cfg_.l2Associativity);
 }

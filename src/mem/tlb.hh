@@ -113,7 +113,7 @@ struct TlbConfig
 
     /** First-level entries. */
     unsigned entries = 64;
-    /** Page size in bytes. */
+    /** Page size in bytes (a power of two; others are rejected). */
     unsigned pageBytes = 4096;
     /** Ways per set (>= entries means fully associative). */
     unsigned associativity = 4;
@@ -155,7 +155,7 @@ class Tlb
     const TlbConfig &config() const { return cfg_; }
 
     /** Page number of a byte address. */
-    Addr pageOf(Addr a) const { return a / cfg_.pageBytes; }
+    Addr pageOf(Addr a) const { return a >> pageShift_; }
 
     /**
      * The lookup sequence of a strided stream: one entry per page
@@ -243,6 +243,7 @@ class Tlb
     };
 
     TlbConfig cfg_;
+    unsigned pageShift_ = 0; ///< log2(pageBytes)
     Level l1_;
     Level l2_;
     uint64_t tick_ = 0; ///< LRU timestamp source (not cycles)

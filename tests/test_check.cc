@@ -366,3 +366,68 @@ TEST(CheckerFamilies, TlbCorruptionIsCaught)
               1u);
     resetProcessViolations();
 }
+
+namespace
+{
+
+/** Four slots: 0 and 2 live (2 twice), 1 and 3 free. */
+SlabAudit
+cleanSlab()
+{
+    SlabAudit s;
+    s.allocated = 4;
+    s.freeSlots = {1, 3};
+    s.reachable = {0, 2, 2};
+    return s;
+}
+
+uint64_t
+slabViolations(const SlabAudit &s)
+{
+    return countViolations([&](Reporter &r) { checkSlabSlots(s, r); });
+}
+
+} // namespace
+
+TEST(CheckerFamilies, SlabSlotsCleanStateIsQuiet)
+{
+    resetProcessViolations();
+    EXPECT_EQ(slabViolations(cleanSlab()), 0u);
+    SlabAudit done;
+    done.allocated = 3;
+    done.freeSlots = {2, 0, 1};
+    done.runOver = true;
+    EXPECT_EQ(slabViolations(done), 0u);
+    resetProcessViolations();
+}
+
+TEST(CheckerFamilies, SlabSlotsCatchDoubleFreeAndLiveFree)
+{
+    resetProcessViolations();
+    SlabAudit twice = cleanSlab();
+    twice.freeSlots.push_back(3);
+    EXPECT_EQ(slabViolations(twice), 1u);
+    // Slot 1 is freed but a waiter list still names it.
+    SlabAudit reachable = cleanSlab();
+    reachable.reachable.push_back(1);
+    EXPECT_EQ(slabViolations(reachable), 1u);
+    SlabAudit range = cleanSlab();
+    range.freeSlots.push_back(9);
+    range.reachable.push_back(7);
+    EXPECT_EQ(slabViolations(range), 2u);
+    resetProcessViolations();
+}
+
+TEST(CheckerFamilies, SlabSlotsCatchLeaksAndEndOfRunHolders)
+{
+    resetProcessViolations();
+    // Slot 2 is neither reachable nor free.
+    SlabAudit leak = cleanSlab();
+    leak.reachable = {0};
+    EXPECT_EQ(slabViolations(leak), 1u);
+    // Live slots are fine mid-run, not once the run is over.
+    SlabAudit held = cleanSlab();
+    held.runOver = true;
+    EXPECT_EQ(slabViolations(held), 1u);
+    resetProcessViolations();
+}

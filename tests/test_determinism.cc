@@ -164,3 +164,107 @@ TEST(Determinism, InvariantAuditIsObserveOnly)
     EXPECT_EQ(check::processViolationCount(), 0u);
     check::resetProcessViolations();
 }
+
+/**
+ * The event calendar is a 1024-slot timing wheel plus a min-heap for
+ * events further out. At checkLevel 2 the calendar-bound checker
+ * compares it with the full rescan on every idle jump. These runs
+ * push events past the wheel (a 3000-cycle memory latency, a
+ * 5000-cycle trap penalty) and wrap the wheel during a long stretch
+ * of progress; each must finish violation-free and equal to an
+ * unaudited run.
+ */
+TEST(Calendar, FarEventsAndWheelWrapsMatchTheRescan)
+{
+    check::resetProcessViolations();
+    auto audited = [](const Trace &t, OooConfig cfg,
+                      const FaultInjection &fault = {}) {
+        cfg.checkLevel = 0;
+        SimResult off = simulateOoo(t, cfg, fault);
+        cfg.checkLevel = 2;
+        SimResult on = simulateOoo(t, cfg, fault);
+        expectSameResult(off, on);
+        EXPECT_EQ(on.instructions, t.size());
+        return on;
+    };
+
+    // Every load's data lands past the wheel.
+    Workloads w(kScale);
+    const Trace &hydro = w.get("hydro2d");
+    for (OooConfig cfg : sweepConfigs()) {
+        cfg.lat.memLatency = 3000;
+        EXPECT_GT(audited(hydro, cfg).cycles, 3000u);
+    }
+
+    // The refetch after a trap lands past the wheel.
+    FaultInjection fault;
+    for (size_t i = 0; i < hydro.size(); ++i) {
+        if (hydro[i].isMem()) {
+            fault.faultSeq = i;
+            break;
+        }
+    }
+    ASSERT_NE(fault.faultSeq, kNoSeq);
+    OooConfig late = makeOooConfig(16, 16, 50, CommitMode::Late);
+    late.trapPenalty = 5000;
+    SimResult trapped = audited(hydro, late, fault);
+    EXPECT_EQ(trapped.traps, 1u);
+    EXPECT_GT(trapped.cycles, 5000u);
+
+    // About 3000 cycles of one-per-cycle progress wrap the wheel
+    // while a far load is in flight; then a consumer waits idle for
+    // it.
+    Trace wrap("wheel-wrap");
+    wrap.push(makeVLoad(vReg(0), aReg(0), 0x1000, 8, 64));
+    for (int i = 0; i < 3000; ++i) {
+        wrap.push(makeScalar(Opcode::SAdd,
+                             sReg(static_cast<uint8_t>(1 + i % 4)),
+                             sReg(5), sReg(6)));
+    }
+    wrap.push(makeVArith(Opcode::VAdd, vReg(1), vReg(0), vReg(0), 64));
+    OooConfig slow;
+    slow.lat.memLatency = 4000;
+    EXPECT_GT(audited(wrap, slow).cycles, 4000u);
+
+    EXPECT_EQ(check::processViolationCount(), 0u);
+    check::resetProcessViolations();
+}
+
+/**
+ * ROB entry slots are recycled once an entry has left the ROB, the
+ * memory wait set and the eliminated-load list; the full audit's
+ * slab-slots checker flags a slot freed twice, freed while still
+ * reachable, or never freed. Under early commit an eliminated load
+ * can retire before its value resolves, so both resolve exits
+ * (vector and scalar) return the slot after commit; a software
+ * refilled TLB traps over and over, and every trap returns the whole
+ * ROB at once.
+ */
+TEST(SlotRecycling, LateReleasesAndTrapsKeepTheSlabSound)
+{
+    check::resetProcessViolations();
+    Trace reload("reload");
+    reload.push(makeVLoad(vReg(1), aReg(0), 0x1000, 8, 64));
+    reload.push(makeVLoad(vReg(4), aReg(0), 0x1000, 8, 64));
+    reload.push(makeSLoad(sReg(1), aReg(0), 0x9000));
+    reload.push(makeSLoad(sReg(2), aReg(0), 0x9000));
+    OooConfig early = makeOooConfig(32, 16, 50, CommitMode::Early,
+                                    LoadElimMode::SleVle);
+    early.checkLevel = 2;
+    SimResult r = simulateOoo(reload, early);
+    EXPECT_EQ(r.vectorLoadsEliminated, 1u);
+    EXPECT_EQ(r.scalarLoadsEliminated, 1u);
+
+    Workloads w(kScale);
+    OooConfig sw = makeTlbOooConfig(8, 4096, 50, CommitMode::Late,
+                                    TlbRefill::SoftwareTrap);
+    sw.checkLevel = 0;
+    SimResult off = simulateOoo(w.get("trfd"), sw);
+    sw.checkLevel = 2;
+    SimResult on = simulateOoo(w.get("trfd"), sw);
+    expectSameResult(off, on);
+    EXPECT_GT(on.traps, 10u);
+
+    EXPECT_EQ(check::processViolationCount(), 0u);
+    check::resetProcessViolations();
+}

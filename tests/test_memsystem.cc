@@ -754,3 +754,81 @@ TEST(MemSystemSim, CacheOverBankedBacking)
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.cacheMisses, 0u);
 }
+
+// ------------------------------------------------------ geometry
+//
+// Bank, line and set indices are shifts and masks, so every
+// geometry that feeds them must be a power of two; anything else is
+// refused loudly at construction, never rounded.
+
+TEST(MemGeometryDeathTest, NonPowerOfTwoBankCountIsRejected)
+{
+    EXPECT_EXIT(makeMemorySystem(makeBankedMem(6), 50),
+                ::testing::ExitedWithCode(1),
+                "6 banks is not a power of two");
+    // The banked backing behind a cache is checked the same way.
+    MemConfig cached = makeCachedMem(32 * 1024, 8, MemModel::Banked);
+    cached.banks = 12;
+    EXPECT_EXIT(makeMemorySystem(cached, 50),
+                ::testing::ExitedWithCode(1),
+                "12 banks is not a power of two");
+}
+
+TEST(MemGeometryDeathTest, NonPowerOfTwoInterleaveIsRejected)
+{
+    MemConfig cfg = makeBankedMem(8);
+    cfg.interleaveBytes = 24;
+    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
+                "24-byte interleave is not a power of two");
+    cfg.interleaveBytes = 0;
+    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
+                "0-byte interleave is not a power of two");
+}
+
+TEST(MemGeometryDeathTest, NonPowerOfTwoLineSizeIsRejected)
+{
+    MemConfig cfg = makeCachedMem();
+    cfg.lineBytes = 48;
+    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
+                "cache line size 48 is not a power of two");
+    // Smaller than one word would silently become a word.
+    cfg.lineBytes = 4;
+    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
+                "cache line size 4 is not a power of two of at least 8");
+}
+
+TEST(MemGeometryDeathTest, NonPowerOfTwoSetCountIsRejected)
+{
+    // 24 KiB of 64-byte lines in 4 ways is 96 sets.
+    EXPECT_EXIT(makeMemorySystem(makeCachedMem(24 * 1024), 50),
+                ::testing::ExitedWithCode(1),
+                "96 sets .* is not a power of two");
+}
+
+TEST(MemGeometryDeathTest, CacheCapacityIsNeverRoundedDown)
+{
+    // Rounded down to whole sets, 33000 bytes would run as a 32 KiB
+    // cache under the same /c32k4w8m label.
+    EXPECT_EXIT(makeMemorySystem(makeCachedMem(33000), 50),
+                ::testing::ExitedWithCode(1),
+                "33000 bytes is not a whole number of 64-byte lines x 4 "
+                "ways");
+    EXPECT_EXIT(makeMemorySystem(makeCachedMem(40000), 50),
+                ::testing::ExitedWithCode(1),
+                "40000 bytes is not a whole number");
+}
+
+TEST(MemGeometry, ExactCapacityHoldsEveryLineOnASecondPass)
+{
+    // Ways need not be a power of two: 3 ways x 128 sets x 64 bytes.
+    MemConfig cfg = makeCachedMem(24 * 1024);
+    cfg.associativity = 3;
+    EXPECT_EQ(cfg.label(), "/c24k3w8m");
+    auto mem = makeMemorySystem(cfg, 50);
+    const unsigned lines = 24 * 1024 / 64;
+    Cycle t = mem->reserve(0, 0, 64, lines, MemOp::Load).end;
+    uint64_t misses = mem->stats().cacheMisses;
+    EXPECT_EQ(misses, lines);
+    mem->reserve(t, 0, 64, lines, MemOp::Load);
+    EXPECT_EQ(mem->stats().cacheMisses, misses) << "capacity misses";
+}

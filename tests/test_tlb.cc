@@ -473,3 +473,14 @@ TEST(TlbSim, DisabledTlbIsByteIdenticalToTheSeedModel)
     EXPECT_EQ(a.machine, b.machine);
     EXPECT_EQ(b.tlbHits + b.tlbMisses, 0u);
 }
+
+TEST(TlbDeathTest, NonPowerOfTwoPageSizeIsRejected)
+{
+    // pageOf() is a shift, so a page size must be a power of two.
+    EXPECT_EXIT(Tlb(smallTlb(4, 3000)), ::testing::ExitedWithCode(1),
+                "TLB page size 3000 is not a power of two");
+    MemConfig cfg = makeBankedMem(8);
+    cfg.tlb = smallTlb(4, 6 * 1024);
+    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
+                "TLB page size 6144 is not a power of two");
+}

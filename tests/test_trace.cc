@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/rng.hh"
+#include "tgen/benchmarks.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
@@ -222,4 +223,32 @@ TEST(TraceIo, MissingFileFails)
 {
     Trace u;
     EXPECT_FALSE(loadTraceFile(u, "/nonexistent/path/trace.bin"));
+}
+
+/**
+ * traceContentHash() is the ResultStore key, so it must not move
+ * when DynInst's in-memory layout does: trace_io serializes field by
+ * field. The pinned values predate the 64-byte field order; a change
+ * here invalidates every stored result.
+ */
+TEST(TraceIo, ContentHashIsIndependentOfDynInstLayout)
+{
+    const std::pair<const char *, uint64_t> pinned[] = {
+        {"swm256", 0x442018480932094eull},
+        {"hydro2d", 0xab8981aed0b87095ull},
+        {"arc2d", 0x8c4b4da0537e73b6ull},
+        {"flo52", 0x94460f258e3c1d79ull},
+        {"nasa7", 0xd3fe4c51cdab4ef2ull},
+        {"su2cor", 0xb9a8d3585de21db2ull},
+        {"tomcatv", 0x25530eb29f70a771ull},
+        {"bdna", 0x3031b7ea368224ceull},
+        {"trfd", 0x45c7aab61714e5a6ull},
+        {"dyfesm", 0xb1cc6fc345d07a17ull},
+    };
+    GenOptions opts;
+    opts.scale = 0.25;
+    for (const auto &[name, hash] : pinned) {
+        EXPECT_EQ(traceContentHash(makeBenchmarkTrace(name, opts)), hash)
+            << name;
+    }
 }
