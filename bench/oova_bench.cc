@@ -49,8 +49,8 @@ printUsage(std::FILE *to, const char *argv0)
     std::fprintf(
         to,
         "usage: %s <figure>|all|--list [--threads N]\n"
-        "       %*s [--store DIR] [--store-stats] [--store-max-mb N]\n"
-        "       %*s [--store-fsync] [--stats FILE] [--perfetto FILE]\n"
+        "       %*s [--store DIR] [--store-stats] [--store-fsync]\n"
+        "       %*s [--stats FILE] [--perfetto FILE]\n"
         "       %*s [--json] [--progress] [--scale S]\n"
         "       %s <benchmark> --pipetrace=FILE [--trace-limit=N] "
         "[--scale S]\n"
@@ -63,10 +63,6 @@ printUsage(std::FILE *to, const char *argv0)
         "into it\n"
         "  --store-stats   print the [store] hit/miss line to "
         "stderr (needs --store)\n"
-        "  --store-max-mb N  cap the store's payload at N MiB: "
-        "storing past the cap\n"
-        "                  evicts the oldest entries first (needs "
-        "--store)\n"
         "  --store-fsync   fsync store entries before publishing "
         "them (crash\n"
         "                  durability; needs --store)\n"
@@ -223,8 +219,6 @@ main(int argc, char **argv)
     std::unique_ptr<ResultStore> store;
     if (!opts.storeDir.empty()) {
         store = std::make_unique<ResultStore>(opts.storeDir);
-        if (opts.storeMaxMb)
-            store->setMaxBytes(opts.storeMaxMb << 20);
         if (opts.storeFsync)
             store->setFsync(true);
     }

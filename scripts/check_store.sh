@@ -3,7 +3,10 @@
 # cold (populating it), then warm at 4 threads — and require
 # (a) byte-identical stdout per figure and (b) a >90% aggregate hit
 # rate on the warm pass. Proves the store key covers everything that
-# matters and that the store never perturbs figure output.
+# matters and that the store never perturbs figure output. Then
+# corrupt one entry (it must be quarantined and healed) and check
+# that results sampled under OOVA_TELEMETRY=1 never serve a run
+# without it.
 #
 # usage: check_store.sh <oova_bench> <store-dir> <out-dir>
 #
@@ -128,6 +131,28 @@ else
             "line" >&2
         fail=1
     fi
+fi
+
+# Telemetry pass: OOVA_TELEMETRY=1 turns occupancy sampling on, so
+# the results it stores must not serve a run without it. Fill a fresh
+# store with one figure under the variable, then run that figure warm
+# without it: its --stats dump must equal a run with no store at all.
+tstore="$OUT/telemetry-store"
+rm -rf "$tstore"
+if ! OOVA_TELEMETRY=1 "$BENCH" fig4 --store "$tstore" > /dev/null ||
+        ! "$BENCH" fig4 --store "$tstore" \
+            --stats "$OUT/fig4.telemetry-warm.txt" > /dev/null ||
+        ! "$BENCH" fig4 --stats "$OUT/fig4.telemetry-none.txt" \
+            > /dev/null; then
+    echo "FAIL: telemetry pass: a fig4 run exited non-zero" >&2
+    fail=1
+elif ! diff -u "$OUT/fig4.telemetry-none.txt" \
+        "$OUT/fig4.telemetry-warm.txt" > "$OUT/telemetry.diff.txt"; then
+    echo "FAIL: a store filled under OOVA_TELEMETRY=1 changed the" \
+        "--stats of a run without it (see telemetry.diff.txt)" >&2
+    fail=1
+else
+    echo "check_store: telemetry pass: --stats equal"
 fi
 
 [ "$fail" -eq 0 ] && echo "check_store: OK"

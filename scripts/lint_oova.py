@@ -1,39 +1,36 @@
 #!/usr/bin/env python3
 """Project-specific lint gate.
 
-Eight repo invariants that neither the compiler nor clang-tidy can
+Seven repo invariants that neither the compiler nor clang-tidy can
 see, each of which has bitten (or nearly bitten) a past PR:
 
   1. Every registered figure has a checked-in golden
      (tests/golden/<name>.txt), so no figure dodges the output gate.
   2. Every golden belongs to a registered figure — orphans mean the
      gate is diffing against nothing.
-  3. Every SimResult field is surfaced by SimResult::toJson() in
-     src/mem/simresult.cc, so new counters cannot silently stay out
-     of the machine-readable output the perf trajectory is tracked
-     with.
-  4. Every stored SimResult field also round-trips through
-     SimResult::fromJson() — the content-addressed result store
-     persists results as toJson() text, so a counter that toJson()
-     writes but fromJson() drops would silently zero itself on every
-     store hit.
-  5. No naked new/delete outside the dedicated storage code: the
+  3. Every SimResult data member is named, as `("name", r.name`, in
+     walkFields() in src/mem/simresult.cc, and every derived accessor
+     is written by SimResult::toJson(). toJson() and fromJson() both
+     run the walk, so a counter missing from it would stay out of the
+     machine-readable output and silently zero itself on every
+     result-store hit.
+  4. No naked new/delete outside the dedicated storage code: the
      simulator's hot-path storage is slab/sliding-queue based, and
      ad-hoc ownership has no place next to it.
-  6. Every CpiBucket enum entry has a cpiBucketName() label (which
+  5. Every CpiBucket enum entry has a cpiBucketName() label (which
      toJson() surfaces) and a row in the README's CPI-bucket table,
      and vice versa — a bucket nobody can read about or parse out of
      the JSON is dead observability.
-  7. Every data member of the machine-config structs (OooConfig,
+  6. Every data member of the machine-config structs (OooConfig,
      RefConfig, MemConfig, TlbConfig, LatencyTable) is serialized in
      the config-key region of src/harness/sweep.cc (or explicitly
      allowlisted as observe-only) — a knob missing from
      sweepConfigKey() would alias store entries of runs that set it.
-  8. Every OccStruct enum entry has an occStructName() label and a
+  7. Every OccStruct enum entry has an occStructName() label and a
      row in the README's occupancy-structure table, and vice versa;
-     and both telemetry renderers (simResultJson in simresult.cc,
-     the --stats dump in statsdump.cc) iterate via occStructName(),
-     so every registered occupancy distribution reaches both output
+     and both telemetry renderers (toJson() in simresult.cc, the
+     --stats dump in statsdump.cc) iterate via occStructName(), so
+     every registered occupancy distribution reaches both output
      surfaces — a structure nobody can read about, parse out of the
      JSON, or grep out of the stats dump is dead telemetry.
 
@@ -101,8 +98,8 @@ for name in sorted(goldens):
             "registered figure")
 
 # ---------------------------------------------------------------
-# Rules 3 + 4: every SimResult field surfaced by toJson(), every
-# stored field round-tripped by fromJson().
+# Rule 3: every SimResult data member named in walkFields(), every
+# derived accessor written by toJson().
 # ---------------------------------------------------------------
 
 # Member functions of SimResult that the accessor regex sees but
@@ -144,34 +141,32 @@ if len(fields) < 20:
         "parser is broken")
 
 renderer = (ROOT / "src/mem/simresult.cc").read_text()
-to_json_at = renderer.find("SimResult::toJson")
+walk = re.search(r"\nwalkFields\(.*?\n\}\n", renderer, re.S)
+if not walk:
+    err("walkFields() not found in src/mem/simresult.cc")
+walk_body = walk.group(0) if walk else ""
+# toJson() ends its record with derivedTail(), defined just above it.
+tail_at = renderer.find("\nderivedTail(")
 from_json_at = renderer.find("SimResult::fromJson")
-if to_json_at < 0 or from_json_at < 0 or from_json_at < to_json_at:
-    err("expected SimResult::toJson() followed by "
+if tail_at < 0 or from_json_at < tail_at or \
+        "SimResult::toJson" not in renderer[tail_at:from_json_at]:
+    err("expected derivedTail() and SimResult::toJson() before "
         "SimResult::fromJson() in src/mem/simresult.cc")
-    to_json_at = from_json_at = 0
-to_json_body = renderer[to_json_at:from_json_at]
-from_json_body = renderer[from_json_at:]
+to_json_body = renderer[tail_at:from_json_at] if tail_at >= 0 else ""
 
-
-def surfaces(body: str, field: str) -> bool:
-    # The key appears either as a plain argument ("cycles") or as an
-    # escaped JSON key inside a larger literal (\"program\").
-    return (f'"{field}"' in body or f'\\"{field}\\"' in body)
-
-
-for field in fields:
-    if not surfaces(to_json_body, field):
-        err(f"SimResult field '{field}' is not surfaced by "
-            "SimResult::toJson() in src/mem/simresult.cc")
 for field in stored_fields:
-    if not surfaces(from_json_body, field):
-        err(f"stored SimResult field '{field}' is not parsed back by "
-            "SimResult::fromJson() in src/mem/simresult.cc — a "
-            "result-store hit would silently drop it")
+    if not re.search(r'\(\s*"' + field + r'",\s*r\.' + field + r"\b",
+                     walk_body):
+        err(f"SimResult field '{field}' is not named in walkFields() "
+            "in src/mem/simresult.cc — toJson() would not write it "
+            "and a result-store hit would silently drop it")
+for field in derived_fields:
+    if f'\\"{field}\\"' not in to_json_body:
+        err(f"derived SimResult field '{field}' is not written by "
+            "SimResult::toJson() in src/mem/simresult.cc")
 
 # ---------------------------------------------------------------
-# Rule 5: no naked new/delete outside dedicated storage code.
+# Rule 4: no naked new/delete outside dedicated storage code.
 # ---------------------------------------------------------------
 
 NEW_RE = re.compile(r"\bnew\b\s+[A-Za-z_(]")
@@ -193,7 +188,7 @@ for sub in ("src", "bench", "examples"):
                     "slab, a container, or a smart pointer")
 
 # ---------------------------------------------------------------
-# Rule 6: CpiBucket enum <-> cpiBucketName() labels <-> README
+# Rule 5: CpiBucket enum <-> cpiBucketName() labels <-> README
 # bucket table, all three in sync, both directions.
 # ---------------------------------------------------------------
 
@@ -252,7 +247,7 @@ for label in readme_labels:
             "cpiBucketName() label")
 
 # ---------------------------------------------------------------
-# Rule 7: every machine-config data member is serialized in the
+# Rule 6: every machine-config data member is serialized in the
 # config-key region of src/harness/sweep.cc (or allowlisted).
 # ---------------------------------------------------------------
 
@@ -325,7 +320,7 @@ for struct, rel in CONFIG_STRUCTS:
                 "only in scripts/lint_oova.py)")
 
 # ---------------------------------------------------------------
-# Rule 8: OccStruct enum <-> occStructName() labels <-> README
+# Rule 7: OccStruct enum <-> occStructName() labels <-> README
 # occupancy table, all three in sync, both directions; and both
 # telemetry renderers must emit through occStructName().
 # ---------------------------------------------------------------

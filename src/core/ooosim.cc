@@ -2485,19 +2485,7 @@ OooMachine::run()
     res.instructions = committed_;
     res.fu1BusyCycles = fu1Rec_.busyCycles();
     res.fu2BusyCycles = fu2Rec_.busyCycles();
-    res.memBusyCycles = mem_->busy().busyCycles();
-    res.memRequests = mem_->stats().requests;
-    res.memBankConflicts = mem_->stats().bankConflicts;
-    res.memConflictCycles = mem_->stats().conflictCycles;
-    res.memIndexedConflicts = mem_->stats().indexedConflicts;
-    res.memIndexedConflictCycles = mem_->stats().indexedConflictCycles;
-    res.cacheHits = mem_->stats().cacheHits;
-    res.cacheMisses = mem_->stats().cacheMisses;
-    res.mshrStallCycles = mem_->stats().mshrStallCycles;
-    res.tlbHits = mem_->stats().tlbHits;
-    res.tlbMisses = mem_->stats().tlbMisses;
-    res.tlbIndexedMisses = mem_->stats().tlbIndexedMisses;
-    res.tlbMissCycles = mem_->stats().tlbMissCycles;
+    fillMemoryCounters(*mem_, res);
     res.vectorLoadsEliminated = vElims_;
     res.scalarLoadsEliminated = sElims_;
     res.branchMispredicts = mispredicts_;

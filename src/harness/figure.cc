@@ -11,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "harness/backend.hh"
 
@@ -50,35 +51,6 @@ renderFigureText(const FigureDef &fig, const FigureResult &result,
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += csprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 void
 jsonStringArray(std::ostringstream &os,
                 const std::vector<std::string> &items)
@@ -87,7 +59,7 @@ jsonStringArray(std::ostringstream &os,
     for (size_t i = 0; i < items.size(); ++i) {
         if (i)
             os << ",";
-        os << "\"" << jsonEscape(items[i]) << "\"";
+        os << jsonString(items[i]);
     }
     os << "]";
 }
@@ -106,8 +78,7 @@ jsonManifest(std::ostringstream &os, const RunManifest &manifest)
        << manifest.resultSchemaVersion << ",\n";
     os << "    \"scale\": " << manifest.scale << ",\n";
     os << "    \"threads\": " << manifest.threads << ",\n";
-    os << "    \"backend\": \"" << jsonEscape(manifest.backend)
-       << "\",\n";
+    os << "    \"backend\": " << jsonString(manifest.backend) << ",\n";
     os << csprintf("    \"wallMs\": %.3f,\n", manifest.wallMs);
     if (manifest.hasStore) {
         const StoreStats &s = manifest.store;
@@ -115,7 +86,6 @@ jsonManifest(std::ostringstream &os, const RunManifest &manifest)
                        "\"misses\": %llu, \"stores\": %llu, "
                        "\"bytesRead\": %llu, "
                        "\"bytesWritten\": %llu, "
-                       "\"evictions\": %llu, "
                        "\"quarantined\": %llu},\n",
                        static_cast<unsigned long long>(s.hits),
                        static_cast<unsigned long long>(s.misses),
@@ -123,7 +93,6 @@ jsonManifest(std::ostringstream &os, const RunManifest &manifest)
                        static_cast<unsigned long long>(s.bytesRead),
                        static_cast<unsigned long long>(
                            s.bytesWritten),
-                       static_cast<unsigned long long>(s.evictions),
                        static_cast<unsigned long long>(
                            s.quarantined));
     }
@@ -131,9 +100,9 @@ jsonManifest(std::ostringstream &os, const RunManifest &manifest)
     for (size_t i = 0; i < manifest.jobs.size(); ++i) {
         const JobRecord &job = manifest.jobs[i];
         os << (i ? ",\n      " : "\n      ");
-        os << "{\"program\": \"" << jsonEscape(job.program)
-           << "\", \"machine\": \"" << jsonEscape(job.machine)
-           << "\", " << csprintf("\"wallMs\": %.3f, ", job.wallMs)
+        os << "{\"program\": " << jsonString(job.program)
+           << ", \"machine\": " << jsonString(job.machine) << ", "
+           << csprintf("\"wallMs\": %.3f, ", job.wallMs)
            << "\"cached\": " << (job.cached ? "true" : "false")
            << "}";
     }
@@ -150,8 +119,8 @@ renderFigureJson(const FigureDef &fig, const FigureResult &result,
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"figure\": \"" << jsonEscape(fig.name) << "\",\n";
-    os << "  \"title\": \"" << jsonEscape(fig.title) << "\",\n";
+    os << "  \"figure\": " << jsonString(fig.name) << ",\n";
+    os << "  \"title\": " << jsonString(fig.title) << ",\n";
     os << "  \"scale\": " << scale << ",\n";
     os << "  \"threads\": " << threads << ",\n";
     if (manifest)
@@ -160,8 +129,8 @@ renderFigureJson(const FigureDef &fig, const FigureResult &result,
     for (size_t s = 0; s < result.sections.size(); ++s) {
         const auto &sec = result.sections[s];
         os << "    {\n";
-        os << "      \"heading\": \"" << jsonEscape(sec.heading)
-           << "\",\n";
+        os << "      \"heading\": " << jsonString(sec.heading)
+           << ",\n";
         os << "      \"headers\": ";
         jsonStringArray(os, sec.table.headers());
         os << ",\n";
@@ -262,24 +231,6 @@ parseCommonFlag(int argc, char **argv, int &i, FigureOptions &opts)
         }
         return 1;
     }
-    if ((r = takeValue(argc, argv, i, "--store-max-mb", &val)) != 0) {
-        if (r < 0)
-            return -1;
-        // The cap is applied as storeMaxMb << 20 bytes, so a value
-        // past UINT64_MAX >> 20 would wrap to a tiny cap. The bound
-        // also rejects out-of-range input, which strtoull saturates
-        // to ULLONG_MAX.
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(val, &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>(val[0])) ||
-            end == val || *end != '\0' || n == 0 ||
-            n > (UINT64_MAX >> 20)) {
-            std::fprintf(stderr, "bad --store-max-mb '%s'\n", val);
-            return -1;
-        }
-        opts.storeMaxMb = static_cast<uint64_t>(n);
-        return 1;
-    }
     if ((r = takeValue(argc, argv, i, "--store", &val)) != 0) {
         if (r < 0)
             return -1;
@@ -322,12 +273,6 @@ validateFigureOptions(const FigureOptions &opts)
                      "counters without a store)\n");
         return false;
     }
-    if (opts.storeMaxMb != 0 && opts.storeDir.empty()) {
-        std::fprintf(stderr,
-                     "--store-max-mb needs --store DIR (there is "
-                     "nothing to cap without a store)\n");
-        return false;
-    }
     if (opts.storeFsync && opts.storeDir.empty()) {
         std::fprintf(stderr,
                      "--store-fsync needs --store DIR (there is "
@@ -360,15 +305,14 @@ printStoreStats(const ResultStore &store)
                             static_cast<double>(lookups);
     std::fprintf(stderr,
                  "[store] dir=%s hits=%llu misses=%llu stores=%llu "
-                 "bytesRead=%llu bytesWritten=%llu evictions=%llu "
-                 "quarantined=%llu hitRate=%.1f%%\n",
+                 "bytesRead=%llu bytesWritten=%llu quarantined=%llu "
+                 "hitRate=%.1f%%\n",
                  store.dir().c_str(),
                  static_cast<unsigned long long>(s.hits),
                  static_cast<unsigned long long>(s.misses),
                  static_cast<unsigned long long>(s.stores),
                  static_cast<unsigned long long>(s.bytesRead),
                  static_cast<unsigned long long>(s.bytesWritten),
-                 static_cast<unsigned long long>(s.evictions),
                  static_cast<unsigned long long>(s.quarantined),
                  rate);
 }

@@ -76,15 +76,16 @@ struct RunManifest
      * Bump when the JSON envelope's shape changes. v2: added
      * resultSchemaVersion, the backend description, the optional
      * store-stats block, and the per-job "cached" flag. v3: the
-     * store block gained "evictions" (the --store-max-mb cap). v4:
+     * store block gained "evictions" (a store size cap). v4:
      * the store block gained "quarantined" and the envelope gained
      * a "faults" recovery-counter block. v5: the "faults" block is
      * gone with the forked worker backend whose recoveries it
      * counted. v6: a job's "cached" also marks a copy of an
      * identical job the engine already ran, so it no longer counts
-     * store hits (the store block does).
+     * store hits (the store block does). v7: the store block lost
+     * "evictions" with the size cap.
      */
-    static constexpr int kSchemaVersion = 6;
+    static constexpr int kSchemaVersion = 7;
     /** SimResult::kResultSchemaVersion in force when this ran. */
     int resultSchemaVersion = SimResult::kResultSchemaVersion;
     double scale = 1.0;   ///< effective OOVA_SCALE
@@ -118,12 +119,6 @@ struct FigureOptions
     std::string storeDir;
     /** Print the [store] hit/miss line to stderr (--store-stats). */
     bool storeStats = false;
-    /**
-     * Store size cap in MiB (--store-max-mb); on-disk payload past
-     * it evicts the oldest entries at store time. 0 = uncapped. At
-     * most UINT64_MAX >> 20, so the cap in bytes cannot overflow.
-     */
-    uint64_t storeMaxMb = 0;
     /** --stats FILE: gem5-style `name value` dump ("-" = stdout). */
     std::string statsPath;
     /** --perfetto FILE: Chrome trace-event JSON of the sweep. */
@@ -133,9 +128,9 @@ struct FigureOptions
 };
 
 /**
- * Cross-flag validation after parsing: rejects --store-stats,
- * --store-max-mb or --store-fsync without --store, each with an
- * explanatory message on stderr. Returns false on rejection.
+ * Cross-flag validation after parsing: rejects --store-stats or
+ * --store-fsync without --store, each with an explanatory message
+ * on stderr. Returns false on rejection.
  */
 bool validateFigureOptions(const FigureOptions &opts);
 
@@ -151,8 +146,8 @@ SweepEngine makeSweepEngine(const TraceCache &traces,
 /**
  * One machine-parseable summary line on stderr:
  * "[store] dir=... hits=... misses=... stores=... bytesRead=...
- *  bytesWritten=... hitRate=...%". Never stdout, so figure output
- * and goldens are unaffected.
+ *  bytesWritten=... quarantined=... hitRate=...%". Never stdout, so
+ *  figure output and goldens are unaffected.
  */
 void printStoreStats(const ResultStore &store);
 
@@ -172,9 +167,9 @@ constexpr unsigned kMaxSweepThreads = 4096;
 /**
  * Try to consume argv[i] (and its value, if any) as one of the
  * common flags --threads N / --json / --progress / --scale S /
- * --store DIR / --store-stats / --store-max-mb N / --store-fsync /
- * --stats FILE / --perfetto FILE (value-taking flags also accept
- * the --flag=value spelling). Returns 1 if consumed
+ * --store DIR / --store-stats / --store-fsync / --stats FILE /
+ * --perfetto FILE (value-taking flags also accept the --flag=value
+ * spelling). Returns 1 if consumed
  * (advancing @p i past any value), 0 if argv[i] is not a common
  * flag, -1 on a malformed value (after printing an error to stderr).
  * Cross-flag rules are validateFigureOptions()'s job, once parsing

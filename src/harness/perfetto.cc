@@ -3,45 +3,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace oova
 {
-
-namespace
-{
-
-/** Minimal JSON string escape (control chars, quote, backslash). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += csprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 SweepTraceLog::render() const
@@ -59,16 +25,16 @@ SweepTraceLog::render() const
         sep();
         os << csprintf("{\"ph\": \"M\", \"name\": \"thread_name\", "
                        "\"pid\": 1, \"tid\": %u, "
-                       "\"args\": {\"name\": \"%s\"}}",
-                       tid, escape(name).c_str());
+                       "\"args\": {\"name\": %s}}",
+                       tid, jsonString(name).c_str());
     }
     for (const TraceSpan &s : spans_) {
         sep();
-        os << csprintf("{\"ph\": \"X\", \"name\": \"%s\", "
-                       "\"cat\": \"%s\", \"pid\": 1, \"tid\": %u, "
+        os << csprintf("{\"ph\": \"X\", \"name\": %s, "
+                       "\"cat\": %s, \"pid\": 1, \"tid\": %u, "
                        "\"ts\": %llu, \"dur\": %llu",
-                       escape(s.name).c_str(),
-                       escape(s.category).c_str(), s.tid,
+                       jsonString(s.name).c_str(),
+                       jsonString(s.category).c_str(), s.tid,
                        static_cast<unsigned long long>(s.tsUs),
                        static_cast<unsigned long long>(s.durUs));
         if (!s.args.empty()) {
@@ -76,8 +42,8 @@ SweepTraceLog::render() const
             for (size_t i = 0; i < s.args.size(); ++i) {
                 if (i)
                     os << ", ";
-                os << "\"" << escape(s.args[i].first) << "\": \""
-                   << escape(s.args[i].second) << "\"";
+                os << jsonString(s.args[i].first) << ": "
+                   << jsonString(s.args[i].second);
             }
             os << "}";
         }

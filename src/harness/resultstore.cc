@@ -1,13 +1,9 @@
 #include "harness/resultstore.hh"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unordered_set>
-#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -26,18 +22,6 @@ fnv1a(const std::string &s, uint64_t hash)
     for (unsigned char c : s)
         hash = (hash ^ c) * 1099511628211ull;
     return hash;
-}
-
-/** A well-formed index key: exactly 32 lowercase hex digits. */
-bool
-validIndexKey(const std::string &key)
-{
-    if (key.size() != 32)
-        return false;
-    for (char c : key)
-        if (!std::isxdigit(static_cast<unsigned char>(c)))
-            return false;
-    return true;
 }
 
 /** Open + fsync + close; best-effort (durability, not correctness). */
@@ -60,31 +44,6 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir))
     if (ec || !std::filesystem::is_directory(dir_))
         fatal("cannot create result store directory '%s'",
               dir_.c_str());
-
-    // Repair a torn index tail (an appender that died mid-line):
-    // terminating the partial line keeps it from merging with the
-    // next append into one unparsable record. Replay additionally
-    // skips any line whose key is not 32 hex digits, so even an
-    // unrepaired tear only costs one ignorable line.
-    std::string idxPath = dir_ + "/index.log";
-    std::ifstream idx(idxPath, std::ios::binary | std::ios::ate);
-    if (idx) {
-        auto size = idx.tellg();
-        if (size > 0) {
-            idx.seekg(-1, std::ios::end);
-            char last = '\n';
-            idx.get(last);
-            idx.close();
-            if (last != '\n') {
-                warn("result store: repairing torn index tail in "
-                     "'%s'",
-                     idxPath.c_str());
-                std::ofstream fix(idxPath,
-                                  std::ios::app | std::ios::binary);
-                fix << '\n';
-            }
-        }
-    }
 }
 
 std::string
@@ -154,7 +113,8 @@ ResultStore::load(const std::string &key, SimResult &out)
     if (nl == std::string::npos ||
         body.substr(0, nl) != headerLine(key))
         return corrupt();
-    if (!SimResult::fromJson(body.substr(nl + 1), out))
+    if (!SimResult::fromJson(std::string_view(body).substr(nl + 1),
+                             out))
         return corrupt();
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -222,91 +182,9 @@ ResultStore::store(const std::string &key, const SimResult &res)
     if (fsync_)
         fsyncPath(dir_);
 
-    // Advisory provenance log; one formatted line per append so
-    // interleaved writers stay line-atomic in practice.
-    {
-        std::ofstream idx(dir_ + "/index.log",
-                          std::ios::app | std::ios::binary);
-        idx << csprintf("%s %s %s\n", key.c_str(), res.program.c_str(),
-                        res.machine.c_str());
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.stores;
-        stats_.bytesWritten += body.size();
-    }
-    if (maxBytes_ != 0)
-        enforceCap();
-}
-
-void
-ResultStore::setMaxBytes(uint64_t bytes)
-{
-    maxBytes_ = bytes;
-}
-
-void
-ResultStore::enforceCap()
-{
-    // index.log is append-only, so its line order is the entries'
-    // age order. A key can appear more than once — concurrent
-    // writers of one key all win, and an evicted key may be
-    // re-stored later — so a key's age is its *last* occurrence: a
-    // rewrite makes the entry fresh again.
-    std::vector<std::string> keys;
-    std::unordered_set<std::string> seen;
-    {
-        std::vector<std::string> raw;
-        std::ifstream idx(dir_ + "/index.log", std::ios::binary);
-        std::string line;
-        while (std::getline(idx, line)) {
-            size_t sp = line.find(' ');
-            std::string key =
-                sp == std::string::npos ? line : line.substr(0, sp);
-            // A torn append (no trailing newline before the next
-            // writer's line, or a half-written key) yields a
-            // malformed key; skipping it degrades gracefully —
-            // worst case one entry ages as if never refreshed.
-            if (validIndexKey(key))
-                raw.push_back(std::move(key));
-        }
-        for (size_t i = raw.size(); i-- > 0;)
-            if (seen.insert(raw[i]).second)
-                keys.push_back(std::move(raw[i]));
-        std::reverse(keys.begin(), keys.end());
-    }
-
-    uint64_t total = 0;
-    std::vector<uint64_t> sizes(keys.size(), 0);
-    std::error_code ec;
-    for (size_t i = 0; i < keys.size(); ++i) {
-        // Already-evicted (or foreign-process-evicted) entries leave
-        // stale index lines behind; a missing file simply costs 0.
-        uint64_t sz = std::filesystem::file_size(entryPath(keys[i]),
-                                                 ec);
-        if (ec) {
-            ec.clear();
-            continue;
-        }
-        sizes[i] = sz;
-        total += sz;
-    }
-
-    uint64_t evicted = 0;
-    for (size_t i = 0; i < keys.size() && total > maxBytes_; ++i) {
-        if (sizes[i] == 0)
-            continue;
-        // Unlink is atomic: a reader mid-race gets a clean miss. A
-        // concurrent evictor may have won; only count our removal.
-        if (std::remove(entryPath(keys[i]).c_str()) == 0)
-            ++evicted;
-        total -= sizes[i];
-    }
-    if (evicted != 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stats_.evictions += evicted;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.stores;
+    stats_.bytesWritten += body.size();
 }
 
 StoreStats

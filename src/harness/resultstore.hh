@@ -8,7 +8,6 @@
  * Layout: one file per key under the store directory —
  *
  *   <dir>/<32-hex-key>.json   one header line + SimResult::toJson()
- *   <dir>/index.log           append-only "key program machine" log
  *
  * Keys are derived by makeKey() from (trace content hash, the job's
  * complete config key, scale, SimResult::kResultSchemaVersion), so
@@ -18,9 +17,9 @@
  * never expose a torn entry; readers quarantine anything unparsable
  * — truncated files, foreign schema versions, stray garbage — to
  * <key>.bad and re-simulate, so one bad sector costs one miss, not
- * a perpetual one. index.log replay tolerates a torn tail line
- * (crashed appender), and setFsync() buys full crash durability for
- * the entries themselves.
+ * a perpetual one. setFsync() buys full crash durability. Each
+ * entry's JSON names its program and machine, so the directory needs
+ * no index.
  */
 
 #ifndef OOVA_HARNESS_RESULTSTORE_HH
@@ -43,8 +42,6 @@ struct StoreStats
     uint64_t stores = 0;
     uint64_t bytesRead = 0;
     uint64_t bytesWritten = 0;
-    /** Entries unlinked by the size cap (setMaxBytes). */
-    uint64_t evictions = 0;
     /** Corrupt entries renamed to <key>.bad on first detection. */
     uint64_t quarantined = 0;
 };
@@ -56,7 +53,6 @@ operator-(const StoreStats &a, const StoreStats &b)
     return {a.hits - b.hits,           a.misses - b.misses,
             a.stores - b.stores,       a.bytesRead - b.bytesRead,
             a.bytesWritten - b.bytesWritten,
-            a.evictions - b.evictions,
             a.quarantined - b.quarantined};
 }
 
@@ -96,9 +92,9 @@ class ResultStore
     bool load(const std::string &key, SimResult &out);
 
     /**
-     * Persist @p res under @p key (temp file + atomic rename) and
-     * append to the index. Failures warn and leave the store
-     * consistent — the farm can always fall back to simulating.
+     * Persist @p res under @p key (temp file + atomic rename).
+     * Failures warn and leave the store consistent — the farm can
+     * always fall back to simulating.
      * Thread-safe; concurrent writers of one key all win (the entry
      * is a pure function of the key, so every version is identical).
      */
@@ -108,21 +104,6 @@ class ResultStore
     StoreStats stats() const;
 
     const std::string &dir() const { return dir_; }
-
-    /**
-     * Cap the store's on-disk entry payload at @p bytes (0 =
-     * uncapped, the default). Enforced after every store(): while
-     * the entries' total size exceeds the cap, the oldest entries in
-     * index.log order are unlinked, oldest first. A key's age is its
-     * *last* index line, so rewriting (or re-storing an evicted)
-     * entry makes it fresh again, and the entry just written is the
-     * newest — it is evicted only when it exceeds the cap all by
-     * itself. Unlinking is atomic and index
-     * lines are never rewritten, so concurrent readers see an
-     * evicted entry as a clean miss and stale index lines are
-     * skipped; concurrent writers at worst both evict (idempotent).
-     */
-    void setMaxBytes(uint64_t bytes);
 
     /**
      * fsync every entry to stable storage before publishing it
@@ -138,14 +119,11 @@ class ResultStore
     std::string headerLine(const std::string &key) const;
     /** Rename a corrupt entry to <key>.bad; count if we won. */
     void quarantine(const std::string &key);
-    /** Apply the size cap; called after each successful store(). */
-    void enforceCap();
 
     std::string dir_;
     mutable std::mutex mutex_;
     StoreStats stats_;
     uint64_t tmpSeq_ = 0;
-    uint64_t maxBytes_ = 0;
     bool fsync_ = false;
 };
 

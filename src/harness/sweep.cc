@@ -1,6 +1,7 @@
 #include "harness/sweep.hh"
 
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "core/ideal.hh"
 #include "core/ooosim.hh"
 #include "harness/backend.hh"
@@ -20,6 +21,8 @@ namespace
 // knob can never silently alias store entries of runs that set it.
 // Deliberately excluded (observe-only, results unaffected):
 // checkLevel, pipeTracer (tracing jobs are made uncacheable instead).
+// Telemetry is keyed as the simulators apply it, OOVA_TELEMETRY
+// included, so a sampled result never serves an unsampled run.
 
 std::string
 latKey(const LatencyTable &lat)
@@ -69,7 +72,7 @@ sweepConfigKey(const RefConfig &cfg)
                     static_cast<int>(cfg.chainLoadsToFus),
                     cfg.takenBranchPenalty,
                     static_cast<int>(cfg.cpiStack),
-                    static_cast<int>(cfg.telemetry),
+                    static_cast<int>(cfg.telemetry || telemetryForced()),
                     memKey(cfg.mem).c_str());
     // END config-key fields
 }
@@ -87,7 +90,8 @@ sweepConfigKey(const OooConfig &cfg)
         static_cast<int>(cfg.loadElim),
         static_cast<int>(cfg.chainLoadsToFus), cfg.trapPenalty,
         static_cast<int>(cfg.cpiStack),
-        static_cast<int>(cfg.telemetry), memKey(cfg.mem).c_str());
+        static_cast<int>(cfg.telemetry || telemetryForced()),
+        memKey(cfg.mem).c_str());
     // END config-key fields
 }
 

@@ -49,6 +49,8 @@
 namespace oova
 {
 
+struct SimResult;
+
 /** Which concrete memory model to instantiate. */
 enum class MemModel : uint8_t
 {
@@ -327,6 +329,12 @@ class MemorySystem
  */
 std::unique_ptr<MemorySystem> makeMemorySystem(const MemConfig &cfg,
                                                unsigned mem_latency);
+
+/**
+ * Copy @p mem's bus-busy cycles and MemStats counters into their
+ * SimResult fields: the one mapping both simulators report through.
+ */
+void fillMemoryCounters(const MemorySystem &mem, SimResult &res);
 
 } // namespace oova
 

@@ -1,9 +1,10 @@
 #include "mem/simresult.hh"
 
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <string_view>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace oova
@@ -64,92 +65,338 @@ cpiBucketName(CpiBucket bucket)
 namespace
 {
 
-std::string
-jsonString(const std::string &s)
+template <size_t N, typename NameFn>
+std::array<std::string, N>
+labelTable(NameFn name)
 {
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            out += csprintf("\\u%04x", c);
-        else
-            out += c;
+    std::array<std::string, N> table;
+    for (size_t i = 0; i < N; ++i) {
+        table[i] = name(i);
+        sim_assert(jsonString(table[i]).size() == table[i].size() + 2,
+                   "label '%s' needs escaping", table[i].c_str());
     }
-    out += '"';
-    return out;
+    return table;
 }
 
 /**
- * Flat field surface of one StatDistribution / StatTimeSeries for
- * the keyed-object JSON encoding: exact integers only, one stable
- * label per slot, parsed back through parseKeyedU64.
+ * The labels of the keyed rows, built once. Both directions use them
+ * verbatim between quotes, so none may need escaping.
  */
-constexpr unsigned kDistFields = 6 + StatDistribution::kNumBuckets;
-constexpr unsigned kTsFields = 2 + StatTimeSeries::kMaxEpochs;
+struct FieldLabels
+{
+    std::array<std::string, UnitStateBreakdown::kNumStates> states =
+        labelTable<UnitStateBreakdown::kNumStates>([](size_t i) {
+            return UnitStateBreakdown::stateName(static_cast<int>(i));
+        });
+    std::array<std::string, kNumStallCauses> stallCauses =
+        labelTable<kNumStallCauses>([](size_t i) {
+            return stallCauseName(static_cast<StallCause>(i));
+        });
+    std::array<std::string, kNumCpiBuckets> cpiBuckets =
+        labelTable<kNumCpiBuckets>([](size_t i) {
+            return cpiBucketName(static_cast<CpiBucket>(i));
+        });
+    std::array<std::string, kNumOccStructs> occStructs =
+        labelTable<kNumOccStructs>([](size_t i) {
+            return occStructName(static_cast<OccStruct>(i));
+        });
+    std::array<std::string, StatDistribution::kNumBuckets> buckets =
+        labelTable<StatDistribution::kNumBuckets>(
+            [](size_t i) { return csprintf("b%zu", i); });
+    std::array<std::string, StatTimeSeries::kMaxEpochs> epochs =
+        labelTable<StatTimeSeries::kMaxEpochs>(
+            [](size_t i) { return csprintf("e%zu", i); });
+};
 
+const FieldLabels &
+fieldLabels()
+{
+    static const FieldLabels labels;
+    return labels;
+}
+
+/** Appends the record text. */
+class JsonOut
+{
+  public:
+    void lit(std::string_view s) { out_ += s; }
+
+    void
+    num(uint64_t v)
+    {
+        char buf[24];
+        out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    }
+
+    void text(const std::string &s) { out_ += jsonString(s); }
+
+    std::string
+    take()
+    {
+        return std::move(out_);
+    }
+
+  private:
+    std::string out_;
+};
+
+/**
+ * Expects the record text byte for byte and parses the values in it.
+ * The first mismatch clears ok_ and turns every later call into a
+ * no-op, so a caller checks once, at the end.
+ */
+class JsonIn
+{
+  public:
+    explicit JsonIn(std::string_view s)
+        : p_(s.data()), end_(s.data() + s.size())
+    {
+    }
+
+    /** Every expectation met and nothing left over. */
+    bool done() const { return ok_ && p_ == end_; }
+
+    void
+    lit(std::string_view s)
+    {
+        ok_ = ok_ && std::string_view(p_, end_ - p_).starts_with(s);
+        if (ok_)
+            p_ += s.size();
+    }
+
+    void
+    num(uint64_t &v)
+    {
+        if (!ok_)
+            return;
+        auto [next, ec] = std::from_chars(p_, end_, v);
+        ok_ = ec == std::errc();
+        p_ = next;
+    }
+
+    /** A quoted string, undoing jsonString()'s escapes. */
+    void
+    text(std::string &s)
+    {
+        lit("\"");
+        s.clear();
+        while (ok_ && p_ < end_ && *p_ != '"') {
+            char c = *p_++;
+            s += c == '\\' ? unescape() : c;
+        }
+        lit("\"");
+    }
+
+  private:
+    char
+    unescape()
+    {
+        char e = p_ < end_ ? *p_++ : '\0';
+        switch (e) {
+        case '"':
+        case '\\':
+        case '/':
+            return e;
+        case 'n':
+            return '\n';
+        case 't':
+            return '\t';
+        case 'u': {
+            // The writer only escapes bytes below 0x20 this way.
+            unsigned v = 0;
+            auto [next, ec] = std::from_chars(
+                p_, std::min(p_ + 4, end_), v, 16);
+            ok_ = ok_ && ec == std::errc() && next == p_ + 4 &&
+                  v <= 0xff;
+            p_ = next;
+            return static_cast<char>(v);
+        }
+        default:
+            ok_ = false;
+            return '\0';
+        }
+    }
+
+    const char *p_;
+    const char *end_;
+    bool ok_ = true;
+};
+
+/**
+ * The record layout, written once for both directions: Io is JsonOut
+ * (write the text) or JsonIn (expect the same text and parse its
+ * values). The reader therefore finds each key exactly where the
+ * writer puts it, and a missing, repeated, reordered or unknown key
+ * fails.
+ */
+template <typename Io>
+class Layout : public Io
+{
+  public:
+    using Io::Io;
+
+    /** `,\n  "key": "s"` */
+    template <typename S>
+    void
+    str(std::string_view key, S &s)
+    {
+        field(key);
+        this->text(s);
+    }
+
+    /** `,\n  "key": n` */
+    template <typename U>
+    void
+    u64(std::string_view key, U &v)
+    {
+        field(key);
+        this->num(v);
+    }
+
+    /** `,\n  "key": {"label": n, ...}`, one item per label. */
+    template <typename A, typename L>
+    void
+    row(std::string_view key, A &vals, const L &labels)
+    {
+        field(key);
+        this->lit("{");
+        first_ = true;
+        items(vals, labels);
+        this->lit("}");
+    }
+
+    /**
+     * `,\n  "key": {\n    "rob": {...},\n    "aqueue": {...}}`: one
+     * record per occupancy structure, whose items @p fn visits.
+     */
+    template <typename A, typename Fn>
+    void
+    perStruct(std::string_view key, A &records, Fn fn)
+    {
+        field(key);
+        this->lit("{");
+        for (size_t s = 0; s < records.size(); ++s) {
+            this->lit(s ? ",\n    \"" : "\n    \"");
+            this->lit(fieldLabels().occStructs[s]);
+            this->lit("\": {");
+            first_ = true;
+            fn(records[s]);
+            this->lit("}");
+        }
+        this->lit("}");
+    }
+
+    /** `"label": n` inside a row or record, comma-separated. */
+    template <typename U>
+    void
+    item(std::string_view label, U &v)
+    {
+        this->lit(first_ ? "\"" : ", \"");
+        first_ = false;
+        this->lit(label);
+        this->lit("\": ");
+        this->num(v);
+    }
+
+    template <typename A, typename L>
+    void
+    items(A &vals, const L &labels)
+    {
+        for (size_t i = 0; i < vals.size(); ++i)
+            item(labels[i], vals[i]);
+    }
+
+  private:
+    void
+    field(std::string_view key)
+    {
+        this->lit(",\n  \"");
+        this->lit(key);
+        this->lit("\": ");
+    }
+
+    bool first_ = true;
+};
+
+/**
+ * Every stored SimResult field, named once, in record order. toJson()
+ * runs it with a writer and fromJson() with a reader.
+ */
+template <typename Result, typename Visitor>
+void
+walkFields(Result &r, Visitor &v)
+{
+    const FieldLabels &l = fieldLabels();
+    v.str("program", r.program);
+    v.str("machine", r.machine);
+    v.u64("cycles", r.cycles);
+    v.u64("instructions", r.instructions);
+    v.row("stateCycles", r.stateCycles, l.states);
+    v.u64("fu1BusyCycles", r.fu1BusyCycles);
+    v.u64("fu2BusyCycles", r.fu2BusyCycles);
+    v.u64("memBusyCycles", r.memBusyCycles);
+    v.u64("memRequests", r.memRequests);
+    v.u64("memBankConflicts", r.memBankConflicts);
+    v.u64("memConflictCycles", r.memConflictCycles);
+    v.u64("memIndexedConflicts", r.memIndexedConflicts);
+    v.u64("memIndexedConflictCycles", r.memIndexedConflictCycles);
+    v.u64("cacheHits", r.cacheHits);
+    v.u64("cacheMisses", r.cacheMisses);
+    v.u64("mshrStallCycles", r.mshrStallCycles);
+    v.u64("tlbHits", r.tlbHits);
+    v.u64("tlbMisses", r.tlbMisses);
+    v.u64("tlbIndexedMisses", r.tlbIndexedMisses);
+    v.u64("tlbMissCycles", r.tlbMissCycles);
+    v.u64("vectorLoadsEliminated", r.vectorLoadsEliminated);
+    v.u64("scalarLoadsEliminated", r.scalarLoadsEliminated);
+    v.u64("branchMispredicts", r.branchMispredicts);
+    v.u64("renameStallCycles", r.renameStallCycles);
+    v.u64("robStallCycles", r.robStallCycles);
+    v.u64("queueStallCycles", r.queueStallCycles);
+    v.u64("traps", r.traps);
+    v.row("stallCycles", r.stallCycles, l.stallCauses);
+    v.row("cpiCycles", r.cpiCycles, l.cpiBuckets);
+    v.perStruct("occupancy", r.occupancy, [&](auto &d) {
+        v.item("width", d.width);
+        v.item("samples", d.samples);
+        v.item("sum", d.sum);
+        v.item("sumsq", d.sumSquares);
+        v.item("min", d.minValue);
+        v.item("max", d.maxValue);
+        v.items(d.buckets, l.buckets);
+    });
+    v.perStruct("occupancyTs", r.occupancyTs, [&](auto &t) {
+        v.item("epoch", t.epochLen);
+        v.item("total", t.total);
+        v.items(t.sums, l.epochs);
+    });
+}
+
+/** The line every record opens with. */
+const std::string &
+header()
+{
+    static const std::string line =
+        csprintf("{\n  \"resultSchemaVersion\": %d",
+                 SimResult::kResultSchemaVersion);
+    return line;
+}
+
+/**
+ * What toJson() writes after the stored fields: the derived
+ * accessors, so consumers need not re-implement them.
+ */
 std::string
-distFieldName(unsigned i)
+derivedTail(const SimResult &r)
 {
-    static const char *kScalars[6] = {"width", "samples", "sum",
-                                      "sumsq", "min",     "max"};
-    if (i < 6)
-        return kScalars[i];
-    return csprintf("b%u", i - 6);
-}
-
-void
-distToVals(const StatDistribution &d, uint64_t *v)
-{
-    v[0] = d.width;
-    v[1] = d.samples;
-    v[2] = d.sum;
-    v[3] = d.sumSquares;
-    v[4] = d.minValue;
-    v[5] = d.maxValue;
-    for (size_t b = 0; b < StatDistribution::kNumBuckets; ++b)
-        v[6 + b] = d.buckets[b];
-}
-
-void
-distFromVals(StatDistribution &d, const uint64_t *v)
-{
-    d.width = v[0];
-    d.samples = v[1];
-    d.sum = v[2];
-    d.sumSquares = v[3];
-    d.minValue = v[4];
-    d.maxValue = v[5];
-    for (size_t b = 0; b < StatDistribution::kNumBuckets; ++b)
-        d.buckets[b] = v[6 + b];
-}
-
-std::string
-tsFieldName(unsigned i)
-{
-    if (i == 0)
-        return "epoch";
-    if (i == 1)
-        return "total";
-    return csprintf("e%u", i - 2);
-}
-
-void
-tsToVals(const StatTimeSeries &t, uint64_t *v)
-{
-    v[0] = t.epochLen;
-    v[1] = t.total;
-    for (size_t e = 0; e < StatTimeSeries::kMaxEpochs; ++e)
-        v[2 + e] = t.sums[e];
-}
-
-void
-tsFromVals(StatTimeSeries &t, const uint64_t *v)
-{
-    t.epochLen = v[0];
-    t.total = v[1];
-    for (size_t e = 0; e < StatTimeSeries::kMaxEpochs; ++e)
-        t.sums[e] = v[2 + e];
+    return csprintf(
+        ",\n  \"portIdleFraction\": %.6f"
+        ",\n  \"memStridedConflicts\": %llu"
+        ",\n  \"stridedTlbMisses\": %llu"
+        ",\n  \"ipc\": %.6f\n}\n",
+        r.portIdleFraction(),
+        static_cast<unsigned long long>(r.memStridedConflicts()),
+        static_cast<unsigned long long>(r.stridedTlbMisses()), r.ipc());
 }
 
 } // namespace
@@ -157,475 +404,24 @@ tsFromVals(StatTimeSeries &t, const uint64_t *v)
 std::string
 SimResult::toJson() const
 {
-    std::ostringstream os;
-    auto u64 = [&](const char *name, uint64_t v) {
-        os << "  \"" << name << "\": " << v << ",\n";
-    };
-    os << "{\n";
-    os << "  \"resultSchemaVersion\": " << kResultSchemaVersion
-       << ",\n";
-    os << "  \"program\": " << jsonString(program) << ",\n";
-    os << "  \"machine\": " << jsonString(machine) << ",\n";
-    u64("cycles", cycles);
-    u64("instructions", instructions);
-    os << "  \"stateCycles\": {";
-    for (int s = 0; s < UnitStateBreakdown::kNumStates; ++s) {
-        if (s)
-            os << ", ";
-        os << jsonString(UnitStateBreakdown::stateName(s)) << ": "
-           << stateCycles[static_cast<size_t>(s)];
-    }
-    os << "},\n";
-    u64("fu1BusyCycles", fu1BusyCycles);
-    u64("fu2BusyCycles", fu2BusyCycles);
-    u64("memBusyCycles", memBusyCycles);
-    u64("memRequests", memRequests);
-    u64("memBankConflicts", memBankConflicts);
-    u64("memConflictCycles", memConflictCycles);
-    u64("memIndexedConflicts", memIndexedConflicts);
-    u64("memIndexedConflictCycles", memIndexedConflictCycles);
-    u64("cacheHits", cacheHits);
-    u64("cacheMisses", cacheMisses);
-    u64("mshrStallCycles", mshrStallCycles);
-    u64("tlbHits", tlbHits);
-    u64("tlbMisses", tlbMisses);
-    u64("tlbIndexedMisses", tlbIndexedMisses);
-    u64("tlbMissCycles", tlbMissCycles);
-    u64("vectorLoadsEliminated", vectorLoadsEliminated);
-    u64("scalarLoadsEliminated", scalarLoadsEliminated);
-    u64("branchMispredicts", branchMispredicts);
-    u64("renameStallCycles", renameStallCycles);
-    u64("robStallCycles", robStallCycles);
-    u64("queueStallCycles", queueStallCycles);
-    u64("traps", traps);
-    os << "  \"stallCycles\": {";
-    for (unsigned c = 0; c < kNumStallCauses; ++c) {
-        if (c)
-            os << ", ";
-        os << jsonString(stallCauseName(static_cast<StallCause>(c)))
-           << ": " << stallCycles[c];
-    }
-    os << "},\n";
-    os << "  \"cpiCycles\": {";
-    for (unsigned b = 0; b < kNumCpiBuckets; ++b) {
-        if (b)
-            os << ", ";
-        os << jsonString(cpiBucketName(static_cast<CpiBucket>(b)))
-           << ": " << cpiCycles[b];
-    }
-    os << "},\n";
-    os << "  \"occupancy\": {";
-    for (size_t s = 0; s < kNumOccStructs; ++s) {
-        uint64_t vals[kDistFields];
-        distToVals(occupancy[s], vals);
-        if (s)
-            os << ",";
-        os << "\n    "
-           << jsonString(occStructName(static_cast<OccStruct>(s)))
-           << ": {";
-        for (unsigned i = 0; i < kDistFields; ++i) {
-            if (i)
-                os << ", ";
-            os << jsonString(distFieldName(i)) << ": " << vals[i];
-        }
-        os << "}";
-    }
-    os << "},\n";
-    os << "  \"occupancyTs\": {";
-    for (size_t s = 0; s < kNumOccStructs; ++s) {
-        uint64_t vals[kTsFields];
-        tsToVals(occupancyTs[s], vals);
-        if (s)
-            os << ",";
-        os << "\n    "
-           << jsonString(occStructName(static_cast<OccStruct>(s)))
-           << ": {";
-        for (unsigned i = 0; i < kTsFields; ++i) {
-            if (i)
-                os << ", ";
-            os << jsonString(tsFieldName(i)) << ": " << vals[i];
-        }
-        os << "}";
-    }
-    os << "},\n";
-    // Derived accessors, so consumers need not re-implement them.
-    os << csprintf("  \"portIdleFraction\": %.6f,\n",
-                   portIdleFraction());
-    u64("memStridedConflicts", memStridedConflicts());
-    u64("stridedTlbMisses", stridedTlbMisses());
-    os << csprintf("  \"ipc\": %.6f\n", ipc());
-    os << "}\n";
-    return os.str();
+    Layout<JsonOut> out;
+    out.lit(header());
+    walkFields(*this, out);
+    out.lit(derivedTail(*this));
+    return out.take();
 }
 
-namespace
-{
-
-/**
- * Minimal strict cursor over the JSON subset toJson() emits:
- * objects, strings, and numbers. Anything else is a parse failure —
- * the caller treats that as a corrupt or stale record.
- */
-class JsonCursor
-{
-  public:
-    explicit JsonCursor(const std::string &s)
-        : p_(s.data()), end_(s.data() + s.size())
-    {
-    }
-
-    /** Consume @p c (after whitespace); false if absent. */
-    bool
-    lit(char c)
-    {
-        ws();
-        if (p_ < end_ && *p_ == c) {
-            ++p_;
-            return true;
-        }
-        return false;
-    }
-
-    /** Whether @p c is next (after whitespace), without consuming. */
-    bool
-    peek(char c)
-    {
-        ws();
-        return p_ < end_ && *p_ == c;
-    }
-
-    /** Parse a quoted string, undoing jsonString()'s escapes. */
-    bool
-    str(std::string &out)
-    {
-        if (!lit('"'))
-            return false;
-        out.clear();
-        while (p_ < end_ && *p_ != '"') {
-            char c = *p_++;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (p_ >= end_)
-                return false;
-            char e = *p_++;
-            switch (e) {
-            case '"':
-            case '\\':
-            case '/':
-                out += e;
-                break;
-            case 'n':
-                out += '\n';
-                break;
-            case 't':
-                out += '\t';
-                break;
-            case 'u': {
-                if (end_ - p_ < 4)
-                    return false;
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = *p_++;
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                // The writer only escapes bytes below 0x20.
-                if (v > 0xff)
-                    return false;
-                out += static_cast<char>(v);
-                break;
-            }
-            default:
-                return false;
-            }
-        }
-        return lit('"');
-    }
-
-    /** Parse an unsigned decimal integer. */
-    bool
-    u64(uint64_t &v)
-    {
-        ws();
-        if (p_ >= end_ || *p_ < '0' || *p_ > '9')
-            return false;
-        char *end = nullptr;
-        errno = 0;
-        v = std::strtoull(p_, &end, 10);
-        if (end == p_ || errno == ERANGE)
-            return false;
-        p_ = end;
-        return true;
-    }
-
-    /** Validate-and-skip a number (derived double-valued keys). */
-    bool
-    skipNumber()
-    {
-        ws();
-        char *end = nullptr;
-        double v = std::strtod(p_, &end);
-        (void)v;
-        if (end == p_)
-            return false;
-        p_ = end;
-        return true;
-    }
-
-    /** True once only trailing whitespace remains. */
-    bool
-    atEnd()
-    {
-        ws();
-        return p_ == end_;
-    }
-
-  private:
-    void
-    ws()
-    {
-        while (p_ < end_ && (*p_ == ' ' || *p_ == '\n' ||
-                             *p_ == '\t' || *p_ == '\r'))
-            ++p_;
-    }
-
-    const char *p_;
-    const char *end_;
-};
-
-/**
- * Parse one "{name: count, ...}" breakdown keyed by human-readable
- * labels, requiring every label exactly once.
- */
-template <typename NameFn>
 bool
-parseKeyedU64(JsonCursor &p, uint64_t *vals, unsigned n, NameFn name)
-{
-    if (!p.lit('{'))
-        return false;
-    unsigned seen = 0;
-    bool first = true;
-    while (!p.peek('}')) {
-        if (!first && !p.lit(','))
-            return false;
-        first = false;
-        std::string key;
-        uint64_t v = 0;
-        if (!p.str(key) || !p.lit(':') || !p.u64(v))
-            return false;
-        bool matched = false;
-        for (unsigned i = 0; i < n; ++i) {
-            if (key == name(i)) {
-                vals[i] = v;
-                matched = true;
-                break;
-            }
-        }
-        if (!matched)
-            return false;
-        ++seen;
-    }
-    return p.lit('}') && seen == n;
-}
-
-/**
- * Parse one "{structName: {field: count, ...}, ...}" telemetry
- * object: every OccStruct label exactly once, each value a flat
- * keyed record of @p n_fields slots handed to @p apply.
- */
-template <typename NameFn, typename ApplyFn>
-bool
-parseOccupancyKeyed(JsonCursor &p, unsigned n_fields, NameFn name,
-                    ApplyFn apply)
-{
-    if (!p.lit('{'))
-        return false;
-    bool got[kNumOccStructs] = {};
-    bool first = true;
-    while (!p.peek('}')) {
-        if (!first && !p.lit(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!p.str(key) || !p.lit(':'))
-            return false;
-        size_t idx = kNumOccStructs;
-        for (size_t i = 0; i < kNumOccStructs; ++i) {
-            if (key == occStructName(static_cast<OccStruct>(i))) {
-                idx = i;
-                break;
-            }
-        }
-        if (idx == kNumOccStructs || got[idx])
-            return false;
-        got[idx] = true;
-        std::array<uint64_t, kDistFields + kTsFields> vals{};
-        if (!parseKeyedU64(p, vals.data(), n_fields, name))
-            return false;
-        apply(idx, vals.data());
-    }
-    if (!p.lit('}'))
-        return false;
-    for (size_t i = 0; i < kNumOccStructs; ++i)
-        if (!got[i])
-            return false;
-    return true;
-}
-
-} // namespace
-
-bool
-SimResult::fromJson(const std::string &json, SimResult &out)
+SimResult::fromJson(std::string_view json, SimResult &out)
 {
     SimResult r;
-    JsonCursor p(json);
-    if (!p.lit('{'))
-        return false;
-
-    // Every stored (non-derived) field must appear exactly once;
-    // kRequired is the count of ++required sites below.
-    constexpr unsigned kRequired = 31;
-    unsigned required = 0;
-    bool sawVersion = false;
-    bool first = true;
-
-    auto field = [&](uint64_t &dst, JsonCursor &c) {
-        uint64_t v = 0;
-        if (!c.u64(v))
-            return false;
-        dst = v;
-        ++required;
-        return true;
-    };
-
-    while (!p.peek('}')) {
-        if (!first && !p.lit(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!p.str(key) || !p.lit(':'))
-            return false;
-        bool ok = true;
-        if (key == "resultSchemaVersion") {
-            uint64_t v = 0;
-            ok = p.u64(v) && v == kResultSchemaVersion;
-            sawVersion = ok;
-        } else if (key == "program") {
-            ok = p.str(r.program);
-            ++required;
-        } else if (key == "machine") {
-            ok = p.str(r.machine);
-            ++required;
-        } else if (key == "cycles") {
-            ok = field(r.cycles, p);
-        } else if (key == "instructions") {
-            ok = field(r.instructions, p);
-        } else if (key == "stateCycles") {
-            ok = parseKeyedU64(p, r.stateCycles.data(),
-                               UnitStateBreakdown::kNumStates,
-                               [](unsigned i) {
-                                   return UnitStateBreakdown::
-                                       stateName(static_cast<int>(i));
-                               });
-            ++required;
-        } else if (key == "fu1BusyCycles") {
-            ok = field(r.fu1BusyCycles, p);
-        } else if (key == "fu2BusyCycles") {
-            ok = field(r.fu2BusyCycles, p);
-        } else if (key == "memBusyCycles") {
-            ok = field(r.memBusyCycles, p);
-        } else if (key == "memRequests") {
-            ok = field(r.memRequests, p);
-        } else if (key == "memBankConflicts") {
-            ok = field(r.memBankConflicts, p);
-        } else if (key == "memConflictCycles") {
-            ok = field(r.memConflictCycles, p);
-        } else if (key == "memIndexedConflicts") {
-            ok = field(r.memIndexedConflicts, p);
-        } else if (key == "memIndexedConflictCycles") {
-            ok = field(r.memIndexedConflictCycles, p);
-        } else if (key == "cacheHits") {
-            ok = field(r.cacheHits, p);
-        } else if (key == "cacheMisses") {
-            ok = field(r.cacheMisses, p);
-        } else if (key == "mshrStallCycles") {
-            ok = field(r.mshrStallCycles, p);
-        } else if (key == "tlbHits") {
-            ok = field(r.tlbHits, p);
-        } else if (key == "tlbMisses") {
-            ok = field(r.tlbMisses, p);
-        } else if (key == "tlbIndexedMisses") {
-            ok = field(r.tlbIndexedMisses, p);
-        } else if (key == "tlbMissCycles") {
-            ok = field(r.tlbMissCycles, p);
-        } else if (key == "vectorLoadsEliminated") {
-            ok = field(r.vectorLoadsEliminated, p);
-        } else if (key == "scalarLoadsEliminated") {
-            ok = field(r.scalarLoadsEliminated, p);
-        } else if (key == "branchMispredicts") {
-            ok = field(r.branchMispredicts, p);
-        } else if (key == "renameStallCycles") {
-            ok = field(r.renameStallCycles, p);
-        } else if (key == "robStallCycles") {
-            ok = field(r.robStallCycles, p);
-        } else if (key == "queueStallCycles") {
-            ok = field(r.queueStallCycles, p);
-        } else if (key == "traps") {
-            ok = field(r.traps, p);
-        } else if (key == "stallCycles") {
-            ok = parseKeyedU64(p, r.stallCycles.data(),
-                               kNumStallCauses, [](unsigned i) {
-                                   return stallCauseName(
-                                       static_cast<StallCause>(i));
-                               });
-            ++required;
-        } else if (key == "cpiCycles") {
-            ok = parseKeyedU64(p, r.cpiCycles.data(), kNumCpiBuckets,
-                               [](unsigned i) {
-                                   return cpiBucketName(
-                                       static_cast<CpiBucket>(i));
-                               });
-            ++required;
-        } else if (key == "occupancy") {
-            ok = parseOccupancyKeyed(
-                p, kDistFields, distFieldName,
-                [&r](size_t i, const uint64_t *vals) {
-                    distFromVals(r.occupancy[i], vals);
-                });
-            ++required;
-        } else if (key == "occupancyTs") {
-            ok = parseOccupancyKeyed(
-                p, kTsFields, tsFieldName,
-                [&r](size_t i, const uint64_t *vals) {
-                    tsFromVals(r.occupancyTs[i], vals);
-                });
-            ++required;
-        } else if (key == "portIdleFraction" || key == "ipc") {
-            // Derived; validated, then recomputed from the fields.
-            ok = p.skipNumber();
-        } else if (key == "memStridedConflicts" ||
-                   key == "stridedTlbMisses") {
-            ok = p.skipNumber();
-        } else {
-            // Unknown key: a record from a different (future)
-            // schema, or corruption. Either way: not this version.
-            return false;
-        }
-        if (!ok)
-            return false;
-    }
-    if (!p.lit('}') || !p.atEnd())
-        return false;
-    if (!sawVersion || required != kRequired)
+    Layout<JsonIn> in(json);
+    in.lit(header());
+    walkFields(r, in);
+    // The derived keys are not stored: they must read back exactly as
+    // toJson() writes them for the fields just read.
+    in.lit(derivedTail(r));
+    if (!in.done())
         return false;
     out = std::move(r);
     return true;

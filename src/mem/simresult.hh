@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -172,24 +173,25 @@ struct SimResult
 
     /**
      * Render every field (including the derived accessors) as one
-     * JSON object, tagged with kResultSchemaVersion. The
-     * scripts/lint_oova.py gate parses the struct and fails if a
-     * field is added here without being surfaced there, so new
-     * counters cannot silently dodge the machine-readable output or
-     * the toJson()/fromJson() round trip.
+     * JSON object, tagged with kResultSchemaVersion. The stored
+     * fields come from one ordered walk in simresult.cc, which
+     * fromJson() runs too; scripts/lint_oova.py fails if a field
+     * added here is missing from it, so new counters cannot silently
+     * dodge the machine-readable output or the round trip.
      */
     std::string toJson() const;
 
     /**
-     * Strict inverse of toJson(): parses one result object into
-     * @p out. Returns false — leaving @p out untouched — on
-     * malformed JSON, unknown keys, missing fields, or a schema
-     * version other than kResultSchemaVersion; the ResultStore
-     * treats every false as a cache miss. All stored fields are
-     * integers or strings, so the round trip is exact (derived
-     * double-valued keys are validated and recomputed, not stored).
+     * Strict inverse of toJson(): reads one record into @p out,
+     * expecting every key exactly where toJson() writes it. Returns
+     * false — leaving @p out untouched — on a missing, repeated,
+     * reordered or unknown key, a value that does not parse, a
+     * schema version other than kResultSchemaVersion, or derived keys
+     * that disagree with the fields; the ResultStore treats every
+     * false as a cache miss. All stored fields are integers or
+     * strings, so the round trip is exact.
      */
-    static bool fromJson(const std::string &json, SimResult &out);
+    static bool fromJson(std::string_view json, SimResult &out);
 };
 
 } // namespace oova

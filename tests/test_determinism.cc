@@ -32,34 +32,7 @@ constexpr double kScale = 0.25;
 void
 expectSameResult(const SimResult &a, const SimResult &b)
 {
-    EXPECT_EQ(a.program, b.program);
-    EXPECT_EQ(a.machine, b.machine);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.stateCycles, b.stateCycles);
-    EXPECT_EQ(a.fu1BusyCycles, b.fu1BusyCycles);
-    EXPECT_EQ(a.fu2BusyCycles, b.fu2BusyCycles);
-    EXPECT_EQ(a.memBusyCycles, b.memBusyCycles);
-    EXPECT_EQ(a.memRequests, b.memRequests);
-    EXPECT_EQ(a.memBankConflicts, b.memBankConflicts);
-    EXPECT_EQ(a.memConflictCycles, b.memConflictCycles);
-    EXPECT_EQ(a.memIndexedConflicts, b.memIndexedConflicts);
-    EXPECT_EQ(a.memIndexedConflictCycles, b.memIndexedConflictCycles);
-    EXPECT_EQ(a.cacheHits, b.cacheHits);
-    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
-    EXPECT_EQ(a.mshrStallCycles, b.mshrStallCycles);
-    EXPECT_EQ(a.tlbHits, b.tlbHits);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.tlbIndexedMisses, b.tlbIndexedMisses);
-    EXPECT_EQ(a.tlbMissCycles, b.tlbMissCycles);
-    EXPECT_EQ(a.vectorLoadsEliminated, b.vectorLoadsEliminated);
-    EXPECT_EQ(a.scalarLoadsEliminated, b.scalarLoadsEliminated);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.renameStallCycles, b.renameStallCycles);
-    EXPECT_EQ(a.robStallCycles, b.robStallCycles);
-    EXPECT_EQ(a.queueStallCycles, b.queueStallCycles);
-    EXPECT_EQ(a.traps, b.traps);
-    EXPECT_EQ(a.stallCycles, b.stallCycles);
+    EXPECT_EQ(a.toJson(), b.toJson());
 }
 
 /** OOOVA configurations covering every wakeup-network code path. */

@@ -536,53 +536,17 @@ TEST(FigureFlags, ParsesSweepFarmFlags)
 TEST(FigureFlags, ParsesTelemetryFlags)
 {
     FigureOptions opts;
-    EXPECT_EQ(parseAll({"--store", "/tmp/st", "--store-max-mb", "64",
-                        "--stats", "out.txt",
+    EXPECT_EQ(parseAll({"--store", "/tmp/st", "--stats", "out.txt",
                         "--perfetto=trace.json"},
                        opts),
               1);
-    EXPECT_EQ(opts.storeMaxMb, 64u);
     EXPECT_EQ(opts.statsPath, "out.txt");
     EXPECT_EQ(opts.perfettoPath, "trace.json");
     EXPECT_TRUE(validateFigureOptions(opts));
 
-    // A cap of zero MiB would mean "evict everything": rejected, as
-    // are the usual malformed spellings.
-    EXPECT_EQ(parseAll({"--store-max-mb", "0"}, opts), -1);
-    EXPECT_EQ(parseAll({"--store-max-mb", "4x"}, opts), -1);
-    EXPECT_EQ(parseAll({"--store-max-mb"}, opts), -1);
     EXPECT_EQ(parseAll({"--stats", ""}, opts), -1);
     EXPECT_EQ(parseAll({"--stats"}, opts), -1);
     EXPECT_EQ(parseAll({"--perfetto="}, opts), -1);
-
-    // Capping a store that was never configured is a cross-flag
-    // error, like --store-stats without --store.
-    FigureOptions capOnly;
-    ASSERT_EQ(parseAll({"--store-max-mb", "8"}, capOnly), 1);
-    EXPECT_FALSE(validateFigureOptions(capOnly));
-}
-
-TEST(FigureFlags, RejectsStoreMaxMbPastTheByteRange)
-{
-    // The cap is applied in bytes, MiB << 20: from 2^44 MiB on, the
-    // shift would wrap to a tiny (or zero) cap, and strtoull turns
-    // out-of-range input into ULLONG_MAX with ERANGE. All rejected.
-    FigureOptions opts;
-    EXPECT_EQ(parseAll({"--store-max-mb", "17592186044416"}, opts), -1)
-        << "2^44";
-    EXPECT_EQ(parseAll({"--store-max-mb", "17592186044417"}, opts), -1)
-        << "2^44 + 1";
-    EXPECT_EQ(parseAll({"--store-max-mb", "18446744073709551615"}, opts),
-              -1)
-        << "UINT64_MAX";
-    EXPECT_EQ(parseAll({"--store-max-mb=99999999999999999999999"}, opts),
-              -1)
-        << "out of range for strtoull";
-    EXPECT_EQ(opts.storeMaxMb, 0u);
-
-    // The largest cap whose byte count fits still parses.
-    EXPECT_EQ(parseAll({"--store-max-mb", "17592186044415"}, opts), 1);
-    EXPECT_EQ(opts.storeMaxMb, 17592186044415u);
 }
 
 TEST(FigureFlags, AcceptsEqualsSpellings)

@@ -1,11 +1,11 @@
 /**
  * @file
- * Sweep-farm result store tests: the exact toJson()/fromJson()
- * round trip the store persists records through, key stability and
- * sensitivity, hit/miss/corruption behaviour of the on-disk store,
- * concurrent writers, warm-vs-cold equality through the
- * StoreBackend, and the in-process backend's copies of repeated
- * jobs, alone and under the store.
+ * Result store tests: the exact toJson()/fromJson() round trip the
+ * store persists records through and the pinned text of one record,
+ * key stability and sensitivity, hit/miss/corruption behaviour of
+ * the on-disk store, concurrent writers, warm-vs-cold equality
+ * through the StoreBackend, and the in-process backend's copies of
+ * repeated jobs, alone and under the store.
  */
 
 #include <gtest/gtest.h>
@@ -91,41 +91,22 @@ fullyPopulatedResult()
     return r;
 }
 
-/** Field-by-field equality of every stored SimResult field. */
+/** Every stored field equal: the records write the same text. */
 void
 expectSameResult(const SimResult &a, const SimResult &b)
 {
-    EXPECT_EQ(a.program, b.program);
-    EXPECT_EQ(a.machine, b.machine);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.stateCycles, b.stateCycles);
-    EXPECT_EQ(a.fu1BusyCycles, b.fu1BusyCycles);
-    EXPECT_EQ(a.fu2BusyCycles, b.fu2BusyCycles);
-    EXPECT_EQ(a.memBusyCycles, b.memBusyCycles);
-    EXPECT_EQ(a.memRequests, b.memRequests);
-    EXPECT_EQ(a.memBankConflicts, b.memBankConflicts);
-    EXPECT_EQ(a.memConflictCycles, b.memConflictCycles);
-    EXPECT_EQ(a.memIndexedConflicts, b.memIndexedConflicts);
-    EXPECT_EQ(a.memIndexedConflictCycles, b.memIndexedConflictCycles);
-    EXPECT_EQ(a.cacheHits, b.cacheHits);
-    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
-    EXPECT_EQ(a.mshrStallCycles, b.mshrStallCycles);
-    EXPECT_EQ(a.tlbHits, b.tlbHits);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.tlbIndexedMisses, b.tlbIndexedMisses);
-    EXPECT_EQ(a.tlbMissCycles, b.tlbMissCycles);
-    EXPECT_EQ(a.vectorLoadsEliminated, b.vectorLoadsEliminated);
-    EXPECT_EQ(a.scalarLoadsEliminated, b.scalarLoadsEliminated);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.renameStallCycles, b.renameStallCycles);
-    EXPECT_EQ(a.robStallCycles, b.robStallCycles);
-    EXPECT_EQ(a.queueStallCycles, b.queueStallCycles);
-    EXPECT_EQ(a.traps, b.traps);
-    EXPECT_EQ(a.stallCycles, b.stallCycles);
-    EXPECT_EQ(a.cpiCycles, b.cpiCycles);
-    EXPECT_EQ(a.occupancy, b.occupancy);
-    EXPECT_EQ(a.occupancyTs, b.occupancyTs);
+    EXPECT_EQ(a.toJson(), b.toJson());
+}
+
+/** @p s with its first @p from replaced by @p to. */
+std::string
+replaceFirst(std::string s, const std::string &from, const std::string &to)
+{
+    size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        s.replace(at, from.size(), to);
+    return s;
 }
 
 /** Fresh per-test store directory under the build tree. */
@@ -150,10 +131,51 @@ TEST(SimResultRoundTrip, EveryFieldSurvivesExactly)
     SimResult in = fullyPopulatedResult();
     SimResult out;
     ASSERT_TRUE(SimResult::fromJson(in.toJson(), out));
-    expectSameResult(in, out);
     // Integer-only storage means the reserialization is bit-exact,
     // which is what makes warm-store figure output byte-identical.
-    EXPECT_EQ(in.toJson(), out.toJson());
+    expectSameResult(in, out);
+
+    // Control bytes also read back in their \u00XX spelling.
+    SimResult spelled;
+    ASSERT_TRUE(SimResult::fromJson(
+        replaceFirst(in.toJson(), "\\n", "\\u000a"), spelled));
+    expectSameResult(in, spelled);
+}
+
+TEST(SimResultRoundTrip, WritesThePinnedStoreText)
+{
+    // Store entries written by earlier builds must keep hitting, so
+    // the record text may only change with kResultSchemaVersion.
+    SimResult r;
+    r.program = "hydro2d";
+    r.machine = "OOOVA-16/16r";
+    r.cycles = 1000;
+    r.instructions = 2500;
+    r.stateCycles[0] = 400;
+    r.stateCycles[7] = 600;
+    r.memBusyCycles = 250;
+    r.memBankConflicts = 9;
+    r.memIndexedConflicts = 4;
+    r.tlbMisses = 7;
+    r.tlbIndexedMisses = 2;
+    r.traps = 3;
+    r.stallCycles[1] = 11;
+    r.cpiCycles[0] = 900;
+    r.cpiCycles[8] = 100;
+    r.occupancy[0].width = 4;
+    r.occupancy[0].sample(5, 1000);
+    r.occupancyTs[0].sample(5, 1000);
+
+    ASSERT_EQ(SimResult::kResultSchemaVersion, 3);
+    std::ifstream is(std::string(OOVA_GOLDEN_DIR) + "/simresult.json",
+                     std::ios::binary);
+    ASSERT_TRUE(is);
+    std::ostringstream pinned;
+    pinned << is.rdbuf();
+    EXPECT_EQ(r.toJson(), pinned.str());
+    SimResult back;
+    ASSERT_TRUE(SimResult::fromJson(pinned.str(), back));
+    expectSameResult(r, back);
 }
 
 TEST(SimResultRoundTrip, DefaultConstructedSurvives)
@@ -191,6 +213,22 @@ TEST(SimResultRoundTrip, RejectsMalformedInput)
     at = extra.find("\"cycles\"");
     extra.insert(at, "\"mysteryCounter\": 7,\n  ");
     EXPECT_FALSE(SimResult::fromJson(extra, out));
+    // A key repeated in place of another, which would leave the
+    // missing one silently zero.
+    EXPECT_FALSE(SimResult::fromJson(
+        replaceFirst(good, "\"traps\": 322", "\"cycles\": 101"), out));
+    EXPECT_FALSE(SimResult::fromJson(
+        replaceFirst(good,
+                     "\"" + UnitStateBreakdown::stateName(1) + "\"",
+                     "\"" + UnitStateBreakdown::stateName(0) + "\""),
+        out));
+    // Every key is read where toJson() writes it: a swap of two
+    // adjacent counters is refused too.
+    EXPECT_FALSE(SimResult::fromJson(
+        replaceFirst(good,
+                     "\"fu1BusyCycles\": 301,\n  \"fu2BusyCycles\": 302",
+                     "\"fu2BusyCycles\": 302,\n  \"fu1BusyCycles\": 301"),
+        out));
 }
 
 TEST(SimResultRoundTrip, RejectsForeignSchemaVersion)
@@ -366,54 +404,6 @@ TEST(ResultStore, CorruptAndMismatchedEntriesAreQuarantined)
     EXPECT_EQ(store.stats().quarantined, 3u);
 }
 
-TEST(ResultStore, TornIndexTailIsRepairedAndTolerated)
-{
-    std::string dir = makeStoreDir("tornindex");
-    std::string k1, k2;
-    {
-        ResultStore store(dir);
-        SimResult in = fullyPopulatedResult();
-        k1 = ResultStore::makeKey(21, "cfg", 0.25);
-        k2 = ResultStore::makeKey(22, "cfg", 0.25);
-        store.store(k1, in);
-        store.store(k2, in);
-    }
-    // Tear the tail the way a killed appender would: drop the last
-    // line's second half, newline included.
-    std::string idxPath = dir + "/index.log";
-    {
-        std::ifstream is(idxPath, std::ios::binary);
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        std::string body = buf.str();
-        size_t lastLine = body.rfind('\n', body.size() - 2) + 1;
-        size_t keep = lastLine + (body.size() - lastLine) / 2;
-        std::ofstream os(idxPath,
-                         std::ios::binary | std::ios::trunc);
-        os.write(body.data(), static_cast<std::streamsize>(keep));
-    }
-
-    // Reopening repairs the tail (terminates the partial line) and
-    // everything still works: both entries load, and the cap's
-    // index replay does not trip over the torn record.
-    ResultStore store(dir);
-    SimResult out;
-    EXPECT_TRUE(store.load(k1, out));
-    EXPECT_TRUE(store.load(k2, out));
-    {
-        std::ifstream is(idxPath, std::ios::binary | std::ios::ate);
-        ASSERT_GT(is.tellg(), 0);
-        is.seekg(-1, std::ios::end);
-        char last = '\0';
-        is.get(last);
-        EXPECT_EQ(last, '\n');
-    }
-    store.setMaxBytes(1); // force a replay-driven eviction pass
-    store.store(ResultStore::makeKey(23, "cfg", 0.25),
-                fullyPopulatedResult());
-    EXPECT_GT(store.stats().evictions, 0u);
-}
-
 TEST(ResultStore, FsyncRoundTripsUnchanged)
 {
     ResultStore store(makeStoreDir("fsync"));
@@ -442,63 +432,6 @@ TEST(ResultStore, ConcurrentWritersOfOneKeyAllWin)
     ASSERT_TRUE(store.load(key, out));
     expectSameResult(in, out);
     EXPECT_EQ(store.stats().stores, 8u);
-}
-
-// ------------------------------------------------------- size cap
-
-TEST(ResultStore, CapLeavesEntriesBelowItAlone)
-{
-    ResultStore store(makeStoreDir("capunder"));
-    // Far above what two entries occupy: nothing may be evicted,
-    // and both stay warm hits.
-    store.setMaxBytes(64 * 1024 * 1024);
-    SimResult in = fullyPopulatedResult();
-    std::string k1 = ResultStore::makeKey(1, "cfg", 0.25);
-    std::string k2 = ResultStore::makeKey(2, "cfg", 0.25);
-    store.store(k1, in);
-    store.store(k2, in);
-
-    SimResult out;
-    EXPECT_TRUE(store.load(k1, out));
-    EXPECT_TRUE(store.load(k2, out));
-    expectSameResult(in, out);
-    EXPECT_EQ(store.stats().evictions, 0u);
-}
-
-TEST(ResultStore, CapEvictsOldestFirstAsCleanMisses)
-{
-    ResultStore store(makeStoreDir("capover"));
-    SimResult in = fullyPopulatedResult();
-    std::string k0 = ResultStore::makeKey(10, "cfg", 0.25);
-    std::string k1 = ResultStore::makeKey(11, "cfg", 0.25);
-    std::string k2 = ResultStore::makeKey(12, "cfg", 0.25);
-
-    // Measure one entry's on-disk size, then cap at two and a half
-    // entries: the third store must push the oldest out.
-    store.store(k0, in);
-    uint64_t entryBytes = store.stats().bytesWritten;
-    ASSERT_GT(entryBytes, 0u);
-    store.setMaxBytes(entryBytes * 5 / 2);
-
-    store.store(k1, in); // 2 entries: still under the cap
-    EXPECT_EQ(store.stats().evictions, 0u);
-    store.store(k2, in); // 3 entries: k0 (oldest) must go
-
-    SimResult out;
-    EXPECT_FALSE(store.load(k0, out)); // evicted: a clean miss
-    EXPECT_TRUE(store.load(k1, out));
-    EXPECT_TRUE(store.load(k2, out));
-    expectSameResult(in, out);
-    EXPECT_EQ(store.stats().evictions, 1u);
-
-    // Re-storing the evicted key appends a fresh index line, which
-    // resets its age: the re-stored entry is now the newest, so the
-    // next eviction takes k1 (the new oldest), not k0 again.
-    store.store(k0, in);
-    EXPECT_TRUE(store.load(k0, out));
-    EXPECT_FALSE(store.load(k1, out));
-    EXPECT_TRUE(store.load(k2, out));
-    EXPECT_EQ(store.stats().evictions, 2u);
 }
 
 // --------------------------------------------------- StoreBackend
