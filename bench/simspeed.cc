@@ -242,7 +242,8 @@ BENCHMARK(BM_MemReserve)
 /**
  * Address translation of the whole mix through a fresh 16-entry TLB
  * (4 KiB pages) each iteration: the page sequence of every stream
- * (one page number per element) and its lookups. Items are elements.
+ * (one page number per page crossed when strided, one per element
+ * when gathered) and its lookups. Items are elements.
  */
 static void
 BM_TlbTranslate(benchmark::State &state)

@@ -202,6 +202,8 @@ class OooMachine
     unsigned commitStep();
     void resolveEliminated();
     void cleanupWaitSet();
+    // run() tests the gates of memIssueStep(), issueQueue() and
+    // dispatchStep() before calling them (see run()).
     bool memIssueStep();
     bool issueQueue(std::vector<RobEntry *> &queue, bool vector_queue,
                     int qid);
@@ -306,8 +308,21 @@ class OooMachine
     static constexpr uint32_t kWheelSlots = 1024;
     static constexpr uint32_t kNoNode = UINT32_MAX;
 
-    void pushEvent(Cycle t, EvKind kind, uint32_t id = 0,
-                   RegClass cls = RegClass::None);
+    /**
+     * Announce a state change at @p t. Most announced times are
+     * already past (or unknown), so the reject is inline and only a
+     * real future time pays for the out-of-line insert.
+     */
+    void
+    pushEvent(Cycle t, EvKind kind, uint32_t id = 0,
+              RegClass cls = RegClass::None)
+    {
+        if (t == kNoCycle || t <= now_)
+            return;
+        insertEvent({t, id, static_cast<uint8_t>(kind),
+                     static_cast<uint8_t>(cls)});
+    }
+    void insertEvent(const Event &ev);
     bool eventLive(const Event &ev) const;
     Cycle nextEventFromCalendar();
     bool pruneWheelSlot(uint32_t slot);
@@ -1124,10 +1139,6 @@ OooMachine::cleanupWaitSet()
 bool
 OooMachine::memIssueStep()
 {
-    if (waitSet_.empty() || memFreeCache_ > now_ ||
-        queueCheckAt_[3] > now_) {
-        return false;
-    }
     Cycle min_next = kNoCycle;
     for (RobEntry *e : waitSet_) {
         if (e->memIssued || e->faulted)
@@ -1135,7 +1146,7 @@ OooMachine::memIssueStep()
         const DynInst &di = *e->di;
         MemOp mop = di.isStore() ? MemOp::Store : MemOp::Load;
         // A unit eligible for this direction must be free (with a
-        // single shared unit this repeats the check above).
+        // single shared unit this repeats run()'s gate).
         Cycle dir_free = mop == MemOp::Store ? memFreeStoreCache_
                                              : memFreeLoadCache_;
         if (dir_free > now_) {
@@ -1374,11 +1385,6 @@ bool
 OooMachine::issueQueue(std::vector<RobEntry *> &queue,
                        bool vector_queue, int qid)
 {
-    // Queue-level gate: min recheckAt over the entries as of the
-    // last fruitless scan. It can only be outdated downward by a
-    // wakeup or an insertion, and both reset it to 0.
-    if (queueCheckAt_[static_cast<size_t>(qid)] > now_)
-        return false;
     Cycle min_next = kNoCycle;
     for (size_t i = 0; i < queue.size(); ++i) {
         RobEntry *e = queue[i];
@@ -1498,8 +1504,6 @@ OooMachine::resolveEliminated()
 bool
 OooMachine::dispatchStep()
 {
-    if (fetchBuffer_.empty())
-        return false;
     if (rob_.size() >= cfg_.robSize) {
         ++robStalls_;
         return false;
@@ -1775,12 +1779,9 @@ OooMachine::takeTrap()
 // ---------------------------------------------------------------
 
 void
-OooMachine::pushEvent(Cycle t, EvKind kind, uint32_t id, RegClass cls)
+OooMachine::insertEvent(const Event &ev)
 {
-    if (t == kNoCycle || t <= now_)
-        return;
-    Event ev{t, id, static_cast<uint8_t>(kind),
-             static_cast<uint8_t>(cls)};
+    Cycle t = ev.t;
     if (t - now_ >= kWheelSlots) {
         farEvents_.push_back(ev);
         std::push_heap(farEvents_.begin(), farEvents_.end(),
@@ -2343,12 +2344,24 @@ OooMachine::run()
             audit_.runSite(check::kSiteRetire, now_);
         resolveEliminated();
         cleanupWaitSet();
-        progress |= memIssueStep();
-        progress |= issueQueue(aQueue_, false, 0);
-        progress |= issueQueue(sQueue_, false, 1);
-        progress |= issueQueue(vQueue_, true, 2);
+        // Each stage below is called only when its gate is open; a
+        // closed gate means it provably has nothing to do this
+        // cycle. queueCheckAt_[q] is the minimum next-progress cycle
+        // over queue q as of its last fruitless scan (only ever
+        // outdated downward by a wakeup or an insertion, which both
+        // reset it to 0).
+        if (!waitSet_.empty() && memFreeCache_ <= now_ &&
+            queueCheckAt_[3] <= now_)
+            progress |= memIssueStep();
+        if (queueCheckAt_[0] <= now_)
+            progress |= issueQueue(aQueue_, false, 0);
+        if (queueCheckAt_[1] <= now_)
+            progress |= issueQueue(sQueue_, false, 1);
+        if (queueCheckAt_[2] <= now_)
+            progress |= issueQueue(vQueue_, true, 2);
         progress |= pipeAdvance();
-        progress |= dispatchStep();
+        if (!fetchBuffer_.empty())
+            progress |= dispatchStep();
         progress |= fetchStep();
 
         if (drained())

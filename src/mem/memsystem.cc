@@ -17,6 +17,13 @@ namespace
 /** Machine word size; the interleave/line unit of every model. */
 constexpr unsigned kWordBytes = 8;
 
+/** Element @p i of a strided stream, wrapping mod 2^64. */
+Addr
+elemAddr(Addr addr, int64_t stride, unsigned i)
+{
+    return addr + uint64_t{i} * static_cast<uint64_t>(stride);
+}
+
 /**
  * Per-unit stream assignment shared by the concrete models: tracks
  * when each memory unit's address phase frees up and picks the
@@ -103,6 +110,16 @@ class BusyRunMerger
             runEnd_ = t + 1;
         }
         // t within the open run (multi-port same-cycle issue): no-op.
+    }
+
+    /** Record cycles [t0, t0 + n) busy, as n calls of add() would. */
+    void
+    addRun(Cycle t0, Cycle n)
+    {
+        if (n == 0)
+            return;
+        add(t0);
+        runEnd_ = std::max(runEnd_, t0 + n);
     }
 
     ~BusyRunMerger()
@@ -217,16 +234,17 @@ class BankedMemory : public MemorySystem
     reserve(Cycle earliest, Addr addr, int64_t stride,
             unsigned elems, MemOp op) override
     {
-        return stream(earliest, op, false, elems, [&](unsigned i) {
-            return addr + static_cast<int64_t>(i) * stride;
-        });
+        return stream(earliest, op, false, stride, elems,
+                      [&](unsigned i) {
+                          return elemAddr(addr, stride, i);
+                      });
     }
 
     MemAccess
     reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
             MemOp op) override
     {
-        return stream(earliest, op, true,
+        return stream(earliest, op, true, 0,
                       static_cast<unsigned>(elem_addrs.size()),
                       [&](unsigned i) { return elem_addrs[i]; });
     }
@@ -243,10 +261,11 @@ class BankedMemory : public MemorySystem
         unsigned used = 0;
     };
 
+    /** @p stride: the byte stride of a strided (!@p indexed) stream. */
     template <typename AddrOf>
     MemAccess
-    stream(Cycle earliest, MemOp op, bool indexed, unsigned elems,
-           AddrOf addr_of)
+    stream(Cycle earliest, MemOp op, bool indexed, int64_t stride,
+           unsigned elems, AddrOf addr_of)
     {
         MemAccess acc;
         if (elems == 0) {
@@ -259,10 +278,10 @@ class BankedMemory : public MemorySystem
         Cycle cur = std::max(earliest, units_[u]);
         Cycle last = cur;
         BusyRunMerger busy(busy_);
+        unsigned period = indexed ? 0 : steadyPeriod(stride);
+        unsigned streak = 0; // elements issued on back-to-back cycles
         for (unsigned i = 0; i < elems; ++i) {
-            Addr a = addr_of(i);
-            unsigned bank =
-                static_cast<unsigned>((a >> interleaveShift_) & bankMask_);
+            unsigned bank = bankOf(addr_of(i));
             Cycle t = portSlot(ports, cur);
             if (bankFreeAt_[bank] > t) {
                 Cycle delayed = portSlot(ports, bankFreeAt_[bank]);
@@ -279,8 +298,25 @@ class BankedMemory : public MemorySystem
             busy.add(t);
             if (i == 0)
                 acc.start = t;
+            streak = i > 0 && t == last + 1 ? streak + 1 : 1;
             last = t;
             cur = t;
+            if (period == 0 || streak < period || i + 1 == elems)
+                continue;
+            // The last `period` elements went out on back-to-back
+            // cycles, so each later element's bank was taken by this
+            // stream `period` >= bankBusy_ cycles before its turn and
+            // is free again: the rest go out one per cycle. Only the
+            // last period of them leaves a bank time behind.
+            unsigned rest = elems - 1 - i;
+            for (unsigned j = elems - std::min(period, rest); j < elems;
+                 ++j)
+                bankFreeAt_[bankOf(addr_of(j))] =
+                    t + (j - i) + bankBusy_;
+            busy.addRun(t + 1, rest);
+            last = t + rest;
+            takePort(ports, last);
+            break;
         }
         stats_.requests += elems;
         acc.end = last + 1;
@@ -288,6 +324,36 @@ class BankedMemory : public MemorySystem
         acc.lastData = last + 1 + latency_;
         units_[u] = acc.end;
         return acc;
+    }
+
+    unsigned
+    bankOf(Addr a) const
+    {
+        return static_cast<unsigned>((a >> interleaveShift_) &
+                                     bankMask_);
+    }
+
+    /**
+     * The bank-sequence period of a strided stream, or 0 when the
+     * steady-state shortcut does not apply. A stride of whole
+     * interleave units steps the bank by a constant mod the bank
+     * count, so the banks repeat every banks / gcd(step, banks)
+     * elements, all distinct within a period. The shortcut needs one
+     * address port (one element per cycle) and a period of at least
+     * bankBusy_ cycles (else the stream conflicts with itself).
+     */
+    unsigned
+    steadyPeriod(int64_t stride) const
+    {
+        auto s = static_cast<uint64_t>(stride);
+        Addr unit_mask = (Addr{1} << interleaveShift_) - 1;
+        if (ports_ != 1 || (s & unit_mask) != 0)
+            return 0;
+        auto step =
+            static_cast<unsigned>((s >> interleaveShift_) & bankMask_);
+        unsigned period =
+            step == 0 ? 1 : (bankMask_ + 1) >> std::countr_zero(step);
+        return period >= bankBusy_ ? period : 0;
     }
 
     /** First cycle >= @p c with a free address-port slot. */
@@ -379,16 +445,17 @@ class CachedMemory : public MemorySystem
     reserve(Cycle earliest, Addr addr, int64_t stride,
             unsigned elems, MemOp op) override
     {
-        return stream(earliest, op, false, elems, [&](unsigned i) {
-            return addr + static_cast<int64_t>(i) * stride;
-        });
+        return stream(earliest, op, false, stride, elems,
+                      [&](unsigned i) {
+                          return elemAddr(addr, stride, i);
+                      });
     }
 
     MemAccess
     reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
             MemOp op) override
     {
-        return stream(earliest, op, true,
+        return stream(earliest, op, true, 0,
                       static_cast<unsigned>(elem_addrs.size()),
                       [&](unsigned i) { return elem_addrs[i]; });
     }
@@ -415,10 +482,11 @@ class CachedMemory : public MemorySystem
         Cycle fillDone = 0;
     };
 
+    /** @p stride: the byte stride of a strided (!@p indexed) stream. */
     template <typename AddrOf>
     MemAccess
-    stream(Cycle earliest, MemOp op, bool indexed, unsigned elems,
-           AddrOf addr_of)
+    stream(Cycle earliest, MemOp op, bool indexed, int64_t stride,
+           unsigned elems, AddrOf addr_of)
     {
         MemAccess acc;
         if (elems == 0) {
@@ -441,7 +509,8 @@ class CachedMemory : public MemorySystem
             Addr line = a >> lineShift_;
             Cycle t = cur;
             Cycle dataAt;
-            if (Way *w = lookup(line)) {
+            Way *w = lookup(line);
+            if (w) {
                 ++stats_.cacheHits;
                 dataAt = std::max(t + hitLat_, w->fillDone);
                 w->lastUse = t;
@@ -462,11 +531,11 @@ class CachedMemory : public MemorySystem
                 // hit path's t + hitLat_).
                 dataAt = fill.lastData - 1;
                 *m = fill.lastData;
-                Way &v = victim(line, t);
-                v.line = line;
-                v.valid = true;
-                v.lastUse = t;
-                v.fillDone = dataAt;
+                w = &victim(line, t);
+                w->line = line;
+                w->valid = true;
+                w->lastUse = t;
+                w->fillDone = dataAt;
             }
             busy.add(t);
             if (i == 0) {
@@ -476,6 +545,23 @@ class CachedMemory : public MemorySystem
             maxDataAt = std::max(maxDataAt, dataAt);
             last = t;
             cur = t + 1;
+            if (indexed)
+                continue;
+            // The elements after this one that stay in its line hit
+            // the way it now occupies, one per cycle, with no MSHR
+            // wait: charge them as one run.
+            unsigned run = sameBlockRun(a, stride, lineShift_,
+                                        elems - 1 - i);
+            if (run == 0)
+                continue;
+            stats_.cacheHits += run;
+            last = t + run;
+            w->lastUse = last;
+            maxDataAt = std::max(
+                maxDataAt, std::max(last + hitLat_, w->fillDone));
+            busy.addRun(t + 1, run);
+            cur = last + 1;
+            i += run;
         }
         // "requests" means bus traffic (the figure-13 metric): a
         // cache's job is to shrink it, so report the backing model's

@@ -186,6 +186,28 @@ struct MemAccess
     Cycle lastData = 0;
 };
 
+/**
+ * How many of the @p n elements after the one at @p a, in a stream of
+ * byte stride @p stride, stay in the aligned 2^@p shift-byte block
+ * holding @p a (a cache line, a TLB page). Addresses wrap mod 2^64
+ * like addr + i * stride; for shift < 63 a wrapped element never
+ * lands back in the block, so the elements that stay are exactly
+ * those before the block's end (stride > 0) or at or above its start
+ * (stride < 0). A zero stride stays put.
+ */
+inline unsigned
+sameBlockRun(Addr a, int64_t stride, unsigned shift, unsigned n)
+{
+    Addr mask = (Addr{1} << shift) - 1;
+    if (stride == 0)
+        return n;
+    uint64_t room = stride > 0 ? mask - (a & mask) : a & mask;
+    uint64_t step = stride > 0 ? static_cast<uint64_t>(stride)
+                               : 0 - static_cast<uint64_t>(stride);
+    uint64_t stay = room / step;
+    return stay < n ? static_cast<unsigned>(stay) : n;
+}
+
 /** Occupancy and conflict counters, all zero on the flat bus. */
 struct MemStats
 {

@@ -117,16 +117,15 @@ Tlb::stridedPages(Addr addr, int64_t stride_bytes, unsigned elems,
                   std::vector<Addr> &out) const
 {
     out.clear();
-    Addr prev = 0;
-    bool have_prev = false;
-    for (unsigned i = 0; i < elems; ++i) {
-        Addr a = addr + static_cast<int64_t>(i) * stride_bytes;
-        Addr p = pageOf(a);
-        if (!have_prev || p != prev) {
-            out.push_back(p);
-            prev = p;
-            have_prev = true;
-        }
+    // Page by page: the elements after one that stay on its page add
+    // no lookup, and the first element past them is on another page.
+    Addr a = addr;
+    for (unsigned left = elems; left > 0;) {
+        out.push_back(pageOf(a));
+        unsigned step = sameBlockRun(a, stride_bytes, pageShift_,
+                                     left - 1) + 1;
+        a += uint64_t{step} * static_cast<uint64_t>(stride_bytes);
+        left -= step;
     }
 }
 

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <initializer_list>
+#include <memory>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/ooosim.hh"
 #include "harness/experiment.hh"
 #include "mem/membus.hh"
@@ -831,4 +835,552 @@ TEST(MemGeometry, ExactCapacityHoldsEveryLineOnASecondPass)
     EXPECT_EQ(misses, lines);
     mem->reserve(t, 0, 64, lines, MemOp::Load);
     EXPECT_EQ(mem->stats().cacheMisses, misses) << "capacity misses";
+}
+
+// ------------------------------------------- reference element loops
+//
+// The banked and cached models place a strided stream's cache-line
+// runs and a one-port banked stream's steady state in closed form.
+// The classes below are the models as they were before that: every
+// element of every stream walks the full per-element loop. Random
+// stream sequences on random geometries must time, count and record
+// busy intervals exactly alike on both.
+
+namespace
+{
+
+/** Per-unit earliest-free tracking, as in the models. */
+class RefUnitPool
+{
+  public:
+    explicit RefUnitPool(const MemConfig &cfg)
+        : freeAt_(std::max(cfg.memUnits, 1u), 0),
+          loadRange_(memUnitRange(cfg, MemOp::Load)),
+          storeRange_(memUnitRange(cfg, MemOp::Store))
+    {
+    }
+
+    unsigned
+    pick(MemOp op) const
+    {
+        auto [lo, hi] = op == MemOp::Load ? loadRange_ : storeRange_;
+        unsigned best = lo;
+        for (unsigned u = lo + 1; u < hi; ++u)
+            if (freeAt_[u] < freeAt_[best])
+                best = u;
+        return best;
+    }
+
+    Cycle freeAt(MemOp op) const { return freeAt_[pick(op)]; }
+
+    Cycle
+    freeAt() const
+    {
+        return *std::min_element(freeAt_.begin(), freeAt_.end());
+    }
+
+    Cycle &operator[](unsigned u) { return freeAt_[u]; }
+
+    unsigned
+    count() const
+    {
+        return static_cast<unsigned>(freeAt_.size());
+    }
+
+  private:
+    std::vector<Cycle> freeAt_;
+    std::pair<unsigned, unsigned> loadRange_;
+    std::pair<unsigned, unsigned> storeRange_;
+};
+
+/** One busy cycle at a time, merged into runs. */
+class RefBusyRunMerger
+{
+  public:
+    explicit RefBusyRunMerger(IntervalRecorder &rec) : rec_(rec) {}
+
+    void
+    add(Cycle t)
+    {
+        if (runStart_ == kNoCycle) {
+            runStart_ = t;
+            runEnd_ = t + 1;
+        } else if (t == runEnd_) {
+            ++runEnd_;
+        } else if (t > runEnd_) {
+            rec_.add(runStart_, runEnd_);
+            runStart_ = t;
+            runEnd_ = t + 1;
+        }
+    }
+
+    ~RefBusyRunMerger()
+    {
+        if (runStart_ != kNoCycle)
+            rec_.add(runStart_, runEnd_);
+    }
+
+  private:
+    IntervalRecorder &rec_;
+    Cycle runStart_ = kNoCycle, runEnd_ = 0;
+};
+
+/** BankedMemory with one loop iteration per element. */
+class RefBanked : public MemorySystem
+{
+  public:
+    RefBanked(const MemConfig &cfg, unsigned latency)
+        : latency_(latency), bankMask_(cfg.banks - 1),
+          ports_(cfg.addressPorts), bankBusy_(cfg.bankBusyCycles),
+          interleaveShift_(static_cast<unsigned>(
+              std::countr_zero(cfg.interleaveBytes))),
+          bankFreeAt_(cfg.banks, 0), units_(cfg),
+          unitPorts_(units_.count())
+    {
+    }
+
+    MemAccess
+    reserve(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
+            MemOp op) override
+    {
+        return stream(earliest, op, false, elems, [&](unsigned i) {
+            return addr + static_cast<int64_t>(i) * stride;
+        });
+    }
+
+    MemAccess
+    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
+            MemOp op) override
+    {
+        return stream(earliest, op, true,
+                      static_cast<unsigned>(elem_addrs.size()),
+                      [&](unsigned i) { return elem_addrs[i]; });
+    }
+
+    Cycle freeAt() const override { return units_.freeAt(); }
+
+    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
+
+  private:
+    struct PortState
+    {
+        Cycle cycle = 0;
+        unsigned used = 0;
+    };
+
+    template <typename AddrOf>
+    MemAccess
+    stream(Cycle earliest, MemOp op, bool indexed, unsigned elems,
+           AddrOf addr_of)
+    {
+        MemAccess acc;
+        if (elems == 0) {
+            acc.start = acc.end = earliest;
+            acc.firstData = acc.lastData = earliest + latency_;
+            return acc;
+        }
+        unsigned u = units_.pick(op);
+        PortState &ports = unitPorts_[u];
+        Cycle cur = std::max(earliest, units_[u]);
+        Cycle last = cur;
+        RefBusyRunMerger busy(busy_);
+        for (unsigned i = 0; i < elems; ++i) {
+            Addr a = addr_of(i);
+            unsigned bank = static_cast<unsigned>(
+                (a >> interleaveShift_) & bankMask_);
+            Cycle t = portSlot(ports, cur);
+            if (bankFreeAt_[bank] > t) {
+                Cycle delayed = portSlot(ports, bankFreeAt_[bank]);
+                ++stats_.bankConflicts;
+                stats_.conflictCycles += delayed - t;
+                if (indexed) {
+                    ++stats_.indexedConflicts;
+                    stats_.indexedConflictCycles += delayed - t;
+                }
+                t = delayed;
+            }
+            takePort(ports, t);
+            bankFreeAt_[bank] = t + bankBusy_;
+            busy.add(t);
+            if (i == 0)
+                acc.start = t;
+            last = t;
+            cur = t;
+        }
+        stats_.requests += elems;
+        acc.end = last + 1;
+        acc.firstData = acc.start + latency_;
+        acc.lastData = last + 1 + latency_;
+        units_[u] = acc.end;
+        return acc;
+    }
+
+    Cycle
+    portSlot(const PortState &ports, Cycle c) const
+    {
+        if (c < ports.cycle)
+            c = ports.cycle;
+        if (c == ports.cycle && ports.used >= ports_)
+            return ports.cycle + 1;
+        return c;
+    }
+
+    void
+    takePort(PortState &ports, Cycle t)
+    {
+        if (t > ports.cycle) {
+            ports.cycle = t;
+            ports.used = 1;
+        } else {
+            ++ports.used;
+        }
+    }
+
+    unsigned latency_;
+    unsigned bankMask_;
+    unsigned ports_;
+    unsigned bankBusy_;
+    unsigned interleaveShift_;
+    std::vector<Cycle> bankFreeAt_;
+    RefUnitPool units_;
+    std::vector<PortState> unitPorts_;
+};
+
+/**
+ * CachedMemory with one loop iteration per element, over a RefBanked
+ * or the library's flat bus (whose code the shortcuts do not touch).
+ */
+class RefCached : public MemorySystem
+{
+  public:
+    RefCached(const MemConfig &cfg, unsigned latency)
+        : hitLat_(cfg.cacheHitLatency),
+          lineShift_(static_cast<unsigned>(
+              std::countr_zero(cfg.lineBytes))),
+          assoc_(std::max(cfg.associativity, 1u)),
+          lineElems_(cfg.lineBytes / 8), units_(cfg)
+    {
+        auto sets = static_cast<unsigned>(
+            cfg.cacheBytes / (uint64_t{cfg.lineBytes} * assoc_));
+        setMask_ = sets - 1;
+        ways_.assign(static_cast<size_t>(sets) * assoc_, Way{});
+        mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
+        MemConfig back = cfg;
+        back.memUnits = 1;
+        back.lsPolicy = LsPolicy::Shared;
+        back.tlb.enabled = false;
+        if (cfg.backing == MemModel::Banked) {
+            back.model = MemModel::Banked;
+            backing_ = std::make_unique<RefBanked>(back, latency);
+        } else {
+            back.model = MemModel::FlatBus;
+            backing_ = makeMemorySystem(back, latency);
+        }
+    }
+
+    MemAccess
+    reserve(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
+            MemOp op) override
+    {
+        return stream(earliest, op, false, elems, [&](unsigned i) {
+            return addr + static_cast<int64_t>(i) * stride;
+        });
+    }
+
+    MemAccess
+    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
+            MemOp op) override
+    {
+        return stream(earliest, op, true,
+                      static_cast<unsigned>(elem_addrs.size()),
+                      [&](unsigned i) { return elem_addrs[i]; });
+    }
+
+    Cycle freeAt() const override { return units_.freeAt(); }
+
+    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
+
+  private:
+    struct Way
+    {
+        Addr line = 0;
+        bool valid = false;
+        Cycle lastUse = 0;
+        Cycle fillDone = 0;
+    };
+
+    template <typename AddrOf>
+    MemAccess
+    stream(Cycle earliest, MemOp op, bool indexed, unsigned elems,
+           AddrOf addr_of)
+    {
+        MemAccess acc;
+        if (elems == 0) {
+            acc.start = acc.end = earliest;
+            acc.firstData = acc.lastData = earliest + hitLat_;
+            return acc;
+        }
+        uint64_t preConfl = backing_->stats().bankConflicts;
+        uint64_t preConflCycles = backing_->stats().conflictCycles;
+        unsigned u = units_.pick(op);
+        Cycle cur = std::max(earliest, units_[u]);
+        Cycle last = cur;
+        Cycle maxDataAt = 0;
+        RefBusyRunMerger busy(busy_);
+        for (unsigned i = 0; i < elems; ++i) {
+            Addr a = addr_of(i);
+            Addr line = a >> lineShift_;
+            Cycle t = cur;
+            Cycle dataAt;
+            if (Way *w = lookup(line)) {
+                ++stats_.cacheHits;
+                dataAt = std::max(t + hitLat_, w->fillDone);
+                w->lastUse = t;
+            } else {
+                ++stats_.cacheMisses;
+                auto m = std::min_element(mshrFreeAt_.begin(),
+                                          mshrFreeAt_.end());
+                if (*m > t) {
+                    stats_.mshrStallCycles += *m - t;
+                    t = *m;
+                }
+                MemAccess fill = backing_->reserve(
+                    t, line << lineShift_, 8, lineElems_, MemOp::Load);
+                dataAt = fill.lastData - 1;
+                *m = fill.lastData;
+                Way &v = victim(line);
+                v.line = line;
+                v.valid = true;
+                v.lastUse = t;
+                v.fillDone = dataAt;
+            }
+            busy.add(t);
+            if (i == 0) {
+                acc.start = t;
+                acc.firstData = dataAt;
+            }
+            maxDataAt = std::max(maxDataAt, dataAt);
+            last = t;
+            cur = t + 1;
+        }
+        stats_.requests = backing_->stats().requests;
+        stats_.bankConflicts = backing_->stats().bankConflicts;
+        stats_.conflictCycles = backing_->stats().conflictCycles;
+        if (indexed) {
+            stats_.indexedConflicts +=
+                backing_->stats().bankConflicts - preConfl;
+            stats_.indexedConflictCycles +=
+                backing_->stats().conflictCycles - preConflCycles;
+        }
+        acc.end = last + 1;
+        acc.lastData = maxDataAt + 1;
+        units_[u] = acc.end;
+        return acc;
+    }
+
+    Way *
+    lookup(Addr line)
+    {
+        Way *set = &ways_[(line & setMask_) * assoc_];
+        for (unsigned w = 0; w < assoc_; ++w)
+            if (set[w].valid && set[w].line == line)
+                return &set[w];
+        return nullptr;
+    }
+
+    Way &
+    victim(Addr line)
+    {
+        Way *set = &ways_[(line & setMask_) * assoc_];
+        Way *best = &set[0];
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (!set[w].valid)
+                return set[w];
+            if (set[w].lastUse < best->lastUse)
+                best = &set[w];
+        }
+        return *best;
+    }
+
+    unsigned hitLat_;
+    unsigned lineShift_;
+    unsigned assoc_;
+    unsigned lineElems_;
+    Addr setMask_ = 0;
+    std::vector<Way> ways_;
+    std::vector<Cycle> mshrFreeAt_;
+    std::unique_ptr<MemorySystem> backing_;
+    RefUnitPool units_;
+};
+
+template <typename T>
+T
+pickOne(Rng &rng, std::initializer_list<T> choices)
+{
+    return *(choices.begin() + rng.uniform(0, choices.size() - 1));
+}
+
+/** A random banked geometry inside the ranges the models accept. */
+MemConfig
+randomBankedConfig(Rng &rng)
+{
+    MemConfig cfg;
+    cfg.model = MemModel::Banked;
+    cfg.banks = pickOne(rng, {1u, 2u, 4u, 8u, 16u, 32u});
+    cfg.addressPorts = static_cast<unsigned>(rng.uniform(1, 3));
+    cfg.bankBusyCycles = static_cast<unsigned>(rng.uniform(1, 12));
+    cfg.interleaveBytes = pickOne(rng, {8u, 16u, 64u});
+    cfg.memUnits = static_cast<unsigned>(rng.uniform(1, 3));
+    cfg.lsPolicy = rng.chance(0.5) ? LsPolicy::Shared : LsPolicy::Split;
+    return cfg;
+}
+
+/** A random cache (2-16 sets) over a random backing. */
+MemConfig
+randomCachedConfig(Rng &rng)
+{
+    MemConfig cfg = randomBankedConfig(rng);
+    cfg.model = MemModel::Cached;
+    cfg.backing =
+        rng.chance(0.5) ? MemModel::Banked : MemModel::FlatBus;
+    cfg.lineBytes = pickOne(rng, {8u, 16u, 32u, 64u, 128u});
+    cfg.associativity = static_cast<unsigned>(rng.uniform(1, 8));
+    unsigned sets = pickOne(rng, {2u, 4u, 8u, 16u});
+    cfg.cacheBytes = cfg.lineBytes * cfg.associativity * sets;
+    cfg.mshrs = static_cast<unsigned>(rng.uniform(1, 8));
+    cfg.cacheHitLatency = static_cast<unsigned>(rng.uniform(1, 4));
+    return cfg;
+}
+
+/** A stride from the shapes the shortcuts must get right. */
+int64_t
+randomStride(Rng &rng, const MemConfig &cfg)
+{
+    int64_t sign = rng.chance(0.5) ? 1 : -1;
+    auto small = static_cast<int64_t>(rng.uniform(1, 40));
+    switch (rng.uniform(0, 7)) {
+    case 0:
+        return 0;
+    case 1:
+        return sign * 8;
+    case 2:
+        return sign * 16;
+    case 3: // odd
+        return sign * (2 * small + 1);
+    case 4: // whole interleave units
+        return sign * small * cfg.interleaveBytes;
+    case 5: // not a multiple of the interleave
+        return sign * (small * cfg.interleaveBytes + 8);
+    case 6: // line-sized
+        return sign * static_cast<int64_t>(cfg.lineBytes) *
+               static_cast<int64_t>(rng.uniform(1, 3));
+    default: // page-sized
+        return sign * 4096;
+    }
+}
+
+void
+expectSameStats(const MemStats &got, const MemStats &want)
+{
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.bankConflicts, want.bankConflicts);
+    EXPECT_EQ(got.conflictCycles, want.conflictCycles);
+    EXPECT_EQ(got.indexedConflicts, want.indexedConflicts);
+    EXPECT_EQ(got.indexedConflictCycles, want.indexedConflictCycles);
+    EXPECT_EQ(got.cacheHits, want.cacheHits);
+    EXPECT_EQ(got.cacheMisses, want.cacheMisses);
+    EXPECT_EQ(got.mshrStallCycles, want.mshrStallCycles);
+    EXPECT_EQ(got.tlbHits, want.tlbHits);
+    EXPECT_EQ(got.tlbMisses, want.tlbMisses);
+    EXPECT_EQ(got.tlbIndexedMisses, want.tlbIndexedMisses);
+    EXPECT_EQ(got.tlbMissCycles, want.tlbMissCycles);
+}
+
+/**
+ * Drive @p model and @p ref with the same random stream sequence
+ * and compare everything observable after every stream. Returns
+ * false at the first difference.
+ */
+bool
+sameStreams(Rng &rng, const MemConfig &cfg, MemorySystem &model,
+            MemorySystem &ref)
+{
+    Cycle earliest = 0;
+    std::vector<Addr> gather;
+    for (int s = 0; s < 40; ++s) {
+        MemOp op = rng.chance(0.5) ? MemOp::Load : MemOp::Store;
+        auto elems = static_cast<unsigned>(
+            rng.chance(0.05) ? 0 : rng.uniform(1, 128));
+        // Bases in a 64 KiB window (so lines and banks are reused),
+        // mostly word-aligned.
+        Addr base = rng.uniform(0, 0xFFFF);
+        if (rng.chance(0.7))
+            base &= ~Addr{7};
+        MemAccess got, want;
+        if (rng.chance(0.15)) {
+            gather.clear();
+            for (unsigned i = 0; i < elems; ++i)
+                gather.push_back(base + 8 * rng.uniform(0, 511));
+            got = model.reserve(earliest, gather, op);
+            want = ref.reserve(earliest, gather, op);
+        } else {
+            int64_t stride = randomStride(rng, cfg);
+            got = model.reserve(earliest, base, stride, elems, op);
+            want = ref.reserve(earliest, base, stride, elems, op);
+        }
+        SCOPED_TRACE(testing::Message() << "stream " << s);
+        EXPECT_EQ(got.start, want.start);
+        EXPECT_EQ(got.end, want.end);
+        EXPECT_EQ(got.firstData, want.firstData);
+        EXPECT_EQ(got.lastData, want.lastData);
+        expectSameStats(model.stats(), ref.stats());
+        EXPECT_EQ(model.busy().intervals(), ref.busy().intervals());
+        EXPECT_EQ(model.freeAt(), ref.freeAt());
+        for (MemOp o : {MemOp::Load, MemOp::Store})
+            EXPECT_EQ(model.freeAt(o), ref.freeAt(o));
+        if (testing::Test::HasFailure())
+            return false;
+        // Sometimes request before the units free up, sometimes
+        // after they went idle.
+        earliest += rng.uniform(0, 3) == 0 ? rng.uniform(0, 400)
+                                           : rng.uniform(0, 8);
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(MemShortcuts, BankedStreamsEqualTheElementLoop)
+{
+    Rng rng(0xba5eba11);
+    for (int g = 0; g < 1500; ++g) {
+        MemConfig cfg = randomBankedConfig(rng);
+        unsigned latency = static_cast<unsigned>(rng.uniform(1, 100));
+        auto model = makeMemorySystem(cfg, latency);
+        RefBanked ref(cfg, latency);
+        SCOPED_TRACE(testing::Message()
+                     << "geometry " << g << " " << cfg.label()
+                     << " busy " << cfg.bankBusyCycles << " interleave "
+                     << cfg.interleaveBytes);
+        if (!sameStreams(rng, cfg, *model, ref))
+            return;
+    }
+}
+
+TEST(MemShortcuts, CachedStreamsEqualTheElementLoop)
+{
+    Rng rng(0xcac4e);
+    for (int g = 0; g < 1500; ++g) {
+        MemConfig cfg = randomCachedConfig(rng);
+        unsigned latency = static_cast<unsigned>(rng.uniform(1, 100));
+        auto model = makeMemorySystem(cfg, latency);
+        RefCached ref(cfg, latency);
+        SCOPED_TRACE(testing::Message()
+                     << "geometry " << g << " " << cfg.label()
+                     << " line " << cfg.lineBytes << " busy "
+                     << cfg.bankBusyCycles << " interleave "
+                     << cfg.interleaveBytes);
+        if (!sameStreams(rng, cfg, *model, ref))
+            return;
+    }
 }

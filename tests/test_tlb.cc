@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/ooosim.hh"
 #include "harness/experiment.hh"
 #include "mem/memsystem.hh"
@@ -127,6 +129,84 @@ TEST(Tlb, StridedStreamTranslatesOncePerPageCrossed)
     EXPECT_EQ(down[2], 1u);
     // Zero elements: nothing to translate.
     EXPECT_TRUE(tlb.stridedPages(0x1000, 8, 0).empty());
+}
+
+namespace
+{
+
+/**
+ * The element-by-element page walk stridedPages() replaces: one page
+ * per element, consecutive repeats dropped, element i at
+ * addr + i * stride mod 2^64.
+ */
+std::vector<Addr>
+elementWalkPages(const Tlb &tlb, Addr addr, int64_t stride,
+                 unsigned elems)
+{
+    std::vector<Addr> pages;
+    for (unsigned i = 0; i < elems; ++i) {
+        auto step = static_cast<uint64_t>(stride);
+        Addr p = tlb.pageOf(addr + uint64_t{i} * step);
+        if (pages.empty() || pages.back() != p)
+            pages.push_back(p);
+    }
+    return pages;
+}
+
+} // namespace
+
+TEST(Tlb, StridedPagesMatchTheElementWalk)
+{
+    for (unsigned page_bytes : {4096u, 256u}) {
+        Tlb tlb(smallTlb(64, page_bytes));
+        auto check = [&](Addr addr, int64_t stride, unsigned elems) {
+            EXPECT_EQ(tlb.stridedPages(addr, stride, elems),
+                      elementWalkPages(tlb, addr, stride, elems))
+                << "page " << page_bytes << " addr 0x" << std::hex
+                << addr << std::dec << " stride " << stride
+                << " elems " << elems;
+        };
+        const int64_t strides[] = {0,     1,     -1,    8,
+                                   -8,    4095,  -4095, 4096,
+                                   -4096, 4097,  -4097, INT64_MIN};
+        // Page edges, plus a base just below 2^64 (positive strides
+        // wrap to the bottom) and one just above 0 (negative strides
+        // wrap to the top).
+        const Addr bases[] = {0,      1,      0xFF8,
+                              0x1000, 0x1FF9, 0x12345,
+                              ~Addr{0} - 100, 40};
+        for (Addr addr : bases)
+            for (int64_t stride : strides)
+                for (unsigned elems : {0u, 1u, 300u})
+                    check(addr, stride, elems);
+
+        Rng rng(20261017);
+        for (int n = 0; n < 20000; ++n) {
+            auto pick = [&](int64_t lo, int64_t hi) {
+                return lo + static_cast<int64_t>(rng.uniform(
+                                0, static_cast<uint64_t>(hi - lo)));
+            };
+            Addr top = ~Addr{0} - rng.uniform(0, 9999);
+            Addr addr = rng.chance(0.1) ? top : rng.next();
+            int64_t stride;
+            switch (rng.uniform(0, 3)) {
+            case 0: // small, either sign
+                stride = pick(-300, 300);
+                break;
+            case 1: // around the page size
+                stride = pick(-2 * 4096, 2 * 4096);
+                break;
+            case 2: // word multiples
+                stride = 8 * pick(-32, 32);
+                break;
+            default: // anything, wrapping
+                stride = static_cast<int64_t>(rng.next());
+                break;
+            }
+            check(addr, stride,
+                  static_cast<unsigned>(rng.uniform(0, 300)));
+        }
+    }
 }
 
 TEST(Tlb, IndexedStreamTranslatesPerElement)
