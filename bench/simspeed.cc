@@ -8,8 +8,7 @@
  * mem layer gets its own rows: each memory model's reserve() and the
  * TLB's translation on a fixed stream mix, in elements per second.
  * BM_HostCanary touches no oova code at all; scripts/bench_speed.sh
- * divides by it to compare numbers across hosts. (For a quick table
- * without google-benchmark, run `oova_bench simspeed`.)
+ * divides by it to compare numbers across hosts.
  */
 
 #include <benchmark/benchmark.h>

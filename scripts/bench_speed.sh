@@ -3,14 +3,13 @@
 # second and suite wall time, and record them in BENCH_simspeed.json
 # at the repo root.
 #
-# Three sources feed the record:
+# Two sources feed the record:
 #   - the google-benchmark binary build/simspeed (single-simulation
 #     throughput per model; BM_OooSim/16 on hydro2d is the headline
-#     number perf PRs are judged by; the mem layer's reserve() and
-#     TLB rows, in elements/s; and the BM_HostCanary host-speed
-#     canary), each row the median of five interleaved repetitions,
-#   - `oova_bench simspeed --json` (sweep-engine batch throughput,
-#     the path every figure runs on), and
+#     number perf PRs are judged by; the sweep-engine batch rows
+#     BM_SweepEngine/*; the mem layer's reserve() and TLB rows, in
+#     elements/s; and the BM_HostCanary host-speed canary), each row
+#     the median of five interleaved repetitions, and
 #   - `oova_bench all` wall time (the "suite" section): OOVA_SCALE
 #     0.25 and 1.0, each on one thread and on every core (nproc
 #     threads), the median of three runs.
@@ -93,10 +92,6 @@ export OOVA_SCALE=0.5
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-# Sweep-engine throughput: single-threaded so the number tracks
-# simulator speed, not host core count.
-"$BENCH" simspeed --threads 1 --json > "$TMP/sweep.json"
-
 # Microbenchmarks (optional: the binary only exists when
 # google-benchmark is installed). Every row runs five times, all
 # repetitions shuffled together, and records its median: the host
@@ -109,7 +104,7 @@ if [ -x "$MICRO" ]; then
         --benchmark_report_aggregates_only=true \
         --benchmark_format=json > "$TMP/micro.json" 2> /dev/null
 else
-    echo "bench_speed: '$MICRO' not built; recording sweep only" >&2
+    echo "bench_speed: '$MICRO' not built; recording the suite only" >&2
 fi
 
 # Suite wall time: one "<scale> <1|all> <seconds>" line per run.
@@ -143,25 +138,6 @@ import statistics
 import sys
 
 tmp, out, mode, check, label, ref_path, nproc = sys.argv[1:8]
-
-# ---- parse the sweep figure: Model -> instr/s (raw integer column)
-with open(os.path.join(tmp, "sweep.json")) as f:
-    sweep_fig = json.load(f)
-if isinstance(sweep_fig, list):  # oova_bench wraps figures in a list
-    sweep_fig = sweep_fig[0]
-sec = sweep_fig["sections"][0]
-headers = sec["headers"]
-model_col = headers.index("Model")
-if "instr/s" in headers:
-    ips_col = headers.index("instr/s")
-    scale_by = 1
-else:  # pre-PR5 renderer: only the formatted Minstr/s column
-    ips_col = headers.index("Minstr/s")
-    scale_by = 1_000_000
-sweep = {
-    row[model_col]: int(float(row[ips_col]) * scale_by)
-    for row in sec["rows"]
-}
 
 # ---- parse google-benchmark: name -> median items_per_second. The
 # mem layer's rows count elements, and the host canary table updates,
@@ -203,7 +179,6 @@ measurement = {
     "scale": 0.5,
     "microbench_instr_per_sec": micro,
     "mem_elems_per_sec": mem,
-    "sweep_instr_per_sec": sweep,
     "suite": suite,
 }
 if canary:
@@ -219,8 +194,10 @@ for path in (out, ref_path):
             record = json.load(f)
         break
 # Schema 2 added the "suite" section, schema 3 the mem layer's
-# "mem_elems_per_sec" and the "host_canary_per_sec" canary.
-record["schema"] = 3
+# "mem_elems_per_sec" and the "host_canary_per_sec" canary; schema 4
+# dropped "sweep_instr_per_sec" with the oova_bench timing figure
+# that fed it (BM_SweepEngine/* measures the same batch path).
+record["schema"] = 4
 record.setdefault(
     "note",
     "Simulated instructions/sec (OOVA_SCALE=0.5, --threads 1) and "
@@ -246,8 +223,7 @@ if int(check):
             if old_canary and new_canary else 1.0)
     if host != 1.0:
         print(f"host-speed normalization (BM_HostCanary): {host:.2f}x")
-    for kind in ("microbench_instr_per_sec", "mem_elems_per_sec",
-                 "sweep_instr_per_sec"):
+    for kind in ("microbench_instr_per_sec", "mem_elems_per_sec"):
         for name, old in ref.get(kind, {}).items():
             new = measurement[kind].get(name)
             if not new or not old:

@@ -12,8 +12,6 @@
 # Usage:
 #   scripts/check_goldens.sh [path/to/oova_bench]            # check
 #   scripts/check_goldens.sh [path/to/oova_bench] --update   # re-capture
-#
-# simspeed is exempt: it prints wall-clock timings.
 
 # pipefail: a bench binary that dies after printing a matching table
 # must still fail the gate.
@@ -35,7 +33,7 @@ export OOVA_SCALE=0.25
 # pipefail is inherited by the substitution's subshell, so a --list
 # that dies mid-pipe fails here instead of yielding a silently
 # truncated figure set (which would misreport stale/missing goldens).
-figures="$("$BENCH" --list | awk '{print $1}' | grep -v '^simspeed$')" || {
+figures="$("$BENCH" --list | awk '{print $1}')" || {
     echo "check_goldens: '$BENCH --list' failed" >&2
     exit 2
 }
@@ -74,7 +72,7 @@ for fig in $figures; do
 done
 rm -f /tmp/golden_diff_$$
 
-# Every registered non-timing figure must be golden-gated: a new
+# Every registered figure must be golden-gated: a new
 # figure registered without a capture would otherwise dodge the gate
 # until someone noticed. Name the offenders explicitly.
 if [ -n "$missing" ]; then

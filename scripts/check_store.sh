@@ -11,9 +11,7 @@
 # usage: check_store.sh <oova_bench> <store-dir> <out-dir>
 #
 # Writes per-figure outputs and [store] stat lines into <out-dir>
-# (kept as a CI artifact). simspeed is exempt from the byte-diff for
-# the same reason it carries no golden: it prints wall-clock
-# timings.
+# (kept as a CI artifact).
 set -u
 
 BENCH="${1:?usage: check_store.sh <oova_bench> <store-dir> <out-dir>}"
@@ -44,9 +42,8 @@ for fig in $figures; do
         echo "FAIL: $fig warm run exited non-zero" >&2
         fail=1
     fi
-    if [ "$fig" != simspeed ] &&
-            ! diff -u "$OUT/$fig.cold.txt" "$OUT/$fig.warm.txt" \
-                > "$OUT/$fig.diff.txt"; then
+    if ! diff -u "$OUT/$fig.cold.txt" "$OUT/$fig.warm.txt" \
+            > "$OUT/$fig.diff.txt"; then
         echo "FAIL: $fig warm-store output differs from cold run" \
             "(see $fig.diff.txt)" >&2
         fail=1
@@ -102,10 +99,8 @@ else
             echo "FAIL: $fig corrupt-store run exited non-zero" >&2
             fail=1
         fi
-        if [ "$fig" != simspeed ] &&
-                ! diff -u "$OUT/$fig.cold.txt" \
-                    "$OUT/$fig.corrupt.txt" \
-                    > "$OUT/$fig.corrupt.diff.txt"; then
+        if ! diff -u "$OUT/$fig.cold.txt" "$OUT/$fig.corrupt.txt" \
+                > "$OUT/$fig.corrupt.diff.txt"; then
             echo "FAIL: $fig corrupt-store output differs from cold" \
                 "run (see $fig.corrupt.diff.txt)" >&2
             fail=1

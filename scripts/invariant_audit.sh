@@ -14,8 +14,7 @@
 #   scripts/invariant_audit.sh [path/to/oova_bench] [audit.log]
 #
 # The optional second argument captures all audit stderr into a log
-# file (uploaded as a CI artifact). simspeed is exempt: it prints
-# wall-clock timings and is not a correctness surface.
+# file (uploaded as a CI artifact).
 
 set -u -o pipefail
 
@@ -30,7 +29,7 @@ fi
 export OOVA_SCALE="${OOVA_SCALE:-0.25}"
 export OOVA_CHECK=2
 
-figures="$("$BENCH" --list | awk '{print $1}' | grep -v '^simspeed$')" || {
+figures="$("$BENCH" --list | awk '{print $1}')" || {
     echo "invariant_audit: '$BENCH --list' failed" >&2
     exit 2
 }

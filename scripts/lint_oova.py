@@ -43,10 +43,6 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# simspeed prints wall-clock timings: registered, but not a
-# correctness surface, so it carries no golden.
-GOLDEN_EXEMPT = {"simspeed"}
-
 # Files allowed to own raw storage (none currently need to; add the
 # slab/queue implementation here if it ever manages raw memory).
 NAKED_NEW_ALLOWED: set = set()
@@ -85,8 +81,6 @@ golden_dir = ROOT / "tests/golden"
 goldens = {p.stem for p in golden_dir.glob("*.txt")}
 
 for name in sorted(figures):
-    if name in GOLDEN_EXEMPT:
-        continue
     if name not in goldens:
         err(f"figure '{name}' has no golden "
             f"(tests/golden/{name}.txt); capture it with "

@@ -21,6 +21,24 @@ vcsprintf(const char *fmt, va_list args)
     return std::string(buf.data(), static_cast<size_t>(len));
 }
 
+bool
+writeTextFile(const std::string &path, const std::string &text,
+              const char *what)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        std::fprintf(stderr, "%s: cannot write '%s'\n", what,
+                     path.c_str());
+        return false;
+    }
+    bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    ok = std::fclose(f) == 0 && ok;
+    if (!ok)
+        std::fprintf(stderr, "%s: short write to '%s'\n", what,
+                     path.c_str());
+    return ok;
+}
+
 std::string
 csprintf(const char *fmt, ...)
 {

@@ -24,6 +24,14 @@ std::string csprintf(const char *fmt, ...)
 /** vprintf-style formatting into a std::string. */
 std::string vcsprintf(const char *fmt, va_list args);
 
+/**
+ * Write @p text to @p path, replacing the file. The file is closed
+ * on every path; on failure a "<what>: ..." line goes to stderr and
+ * the result is false.
+ */
+bool writeTextFile(const std::string &path, const std::string &text,
+                   const char *what);
+
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,

@@ -7,26 +7,6 @@
 namespace oova
 {
 
-Workloads::Workloads(double scale) : cache_(scale) {}
-
-const Trace &
-Workloads::get(const std::string &name)
-{
-    return cache_.get(name);
-}
-
-const std::vector<std::string> &
-Workloads::names() const
-{
-    return cache_.names();
-}
-
-double
-Workloads::envScale()
-{
-    return envTraceScale();
-}
-
 RefConfig
 makeRefConfig(unsigned mem_latency)
 {

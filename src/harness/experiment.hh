@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared machinery for the figure functions that regenerate the
- * paper's tables and figures: a cached workload set, standard
- * machine-configuration builders, and speedup helpers.
+ * paper's tables and figures: standard machine-configuration
+ * builders and the speedup helper.
  */
 
 #ifndef OOVA_HARNESS_EXPERIMENT_HH
@@ -20,37 +20,6 @@
 
 namespace oova
 {
-
-/**
- * Generates and caches the ten benchmark traces. The trace scale can
- * be adjusted with the OOVA_SCALE environment variable (default 1.0)
- * to trade bench runtime against steady-state fidelity.
- *
- * A thin wrapper over TraceCache, kept for the single-threaded
- * call sites and tests; references returned by get() are stable for
- * the lifetime of the Workloads object (the cache pre-creates every
- * entry, so no lookup ever reallocates another trace's storage),
- * and get() is safe to call concurrently.
- */
-class Workloads
-{
-  public:
-    explicit Workloads(double scale = envScale());
-
-    /** The trace for one benchmark (generated on first use). */
-    const Trace &get(const std::string &name);
-
-    /** All ten, in the paper's order. */
-    const std::vector<std::string> &names() const;
-
-    double scale() const { return cache_.scale(); }
-
-    /** Scale from OOVA_SCALE, or 1.0. */
-    static double envScale();
-
-  private:
-    TraceCache cache_;
-};
 
 /** Reference machine at a given memory latency. */
 RefConfig makeRefConfig(unsigned mem_latency);

@@ -1,5 +1,6 @@
 #include "harness/figure.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -27,6 +28,152 @@ findFigure(const std::string &name)
     return nullptr;
 }
 
+GridMachine
+GridMachine::ref(RefConfig cfg)
+{
+    return {[cfg](const GridRow &row) {
+        return row.trace ? refTraceJob(row.trace, cfg)
+                         : refJob(row.label, cfg);
+    }};
+}
+
+GridMachine
+GridMachine::ooo(OooConfig cfg)
+{
+    return {[cfg](const GridRow &row) {
+        return row.trace ? oooTraceJob(row.trace, cfg)
+                         : oooJob(row.label, cfg);
+    }};
+}
+
+GridMachine
+GridMachine::ideal()
+{
+    return {[](const GridRow &row) {
+        sim_assert(!row.trace, "IDEAL runs on benchmark rows only");
+        return idealJob(row.label);
+    }};
+}
+
+size_t
+FigureGrid::add(std::vector<GridRow> rows,
+                const std::vector<GridMachine> &machines)
+{
+    blocks_.push_back({std::move(rows), machines.size(), jobs_.size()});
+    for (const GridRow &row : blocks_.back().rows)
+        for (const GridMachine &m : machines)
+            jobs_.push_back(m.job(row));
+    return blocks_.size() - 1;
+}
+
+void
+FigureGrid::run(const SweepEngine &engine)
+{
+    results_ = engine.run(jobs_);
+}
+
+const std::vector<GridRow> &
+FigureGrid::rows(size_t block) const
+{
+    sim_assert(block < blocks_.size(), "no grid block %zu", block);
+    return blocks_[block].rows;
+}
+
+RowResults
+FigureGrid::results(size_t block, size_t row) const
+{
+    sim_assert(results_.size() == jobs_.size(),
+               "grid read before run()");
+    sim_assert(row < rows(block).size(), "block %zu has no row %zu",
+               block, row);
+    const Block &b = blocks_[block];
+    return RowResults(results_).subspan(b.first + row * b.machines,
+                                        b.machines);
+}
+
+FigureSection
+FigureGrid::table(size_t block, std::string label_header,
+                  const std::vector<Column> &columns,
+                  std::string heading) const
+{
+    FigureSection sec{std::move(heading), {std::move(label_header)}, {}};
+    for (const Column &col : columns)
+        sec.headers.push_back(col.header);
+    for (size_t r = 0; r < rows(block).size(); ++r) {
+        FigureRow line{rows(block)[r].label, {}};
+        for (const Column &col : columns)
+            line.cells.push_back(col.cell(results(block, r)));
+        sec.rows.push_back(std::move(line));
+    }
+    return sec;
+}
+
+std::string
+formatCell(const Cell &cell)
+{
+    switch (cell.kind) {
+    case Cell::Kind::Int:
+        return std::to_string(cell.count);
+    case Cell::Kind::Fixed:
+        return csprintf("%.*f", cell.decimals, cell.value);
+    case Cell::Kind::Absent:
+        break;
+    }
+    return "-";
+}
+
+namespace
+{
+
+/** A section's header line, then each row's label and cells as text. */
+std::vector<std::vector<std::string>>
+formatSection(const FigureSection &sec)
+{
+    sim_assert(!sec.headers.empty(), "table needs at least one column");
+    std::vector<std::vector<std::string>> lines{sec.headers};
+    for (const FigureRow &row : sec.rows) {
+        sim_assert(row.cells.size() + 1 == sec.headers.size(),
+                   "row has %zu cells, table has %zu columns",
+                   row.cells.size() + 1, sec.headers.size());
+        std::vector<std::string> line{row.label};
+        for (const Cell &cell : row.cells)
+            line.push_back(formatCell(cell));
+        lines.push_back(std::move(line));
+    }
+    return lines;
+}
+
+/**
+ * Padded columns and a dashed rule under the header: the label
+ * column left-aligned, the numbers right-aligned.
+ */
+void
+alignTable(std::ostringstream &os, const FigureSection &sec)
+{
+    std::vector<std::vector<std::string>> lines = formatSection(sec);
+    std::vector<size_t> widths(sec.headers.size(), 0);
+    for (const auto &line : lines)
+        for (size_t c = 0; c < line.size(); ++c)
+            widths[c] = std::max(widths[c], line[c].size());
+    size_t total = 0;
+    for (size_t c = 0; c < widths.size(); ++c)
+        total += widths[c] + (c ? 2 : 0);
+    for (size_t l = 0; l < lines.size(); ++l) {
+        for (size_t c = 0; c < lines[l].size(); ++c) {
+            std::string pad(widths[c] - lines[l][c].size(), ' ');
+            if (c == 0)
+                os << lines[l][c] << pad;
+            else
+                os << "  " << pad << lines[l][c];
+        }
+        os << '\n';
+        if (l == 0)
+            os << std::string(total, '-') << '\n';
+    }
+}
+
+} // namespace
+
 std::string
 renderFigureText(const FigureDef &fig, const FigureResult &result,
                  double scale)
@@ -41,7 +188,8 @@ renderFigureText(const FigureDef &fig, const FigureResult &result,
     for (const auto &sec : result.sections) {
         if (!sec.heading.empty())
             os << sec.heading << "\n";
-        os << sec.table.str() << "\n";
+        alignTable(os, sec);
+        os << "\n";
     }
     if (!result.footnote.empty())
         os << result.footnote << "\n";
@@ -131,15 +279,16 @@ renderFigureJson(const FigureDef &fig, const FigureResult &result,
         os << "    {\n";
         os << "      \"heading\": " << jsonString(sec.heading)
            << ",\n";
+        std::vector<std::vector<std::string>> lines =
+            formatSection(sec);
         os << "      \"headers\": ";
-        jsonStringArray(os, sec.table.headers());
+        jsonStringArray(os, lines[0]);
         os << ",\n";
         os << "      \"rows\": [\n";
-        const auto &rows = sec.table.rows();
-        for (size_t r = 0; r < rows.size(); ++r) {
+        for (size_t r = 1; r < lines.size(); ++r) {
             os << "        ";
-            jsonStringArray(os, rows[r]);
-            os << (r + 1 < rows.size() ? ",\n" : "\n");
+            jsonStringArray(os, lines[r]);
+            os << (r + 1 < lines.size() ? ",\n" : "\n");
         }
         os << "      ]\n";
         os << "    }" << (s + 1 < result.sections.size() ? ",\n" : "\n");

@@ -2,7 +2,7 @@
  * @file
  * The figure registry: every paper table/figure (and the extra
  * ablation study) is implemented as a function that declares its
- * sweep through the SweepEngine and returns its tables as data. One
+ * sweep as a FigureGrid and returns its tables as numbers. One
  * renderer prints the classic text output (byte-identical to the
  * original hand-rolled bench binaries); another emits JSON so sweep
  * results are machine-readable for perf tracking across PRs.
@@ -13,15 +13,60 @@
 #ifndef OOVA_HARNESS_FIGURE_HH
 #define OOVA_HARNESS_FIGURE_HH
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/table.hh"
 #include "harness/resultstore.hh"
 #include "harness/sweep.hh"
 
 namespace oova
 {
+
+/**
+ * One table cell: an exact integer, a value printed with a fixed
+ * number of decimals, or absent (a structure the machine does not
+ * model). The figure keeps the number; only formatCell() turns it
+ * into text.
+ */
+struct Cell
+{
+    enum class Kind : uint8_t
+    {
+        Absent,
+        Int,
+        Fixed
+    };
+    Kind kind = Kind::Absent;
+    int decimals = 0;   ///< Fixed: digits after the point
+    uint64_t count = 0; ///< Int: the exact value
+    double value = 0.0; ///< Fixed: the unrounded value
+};
+
+inline Cell
+intCell(uint64_t v)
+{
+    return {Cell::Kind::Int, 0, v, 0.0};
+}
+
+inline Cell
+fixedCell(double v, int decimals)
+{
+    return {Cell::Kind::Fixed, decimals, 0, v};
+}
+
+/** "-" when absent, the integer's digits, or printf "%.*f". */
+std::string formatCell(const Cell &cell);
+
+/** One table line: a label (program, state, ...) and its cells. */
+struct FigureRow
+{
+    std::string label;
+    std::vector<Cell> cells;
+};
 
 /** One table of a figure, with an optional section heading line. */
 struct FigureSection
@@ -31,7 +76,9 @@ struct FigureSection
      * (e.g. "--- hydro2d ---"); empty for single-table figures.
      */
     std::string heading;
-    TextTable table;
+    /** Column headers, the label column's first. */
+    std::vector<std::string> headers;
+    std::vector<FigureRow> rows;
 };
 
 /** Everything a figure produces, ready to render. */
@@ -42,6 +89,75 @@ struct FigureResult
     std::string footnote;
     /** Print the "trace scale:" line under the banner. */
     bool showScale = true;
+};
+
+/** A grid row: a benchmark by name, or a synthetic trace. */
+struct GridRow
+{
+    std::string label;
+    /** Simulated instead of the benchmark named @c label when set. */
+    std::shared_ptr<const Trace> trace;
+};
+
+/** A machine of a grid: the job it runs on one row. */
+struct GridMachine
+{
+    std::function<SweepJob(const GridRow &)> job;
+
+    static GridMachine ref(RefConfig cfg);
+    static GridMachine ooo(OooConfig cfg);
+    /** The IDEAL bound; benchmark rows only. */
+    static GridMachine ideal();
+};
+
+/** One row's results, a SimResult per machine, in declared order. */
+using RowResults = std::span<const SimResult>;
+
+/** A table column: its header and its cell from a row's results. */
+struct Column
+{
+    std::string header;
+    std::function<Cell(RowResults)> cell;
+};
+
+/**
+ * The batch behind a figure: blocks of rows x machines, every machine
+ * of a block run on every row of it. run() submits all jobs as one
+ * batch, block by block and row by row in declaration order, so a
+ * figure's manifest lists its jobs in the order it declared them.
+ */
+class FigureGrid
+{
+  public:
+    /** Declare a block; returns its index. */
+    size_t add(std::vector<GridRow> rows,
+               const std::vector<GridMachine> &machines);
+
+    void run(const SweepEngine &engine);
+
+    const std::vector<GridRow> &rows(size_t block) const;
+
+    /** The results of row @p row of @p block (after run()). */
+    RowResults results(size_t block, size_t row) const;
+
+    /**
+     * A table with a line per row of @p block: the row's label under
+     * @p label_header, then each column's cell.
+     */
+    FigureSection table(size_t block, std::string label_header,
+                        const std::vector<Column> &columns,
+                        std::string heading = "") const;
+
+  private:
+    struct Block
+    {
+        std::vector<GridRow> rows;
+        size_t machines;
+        size_t first; ///< index of the block's first job
+    };
+    std::vector<Block> blocks_;
+    std::vector<SweepJob> jobs_;
+    std::vector<SimResult> results_;
 };
 
 using FigureFn = FigureResult (*)(const SweepEngine &engine);

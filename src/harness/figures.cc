@@ -1,19 +1,19 @@
 /**
  * @file
  * Implementations of every paper table/figure as sweep declarations:
- * each builds a flat batch of (benchmark × config) jobs, hands it to
- * the SweepEngine, and assembles its tables from the index-aligned
- * results, so the output is identical no matter how many worker
- * threads execute the batch. Each figure's banner comment below says
- * what it sweeps and what the paper reports to compare against.
+ * each declares a FigureGrid of (benchmark × config) jobs, hands it
+ * to the SweepEngine as one batch, and computes its tables' cells
+ * from the row-aligned results, so the output is identical no matter
+ * how many worker threads execute the batch. Each figure's banner
+ * comment below says what it sweeps and what the paper reports to
+ * compare against.
  */
 
-#include <array>
-#include <chrono>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 #include "harness/figure.hh"
@@ -25,6 +25,141 @@ namespace oova
 
 namespace
 {
+
+/** One grid row per named benchmark. */
+std::vector<GridRow>
+programs(const std::vector<std::string> &names)
+{
+    std::vector<GridRow> rows;
+    rows.reserve(names.size());
+    for (const std::string &name : names)
+        rows.push_back({name, nullptr});
+    return rows;
+}
+
+/** The ten benchmarks, in the paper's order. */
+std::vector<GridRow>
+benchmarks(const SweepEngine &engine)
+{
+    return programs(engine.traces().names());
+}
+
+/** Append @p m to @p machines; returns its index in a row's results. */
+size_t
+declare(std::vector<GridMachine> &machines, GridMachine m)
+{
+    machines.push_back(std::move(m));
+    return machines.size() - 1;
+}
+
+/** @p part as a percentage of @p whole, to one decimal. */
+Cell
+percent(uint64_t part, uint64_t whole)
+{
+    return fixedCell(100.0 * static_cast<double>(part) /
+                         static_cast<double>(whole),
+                     1);
+}
+
+/** The exact counter @p field of machine @p m. */
+Column
+counter(std::string header, size_t m,
+        uint64_t SimResult::*field = &SimResult::cycles)
+{
+    return {std::move(header),
+            [m, field](RowResults r) { return intCell(r[m].*field); }};
+}
+
+/**
+ * Machine @p num's cycles over machine @p den's, to two decimals: a
+ * speedup of @p den over @p num, or a slowdown of @p num.
+ */
+Column
+cycleRatio(std::string header, size_t num, size_t den)
+{
+    return {std::move(header), [num, den](RowResults r) {
+                return fixedCell(speedup(r[num], r[den]), 2);
+            }};
+}
+
+/** Percentage of cycles machine @p m's memory port sat idle. */
+Column
+portIdle(std::string header, size_t m)
+{
+    return {std::move(header), [m](RowResults r) {
+                return fixedCell(100.0 * r[m].portIdleFraction(), 1);
+            }};
+}
+
+/** The ten benchmarks on @p machines, as one "Program" table. */
+FigureResult
+programTable(const SweepEngine &engine,
+             const std::vector<GridMachine> &machines,
+             const std::vector<Column> &columns, std::string footnote)
+{
+    FigureGrid grid;
+    grid.add(benchmarks(engine), machines);
+    grid.run(engine);
+    return {{grid.table(0, "Program", columns)}, std::move(footnote)};
+}
+
+/** Appends one line's cells for one machine's result. */
+using LineCells =
+    std::function<void(std::vector<Cell> &, const SimResult &, size_t)>;
+
+/**
+ * The ten benchmarks on @p machines, one section per program headed
+ * "--- <program> ---": a line per entry of @p lines, whose cells
+ * @p cells appends for each machine's result in turn.
+ */
+FigureResult
+perProgram(const SweepEngine &engine,
+           const std::vector<GridMachine> &machines,
+           const std::vector<std::string> &headers,
+           const std::vector<std::string> &lines,
+           const LineCells &cells, std::string footnote)
+{
+    FigureGrid grid;
+    grid.add(benchmarks(engine), machines);
+    grid.run(engine);
+    FigureResult out;
+    for (size_t p = 0; p < grid.rows(0).size(); ++p) {
+        FigureSection sec{"--- " + grid.rows(0)[p].label + " ---",
+                          headers, {}};
+        for (size_t l = 0; l < lines.size(); ++l) {
+            FigureRow row{lines[l], {}};
+            for (const SimResult &r : grid.results(0, p))
+                cells(row.cells, r, l);
+            sec.rows.push_back(std::move(row));
+        }
+        out.sections.push_back(std::move(sec));
+    }
+    out.footnote = std::move(footnote);
+    return out;
+}
+
+/** fig3/fig7 lines: the states, fully busy first, then the total. */
+std::vector<std::string>
+stateLines()
+{
+    std::vector<std::string> lines;
+    for (int st = UnitStateBreakdown::kNumStates - 1; st >= 0; --st)
+        lines.push_back(UnitStateBreakdown::stateName(st));
+    lines.push_back("total cycles");
+    return lines;
+}
+
+/** fig3/fig7 cells: a state's share of the cycles, or the total. */
+void
+stateCells(std::vector<Cell> &cells, const SimResult &r, size_t line)
+{
+    constexpr size_t kStates = UnitStateBreakdown::kNumStates;
+    if (line == kStates)
+        cells.push_back(intCell(r.cycles));
+    else
+        cells.push_back(
+            percent(r.stateCycles[kStates - 1 - line], r.cycles));
+}
 
 // ------------------------------------------------------------- fig3
 // Functional-unit usage breakdown for the reference architecture.
@@ -40,45 +175,16 @@ namespace
 FigureResult
 fig3RefStates(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned lats[] = {1, 20, 70, 100};
-
-    JobSet js;
-    std::vector<std::array<size_t, 4>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p)
-        for (size_t i = 0; i < 4; ++i)
-            idx[p][i] = js.addRef(names[p], makeRefConfig(lats[i]));
-    js.run(engine);
-
-    FigureResult out;
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> hdr{"State"};
-        for (unsigned l : lats)
-            hdr.push_back("lat" + std::to_string(l) + " (%)");
-        TextTable table(hdr);
-        for (int st = UnitStateBreakdown::kNumStates - 1; st >= 0;
-             --st) {
-            std::vector<std::string> row{
-                UnitStateBreakdown::stateName(st)};
-            for (size_t i = 0; i < 4; ++i) {
-                const SimResult &r = js[idx[p][i]];
-                double pct = 100.0 *
-                             static_cast<double>(r.stateCycles[st]) /
-                             static_cast<double>(r.cycles);
-                row.push_back(TextTable::fmt(pct, 1));
-            }
-            table.addRow(row);
-        }
-        std::vector<std::string> tot{"total cycles"};
-        for (size_t i = 0; i < 4; ++i)
-            tot.push_back(TextTable::fmt(js[idx[p][i]].cycles));
-        table.addRow(tot);
-        out.sections.push_back(
-            {"--- " + names[p] + " ---", std::move(table)});
+    std::vector<GridMachine> machines;
+    std::vector<std::string> headers{"State"};
+    for (unsigned lat : {1u, 20u, 70u, 100u}) {
+        machines.push_back(GridMachine::ref(makeRefConfig(lat)));
+        headers.push_back("lat" + std::to_string(lat) + " (%)");
     }
-    out.footnote = "(paper: few cycles at peak state <FU2,FU1,MEM>; "
-                   "idle state < , , > grows with latency)";
-    return out;
+    return perProgram(engine, machines, headers, stateLines(),
+                      stateCells,
+                      "(paper: few cycles at peak state <FU2,FU1,MEM>; "
+                      "idle state < , , > grows with latency)");
 }
 
 // ------------------------------------------------------------- fig4
@@ -91,30 +197,15 @@ fig3RefStates(const SweepEngine &engine)
 FigureResult
 fig4PortIdle(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned lats[] = {1, 20, 70, 100};
-
-    JobSet js;
-    std::vector<std::array<size_t, 4>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p)
-        for (size_t i = 0; i < 4; ++i)
-            idx[p][i] = js.addRef(names[p], makeRefConfig(lats[i]));
-    js.run(engine);
-
-    TextTable table({"Program", "lat1", "lat20", "lat70", "lat100"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        for (size_t i = 0; i < 4; ++i)
-            row.push_back(TextTable::fmt(
-                100.0 * js[idx[p][i]].portIdleFraction(), 1));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 30-65% idle at latency 70; all ten "
-                   "programs are memory bound)";
-    return out;
+    std::vector<GridMachine> machines;
+    std::vector<Column> columns;
+    for (unsigned lat : {1u, 20u, 70u, 100u})
+        columns.push_back(portIdle(
+            "lat" + std::to_string(lat),
+            declare(machines, GridMachine::ref(makeRefConfig(lat)))));
+    return programTable(engine, machines, columns,
+                        "(paper: 30-65% idle at latency 70; all ten "
+                        "programs are memory bound)");
 }
 
 // ------------------------------------------------------------- fig5
@@ -130,54 +221,23 @@ fig4PortIdle(const SweepEngine &engine)
 FigureResult
 fig5Speedup(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned regs[] = {9, 12, 16, 32, 64};
-
-    struct Row
-    {
-        size_t ref;
-        std::array<size_t, 5> q16;
-        std::array<size_t, 2> q128;
-        size_t ideal;
+    std::vector<GridMachine> machines{
+        GridMachine::ref(makeRefConfig(50))};
+    std::vector<Column> columns;
+    auto add = [&](std::string header, GridMachine m) {
+        columns.push_back(cycleRatio(std::move(header), 0,
+                                     declare(machines, std::move(m))));
     };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].ref = js.addRef(names[p], makeRefConfig(50));
-        for (size_t i = 0; i < 5; ++i)
-            idx[p].q16[i] =
-                js.addOoo(names[p], makeOooConfig(regs[i], 16, 50));
-        const unsigned q128regs[] = {16, 64};
-        for (size_t i = 0; i < 2; ++i)
-            idx[p].q128[i] = js.addOoo(
-                names[p], makeOooConfig(q128regs[i], 128, 50));
-        idx[p].ideal = js.addIdeal(names[p]);
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "q16/9r", "q16/12r", "q16/16r",
-                     "q16/32r", "q16/64r", "q128/16r", "q128/64r",
-                     "IDEAL"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p].ref];
-        std::vector<std::string> row{names[p]};
-        for (size_t i = 0; i < 5; ++i)
-            row.push_back(
-                TextTable::fmt(speedup(ref, js[idx[p].q16[i]]), 2));
-        for (size_t i = 0; i < 2; ++i)
-            row.push_back(
-                TextTable::fmt(speedup(ref, js[idx[p].q128[i]]), 2));
-        double ideal = static_cast<double>(ref.cycles) /
-                       static_cast<double>(js[idx[p].ideal].cycles);
-        row.push_back(TextTable::fmt(ideal, 2));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 1.24-1.72 at 16 regs; 12 regs nearly as "
-                   "good; queues 128 ~ queues 16)";
-    return out;
+    for (unsigned regs : {9u, 12u, 16u, 32u, 64u})
+        add(csprintf("q16/%ur", regs),
+            GridMachine::ooo(makeOooConfig(regs, 16, 50)));
+    for (unsigned regs : {16u, 64u})
+        add(csprintf("q128/%ur", regs),
+            GridMachine::ooo(makeOooConfig(regs, 128, 50)));
+    add("IDEAL", GridMachine::ideal());
+    return programTable(engine, machines, columns,
+                        "(paper: 1.24-1.72 at 16 regs; 12 regs nearly as "
+                        "good; queues 128 ~ queues 16)");
 }
 
 // ------------------------------------------------------------- fig6
@@ -191,30 +251,13 @@ fig5Speedup(const SweepEngine &engine)
 FigureResult
 fig6PortIdleOoo(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    JobSet js;
-    std::vector<std::array<size_t, 2>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], makeRefConfig(50));
-        idx[p][1] = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "REF idle%", "OOOVA idle%"});
-    for (size_t p = 0; p < names.size(); ++p)
-        table.addRow(
-            {names[p],
-             TextTable::fmt(100.0 * js[idx[p][0]].portIdleFraction(),
-                            1),
-             TextTable::fmt(100.0 * js[idx[p][1]].portIdleFraction(),
-                            1)});
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: OOOVA cuts idle cycles by more than half "
-                   "in most cases)";
-    return out;
+    return programTable(engine,
+                        {GridMachine::ref(makeRefConfig(50)),
+                         GridMachine::ooo(makeOooConfig(16, 16, 50))},
+                        {portIdle("REF idle%", 0),
+                         portIdle("OOOVA idle%", 1)},
+                        "(paper: OOOVA cuts idle cycles by more than half "
+                        "in most cases)");
 }
 
 // ------------------------------------------------------------- fig7
@@ -228,44 +271,13 @@ fig6PortIdleOoo(const SweepEngine &engine)
 FigureResult
 fig7StatesOoo(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    JobSet js;
-    std::vector<std::array<size_t, 2>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], makeRefConfig(50));
-        idx[p][1] = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-    }
-    js.run(engine);
-
-    FigureResult out;
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p][0]];
-        const SimResult &ooo = js[idx[p][1]];
-        TextTable table({"State", "REF %", "OOOVA %"});
-        for (int st = UnitStateBreakdown::kNumStates - 1; st >= 0;
-             --st) {
-            table.addRow(
-                {UnitStateBreakdown::stateName(st),
-                 TextTable::fmt(100.0 *
-                                    static_cast<double>(
-                                        ref.stateCycles[st]) /
-                                    static_cast<double>(ref.cycles),
-                                1),
-                 TextTable::fmt(100.0 *
-                                    static_cast<double>(
-                                        ooo.stateCycles[st]) /
-                                    static_cast<double>(ooo.cycles),
-                                1)});
-        }
-        table.addRow({"total cycles", TextTable::fmt(ref.cycles),
-                      TextTable::fmt(ooo.cycles)});
-        out.sections.push_back(
-            {"--- " + names[p] + " ---", std::move(table)});
-    }
-    out.footnote = "(paper: the all-idle state < , , > almost "
-                   "disappears on the OOOVA)";
-    return out;
+    return perProgram(engine,
+                      {GridMachine::ref(makeRefConfig(50)),
+                       GridMachine::ooo(makeOooConfig(16, 16, 50))},
+                      {"State", "REF %", "OOOVA %"}, stateLines(),
+                      stateCells,
+                      "(paper: the all-idle state < , , > almost "
+                      "disappears on the OOOVA)");
 }
 
 // ------------------------------------------------------------- fig8
@@ -280,54 +292,25 @@ fig7StatesOoo(const SweepEngine &engine)
 FigureResult
 fig8Latency(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
     const unsigned lats[] = {1, 50, 100};
-
-    struct Row
-    {
-        std::array<size_t, 3> ref;
-        std::array<size_t, 3> ooo;
-        size_t ideal;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i)
-            idx[p].ref[i] = js.addRef(names[p], makeRefConfig(lats[i]));
-        for (size_t i = 0; i < 3; ++i)
-            idx[p].ooo[i] =
-                js.addOoo(names[p], makeOooConfig(16, 16, lats[i]));
-        idx[p].ideal = js.addIdeal(names[p]);
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "REF@1", "REF@50", "REF@100", "OOO@1",
-                     "OOO@50", "OOO@100", "IDEAL", "OOO 100/1",
-                     "spdup@1"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].ref[i]].cycles));
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].ooo[i]].cycles));
-        row.push_back(TextTable::fmt(js[idx[p].ideal].cycles));
-        Cycle ref1 = js[idx[p].ref[0]].cycles;
-        Cycle ooo1 = js[idx[p].ooo[0]].cycles;
-        Cycle ooo100 = js[idx[p].ooo[2]].cycles;
-        row.push_back(TextTable::fmt(
-            static_cast<double>(ooo100) / static_cast<double>(ooo1),
-            2));
-        row.push_back(TextTable::fmt(
-            static_cast<double>(ref1) / static_cast<double>(ooo1),
-            2));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: OOOVA flat across 1..100 cycles; speedup "
-                   "1.15-1.25 even at latency 1)";
-    return out;
+    std::vector<GridMachine> machines;
+    std::vector<Column> columns;
+    for (unsigned lat : lats)
+        columns.push_back(counter(
+            csprintf("REF@%u", lat),
+            declare(machines, GridMachine::ref(makeRefConfig(lat)))));
+    for (unsigned lat : lats)
+        columns.push_back(
+            counter(csprintf("OOO@%u", lat),
+                    declare(machines, GridMachine::ooo(
+                                          makeOooConfig(16, 16, lat)))));
+    columns.push_back(
+        counter("IDEAL", declare(machines, GridMachine::ideal())));
+    columns.push_back(cycleRatio("OOO 100/1", 5, 3));
+    columns.push_back(cycleRatio("spdup@1", 0, 3));
+    return programTable(engine, machines, columns,
+                        "(paper: OOOVA flat across 1..100 cycles; speedup "
+                        "1.15-1.25 even at latency 1)");
 }
 
 // ------------------------------------------------------------- fig9
@@ -342,59 +325,55 @@ fig8Latency(const SweepEngine &engine)
 FigureResult
 fig9Commit(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned earlyRegs[] = {9, 16, 64};
-    const unsigned lateRegs[] = {9, 12, 16, 32, 64};
-
-    struct Row
-    {
-        size_t ref;
-        std::array<size_t, 3> early;
-        std::array<size_t, 5> late;
+    std::vector<GridMachine> machines{
+        GridMachine::ref(makeRefConfig(50))};
+    std::vector<Column> columns;
+    size_t early16 = 0, late16 = 0;
+    auto add = [&](const char *prefix, unsigned regs, CommitMode mode) {
+        size_t m = declare(machines, GridMachine::ooo(makeOooConfig(
+                                         regs, 16, 50, mode)));
+        columns.push_back(cycleRatio(csprintf("%s/%ur", prefix, regs),
+                                     0, m));
+        return m;
     };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].ref = js.addRef(names[p], makeRefConfig(50));
-        for (size_t i = 0; i < 3; ++i)
-            idx[p].early[i] = js.addOoo(
-                names[p], makeOooConfig(earlyRegs[i], 16, 50,
-                                        CommitMode::Early));
-        for (size_t i = 0; i < 5; ++i)
-            idx[p].late[i] = js.addOoo(
-                names[p],
-                makeOooConfig(lateRegs[i], 16, 50, CommitMode::Late));
-    }
-    js.run(engine);
+    for (unsigned regs : {9u, 16u, 64u})
+        if (size_t m = add("e", regs, CommitMode::Early); regs == 16)
+            early16 = m;
+    for (unsigned regs : {9u, 12u, 16u, 32u, 64u})
+        if (size_t m = add("l", regs, CommitMode::Late); regs == 16)
+            late16 = m;
+    columns.push_back({"late/early@16", [=](RowResults r) {
+                           return fixedCell(speedup(r[0], r[late16]) /
+                                                speedup(r[0], r[early16]),
+                                            2);
+                       }});
+    return programTable(engine, machines, columns,
+                        "(paper: late commit costs <10% for eight programs "
+                        "but 41%/47% for trfd/dyfesm)");
+}
 
-    TextTable table({"Program", "e/9r", "e/16r", "e/64r", "l/9r",
-                     "l/12r", "l/16r", "l/32r", "l/64r",
-                     "late/early@16"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p].ref];
-        std::vector<std::string> row{names[p]};
-        double early16 = 0, late16 = 0;
-        for (size_t i = 0; i < 3; ++i) {
-            double s = speedup(ref, js[idx[p].early[i]]);
-            if (earlyRegs[i] == 16)
-                early16 = s;
-            row.push_back(TextTable::fmt(s, 2));
-        }
-        for (size_t i = 0; i < 5; ++i) {
-            double s = speedup(ref, js[idx[p].late[i]]);
-            if (lateRegs[i] == 16)
-                late16 = s;
-            row.push_back(TextTable::fmt(s, 2));
-        }
-        row.push_back(TextTable::fmt(late16 / early16, 2));
-        table.addRow(row);
+/**
+ * fig11/fig12: the late-commit OOOVA with and without @p elim at
+ * 16/32/64 registers, speedup per register count, then @p at32's
+ * counters of the 32-register @p elim machine (index 3).
+ */
+FigureResult
+loadElimSpeedup(const SweepEngine &engine, LoadElimMode elim,
+                const std::vector<Column> &at32, std::string footnote)
+{
+    std::vector<GridMachine> machines;
+    std::vector<Column> columns;
+    for (unsigned regs : {16u, 32u, 64u}) {
+        size_t base = declare(machines, GridMachine::ooo(makeOooConfig(
+                                            regs, 16, 50, CommitMode::Late)));
+        size_t with = declare(
+            machines, GridMachine::ooo(makeOooConfig(
+                          regs, 16, 50, CommitMode::Late, elim)));
+        columns.push_back(
+            cycleRatio(std::to_string(regs) + "r", base, with));
     }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: late commit costs <10% for eight programs "
-                   "but 41%/47% for trfd/dyfesm)";
-    return out;
+    columns.insert(columns.end(), at32.begin(), at32.end());
+    return programTable(engine, machines, columns, std::move(footnote));
 }
 
 // ------------------------------------------------------------ fig11
@@ -408,49 +387,11 @@ fig9Commit(const SweepEngine &engine)
 FigureResult
 fig11Sle(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned regs[] = {16, 32, 64};
-
-    struct Row
-    {
-        std::array<size_t, 3> base;
-        std::array<size_t, 3> sle;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i) {
-            idx[p].base[i] = js.addOoo(
-                names[p],
-                makeOooConfig(regs[i], 16, 50, CommitMode::Late));
-            idx[p].sle[i] = js.addOoo(
-                names[p], makeOooConfig(regs[i], 16, 50,
-                                        CommitMode::Late,
-                                        LoadElimMode::Sle));
-        }
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "16r", "32r", "64r", "sElims@32"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        uint64_t elims = 0;
-        for (size_t i = 0; i < 3; ++i) {
-            const SimResult &sle = js[idx[p].sle[i]];
-            if (regs[i] == 32)
-                elims = sle.scalarLoadsEliminated;
-            row.push_back(
-                TextTable::fmt(speedup(js[idx[p].base[i]], sle), 2));
-        }
-        row.push_back(TextTable::fmt(elims));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: <1.05 for most programs; 1.30/1.36 for "
-                   "trfd/dyfesm at 32 regs)";
-    return out;
+    return loadElimSpeedup(
+        engine, LoadElimMode::Sle,
+        {counter("sElims@32", 3, &SimResult::scalarLoadsEliminated)},
+        "(paper: <1.05 for most programs; 1.30/1.36 for "
+        "trfd/dyfesm at 32 regs)");
 }
 
 // ------------------------------------------------------------ fig12
@@ -464,53 +405,12 @@ fig11Sle(const SweepEngine &engine)
 FigureResult
 fig12SleVle(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned regs[] = {16, 32, 64};
-
-    struct Row
-    {
-        std::array<size_t, 3> base;
-        std::array<size_t, 3> vle;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i) {
-            idx[p].base[i] = js.addOoo(
-                names[p],
-                makeOooConfig(regs[i], 16, 50, CommitMode::Late));
-            idx[p].vle[i] = js.addOoo(
-                names[p], makeOooConfig(regs[i], 16, 50,
-                                        CommitMode::Late,
-                                        LoadElimMode::SleVle));
-        }
-    }
-    js.run(engine);
-
-    TextTable table(
-        {"Program", "16r", "32r", "64r", "vElims@32", "sElims@32"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
-        uint64_t velims = 0, selims = 0;
-        for (size_t i = 0; i < 3; ++i) {
-            const SimResult &vle = js[idx[p].vle[i]];
-            if (regs[i] == 32) {
-                velims = vle.vectorLoadsEliminated;
-                selims = vle.scalarLoadsEliminated;
-            }
-            row.push_back(
-                TextTable::fmt(speedup(js[idx[p].base[i]], vle), 2));
-        }
-        row.push_back(TextTable::fmt(velims));
-        row.push_back(TextTable::fmt(selims));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 1.04-1.16 typical at 16 regs, up to 2.13 "
-                   "trfd; 1.10-1.20 at 32 regs)";
-    return out;
+    return loadElimSpeedup(
+        engine, LoadElimMode::SleVle,
+        {counter("vElims@32", 3, &SimResult::vectorLoadsEliminated),
+         counter("sElims@32", 3, &SimResult::scalarLoadsEliminated)},
+        "(paper: 1.04-1.16 typical at 16 regs, up to 2.13 "
+        "trfd; 1.10-1.20 at 32 regs)");
 }
 
 // ------------------------------------------------------------ fig13
@@ -525,45 +425,28 @@ fig12SleVle(const SweepEngine &engine)
 FigureResult
 fig13Traffic(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
-    JobSet js;
-    std::vector<std::array<size_t, 3>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addOoo(
-            names[p], makeOooConfig(32, 16, 50, CommitMode::Late));
-        idx[p][1] = js.addOoo(
-            names[p], makeOooConfig(32, 16, 50, CommitMode::Late,
-                                    LoadElimMode::Sle));
-        idx[p][2] = js.addOoo(
-            names[p], makeOooConfig(32, 16, 50, CommitMode::Late,
-                                    LoadElimMode::SleVle));
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "base reqs", "SLE reqs",
-                     "SLE+VLE reqs", "SLE red%", "SLE+VLE red%"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &base = js[idx[p][0]];
-        const SimResult &sle = js[idx[p][1]];
-        const SimResult &vle = js[idx[p][2]];
-        auto reduction = [&](const SimResult &x) {
-            return 100.0 * (1.0 - static_cast<double>(x.memRequests) /
-                                      static_cast<double>(
-                                          base.memRequests));
-        };
-        table.addRow({names[p], TextTable::fmt(base.memRequests),
-                      TextTable::fmt(sle.memRequests),
-                      TextTable::fmt(vle.memRequests),
-                      TextTable::fmt(reduction(sle), 1),
-                      TextTable::fmt(reduction(vle), 1)});
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: 15-20% typical reduction, up to 40% for "
-                   "trfd/dyfesm)";
-    return out;
+    std::vector<GridMachine> machines;
+    for (LoadElimMode elim :
+         {LoadElimMode::None, LoadElimMode::Sle, LoadElimMode::SleVle})
+        machines.push_back(GridMachine::ooo(
+            makeOooConfig(32, 16, 50, CommitMode::Late, elim)));
+    auto reduction = [](std::string header, size_t m) {
+        return Column{std::move(header), [m](RowResults r) {
+                          double kept =
+                              static_cast<double>(r[m].memRequests) /
+                              static_cast<double>(r[0].memRequests);
+                          return fixedCell(100.0 * (1.0 - kept), 1);
+                      }};
+    };
+    const auto reqs = &SimResult::memRequests;
+    return programTable(engine, machines,
+                        {counter("base reqs", 0, reqs),
+                         counter("SLE reqs", 1, reqs),
+                         counter("SLE+VLE reqs", 2, reqs),
+                         reduction("SLE red%", 1),
+                         reduction("SLE+VLE red%", 2)},
+                        "(paper: 15-20% typical reduction, up to 40% for "
+                        "trfd/dyfesm)");
 }
 
 // ------------------------------------------------------------- tab1
@@ -578,10 +461,9 @@ tab1Machine(const SweepEngine &)
     LatencyTable ref = LatencyTable::refDefaults();
     LatencyTable ooo = LatencyTable::oooDefaults();
 
-    TextTable table({"Parameter", "REF", "OOOVA"});
+    FigureSection table{"", {"Parameter", "REF", "OOOVA"}, {}};
     auto row = [&](const char *name, unsigned a, unsigned b) {
-        table.addRow({name, TextTable::fmt(uint64_t(a)),
-                      TextTable::fmt(uint64_t(b))});
+        table.rows.push_back({name, {intCell(a), intCell(b)}});
     };
     row("read x-bar", ref.readXbar, ooo.readXbar);
     row("write x-bar (vector)", ref.writeXbarVector,
@@ -597,12 +479,29 @@ tab1Machine(const SweepEngine &)
     row("branch mispredict", ref.branchMispredict,
         ooo.branchMispredict);
 
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(*) as in the paper's footnote: 0 in OOOVA, 1 in "
-                   "REF.";
-    out.showScale = false;
-    return out;
+    return {{std::move(table)},
+            "(*) as in the paper's footnote: 0 in OOOVA, 1 in REF.",
+            false};
+}
+
+/**
+ * tab2/tab3: a line per benchmark whose cells @p cells computes from
+ * the trace itself; nothing is simulated.
+ */
+FigureResult
+traceTable(const SweepEngine &engine,
+           std::vector<std::string> headers,
+           const std::function<std::vector<Cell>(const TraceStats &)>
+               &cells,
+           std::string footnote)
+{
+    const auto &names = engine.traces().names();
+    engine.prefetch(names);
+    FigureSection table{"", std::move(headers), {}};
+    for (const auto &name : names)
+        table.rows.push_back(
+            {name, cells(TraceStats::compute(engine.traces().get(name)))});
+    return {{std::move(table)}, std::move(footnote)};
 }
 
 // ------------------------------------------------------------- tab2
@@ -614,26 +513,18 @@ tab1Machine(const SweepEngine &)
 FigureResult
 tab2Programs(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    engine.prefetch(names);
-
-    TextTable table({"Program", "#Scalar", "#Vector", "#VecOps",
-                     "%Vect", "AvgVL"});
-    for (const auto &name : names) {
-        TraceStats s = TraceStats::compute(engine.traces().get(name));
-        table.addRow({name, TextTable::fmt(s.scalarInsts),
-                      TextTable::fmt(s.vectorInsts),
-                      TextTable::fmt(s.vectorOps),
-                      TextTable::fmt(s.vectorization(), 1),
-                      TextTable::fmt(s.avgVectorLength(), 1)});
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper, for reference: >=70% vectorization for "
-                   "all ten; swm256 99.9% / VL 127; tomcatv most "
-                   "scalar instructions)";
-    return out;
+    return traceTable(
+        engine,
+        {"Program", "#Scalar", "#Vector", "#VecOps", "%Vect", "AvgVL"},
+        [](const TraceStats &s) {
+            return std::vector<Cell>{
+                intCell(s.scalarInsts), intCell(s.vectorInsts),
+                intCell(s.vectorOps), fixedCell(s.vectorization(), 1),
+                fixedCell(s.avgVectorLength(), 1)};
+        },
+        "(paper, for reference: >=70% vectorization for "
+        "all ten; swm256 99.9% / VL 127; tomcatv most "
+        "scalar instructions)");
 }
 
 // ------------------------------------------------------------- tab3
@@ -646,29 +537,22 @@ tab2Programs(const SweepEngine &engine)
 FigureResult
 tab3Spills(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    engine.prefetch(names);
-
-    TextTable table({"Program", "VLoad", "VLoadSpill", "VStore",
-                     "VStoreSpill", "Spill%", "SLoadSpill",
-                     "SStoreSpill"});
-    for (const auto &name : names) {
-        TraceStats s = TraceStats::compute(engine.traces().get(name));
-        table.addRow(
-            {name, TextTable::fmt(s.vecLoadOps),
-             TextTable::fmt(s.vecSpillLoadOps),
-             TextTable::fmt(s.vecStoreOps),
-             TextTable::fmt(s.vecSpillStoreOps),
-             TextTable::fmt(100.0 * s.spillTrafficFraction(), 1),
-             TextTable::fmt(s.scalarSpillLoads),
-             TextTable::fmt(s.scalarSpillStores)});
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(paper: several programs have large spill "
-                   "traffic; bdna over 69% of total)";
-    return out;
+    return traceTable(
+        engine,
+        {"Program", "VLoad", "VLoadSpill", "VStore", "VStoreSpill",
+         "Spill%", "SLoadSpill", "SStoreSpill"},
+        [](const TraceStats &s) {
+            return std::vector<Cell>{
+                intCell(s.vecLoadOps),
+                intCell(s.vecSpillLoadOps),
+                intCell(s.vecStoreOps),
+                intCell(s.vecSpillStoreOps),
+                fixedCell(100.0 * s.spillTrafficFraction(), 1),
+                intCell(s.scalarSpillLoads),
+                intCell(s.scalarSpillStores)};
+        },
+        "(paper: several programs have large spill "
+        "traffic; bdna over 69% of total)");
 }
 
 // -------------------------------------------------------- ablations
@@ -685,118 +569,67 @@ tab3Spills(const SweepEngine &engine)
 FigureResult
 ablAblations(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const std::vector<std::string> queueProgs = {"swm256", "trfd",
-                                                 "dyfesm", "bdna"};
-    const std::vector<std::string> portProgs = {"swm256", "arc2d",
-                                                "su2cor"};
-    const std::vector<std::string> widthProgs = {"tomcatv", "dyfesm"};
-    const unsigned queues[] = {4, 8, 16, 32, 64, 128};
-    const unsigned widths[] = {1, 2, 4, 8};
-
-    JobSet js;
+    FigureGrid grid;
 
     // 1. load->FU chaining.
-    std::vector<std::array<size_t, 2>> chainIdx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        OooConfig base = makeOooConfig(16, 16, 50);
-        OooConfig chain = base;
-        chain.chainLoadsToFus = true;
-        chainIdx[p][0] = js.addOoo(names[p], base);
-        chainIdx[p][1] = js.addOoo(names[p], chain);
-    }
+    OooConfig chain = makeOooConfig(16, 16, 50);
+    chain.chainLoadsToFus = true;
+    grid.add(benchmarks(engine),
+             {GridMachine::ooo(makeOooConfig(16, 16, 50)),
+              GridMachine::ooo(chain)});
 
     // 2. queue depth sweep.
-    struct QueueRow
-    {
-        size_t ref;
-        std::array<size_t, 6> ooo;
-    };
-    std::vector<QueueRow> queueIdx(queueProgs.size());
-    for (size_t p = 0; p < queueProgs.size(); ++p) {
-        queueIdx[p].ref = js.addRef(queueProgs[p], makeRefConfig(50));
-        for (size_t i = 0; i < 6; ++i)
-            queueIdx[p].ooo[i] = js.addOoo(
-                queueProgs[p], makeOooConfig(16, queues[i], 50));
-    }
+    std::vector<GridMachine> queueMachines{
+        GridMachine::ref(makeRefConfig(50))};
+    std::vector<Column> queueColumns;
+    for (unsigned q : {4u, 8u, 16u, 32u, 64u, 128u})
+        queueColumns.push_back(cycleRatio(
+            "q" + std::to_string(q), 0,
+            declare(queueMachines,
+                    GridMachine::ooo(makeOooConfig(16, q, 50)))));
+    grid.add(programs({"swm256", "trfd", "dyfesm", "bdna"}),
+             queueMachines);
 
     // 3. REF banked-file port conflicts.
-    std::vector<std::array<size_t, 2>> portIdx(portProgs.size());
-    for (size_t p = 0; p < portProgs.size(); ++p) {
-        RefConfig off = makeRefConfig(50);
-        RefConfig on = makeRefConfig(50);
-        on.modelPortConflicts = true;
-        portIdx[p][0] = js.addRef(portProgs[p], off);
-        portIdx[p][1] = js.addRef(portProgs[p], on);
-    }
+    RefConfig ports = makeRefConfig(50);
+    ports.modelPortConflicts = true;
+    grid.add(programs({"swm256", "arc2d", "su2cor"}),
+             {GridMachine::ref(makeRefConfig(50)),
+              GridMachine::ref(ports)});
 
     // 4. commit width.
-    std::vector<std::array<size_t, 4>> widthIdx(widthProgs.size());
-    for (size_t p = 0; p < widthProgs.size(); ++p)
-        for (size_t i = 0; i < 4; ++i) {
-            OooConfig c = makeOooConfig(16, 16, 50);
-            c.commitWidth = widths[i];
-            widthIdx[p][i] = js.addOoo(widthProgs[p], c);
-        }
+    std::vector<GridMachine> widthMachines;
+    std::vector<Column> widthColumns;
+    for (unsigned w : {1u, 2u, 4u, 8u}) {
+        OooConfig c = makeOooConfig(16, 16, 50);
+        c.commitWidth = w;
+        widthColumns.push_back(
+            counter("w" + std::to_string(w),
+                    declare(widthMachines, GridMachine::ooo(c))));
+    }
+    grid.add(programs({"tomcatv", "dyfesm"}), widthMachines);
 
-    js.run(engine);
+    grid.run(engine);
 
+    Column slowdown{"slowdown", [](RowResults r) {
+                        double s = speedup(r[0], r[1]);
+                        return fixedCell(s > 0 ? 1.0 / s : 0.0, 2);
+                    }};
     FigureResult out;
-    {
-        TextTable t({"Program", "no-chain cyc", "chain cyc",
-                     "chain gain"});
-        for (size_t p = 0; p < names.size(); ++p) {
-            const SimResult &a = js[chainIdx[p][0]];
-            const SimResult &b = js[chainIdx[p][1]];
-            t.addRow({names[p], TextTable::fmt(a.cycles),
-                      TextTable::fmt(b.cycles),
-                      TextTable::fmt(speedup(a, b), 2)});
-        }
-        out.sections.push_back(
-            {"-- load->FU chaining --", std::move(t)});
-    }
-    {
-        TextTable t({"Program", "q4", "q8", "q16", "q32", "q64",
-                     "q128"});
-        for (size_t p = 0; p < queueProgs.size(); ++p) {
-            const SimResult &ref = js[queueIdx[p].ref];
-            std::vector<std::string> row{queueProgs[p]};
-            for (size_t i = 0; i < 6; ++i)
-                row.push_back(TextTable::fmt(
-                    speedup(ref, js[queueIdx[p].ooo[i]]), 2));
-            t.addRow(row);
-        }
-        out.sections.push_back(
-            {"-- queue depth (speedup over REF) --", std::move(t)});
-    }
-    {
-        TextTable t({"Program", "compiler-sched cyc",
-                     "port-oblivious cyc", "slowdown"});
-        for (size_t p = 0; p < portProgs.size(); ++p) {
-            const SimResult &a = js[portIdx[p][0]];
-            const SimResult &b = js[portIdx[p][1]];
-            t.addRow({portProgs[p], TextTable::fmt(a.cycles),
-                      TextTable::fmt(b.cycles),
-                      TextTable::fmt(speedup(a, b) > 0
-                                         ? 1.0 / speedup(a, b)
-                                         : 0.0,
-                                     2)});
-        }
-        out.sections.push_back(
-            {"-- REF register-file port conflicts --", std::move(t)});
-    }
-    {
-        TextTable t({"Program", "w1", "w2", "w4", "w8"});
-        for (size_t p = 0; p < widthProgs.size(); ++p) {
-            std::vector<std::string> row{widthProgs[p]};
-            for (size_t i = 0; i < 4; ++i)
-                row.push_back(
-                    TextTable::fmt(js[widthIdx[p][i]].cycles));
-            t.addRow(row);
-        }
-        out.sections.push_back(
-            {"-- commit width (cycles) --", std::move(t)});
-    }
+    out.sections = {
+        grid.table(0, "Program",
+                   {counter("no-chain cyc", 0), counter("chain cyc", 1),
+                    cycleRatio("chain gain", 0, 1)},
+                   "-- load->FU chaining --"),
+        grid.table(1, "Program", queueColumns,
+                   "-- queue depth (speedup over REF) --"),
+        grid.table(2, "Program",
+                   {counter("compiler-sched cyc", 0),
+                    counter("port-oblivious cyc", 1), slowdown},
+                   "-- REF register-file port conflicts --"),
+        grid.table(3, "Program", widthColumns,
+                   "-- commit width (cycles) --"),
+    };
     return out;
 }
 
@@ -810,55 +643,28 @@ ablAblations(const SweepEngine &engine)
 FigureResult
 figMemBanks(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-    const unsigned bankCounts[] = {1, 2, 4, 8, 16};
-
-    struct Row
-    {
-        size_t ref;
-        size_t refB8;
-        size_t flat;
-        std::array<size_t, 5> banked;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].ref = js.addRef(names[p], makeRefConfig(50));
-        idx[p].refB8 = js.addRef(names[p], makeBankedRefConfig(8, 50));
-        idx[p].flat = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-        for (size_t i = 0; i < 5; ++i)
-            idx[p].banked[i] = js.addOoo(
-                names[p], makeBankedOooConfig(bankCounts[i], 50));
-    }
-    js.run(engine);
-
-    TextTable table({"Program", "flat", "b1", "b2", "b4", "b8", "b16",
-                     "vsREFb8", "confl@b8", "confCyc@b8"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        const SimResult &ref = js[idx[p].ref];
-        std::vector<std::string> row{names[p]};
-        row.push_back(TextTable::fmt(speedup(ref, js[idx[p].flat]), 2));
-        for (size_t i = 0; i < 5; ++i)
-            row.push_back(
-                TextTable::fmt(speedup(ref, js[idx[p].banked[i]]), 2));
-        const SimResult &b8 = js[idx[p].banked[3]];
-        // Both machines on the same 8-bank memory: does the OOOVA's
-        // advantage survive when REF also pays bank conflicts?
-        row.push_back(
-            TextTable::fmt(speedup(js[idx[p].refB8], b8), 2));
-        row.push_back(TextTable::fmt(b8.memBankConflicts));
-        row.push_back(TextTable::fmt(b8.memConflictCycles));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(speedup over REF/flat at latency 50, except "
-                   "vsREFb8 = OOOVA/b8 over REF/b8; unit-stride "
-                   "programs climb monotonically with banks and "
-                   "approach the flat bus, strided programs keep "
-                   "residual bank conflicts)";
-    return out;
+    std::vector<GridMachine> machines{
+        GridMachine::ref(makeRefConfig(50)),
+        GridMachine::ref(makeBankedRefConfig(8, 50)),
+        GridMachine::ooo(makeOooConfig(16, 16, 50))};
+    std::vector<Column> columns{cycleRatio("flat", 0, 2)};
+    for (unsigned banks : {1u, 2u, 4u, 8u, 16u})
+        columns.push_back(cycleRatio(
+            "b" + std::to_string(banks), 0,
+            declare(machines,
+                    GridMachine::ooo(makeBankedOooConfig(banks, 50)))));
+    // Both machines on the same 8-bank memory (machine 6): does the
+    // OOOVA's advantage survive when REF also pays bank conflicts?
+    columns.push_back(cycleRatio("vsREFb8", 1, 6));
+    columns.push_back(counter("confl@b8", 6, &SimResult::memBankConflicts));
+    columns.push_back(
+        counter("confCyc@b8", 6, &SimResult::memConflictCycles));
+    return programTable(engine, machines, columns,
+                        "(speedup over REF/flat at latency 50, except "
+                        "vsREFb8 = OOOVA/b8 over REF/b8; unit-stride "
+                        "programs climb monotonically with banks and "
+                        "approach the flat bus, strided programs keep "
+                        "residual bank conflicts)");
 }
 
 // -------------------------------------------------------- memstride
@@ -897,52 +703,47 @@ figMemStride(const SweepEngine &engine)
         return std::make_shared<const Trace>(p.generate(opts));
     };
 
-    JobSet js;
+    FigureGrid grid;
     // The flat bus ignores addresses entirely, so its cycle count is
     // stride-invariant: simulate it once on the stride-1 trace.
     auto t1trace = makeStrideTrace(1);
-    size_t flatIdx = js.addOooTrace(t1trace, makeOooConfig(16, 16, 50));
-    std::array<size_t, 7> bankedIdx;
-    std::array<size_t, 7> dualIdx;
-    for (size_t i = 0; i < 7; ++i) {
-        auto t = strides[i] == 1 ? t1trace : makeStrideTrace(strides[i]);
-        bankedIdx[i] = js.addOooTrace(t, makeBankedOooConfig(8, 50));
-        // The same 8-bank memory behind two load/store units: the
-        // kernel's two load streams overlap their address phases.
-        dualIdx[i] = js.addOooTrace(t, makeMultiUnitOooConfig(8, 2));
-    }
-    js.run(engine);
+    grid.add({{"1", t1trace}},
+             {GridMachine::ooo(makeOooConfig(16, 16, 50))});
+    std::vector<GridRow> rows;
+    for (unsigned s : strides)
+        rows.push_back({std::to_string(s),
+                        s == 1 ? t1trace : makeStrideTrace(s)});
+    // The same 8-bank memory behind two load/store units: the
+    // kernel's two load streams overlap their address phases.
+    grid.add(std::move(rows),
+             {GridMachine::ooo(makeBankedOooConfig(8, 50)),
+              GridMachine::ooo(makeMultiUnitOooConfig(8, 2))});
+    grid.run(engine);
 
-    const SimResult &flat = js[flatIdx];
-    TextTable table({"Stride", "flat cyc", "b8 cyc", "slowdown",
-                     "conflicts", "confCycles", "distinct banks",
-                     "b8x2 cyc", "x2 gain"});
-    for (size_t i = 0; i < 7; ++i) {
-        unsigned s = strides[i];
-        const SimResult &banked = js[bankedIdx[i]];
-        const SimResult &dual = js[dualIdx[i]];
-        unsigned distinct = 8 / std::gcd(8u, s);
-        table.addRow(
-            {std::to_string(s), TextTable::fmt(flat.cycles),
-             TextTable::fmt(banked.cycles),
-             TextTable::fmt(static_cast<double>(banked.cycles) /
-                                static_cast<double>(flat.cycles),
-                            2),
-             TextTable::fmt(banked.memBankConflicts),
-             TextTable::fmt(banked.memConflictCycles),
-             TextTable::fmt(uint64_t(distinct)),
-             TextTable::fmt(dual.cycles),
-             TextTable::fmt(speedup(banked, dual), 2)});
+    const SimResult &flat = grid.results(0, 0)[0];
+    FigureSection table{"",
+                        {"Stride", "flat cyc", "b8 cyc", "slowdown",
+                         "conflicts", "confCycles", "distinct banks",
+                         "b8x2 cyc", "x2 gain"},
+                        {}};
+    for (size_t i = 0; i < std::size(strides); ++i) {
+        const SimResult &banked = grid.results(1, i)[0];
+        const SimResult &dual = grid.results(1, i)[1];
+        table.rows.push_back(
+            {grid.rows(1)[i].label,
+             {intCell(flat.cycles), intCell(banked.cycles),
+              fixedCell(speedup(banked, flat), 2),
+              intCell(banked.memBankConflicts),
+              intCell(banked.memConflictCycles),
+              intCell(8 / std::gcd(8u, strides[i])),
+              intCell(dual.cycles), fixedCell(speedup(banked, dual), 2)}});
     }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(8 banks, 1 port, 4-cycle bank busy; stride 8 "
-                   "hits one bank and serializes at the bank busy "
-                   "time, co-prime strides 3/7 match stride 1; the "
-                   "x2 columns re-run the sweep with two shared "
-                   "memory units)";
-    return out;
+    return {{std::move(table)},
+            "(8 banks, 1 port, 4-cycle bank busy; stride 8 "
+            "hits one bank and serializes at the bank busy "
+            "time, co-prime strides 3/7 match stride 1; the "
+            "x2 columns re-run the sweep with two shared "
+            "memory units)"};
 }
 
 // --------------------------------------------------------- memunits
@@ -995,56 +796,45 @@ figMemUnits(const SweepEngine &engine)
         return std::make_shared<const Trace>(std::move(t));
     };
 
+    // Four unit setups at 8 banks, then the same four at 16.
     const unsigned bankCounts[] = {8, 16};
-    struct Row
-    {
-        const char *program;
-        unsigned banks;
-        size_t x1, x2, x2s, x4;
-    };
-    JobSet js;
-    std::vector<Row> rows;
-    auto addProgram = [&](const char *name, auto make) {
-        auto trace = make();
-        for (unsigned banks : bankCounts) {
-            Row r;
-            r.program = name;
-            r.banks = banks;
-            r.x1 = js.addOooTrace(trace,
-                                  makeMultiUnitOooConfig(banks, 1));
-            r.x2 = js.addOooTrace(trace,
-                                  makeMultiUnitOooConfig(banks, 2));
-            r.x2s = js.addOooTrace(
-                trace,
-                makeMultiUnitOooConfig(banks, 2, LsPolicy::Split));
-            r.x4 = js.addOooTrace(trace,
-                                  makeMultiUnitOooConfig(banks, 4));
-            rows.push_back(r);
-        }
-    };
-    addProgram("dual-load", makeDualLoad);
-    addProgram("ld+st", makeLoadStore);
-    js.run(engine);
-
-    TextTable table({"Program", "banks", "x1 cyc", "x2", "x2 split",
-                     "x4", "confl@x2"});
-    for (const Row &r : rows) {
-        const SimResult &base = js[r.x1];
-        table.addRow({r.program, std::to_string(r.banks),
-                      TextTable::fmt(base.cycles),
-                      TextTable::fmt(speedup(base, js[r.x2]), 2),
-                      TextTable::fmt(speedup(base, js[r.x2s]), 2),
-                      TextTable::fmt(speedup(base, js[r.x4]), 2),
-                      TextTable::fmt(js[r.x2].memBankConflicts)});
+    std::vector<GridMachine> machines;
+    for (unsigned banks : bankCounts) {
+        machines.push_back(
+            GridMachine::ooo(makeMultiUnitOooConfig(banks, 1)));
+        machines.push_back(
+            GridMachine::ooo(makeMultiUnitOooConfig(banks, 2)));
+        machines.push_back(GridMachine::ooo(
+            makeMultiUnitOooConfig(banks, 2, LsPolicy::Split)));
+        machines.push_back(
+            GridMachine::ooo(makeMultiUnitOooConfig(banks, 4)));
     }
+    FigureGrid grid;
+    grid.add({{"dual-load", makeDualLoad()},
+              {"ld+st", makeLoadStore()}},
+             machines);
+    grid.run(engine);
 
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(speedup over the same memory with one unit; "
-                   "dual-load's disjoint-bank streams overlap fully "
-                   "at two shared units but not under a split "
-                   "policy, which pays off only for ld+st)";
-    return out;
+    FigureSection table{"",
+                        {"Program", "banks", "x1 cyc", "x2", "x2 split",
+                         "x4", "confl@x2"},
+                        {}};
+    for (size_t p = 0; p < grid.rows(0).size(); ++p)
+        for (size_t b = 0; b < std::size(bankCounts); ++b) {
+            RowResults r = grid.results(0, p).subspan(4 * b, 4);
+            table.rows.push_back(
+                {grid.rows(0)[p].label,
+                 {intCell(bankCounts[b]), intCell(r[0].cycles),
+                  fixedCell(speedup(r[0], r[1]), 2),
+                  fixedCell(speedup(r[0], r[2]), 2),
+                  fixedCell(speedup(r[0], r[3]), 2),
+                  intCell(r[1].memBankConflicts)}});
+        }
+    return {{std::move(table)},
+            "(speedup over the same memory with one unit; "
+            "dual-load's disjoint-bank streams overlap fully "
+            "at two shared units but not under a split "
+            "policy, which pays off only for ld+st)"};
 }
 
 // -------------------------------------------------------- memgather
@@ -1069,7 +859,7 @@ figMemGather(const SweepEngine &engine)
         IndexPattern pat;
         uint32_t param;
     };
-    const std::vector<Pattern> patterns = {
+    const Pattern patterns[] = {
         {"permutation", IndexPattern::Permutation, 0},
         {"congruent-mod-8", IndexPattern::CongruentMod, 8},
         {"random", IndexPattern::Random, 0},
@@ -1092,65 +882,39 @@ figMemGather(const SweepEngine &engine)
         return std::make_shared<const Trace>(prog.generate(opts));
     };
 
-    struct Row
-    {
-        size_t refFlat, refB8, oooB8, refTlb;
-    };
-    JobSet js;
-    std::vector<Row> idx(patterns.size());
-    for (size_t i = 0; i < patterns.size(); ++i) {
-        auto t = makeGatherTrace(patterns[i]);
-        idx[i].refFlat = js.addRefTrace(t, makeRefConfig(50));
-        idx[i].refB8 = js.addRefTrace(t, makeBankedRefConfig(8, 50));
-        idx[i].oooB8 = js.addOooTrace(t, makeBankedOooConfig(8, 50));
-        idx[i].refTlb = js.addRefTrace(
-            t, makeTlbBankedRefConfig(8, 16, 4096, 50));
-    }
-    js.run(engine);
-
-    TextTable table({"Pattern", "REF flat", "REF b8", "dilation",
-                     "idxConfl", "idxConfCyc", "OOO b8"});
-    for (size_t i = 0; i < patterns.size(); ++i) {
-        const SimResult &flat = js[idx[i].refFlat];
-        const SimResult &b8 = js[idx[i].refB8];
-        table.addRow(
-            {patterns[i].name, TextTable::fmt(flat.cycles),
-             TextTable::fmt(b8.cycles),
-             TextTable::fmt(static_cast<double>(b8.cycles) /
-                                static_cast<double>(flat.cycles),
-                            2),
-             TextTable::fmt(b8.memIndexedConflicts),
-             TextTable::fmt(b8.memIndexedConflictCycles),
-             TextTable::fmt(js[idx[i].oooB8].cycles)});
-    }
+    std::vector<GridRow> rows;
+    for (const Pattern &p : patterns)
+        rows.push_back({p.name, makeGatherTrace(p)});
+    FigureGrid grid;
+    grid.add(std::move(rows),
+             {GridMachine::ref(makeRefConfig(50)),
+              GridMachine::ref(makeBankedRefConfig(8, 50)),
+              GridMachine::ooo(makeBankedOooConfig(8, 50)),
+              GridMachine::ref(makeTlbBankedRefConfig(8, 16, 4096, 50))});
+    grid.run(engine);
 
     FigureResult out;
-    out.sections.push_back({"", std::move(table)});
+    out.sections.push_back(grid.table(
+        0, "Pattern",
+        {counter("REF flat", 0), counter("REF b8", 1),
+         cycleRatio("dilation", 1, 0),
+         counter("idxConfl", 1, &SimResult::memIndexedConflicts),
+         counter("idxConfCyc", 1, &SimResult::memIndexedConflictCycles),
+         counter("OOO b8", 2)}));
 
     // TLB interaction: the same three patterns against the same
     // 8-bank REF machine with a small TLB in front. Per-element
     // translation makes the index pattern decide the miss rate: the
     // permutation stays inside one page window, congruent-mod-8
     // spans a few pages, uniform-random indices thrash 16 entries.
-    TextTable tlbTable({"Pattern", "REF b8 cyc", "+t16e4k cyc",
-                        "dilation", "tlbMiss", "idxMiss",
-                        "missCyc"});
-    for (size_t i = 0; i < patterns.size(); ++i) {
-        const SimResult &b8 = js[idx[i].refB8];
-        const SimResult &tlb = js[idx[i].refTlb];
-        tlbTable.addRow(
-            {patterns[i].name, TextTable::fmt(b8.cycles),
-             TextTable::fmt(tlb.cycles),
-             TextTable::fmt(static_cast<double>(tlb.cycles) /
-                                static_cast<double>(b8.cycles),
-                            2),
-             TextTable::fmt(tlb.tlbMisses),
-             TextTable::fmt(tlb.tlbIndexedMisses),
-             TextTable::fmt(tlb.tlbMissCycles)});
-    }
-    out.sections.push_back({"-- TLB interaction (16 entries, 4K "
-                            "pages, hardware walk) --",
-                            std::move(tlbTable)});
+    out.sections.push_back(grid.table(
+        0, "Pattern",
+        {counter("REF b8 cyc", 1), counter("+t16e4k cyc", 3),
+         cycleRatio("dilation", 3, 1),
+         counter("tlbMiss", 3, &SimResult::tlbMisses),
+         counter("idxMiss", 3, &SimResult::tlbIndexedMisses),
+         counter("missCyc", 3, &SimResult::tlbMissCycles)},
+        "-- TLB interaction (16 entries, 4K pages, hardware walk) --"));
 
     out.footnote = "(8 banks, 4-cycle busy; a bank-friendly "
                    "permutation gathers conflict-free like stride 1, "
@@ -1175,87 +939,52 @@ figMemGather(const SweepEngine &engine)
 FigureResult
 figMemTlb(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
     struct TlbPoint
     {
         const char *label;
         unsigned entries;
         unsigned pageBytes;
     };
-    const std::vector<TlbPoint> points = {
+    const TlbPoint points[] = {
         {"t8e4k", 8, 4096},
         {"t32e4k", 32, 4096},
         {"t256e4k", 256, 4096},
         {"t32e64k", 32, 64 * 1024},
     };
 
-    struct Row
-    {
-        size_t base;
-        std::vector<size_t> tlb;
-        size_t hw, sw;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p].base = js.addOoo(names[p], makeOooConfig(16, 16, 50));
-        for (const TlbPoint &pt : points)
-            idx[p].tlb.push_back(js.addOoo(
-                names[p],
-                makeTlbOooConfig(pt.entries, pt.pageBytes)));
-        idx[p].hw = js.addOoo(
-            names[p],
-            makeTlbOooConfig(8, 4096, 50, CommitMode::Late));
-        idx[p].sw = js.addOoo(
-            names[p], makeTlbOooConfig(8, 4096, 50, CommitMode::Late,
-                                       TlbRefill::SoftwareTrap));
-    }
-    js.run(engine);
+    std::vector<GridMachine> machines{
+        GridMachine::ooo(makeOooConfig(16, 16, 50))};
+    std::vector<Column> reach{counter("no-TLB cyc", 0)};
+    for (const TlbPoint &pt : points)
+        reach.push_back(cycleRatio(
+            pt.label,
+            declare(machines, GridMachine::ooo(makeTlbOooConfig(
+                                  pt.entries, pt.pageBytes))),
+            0));
+    reach.push_back(counter("miss@t8", 1, &SimResult::tlbMisses));
+    reach.push_back(counter("idxMiss@t8", 1, &SimResult::tlbIndexedMisses));
+    reach.push_back(counter("missCyc@t8", 1, &SimResult::tlbMissCycles));
+    // Machines 5 and 6: hardware walk vs software refill trap.
+    machines.push_back(GridMachine::ooo(
+        makeTlbOooConfig(8, 4096, 50, CommitMode::Late)));
+    machines.push_back(GridMachine::ooo(makeTlbOooConfig(
+        8, 4096, 50, CommitMode::Late, TlbRefill::SoftwareTrap)));
+
+    FigureGrid grid;
+    grid.add(benchmarks(engine), machines);
+    grid.run(engine);
 
     FigureResult out;
-    {
-        TextTable t({"Program", "no-TLB cyc", "t8e4k", "t32e4k",
-                     "t256e4k", "t32e64k", "miss@t8", "idxMiss@t8",
-                     "missCyc@t8"});
-        for (size_t p = 0; p < names.size(); ++p) {
-            const SimResult &base = js[idx[p].base];
-            std::vector<std::string> row{names[p],
-                                         TextTable::fmt(base.cycles)};
-            for (size_t i = 0; i < points.size(); ++i)
-                row.push_back(TextTable::fmt(
-                    static_cast<double>(js[idx[p].tlb[i]].cycles) /
-                        static_cast<double>(base.cycles),
-                    2));
-            const SimResult &t8 = js[idx[p].tlb[0]];
-            row.push_back(TextTable::fmt(t8.tlbMisses));
-            row.push_back(TextTable::fmt(t8.tlbIndexedMisses));
-            row.push_back(TextTable::fmt(t8.tlbMissCycles));
-            t.addRow(row);
-        }
-        out.sections.push_back(
-            {"-- TLB reach (slowdown over no TLB, latency 50) --",
-             std::move(t)});
-    }
-    {
-        TextTable t({"Program", "hw cyc", "sw cyc", "sw/hw",
-                     "traps@sw", "miss@hw"});
-        for (size_t p = 0; p < names.size(); ++p) {
-            const SimResult &hw = js[idx[p].hw];
-            const SimResult &sw = js[idx[p].sw];
-            t.addRow({names[p], TextTable::fmt(hw.cycles),
-                      TextTable::fmt(sw.cycles),
-                      TextTable::fmt(static_cast<double>(sw.cycles) /
-                                         static_cast<double>(
-                                             hw.cycles),
-                                     2),
-                      TextTable::fmt(sw.traps),
-                      TextTable::fmt(hw.tlbMisses)});
-        }
-        out.sections.push_back(
-            {"-- refill policy at t8e4k (late commit) --",
-             std::move(t)});
-    }
+    out.sections = {
+        grid.table(0, "Program", reach,
+                   "-- TLB reach (slowdown over no TLB, latency 50) --"),
+        grid.table(0, "Program",
+                   {counter("hw cyc", 5), counter("sw cyc", 6),
+                    cycleRatio("sw/hw", 6, 5),
+                    counter("traps@sw", 6, &SimResult::traps),
+                    counter("miss@hw", 5, &SimResult::tlbMisses)},
+                   "-- refill policy at t8e4k (late commit) --"),
+    };
     out.footnote = "(strided streams translate once per page "
                    "crossed, so unit-stride programs stay warm even "
                    "at 8 entries; nasa7's random gather translates "
@@ -1273,53 +1002,26 @@ figMemTlb(const SweepEngine &engine)
 FigureResult
 figMemLatBanks(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
+    // Per latency: flat, b4, b16; machine 3*i + k is memory k at
+    // latency i.
     const unsigned lats[] = {1, 50, 100};
-
-    struct Row
-    {
-        std::array<size_t, 3> flat;
-        std::array<size_t, 3> b4;
-        std::array<size_t, 3> b16;
-    };
-    JobSet js;
-    std::vector<Row> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        for (size_t i = 0; i < 3; ++i) {
-            idx[p].flat[i] =
-                js.addOoo(names[p], makeOooConfig(16, 16, lats[i]));
-            idx[p].b4[i] = js.addOoo(
-                names[p], makeBankedOooConfig(4, lats[i]));
-            idx[p].b16[i] = js.addOoo(
-                names[p], makeBankedOooConfig(16, lats[i]));
-        }
+    std::vector<GridMachine> machines;
+    for (unsigned lat : lats) {
+        machines.push_back(GridMachine::ooo(makeOooConfig(16, 16, lat)));
+        machines.push_back(GridMachine::ooo(makeBankedOooConfig(4, lat)));
+        machines.push_back(GridMachine::ooo(makeBankedOooConfig(16, lat)));
     }
-    js.run(engine);
-
-    TextTable table({"Program", "flat@1", "flat@50", "flat@100",
-                     "b4@1", "b4@50", "b4@100", "b16@1", "b16@50",
-                     "b16@100", "b16 100/1"});
-    for (size_t p = 0; p < names.size(); ++p) {
-        std::vector<std::string> row{names[p]};
+    std::vector<Column> columns;
+    const char *mems[] = {"flat", "b4", "b16"};
+    for (size_t k = 0; k < 3; ++k)
         for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].flat[i]].cycles));
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].b4[i]].cycles));
-        for (size_t i = 0; i < 3; ++i)
-            row.push_back(TextTable::fmt(js[idx[p].b16[i]].cycles));
-        row.push_back(TextTable::fmt(
-            static_cast<double>(js[idx[p].b16[2]].cycles) /
-                static_cast<double>(js[idx[p].b16[0]].cycles),
-            2));
-        table.addRow(row);
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(the OOOVA's latency tolerance survives a banked "
-                   "hierarchy: the 100/1 ratio stays near the flat "
-                   "bus's figure-8 value even with 16 banks)";
-    return out;
+            columns.push_back(
+                counter(csprintf("%s@%u", mems[k], lats[i]), 3 * i + k));
+    columns.push_back(cycleRatio("b16 100/1", 8, 2));
+    return programTable(engine, machines, columns,
+                        "(the OOOVA's latency tolerance survives a banked "
+                        "hierarchy: the 100/1 ratio stays near the flat "
+                        "bus's figure-8 value even with 16 banks)");
 }
 
 // --------------------------------------------------------- cpistack
@@ -1333,8 +1035,6 @@ figMemLatBanks(const SweepEngine &engine)
 FigureResult
 figCpiStack(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
     RefConfig refCfg = makeRefConfig(50);
     refCfg.cpiStack = true;
     OooConfig ooo16 = makeOooConfig(16, 16, 50);
@@ -1342,43 +1042,24 @@ figCpiStack(const SweepEngine &engine)
     OooConfig ooo9 = makeOooConfig(9, 16, 50);
     ooo9.cpiStack = true;
 
-    JobSet js;
-    std::vector<std::array<size_t, 3>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], refCfg);
-        idx[p][1] = js.addOoo(names[p], ooo16);
-        idx[p][2] = js.addOoo(names[p], ooo9);
-    }
-    js.run(engine);
-
-    FigureResult out;
-    for (size_t p = 0; p < names.size(); ++p) {
-        TextTable table(
-            {"Bucket", "REF %", "OOOVA-16r %", "OOOVA-9r %"});
-        for (unsigned b = 0; b < kNumCpiBuckets; ++b) {
-            std::vector<std::string> row = {
-                cpiBucketName(static_cast<CpiBucket>(b))};
-            for (size_t m = 0; m < 3; ++m) {
-                const SimResult &r = js[idx[p][m]];
-                row.push_back(TextTable::fmt(
-                    100.0 *
-                        static_cast<double>(r.cpiCycles[b]) /
-                        static_cast<double>(r.cycles),
-                    1));
-            }
-            table.addRow(row);
-        }
-        table.addRow({"total cycles",
-                      TextTable::fmt(js[idx[p][0]].cycles),
-                      TextTable::fmt(js[idx[p][1]].cycles),
-                      TextTable::fmt(js[idx[p][2]].cycles)});
-        out.sections.push_back(
-            {"--- " + names[p] + " ---", std::move(table)});
-    }
-    out.footnote = "(columns sum to 100% of each machine's cycles; "
-                   "the cpi-conservation checker enforces the sum "
-                   "exactly)";
-    return out;
+    std::vector<std::string> lines;
+    lines.reserve(kNumCpiBuckets + 1);
+    for (unsigned b = 0; b < kNumCpiBuckets; ++b)
+        lines.push_back(cpiBucketName(static_cast<CpiBucket>(b)));
+    lines.push_back("total cycles");
+    return perProgram(
+        engine,
+        {GridMachine::ref(refCfg), GridMachine::ooo(ooo16),
+         GridMachine::ooo(ooo9)},
+        {"Bucket", "REF %", "OOOVA-16r %", "OOOVA-9r %"}, lines,
+        [](std::vector<Cell> &cells, const SimResult &r, size_t line) {
+            cells.push_back(line < kNumCpiBuckets
+                                ? percent(r.cpiCycles[line], r.cycles)
+                                : intCell(r.cycles));
+        },
+        "(columns sum to 100% of each machine's cycles; "
+        "the cpi-conservation checker enforces the sum "
+        "exactly)");
 }
 
 // -------------------------------------------------------- occupancy
@@ -1394,8 +1075,6 @@ figCpiStack(const SweepEngine &engine)
 FigureResult
 figOccupancy(const SweepEngine &engine)
 {
-    const auto &names = engine.traces().names();
-
     auto cachedTlbMem = [](MemConfig &m) {
         m.model = MemModel::Cached;
         m.tlb = makeTlb(64);
@@ -1410,118 +1089,27 @@ figOccupancy(const SweepEngine &engine)
     ooo64.telemetry = true;
     cachedTlbMem(ooo64.mem);
 
-    JobSet js;
-    std::vector<std::array<size_t, 3>> idx(names.size());
-    for (size_t p = 0; p < names.size(); ++p) {
-        idx[p][0] = js.addRef(names[p], refCfg);
-        idx[p][1] = js.addOoo(names[p], ooo16);
-        idx[p][2] = js.addOoo(names[p], ooo64);
-    }
-    js.run(engine);
-
-    FigureResult out;
-    for (size_t p = 0; p < names.size(); ++p) {
-        TextTable table({"Structure", "REF mean", "REF p95",
-                         "O-16r mean", "O-16r p95", "O-64r mean",
-                         "O-64r p95"});
-        for (size_t s = 0; s < kNumOccStructs; ++s) {
-            std::vector<std::string> row = {
-                occStructName(static_cast<OccStruct>(s))};
-            for (size_t m = 0; m < 3; ++m) {
-                const StatDistribution &d =
-                    js[idx[p][m]].occupancy[s];
-                if (d.samples == 0) {
-                    row.push_back("-");
-                    row.push_back("-");
-                } else {
-                    row.push_back(TextTable::fmt(d.mean(), 2));
-                    row.push_back(TextTable::fmt(d.p95()));
-                }
-            }
-            table.addRow(row);
-        }
-        out.sections.push_back(
-            {"--- " + names[p] + " ---", std::move(table)});
-    }
-    out.footnote =
+    std::vector<std::string> lines;
+    lines.reserve(kNumOccStructs);
+    for (size_t s = 0; s < kNumOccStructs; ++s)
+        lines.push_back(occStructName(static_cast<OccStruct>(s)));
+    return perProgram(
+        engine,
+        {GridMachine::ref(refCfg), GridMachine::ooo(ooo16),
+         GridMachine::ooo(ooo64)},
+        {"Structure", "REF mean", "REF p95", "O-16r mean", "O-16r p95",
+         "O-64r mean", "O-64r p95"},
+        lines,
+        [](std::vector<Cell> &cells, const SimResult &r, size_t line) {
+            const StatDistribution &d = r.occupancy[line];
+            bool none = d.samples == 0;
+            cells.push_back(none ? Cell{} : fixedCell(d.mean(), 2));
+            cells.push_back(none ? Cell{} : intCell(d.p95()));
+        },
         "(per-cycle occupancy over the whole run; \"-\" marks "
         "structures a machine does not model. The "
         "occupancy-conservation checker pins every distribution's "
-        "sample weight to the cycle count.)";
-    return out;
-}
-
-// --------------------------------------------------------- simspeed
-// Sweep-engine throughput: how many simulated instructions per
-// second the full pool sustains for each machine model. The
-// google-benchmark binary (bench/simspeed.cc) measures single-sim
-// throughput; this entry measures the batch path the figures use,
-// so --json runs can track sweep performance across PRs.
-
-FigureResult
-simspeedThroughput(const SweepEngine &engine)
-{
-    const auto &names = engine.traces().names();
-    engine.prefetch(names);
-
-    struct Model
-    {
-        const char *label;
-        std::function<SweepJob(const std::string &)> make;
-    };
-    const std::vector<Model> models = {
-        {"REF",
-         [](const std::string &n) { return refJob(n, RefConfig{}); }},
-        {"OOOVA-16",
-         [](const std::string &n) {
-             return oooJob(n, makeOooConfig(16, 16, 50));
-         }},
-        {"OOOVA-32 late SLE+VLE",
-         [](const std::string &n) {
-             return oooJob(n, makeOooConfig(32, 16, 50,
-                                            CommitMode::Late,
-                                            LoadElimMode::SleVle));
-         }},
-    };
-
-    // The raw integer "instr/s" column is the stable machine-readable
-    // field scripts/bench_speed.sh records into BENCH_simspeed.json;
-    // the formatted columns are for humans.
-    TextTable table({"Model", "jobs", "Minstr", "wall ms",
-                     "Minstr/s", "instr/s"});
-    for (const auto &m : models) {
-        // An empty configKey makes every job simulate: neither the
-        // result store nor the engine's copy of an earlier identical
-        // job may stand in for the run being timed.
-        std::vector<SweepJob> jobs;
-        for (const auto &n : names) {
-            jobs.push_back(m.make(n));
-            jobs.back().configKey.clear();
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        std::vector<SimResult> res = engine.run(jobs);
-        auto t1 = std::chrono::steady_clock::now();
-        double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0)
-                .count();
-        uint64_t instrs = 0;
-        for (const auto &r : res)
-            instrs += r.instructions;
-        double minstr = static_cast<double>(instrs) / 1e6;
-        double per_s =
-            ms > 0.0 ? static_cast<double>(instrs) / (ms / 1e3) : 0.0;
-        table.addRow({m.label, TextTable::fmt(uint64_t(jobs.size())),
-                      TextTable::fmt(minstr, 2),
-                      TextTable::fmt(ms, 1),
-                      TextTable::fmt(minstr / (ms / 1e3), 2),
-                      TextTable::fmt(static_cast<uint64_t>(per_s))});
-    }
-
-    FigureResult out;
-    out.sections.push_back({"", std::move(table)});
-    out.footnote = "(timing, not simulation output: varies run to "
-                   "run and with --threads)";
-    return out;
+        "sample weight to the cycle count.)");
 }
 
 } // namespace
@@ -1572,7 +1160,6 @@ figureRegistry()
         {"occupancy",
          "Occupancy: structure-occupancy telemetry, REF vs OOOVA",
          figOccupancy},
-        {"simspeed", "Sweep-engine throughput", simspeedThroughput},
     };
     return registry;
 }

@@ -1,6 +1,5 @@
 #include "harness/perfetto.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/json.hh"
@@ -56,19 +55,7 @@ SweepTraceLog::render() const
 bool
 SweepTraceLog::write(const std::string &path) const
 {
-    std::string text = render();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "--perfetto: cannot write '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    size_t n = std::fwrite(text.data(), 1, text.size(), f);
-    bool ok = n == text.size() && std::fclose(f) == 0;
-    if (!ok)
-        std::fprintf(stderr, "--perfetto: short write to '%s'\n",
-                     path.c_str());
-    return ok;
+    return writeTextFile(path, render(), "--perfetto");
 }
 
 } // namespace oova

@@ -108,18 +108,7 @@ writeStatsDump(const std::string &path,
         std::fputs(text.c_str(), stdout);
         return true;
     }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "--stats: cannot write '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    size_t n = std::fwrite(text.data(), 1, text.size(), f);
-    bool ok = n == text.size() && std::fclose(f) == 0;
-    if (!ok)
-        std::fprintf(stderr, "--stats: short write to '%s'\n",
-                     path.c_str());
-    return ok;
+    return writeTextFile(path, text, "--stats");
 }
 
 } // namespace oova

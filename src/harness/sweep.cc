@@ -229,19 +229,4 @@ SweepEngine::prefetch(const std::vector<std::string> &names) const
     run(jobs);
 }
 
-void
-JobSet::run(const SweepEngine &engine)
-{
-    results_ = engine.run(jobs_);
-}
-
-const SimResult &
-JobSet::operator[](size_t index) const
-{
-    sim_assert(index < results_.size(),
-               "job %zu read before run() or out of range (%zu)",
-               index, results_.size());
-    return results_[index];
-}
-
 } // namespace oova

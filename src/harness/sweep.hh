@@ -55,8 +55,7 @@ struct SweepJob
      * ResultStore, and with the trace name it lets the in-process
      * backend copy a repeat instead of simulating it again. Empty
      * means the job always simulates (prefetch dummies, jobs with
-     * observation side effects such as pipeline tracing, and timing
-     * runs such as the simspeed figure's).
+     * observation side effects such as pipeline tracing).
      */
     std::string configKey;
 };
@@ -182,7 +181,7 @@ class SweepEngine
      * Keep a copy of every SimResult of subsequent run() calls
      * (prefetch dummies excluded). Drives the --stats dump, which
      * needs the raw telemetry after the figure has reduced its
-     * results to table text.
+     * results to table cells.
      */
     void enableResultCapture() { captureEnabled_ = true; }
 
@@ -204,58 +203,6 @@ class SweepEngine
      */
     mutable std::vector<JobRecord> manifest_;
     mutable std::vector<SimResult> captured_;
-};
-
-/**
- * Convenience builder used by the figure implementations: collect
- * jobs while remembering their indices, run them all at once, then
- * read results back by index while assembling tables.
- */
-class JobSet
-{
-  public:
-    /** Append a job; returns its index for later lookup. */
-    size_t
-    add(SweepJob job)
-    {
-        jobs_.push_back(std::move(job));
-        return jobs_.size() - 1;
-    }
-
-    size_t addRef(std::string trace, RefConfig cfg)
-    {
-        return add(refJob(std::move(trace), cfg));
-    }
-    size_t addOoo(std::string trace, OooConfig cfg)
-    {
-        return add(oooJob(std::move(trace), cfg));
-    }
-    size_t addOooTrace(std::shared_ptr<const Trace> trace,
-                       OooConfig cfg)
-    {
-        return add(oooTraceJob(std::move(trace), cfg));
-    }
-    size_t addRefTrace(std::shared_ptr<const Trace> trace,
-                       RefConfig cfg)
-    {
-        return add(refTraceJob(std::move(trace), cfg));
-    }
-    size_t addIdeal(std::string trace)
-    {
-        return add(idealJob(std::move(trace)));
-    }
-
-    /** Execute everything added so far. */
-    void run(const SweepEngine &engine);
-
-    /** Result of the job that add() numbered @p index. */
-    const SimResult &operator[](size_t index) const;
-
-    size_t size() const { return jobs_.size(); }
-
-  private:
-    std::vector<SweepJob> jobs_;
-    std::vector<SimResult> results_;
 };
 
 } // namespace oova

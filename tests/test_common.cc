@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/common: formatting, RNG, interval statistics,
- * the 8-state breakdown, histograms and table rendering.
+ * the 8-state breakdown and histograms.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/table.hh"
 
 using namespace oova;
 
@@ -247,38 +246,4 @@ TEST(Histogram, EmptyIsSafe)
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(TextTable, AlignedRendering)
-{
-    TextTable t({"Name", "Val"});
-    t.addRow({"a", "1"});
-    t.addRow({"long-name", "23"});
-    std::string s = t.str();
-    EXPECT_NE(s.find("Name"), std::string::npos);
-    EXPECT_NE(s.find("long-name"), std::string::npos);
-    // All lines equal width for data rows.
-    EXPECT_NE(s.find("----"), std::string::npos);
-}
-
-TEST(TextTable, CsvRendering)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.csv(), "a,b\n1,2\n");
-}
-
-TEST(TextTable, FmtHelpers)
-{
-    EXPECT_EQ(TextTable::fmt(1.23456, 2), "1.23");
-    EXPECT_EQ(TextTable::fmt(uint64_t(99)), "99");
-}
-
-TEST(TextTable, CountsRowsAndCols)
-{
-    TextTable t({"x", "y", "z"});
-    EXPECT_EQ(t.numCols(), 3u);
-    EXPECT_EQ(t.numRows(), 0u);
-    t.addRow({"1", "2", "3"});
-    EXPECT_EQ(t.numRows(), 1u);
 }

@@ -55,11 +55,11 @@ sweepConfigs()
 
 TEST(CpiStack, OooBucketsSumToCycles)
 {
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     for (auto cfg : sweepConfigs()) {
         cfg.cpiStack = true;
         for (const char *prog : {"hydro2d", "nasa7"}) {
-            SimResult r = simulateOoo(w.get(prog), cfg);
+            SimResult r = simulateOoo(traces.get(prog), cfg);
             EXPECT_EQ(bucketSum(r), r.cycles)
                 << prog << " on " << r.machine;
         }
@@ -68,11 +68,11 @@ TEST(CpiStack, OooBucketsSumToCycles)
 
 TEST(CpiStack, RefBucketsSumToCyclesAndCommitCountsIssues)
 {
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     RefConfig cfg = makeRefConfig(50);
     cfg.cpiStack = true;
     for (const char *prog : {"hydro2d", "nasa7", "bdna"}) {
-        SimResult r = simulateRef(w.get(prog), cfg);
+        SimResult r = simulateRef(traces.get(prog), cfg);
         EXPECT_EQ(bucketSum(r), r.cycles) << prog;
         // REF issues exactly one instruction per commit cycle.
         EXPECT_EQ(
@@ -84,9 +84,9 @@ TEST(CpiStack, RefBucketsSumToCyclesAndCommitCountsIssues)
 
 TEST(CpiStack, DisabledLeavesBucketsZero)
 {
-    Workloads w(kScale);
-    SimResult ooo = simulateOoo(w.get("hydro2d"), makeOooConfig());
-    SimResult ref = simulateRef(w.get("hydro2d"), makeRefConfig(50));
+    TraceCache traces(kScale);
+    SimResult ooo = simulateOoo(traces.get("hydro2d"), makeOooConfig());
+    SimResult ref = simulateRef(traces.get("hydro2d"), makeRefConfig(50));
     EXPECT_EQ(bucketSum(ooo), 0u);
     EXPECT_EQ(bucketSum(ref), 0u);
 }
@@ -115,10 +115,10 @@ TEST(CpiStack, ObservabilityIsObserveOnly)
     // Everything on at once — CPI stack, full audit, live pipeline
     // tracer — must not move a single result field.
     check::resetProcessViolations();
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     for (auto cfg : sweepConfigs()) {
         for (const char *prog : {"hydro2d", "nasa7"}) {
-            const Trace &t = w.get(prog);
+            const Trace &t = traces.get(prog);
             cfg.cpiStack = false;
             cfg.checkLevel = 0;
             cfg.pipeTracer = nullptr;

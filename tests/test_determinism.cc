@@ -54,10 +54,10 @@ sweepConfigs()
 
 TEST(Determinism, RepeatedOooRunsAreIdentical)
 {
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     for (const auto &cfg : sweepConfigs()) {
         for (const char *prog : {"hydro2d", "nasa7"}) {
-            const Trace &t = w.get(prog);
+            const Trace &t = traces.get(prog);
             SimResult first = simulateOoo(t, cfg);
             SimResult second = simulateOoo(t, cfg);
             expectSameResult(first, second);
@@ -67,8 +67,8 @@ TEST(Determinism, RepeatedOooRunsAreIdentical)
 
 TEST(Determinism, RepeatedRefRunsAreIdentical)
 {
-    Workloads w(kScale);
-    const Trace &t = w.get("hydro2d");
+    TraceCache traces(kScale);
+    const Trace &t = traces.get("hydro2d");
     expectSameResult(simulateRef(t, RefConfig{}),
                      simulateRef(t, RefConfig{}));
 }
@@ -117,10 +117,10 @@ TEST(Determinism, InvariantAuditIsObserveOnly)
     // conservation law alongside the run; it must neither perturb a
     // single result field nor find a violation on any sweep config.
     check::resetProcessViolations();
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     for (auto cfg : sweepConfigs()) {
         for (const char *prog : {"hydro2d", "nasa7"}) {
-            const Trace &t = w.get(prog);
+            const Trace &t = traces.get(prog);
             cfg.checkLevel = 0;
             SimResult off = simulateOoo(t, cfg);
             cfg.checkLevel = 2;
@@ -130,9 +130,9 @@ TEST(Determinism, InvariantAuditIsObserveOnly)
     }
     RefConfig rc;
     rc.checkLevel = 0;
-    SimResult ref_off = simulateRef(w.get("hydro2d"), rc);
+    SimResult ref_off = simulateRef(traces.get("hydro2d"), rc);
     rc.checkLevel = 2;
-    SimResult ref_on = simulateRef(w.get("hydro2d"), rc);
+    SimResult ref_on = simulateRef(traces.get("hydro2d"), rc);
     expectSameResult(ref_off, ref_on);
     EXPECT_EQ(check::processViolationCount(), 0u);
     check::resetProcessViolations();
@@ -162,8 +162,8 @@ TEST(Calendar, FarEventsAndWheelWrapsMatchTheRescan)
     };
 
     // Every load's data lands past the wheel.
-    Workloads w(kScale);
-    const Trace &hydro = w.get("hydro2d");
+    TraceCache traces(kScale);
+    const Trace &hydro = traces.get("hydro2d");
     for (OooConfig cfg : sweepConfigs()) {
         cfg.lat.memLatency = 3000;
         EXPECT_GT(audited(hydro, cfg).cycles, 3000u);
@@ -228,13 +228,13 @@ TEST(SlotRecycling, LateReleasesAndTrapsKeepTheSlabSound)
     EXPECT_EQ(r.vectorLoadsEliminated, 1u);
     EXPECT_EQ(r.scalarLoadsEliminated, 1u);
 
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     OooConfig sw = makeTlbOooConfig(8, 4096, 50, CommitMode::Late,
                                     TlbRefill::SoftwareTrap);
     sw.checkLevel = 0;
-    SimResult off = simulateOoo(w.get("trfd"), sw);
+    SimResult off = simulateOoo(traces.get("trfd"), sw);
     sw.checkLevel = 2;
-    SimResult on = simulateOoo(w.get("trfd"), sw);
+    SimResult on = simulateOoo(traces.get("trfd"), sw);
     expectSameResult(off, on);
     EXPECT_GT(on.traps, 10u);
 

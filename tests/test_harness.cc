@@ -5,7 +5,8 @@
  * progress callbacks, one simulation per distinct job), the shared
  * trace cache (single generation and stable references under
  * concurrency), OOVA_SCALE parsing, the speedup() degenerate case,
- * and the whole golden-gated suite through one shared engine.
+ * the figure grid and its cell renderer, and the whole golden-gated
+ * suite through one shared engine.
  */
 
 #include <gtest/gtest.h>
@@ -305,20 +306,73 @@ TEST(SweepEngine, ProgressFiresOncePerJobWithCopies)
     EXPECT_EQ(badTotal, 0u);
 }
 
-TEST(JobSet, IndicesReadBackAfterRun)
+TEST(FigureGrid, ResultsReadBackInDeclarationOrder)
 {
     TraceCache traces(kTestScale);
     SweepEngine engine(traces, 2);
-    JobSet js;
-    size_t a = js.addRef("hydro2d", makeRefConfig(50));
-    size_t b = js.addOoo("trfd", makeOooConfig(16, 16, 50));
-    size_t c = js.addIdeal("swm256");
-    js.run(engine);
-    EXPECT_EQ(js[a].program, "hydro2d");
-    EXPECT_EQ(js[a].machine, "REF");
-    EXPECT_EQ(js[b].program, "trfd");
-    EXPECT_EQ(js[c].program, "swm256");
-    EXPECT_EQ(js[c].machine, "IDEAL");
+    engine.enableManifest();
+    FigureGrid grid;
+    size_t a = grid.add({{"hydro2d", nullptr}, {"trfd", nullptr}},
+                        {GridMachine::ref(makeRefConfig(50)),
+                         GridMachine::ooo(makeOooConfig(16, 16, 50))});
+    size_t b = grid.add({{"swm256", nullptr}}, {GridMachine::ideal()});
+    grid.run(engine);
+
+    // One batch, block by block, row by row, machine by machine.
+    std::vector<std::string> order;
+    for (const JobRecord &job : engine.manifest())
+        order.push_back(job.program + "/" + job.machine);
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "hydro2d/REF", "hydro2d/OOOVA-16/16r/early",
+                         "trfd/REF", "trfd/OOOVA-16/16r/early",
+                         "swm256/IDEAL"}));
+    EXPECT_EQ(grid.rows(a)[1].label, "trfd");
+    EXPECT_EQ(grid.results(a, 1).size(), 2u);
+    EXPECT_EQ(grid.results(a, 1)[0].program, "trfd");
+    EXPECT_EQ(grid.results(a, 1)[1].machine, "OOOVA-16/16r/early");
+    EXPECT_EQ(grid.results(b, 0)[0].machine, "IDEAL");
+
+    FigureSection sec = grid.table(
+        a, "Program",
+        {{"cyc", [](RowResults r) { return intCell(r[1].cycles); }}},
+        "-- heading --");
+    EXPECT_EQ(sec.heading, "-- heading --");
+    EXPECT_EQ(sec.headers, (std::vector<std::string>{"Program", "cyc"}));
+    ASSERT_EQ(sec.rows.size(), 2u);
+    EXPECT_EQ(sec.rows[0].label, "hydro2d");
+    EXPECT_EQ(sec.rows[1].cells[0].count, grid.results(a, 1)[1].cycles);
+}
+
+TEST(FormatCell, IntegersFixedDecimalsAbsentAndNan)
+{
+    // Integers print exactly, past where a double would round.
+    EXPECT_EQ(formatCell(intCell((uint64_t(1) << 53) + 1)),
+              "9007199254740993");
+    EXPECT_EQ(formatCell(intCell(UINT64_MAX)), "18446744073709551615");
+    EXPECT_EQ(formatCell(fixedCell(1.23456, 2)), "1.23");
+    EXPECT_EQ(formatCell(fixedCell(2.0 / 3.0, 1)), "0.7");
+    EXPECT_EQ(formatCell(fixedCell(1234.4, 0)), "1234");
+    EXPECT_EQ(formatCell(Cell{}), "-");
+    EXPECT_EQ(formatCell(fixedCell(std::nan(""), 2)), "nan");
+}
+
+TEST(FigureText, AlignsLabelsLeftAndNumbersRight)
+{
+    FigureDef def{"t", "A title", nullptr};
+    FigureSection sec{"--- heading ---", {"Name", "Val", "Ratio"}, {}};
+    sec.rows.push_back({"a", {intCell(1), fixedCell(0.5, 2)}});
+    sec.rows.push_back({"long-name", {intCell(23), Cell{}}});
+    FigureResult res{{sec}, "(a footnote)", false};
+    EXPECT_EQ(renderFigureText(def, res, 1.0),
+              "== A title ==\n"
+              "\n"
+              "--- heading ---\n"
+              "Name       Val  Ratio\n"
+              "---------------------\n"
+              "a            1   0.50\n"
+              "long-name   23      -\n"
+              "\n"
+              "(a footnote)\n");
 }
 
 TEST(TraceCache, GeneratesEachTraceOnceUnderConcurrency)
@@ -361,16 +415,6 @@ TEST(TraceCache, ReferencesStableAcrossLookups)
         cache.get(name);
     EXPECT_EQ(&cache.get("hydro2d"), first);
     EXPECT_EQ(cache.get("hydro2d").name(), "hydro2d");
-}
-
-TEST(TraceCache, WorkloadsWrapperSharesSemantics)
-{
-    Workloads w(kTestScale);
-    const Trace *first = &w.get("trfd");
-    for (const auto &name : w.names())
-        w.get(name);
-    EXPECT_EQ(&w.get("trfd"), first);
-    EXPECT_EQ(w.scale(), kTestScale);
 }
 
 class EnvScaleTest : public ::testing::Test
@@ -433,7 +477,7 @@ TEST(Speedup, ZeroCyclesIsNaNNotZero)
 TEST(FigureRegistry, AllFiguresRegisteredAndFindable)
 {
     const auto &registry = figureRegistry();
-    EXPECT_EQ(registry.size(), 23u);
+    EXPECT_EQ(registry.size(), 22u);
     for (const FigureDef &fig : registry)
         EXPECT_EQ(findFigure(fig.name), &fig) << fig.name;
     EXPECT_NE(findFigure("occupancy"), nullptr);
@@ -618,21 +662,50 @@ TEST(FigureRegistry, FigureOutputIdenticalAcrossThreadCounts)
     EXPECT_NE(a.find("== Figure 6"), std::string::npos);
 }
 
+TEST(FigureRegistry, Fig6CellsAreDirectRunsPortIdle)
+{
+    // The numbers a figure returns are the simulators' own: fig6's
+    // cells equal 100 * portIdleFraction() of direct runs, unrounded.
+    const FigureDef *fig = findFigure("fig6");
+    ASSERT_NE(fig, nullptr);
+    TraceCache traces(kTestScale);
+    SweepEngine engine(traces, 2);
+    FigureResult res = fig->fn(engine);
+    ASSERT_EQ(res.sections.size(), 1u);
+    const FigureSection &sec = res.sections[0];
+    ASSERT_EQ(sec.rows.size(), traces.names().size());
+    for (const char *program : {"hydro2d", "trfd"}) {
+        auto row = std::find_if(sec.rows.begin(), sec.rows.end(),
+                                [&](const FigureRow &r) {
+                                    return r.label == program;
+                                });
+        ASSERT_NE(row, sec.rows.end()) << program;
+        const Trace &t = traces.get(program);
+        SimResult ref = simulateRef(t, makeRefConfig(50));
+        SimResult ooo = simulateOoo(t, makeOooConfig(16, 16, 50));
+        ASSERT_EQ(row->cells.size(), 2u);
+        EXPECT_EQ(row->cells[0].kind, Cell::Kind::Fixed);
+        EXPECT_EQ(row->cells[0].value, 100.0 * ref.portIdleFraction())
+            << program;
+        EXPECT_EQ(row->cells[1].value, 100.0 * ooo.portIdleFraction())
+            << program;
+    }
+}
+
 TEST(FigureRegistry, OneSharedEngineMatchesEveryGolden)
 {
     // `oova_bench all` and the benchmark run every figure through one
     // engine, which copies each job an earlier figure already ran.
     // The golden gate runs one figure per process, so it never sees
-    // a copy; this runs every golden-gated figure through one
-    // 4-thread engine, in a seeded shuffled order, against the same
-    // goldens (captured at OOVA_SCALE=0.25).
+    // a copy; this runs every figure through one 4-thread engine, in
+    // a seeded shuffled order, against the same goldens (captured at
+    // OOVA_SCALE=0.25).
     TraceCache traces(0.25);
     SweepEngine engine(traces, 4);
     engine.enableManifest();
     std::vector<const FigureDef *> figs;
     for (const FigureDef &fig : figureRegistry())
-        if (std::string(fig.name) != "simspeed") // timing, no golden
-            figs.push_back(&fig);
+        figs.push_back(&fig);
     std::shuffle(figs.begin(), figs.end(), std::mt19937(2024));
     std::string order;
     for (const FigureDef *fig : figs)

@@ -118,11 +118,11 @@ INSTANTIATE_TEST_SUITE_P(AllTen, EndToEnd,
 
 TEST(Harness, WorkloadsCacheReturnsSameTrace)
 {
-    Workloads w(0.25);
-    const Trace &a = w.get("swm256");
-    const Trace &b = w.get("swm256");
+    TraceCache traces(0.25);
+    const Trace &a = traces.get("swm256");
+    const Trace &b = traces.get("swm256");
     EXPECT_EQ(&a, &b);
-    EXPECT_EQ(w.names().size(), 10u);
+    EXPECT_EQ(traces.names().size(), 10u);
 }
 
 TEST(Harness, ConfigBuilders)

@@ -49,8 +49,8 @@ firstVectorLoadAfter(const Trace &t, SeqNum start)
 
 TEST(PipeTrace, OneRecordPerInstructionWithinLimit)
 {
-    Workloads w(kScale);
-    const Trace &t = w.get("hydro2d");
+    TraceCache traces(kScale);
+    const Trace &t = traces.get("hydro2d");
     PipeTracer tracer;
     OooConfig cfg = makeOooConfig();
     cfg.pipeTracer = &tracer;
@@ -70,11 +70,11 @@ TEST(PipeTrace, OneRecordPerInstructionWithinLimit)
 
 TEST(PipeTrace, LimitBoundsTheTrace)
 {
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     PipeTracer tracer(100);
     OooConfig cfg = makeOooConfig();
     cfg.pipeTracer = &tracer;
-    simulateOoo(w.get("hydro2d"), cfg);
+    simulateOoo(traces.get("hydro2d"), cfg);
     tracer.finish();
     EXPECT_EQ(tracer.recorded(), 100u);
     EXPECT_EQ(countLines(tracer.str(), "O3PipeView:fetch:"), 100u);
@@ -82,8 +82,8 @@ TEST(PipeTrace, LimitBoundsTheTrace)
 
 TEST(PipeTrace, SquashedReplayGetsZeroRetireTick)
 {
-    Workloads w(kScale);
-    const Trace &t = w.get("hydro2d");
+    TraceCache traces(kScale);
+    const Trace &t = traces.get("hydro2d");
     SeqNum victim = firstVectorLoadAfter(t, t.size() / 2);
     ASSERT_NE(victim, kNoSeq);
 
@@ -128,8 +128,8 @@ TEST(PipeTrace, IndependentOfSweepThreadCount)
 
 TEST(PipeTrace, TracingIsObserveOnly)
 {
-    Workloads w(kScale);
-    const Trace &t = w.get("bdna");
+    TraceCache traces(kScale);
+    const Trace &t = traces.get("bdna");
     OooConfig cfg = makeOooConfig();
     SimResult off = simulateOoo(t, cfg);
     PipeTracer tracer;

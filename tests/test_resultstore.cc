@@ -23,7 +23,6 @@
 #include "common/pipetrace.hh"
 #include "harness/backend.hh"
 #include "harness/experiment.hh"
-#include "harness/figure.hh"
 #include "harness/resultstore.hh"
 #include "harness/sweep.hh"
 #include "trace/trace_io.hh"
@@ -657,43 +656,6 @@ TEST(StoreBackend, StoresAnInBatchRepeatOnce)
     EXPECT_EQ(warmStore.stats().stores, 0u);
     for (size_t i = 0; i < jobs.size(); ++i)
         expectSameResult(cold[i].result, served[i].result);
-}
-
-TEST(StoreBackend, SimspeedAlwaysSimulates)
-{
-    // simspeed times real simulation, so neither a warm store nor
-    // the engine's copies may serve its jobs. Warm both with the
-    // keyed versions of its machines first, then run it twice.
-    std::string dir = makeStoreDir("simspeed");
-    TraceCache traces(kScale);
-    ResultStore store(dir);
-    SweepEngine engine(
-        traces, std::make_unique<StoreBackend>(
-                    store, traces,
-                    std::make_unique<InProcessBackend>(traces, 4)));
-    std::vector<SweepJob> warmup;
-    for (const auto &name : traces.names()) {
-        warmup.push_back(refJob(name, RefConfig{}));
-        warmup.push_back(oooJob(name, makeOooConfig(16, 16, 50)));
-        warmup.push_back(oooJob(name, makeOooConfig(32, 16, 50,
-                                                    CommitMode::Late,
-                                                    LoadElimMode::SleVle)));
-    }
-    engine.run(warmup);
-    engine.run(warmup);
-    ASSERT_EQ(store.stats().hits, warmup.size());
-
-    const FigureDef *simspeed = findFigure("simspeed");
-    ASSERT_NE(simspeed, nullptr);
-    StoreStats before = store.stats();
-    engine.enableManifest();
-    simspeed->fn(engine);
-    simspeed->fn(engine);
-    StoreStats delta = store.stats() - before;
-    EXPECT_EQ(delta.hits + delta.misses + delta.stores, 0u);
-    ASSERT_EQ(engine.manifest().size(), 2 * warmup.size());
-    for (const JobRecord &job : engine.manifest())
-        EXPECT_FALSE(job.cached) << job.program << " " << job.machine;
 }
 
 TEST(StoreBackend, UncacheableJobsBypassTheStore)

@@ -6,13 +6,17 @@
  * batching-independence, interval-depth accumulation conservation,
  * the observe-only guarantee (telemetry on/off changes no result
  * field), the occupancy-conservation checker firing on corrupt
- * state, and --stats dump determinism across worker counts.
+ * state, and --stats dump determinism across worker counts and its
+ * file handling on a failed write.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <vector>
 
 #include "check/check.hh"
@@ -306,7 +310,7 @@ TEST(Telemetry, SamplingIsObserveOnly)
 {
     // Turning occupancy sampling on must not move a single
     // result field the figures read.
-    Workloads w(kScale);
+    TraceCache traces(kScale);
     auto expectCoreFieldsEqual = [](const SimResult &a,
                                     const SimResult &b) {
         EXPECT_EQ(a.cycles, b.cycles);
@@ -324,7 +328,7 @@ TEST(Telemetry, SamplingIsObserveOnly)
         EXPECT_EQ(a.cpiCycles, b.cpiCycles);
     };
 
-    const Trace &t = w.get("hydro2d");
+    const Trace &t = traces.get("hydro2d");
     OooConfig cfg = makeOooConfig(16);
     cfg.telemetry = false;
     SimResult off = simulateOoo(t, cfg);
@@ -390,4 +394,26 @@ TEST(StatsDump, IdenticalAcrossWorkerCounts)
     EXPECT_NE(one.find("---------- Begin Simulation Statistics"),
               std::string::npos);
     EXPECT_NE(one.find(".occupancy.rob.samples"), std::string::npos);
+}
+
+TEST(StatsDump, ShortWriteClosesTheFile)
+{
+    // /dev/full fails every write with ENOSPC. A dump larger than
+    // the stdio buffer fails inside fwrite, before fclose: the file
+    // must still be closed, so the process keeps its descriptors.
+    auto openFds = [] {
+        return std::distance(
+            std::filesystem::directory_iterator("/proc/self/fd"),
+            std::filesystem::directory_iterator());
+    };
+    std::vector<SimResult> results(3);
+    for (size_t i = 0; i < results.size(); ++i) {
+        results[i].program = "prog" + std::to_string(i);
+        results[i].machine = "REF";
+    }
+    ASSERT_GT(renderStatsDump(results).size(), size_t(BUFSIZ));
+    auto before = openFds();
+    EXPECT_FALSE(writeStatsDump("/dev/full", results));
+    EXPECT_FALSE(writeStatsDump("/dev/full", results));
+    EXPECT_EQ(openFds(), before);
 }
