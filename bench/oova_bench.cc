@@ -100,6 +100,19 @@ list()
         std::printf("%-8s  %s\n", fig.name, fig.title);
 }
 
+/**
+ * Flush stdout and report whether everything written to it arrived:
+ * a full disk or a closed pipe must not pass for success.
+ */
+bool
+stdoutWritten()
+{
+    if (std::fflush(stdout) == 0 && !std::ferror(stdout))
+        return true;
+    std::fprintf(stderr, "oova_bench: cannot write to stdout\n");
+    return false;
+}
+
 /** Run one traced OOOVA simulation and write the Konata file. */
 int
 runPipetrace(const std::string &bench, const std::string &path,
@@ -159,10 +172,10 @@ main(int argc, char **argv)
             continue;
         if (std::strcmp(arg, "--list") == 0) {
             list();
-            return 0;
+            return stdoutWritten() ? 0 : 1;
         } else if (std::strcmp(arg, "--help") == 0) {
             printUsage(stdout, argv[0]);
-            return 0;
+            return stdoutWritten() ? 0 : 1;
         } else if (std::strncmp(arg, "--pipetrace=", 12) == 0) {
             pipetracePath = arg + 12;
             if (pipetracePath.empty()) {
@@ -271,10 +284,14 @@ main(int argc, char **argv)
         std::fputs(out.c_str(), stdout);
         if (opts.json && i + 1 < figs.size())
             std::printf(",\n");
-        std::fflush(stdout);
+        if (!stdoutWritten())
+            return 1;
     }
-    if (opts.json)
+    if (opts.json) {
         std::printf("]\n");
+        if (!stdoutWritten())
+            return 1;
+    }
     if (store && opts.storeStats)
         printStoreStats(*store);
     bool sideFilesOk = true;

@@ -26,6 +26,8 @@ see, each of which has bitten (or nearly bitten) a past PR:
      the config-key region of src/harness/sweep.cc (or explicitly
      allowlisted as observe-only) — a knob missing from
      sweepConfigKey() would alias store entries of runs that set it.
+     Their count is pinned (CONFIG_MEMBERS_PINNED), so every new
+     setting is a visible decision.
   7. Every OccStruct enum entry has an occStructName() label and a
      row in the README's occupancy-structure table, and vice versa;
      and both telemetry renderers (toJson() in simresult.cc, the
@@ -250,6 +252,11 @@ for label in readme_labels:
 # pipeTracer (tracing jobs are made uncacheable instead of keyed).
 CONFIG_KEY_EXEMPT = {"checkLevel", "pipeTracer"}
 
+# Each setting doubles the configurations tests must cover. A new
+# field fails lint until this pin moves in the same commit, with the
+# reason recorded in CHANGES.md.
+CONFIG_MEMBERS_PINNED = 48
+
 CONFIG_STRUCTS = [
     ("OooConfig", "src/core/config.hh"),
     ("RefConfig", "src/ref/refsim.hh"),
@@ -312,6 +319,11 @@ for struct, rel in CONFIG_STRUCTS:
                 "runs differing only in it would alias one result-"
                 "store entry; key it (or allowlist it as observe-"
                 "only in scripts/lint_oova.py)")
+if config_member_count != CONFIG_MEMBERS_PINNED:
+    err(f"the config structs have {config_member_count} members, "
+        f"pinned at {CONFIG_MEMBERS_PINNED}: move CONFIG_MEMBERS_PINNED "
+        "in scripts/lint_oova.py in the same commit and record why in "
+        "CHANGES.md")
 
 # ---------------------------------------------------------------
 # Rule 7: OccStruct enum <-> occStructName() labels <-> README

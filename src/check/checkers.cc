@@ -249,20 +249,17 @@ namespace
 {
 
 void
-checkTlbLevel(const char *name, const TlbAuditView::Level &lvl,
-              uint64_t tick, Reporter &r)
+checkTlbArray(const TlbAuditView::Level &lvl, uint64_t tick,
+              Reporter &r)
 {
-    if (lvl.sets == 0 && lvl.assoc == 0 && lvl.ways.empty())
-        return; // level disabled
     if (lvl.ways.size() !=
         static_cast<size_t>(lvl.sets) * lvl.assoc) {
-        r.fail("TLB %s: %zu ways for %u sets x %u assoc", name,
+        r.fail("TLB: %zu ways for %u sets x %u assoc",
                lvl.ways.size(), lvl.sets, lvl.assoc);
         return;
     }
     if (lvl.sets == 0) {
-        r.fail("TLB %s: zero sets with %zu ways", name,
-               lvl.ways.size());
+        r.fail("TLB: zero sets with %zu ways", lvl.ways.size());
         return;
     }
     for (unsigned set = 0; set < lvl.sets; ++set) {
@@ -272,27 +269,25 @@ checkTlbLevel(const char *name, const TlbAuditView::Level &lvl,
             if (!ways[w].valid)
                 continue;
             if (ways[w].page % lvl.sets != set) {
-                r.fail("TLB %s: page %llu stored in set %u, indexes "
+                r.fail("TLB: page %llu stored in set %u, indexes "
                        "to set %llu",
-                       name,
                        static_cast<unsigned long long>(ways[w].page),
                        set,
                        static_cast<unsigned long long>(ways[w].page %
                                                        lvl.sets));
             }
             if (ways[w].lastUse > tick) {
-                r.fail("TLB %s: set %u way %u lastUse=%llu is in the "
+                r.fail("TLB: set %u way %u lastUse=%llu is in the "
                        "future (tick=%llu)",
-                       name, set, w,
+                       set, w,
                        static_cast<unsigned long long>(
                            ways[w].lastUse),
                        static_cast<unsigned long long>(tick));
             }
             for (unsigned w2 = w + 1; w2 < lvl.assoc; ++w2) {
                 if (ways[w2].valid && ways[w2].page == ways[w].page) {
-                    r.fail("TLB %s: page %llu duplicated in set %u "
+                    r.fail("TLB: page %llu duplicated in set %u "
                            "(ways %u and %u)",
-                           name,
                            static_cast<unsigned long long>(
                                ways[w].page),
                            set, w, w2);
@@ -307,8 +302,7 @@ checkTlbLevel(const char *name, const TlbAuditView::Level &lvl,
 void
 checkTlbSoundness(const TlbAuditView &v, Reporter &r)
 {
-    checkTlbLevel("L1", v.l1, v.tick, r);
-    checkTlbLevel("L2", v.l2, v.tick, r);
+    checkTlbArray(v.l1, v.tick, r);
     if (v.indexedMisses > v.misses) {
         r.fail("TLB indexedMisses=%llu exceeds misses=%llu",
                static_cast<unsigned long long>(v.indexedMisses),

@@ -199,32 +199,6 @@ UnitStateBreakdown::stateName(int state)
     return s;
 }
 
-Histogram::Histogram(uint64_t bucket_width, size_t num_buckets)
-    : bucketWidth_(bucket_width), buckets_(num_buckets + 1, 0)
-{
-    sim_assert(bucket_width >= 1, "bucket width must be >= 1");
-    sim_assert(num_buckets >= 1, "need at least one bucket");
-}
-
-void
-Histogram::sample(uint64_t value)
-{
-    size_t idx = static_cast<size_t>(value / bucketWidth_);
-    if (idx >= buckets_.size() - 1)
-        idx = buckets_.size() - 1; // overflow bucket
-    ++buckets_[idx];
-    ++count_;
-    sum_ += value;
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-}
-
-double
-Histogram::mean() const
-{
-    return count_ ? static_cast<double>(sum_) / count_ : 0.0;
-}
-
 // ------------------------------------------------ occupancy telemetry
 
 const char *

@@ -2,7 +2,8 @@
  * @file
  * Statistics primitives used by the simulators and the experiment
  * harness: busy-interval recording, the 8-way functional-unit state
- * breakdown of the paper's figures 3 and 7, and a small histogram.
+ * breakdown of the paper's figures 3 and 7, and the occupancy
+ * telemetry's distributions and time series.
  */
 
 #ifndef OOVA_COMMON_STATS_HH
@@ -106,45 +107,13 @@ class UnitStateBreakdown
     static std::string stateName(int state);
 };
 
-/** Linear-bucket histogram with running sum/min/max. */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket (>= 1)
-     * @param num_buckets bucket count; values past the last bucket
-     *        land in the overflow bucket
-     */
-    Histogram(uint64_t bucket_width, size_t num_buckets);
-
-    void sample(uint64_t value);
-
-    uint64_t count() const { return count_; }
-    uint64_t sum() const { return sum_; }
-    uint64_t min() const { return count_ ? min_ : 0; }
-    uint64_t max() const { return max_; }
-    double mean() const;
-
-    /** Bucket counts; the final entry is the overflow bucket. */
-    const std::vector<uint64_t> &buckets() const { return buckets_; }
-    uint64_t bucketWidth() const { return bucketWidth_; }
-
-  private:
-    uint64_t bucketWidth_;
-    std::vector<uint64_t> buckets_;
-    uint64_t count_ = 0;
-    uint64_t sum_ = 0;
-    uint64_t min_ = UINT64_MAX;
-    uint64_t max_ = 0;
-};
-
 // ------------------------------------------------ occupancy telemetry
 
 /**
  * Machine structures sampled by the occupancy telemetry layer
  * (cfg.telemetry / OOVA_TELEMETRY=1). One StatDistribution and one
  * StatTimeSeries per entry ride in SimResult; occStructName() gives
- * the stable label used by simResultJson(), the --stats dump, and
+ * the stable label used by SimResult::toJson(), the --stats dump, and
  * the README table (lint-enforced both directions).
  */
 enum class OccStruct : uint8_t
@@ -156,7 +125,7 @@ enum class OccStruct : uint8_t
     FreeVRegs,    ///< free physical vector registers
     Mshrs,        ///< in-flight cache miss-status registers
     MemUnits,     ///< concurrently busy memory units
-    TlbPages,     ///< valid (resident) TLB entries, both levels
+    TlbPages,     ///< valid (resident) TLB entries
     NumStructs,
 };
 
@@ -169,7 +138,7 @@ const char *occStructName(OccStruct s);
 /**
  * Running distribution over exact integers: count/sum/sum-of-squares
  * plus min/max and a fixed 16-bucket linear histogram (last bucket
- * catches overflow). Plain aggregate so simResultJson() can
+ * catches overflow). Plain aggregate so SimResult::toJson() can
  * round-trip it bit-exactly; sample() is inline and allocation-free
  * because the simulators call it on every event-calendar advance.
  * @p n is a bulk weight: an idle jump of k cycles charges its

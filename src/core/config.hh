@@ -43,22 +43,23 @@ enum class LoadElimMode
     SleVle, ///< scalar + vector load elimination
 };
 
+// Machine parameters of section 2.2 that the evaluation never varies.
+constexpr unsigned kNumPhysARegs = 64;
+constexpr unsigned kNumPhysSRegs = 64;
+constexpr unsigned kNumPhysMRegs = 8;
+constexpr unsigned kRobSize = 64;
+constexpr unsigned kFetchBufferSize = 8;
+constexpr unsigned kBtbEntries = 64;
+constexpr unsigned kRasDepth = 8;
+
 /** Full OOOVA configuration. */
 struct OooConfig
 {
     LatencyTable lat = LatencyTable::oooDefaults();
 
     unsigned numPhysVRegs = 16; ///< swept 9..64 in figure 5
-    unsigned numPhysARegs = 64;
-    unsigned numPhysSRegs = 64;
-    unsigned numPhysMRegs = 8;
-
     unsigned queueSize = 16; ///< all four instruction queues
-    unsigned robSize = 64;
     unsigned commitWidth = 4;
-    unsigned fetchBufferSize = 8;
-    unsigned btbEntries = 64;
-    unsigned rasDepth = 8;
 
     CommitMode commit = CommitMode::Early;
     LoadElimMode loadElim = LoadElimMode::None;
@@ -67,7 +68,7 @@ struct OooConfig
      * Chain memory loads into functional units. The OOOVA inherits
      * the C3400 datapath, which does not support load chaining
      * (section 2.1); out-of-order issue is what hides the latency
-     * instead. On for the ablation study bench/abl_chaining.
+     * instead. On in the `abl` figure's load->FU chaining section.
      */
     bool chainLoadsToFus = false;
 

@@ -161,9 +161,9 @@ class OooMachine
     OooMachine(const Trace &trace, const OooConfig &cfg,
                const FaultInjection &fault)
         : trace_(trace), cfg_(cfg), lat_(cfg.lat), fault_(fault),
-          renamer_(RenamerConfig{cfg.numPhysARegs, cfg.numPhysSRegs,
-                                 cfg.numPhysVRegs, cfg.numPhysMRegs}),
-          btb_(cfg.btbEntries), ras_(cfg.rasDepth),
+          renamer_(RenamerConfig{kNumPhysARegs, kNumPhysSRegs,
+                                 cfg.numPhysVRegs, kNumPhysMRegs}),
+          btb_(kBtbEntries), ras_(kRasDepth),
           mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency))
     {
         pipeStage_.fill(nullptr);
@@ -179,7 +179,7 @@ class OooMachine
             auto cap = [this](OccStruct s, uint64_t capacity) {
                 occ_[static_cast<size_t>(s)].setCapacity(capacity);
             };
-            cap(OccStruct::Rob, cfg.robSize);
+            cap(OccStruct::Rob, kRobSize);
             cap(OccStruct::AQueue, cfg.queueSize);
             cap(OccStruct::SQueue, cfg.queueSize);
             cap(OccStruct::VQueue, cfg.queueSize);
@@ -187,9 +187,7 @@ class OooMachine
             cap(OccStruct::Mshrs, cfg.mem.mshrs);
             cap(OccStruct::MemUnits, cfg.mem.memUnits);
             cap(OccStruct::TlbPages,
-                cfg.mem.tlb.enabled
-                    ? cfg.mem.tlb.entries + cfg.mem.tlb.l2Entries
-                    : 1);
+                cfg.mem.tlb.enabled ? cfg.mem.tlb.entries : 1);
         }
         if (checkRetire_)
             registerAuditCheckers();
@@ -1504,7 +1502,7 @@ OooMachine::resolveEliminated()
 bool
 OooMachine::dispatchStep()
 {
-    if (rob_.size() >= cfg_.robSize) {
+    if (rob_.size() >= kRobSize) {
         ++robStalls_;
         return false;
     }
@@ -1615,7 +1613,7 @@ OooMachine::fetchStep()
         return false;
     if (fetchIndex_ >= trace_.size())
         return false;
-    if (fetchBuffer_.size() >= cfg_.fetchBufferSize)
+    if (fetchBuffer_.size() >= kFetchBufferSize)
         return false;
 
     const DynInst &di = trace_[fetchIndex_];

@@ -32,20 +32,18 @@ makeOooConfig(unsigned phys_vregs, unsigned queue_size,
 }
 
 OooConfig
-makeBankedOooConfig(unsigned banks, unsigned mem_latency,
-                    unsigned address_ports)
+makeBankedOooConfig(unsigned banks, unsigned mem_latency)
 {
     OooConfig cfg = makeOooConfig(16, 16, mem_latency);
-    cfg.mem = makeBankedMem(banks, address_ports);
+    cfg.mem = makeBankedMem(banks);
     return cfg;
 }
 
 RefConfig
-makeBankedRefConfig(unsigned banks, unsigned mem_latency,
-                    unsigned address_ports)
+makeBankedRefConfig(unsigned banks, unsigned mem_latency)
 {
     RefConfig cfg = makeRefConfig(mem_latency);
-    cfg.mem = makeBankedMem(banks, address_ports);
+    cfg.mem = makeBankedMem(banks);
     return cfg;
 }
 

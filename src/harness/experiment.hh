@@ -33,13 +33,11 @@ OooConfig makeOooConfig(unsigned phys_vregs = 16,
 
 /** Default OOOVA over a banked memory hierarchy. */
 OooConfig makeBankedOooConfig(unsigned banks,
-                              unsigned mem_latency = 50,
-                              unsigned address_ports = 1);
+                              unsigned mem_latency = 50);
 
 /** Reference machine over a banked memory hierarchy. */
 RefConfig makeBankedRefConfig(unsigned banks,
-                              unsigned mem_latency = 50,
-                              unsigned address_ports = 1);
+                              unsigned mem_latency = 50);
 
 /** Default OOOVA over banked memory with N load/store units. */
 OooConfig makeMultiUnitOooConfig(unsigned banks, unsigned units,

@@ -452,8 +452,9 @@ fig13Traffic(const SweepEngine &engine)
 // ------------------------------------------------------------- tab1
 // Functional-unit latencies of the two architectures. The scanned
 // paper's table is partially illegible; these are the reconstructed
-// values used throughout this reproduction (see DESIGN.md section
-// 2), printed so every experiment's parameters are on record.
+// values used throughout this reproduction (LatencyTable in
+// src/isa/latency.hh), printed so every experiment's parameters are
+// on record.
 
 FigureResult
 tab1Machine(const SweepEngine &)
@@ -556,7 +557,7 @@ tab3Spills(const SweepEngine &engine)
 }
 
 // -------------------------------------------------------- ablations
-// Ablation studies beyond the paper (DESIGN.md section 8):
+// Ablation studies beyond the paper:
 //   1. load->FU chaining in the OOOVA (the paper's machine inherits
 //      the C3400's no-load-chaining datapath; what would adding the
 //      chaining path buy?)

@@ -73,13 +73,6 @@ class SweepTraceLog
         threadNames_[tid] = std::move(name);
     }
 
-    size_t
-    spanCount() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return spans_.size();
-    }
-
     /** The trace as Chrome trace-event JSON text. */
     std::string render() const;
 

@@ -105,8 +105,11 @@ writeStatsDump(const std::string &path,
 {
     std::string text = renderStatsDump(results);
     if (path == "-") {
-        std::fputs(text.c_str(), stdout);
-        return true;
+        if (std::fputs(text.c_str(), stdout) >= 0 &&
+            std::fflush(stdout) == 0)
+            return true;
+        std::fprintf(stderr, "--stats: short write to stdout\n");
+        return false;
     }
     return writeTextFile(path, text, "--stats");
 }

@@ -36,8 +36,8 @@ std::string renderStatsDump(const std::vector<SimResult> &results);
 
 /**
  * Render and write the dump to @p path ("-" writes to stdout).
- * Returns false (with a message on stderr) when the file cannot be
- * written.
+ * Returns false (with a message on stderr) when the file or stdout
+ * cannot be written.
  */
 bool writeStatsDump(const std::string &path,
                     const std::vector<SimResult> &results);

@@ -39,21 +39,19 @@ tlbKey(const TlbConfig &tlb)
 {
     if (!tlb.enabled)
         return "tlb{off}";
-    return csprintf("tlb{%u,%u,%u,%u,%u,%u,%u,%d}", tlb.entries,
-                    tlb.pageBytes, tlb.associativity, tlb.missPenalty,
-                    tlb.l2Entries, tlb.l2Associativity,
-                    tlb.l2HitPenalty, static_cast<int>(tlb.refill));
+    return csprintf("tlb{%u,%u,%u,%u,%d}", tlb.entries, tlb.pageBytes,
+                    tlb.associativity, tlb.missPenalty,
+                    static_cast<int>(tlb.refill));
 }
 
 std::string
 memKey(const MemConfig &mem)
 {
     return csprintf(
-        "mem{%d,%u,%d,%u,%u,%u,%u,%d,%u,%u,%u,%u,%u,%s}",
+        "mem{%d,%u,%d,%u,%u,%u,%u,%u,%u,%u,%u,%s}",
         static_cast<int>(mem.model), mem.memUnits,
-        static_cast<int>(mem.lsPolicy), mem.banks, mem.addressPorts,
-        mem.bankBusyCycles, mem.interleaveBytes,
-        static_cast<int>(mem.backing), mem.cacheBytes, mem.lineBytes,
+        static_cast<int>(mem.lsPolicy), mem.banks, mem.bankBusyCycles,
+        mem.interleaveBytes, mem.cacheBytes, mem.lineBytes,
         mem.associativity, mem.mshrs, mem.cacheHitLatency,
         tlbKey(mem.tlb).c_str());
 }
@@ -66,11 +64,10 @@ std::string
 sweepConfigKey(const RefConfig &cfg)
 {
     // BEGIN config-key fields
-    return csprintf("REF/v1|%s|%d,%d,%u,%d,%d|%s",
+    return csprintf("REF/v2|%s|%d,%d,%d,%d|%s",
                     latKey(cfg.lat).c_str(),
                     static_cast<int>(cfg.modelPortConflicts),
                     static_cast<int>(cfg.chainLoadsToFus),
-                    cfg.takenBranchPenalty,
                     static_cast<int>(cfg.cpiStack),
                     static_cast<int>(cfg.telemetry || telemetryForced()),
                     memKey(cfg.mem).c_str());
@@ -82,11 +79,9 @@ sweepConfigKey(const OooConfig &cfg)
 {
     // BEGIN config-key fields
     return csprintf(
-        "OOO/v1|%s|%u,%u,%u,%u|%u,%u,%u,%u,%u,%u|%d,%d,%d,%u,%d,%d|%s",
-        latKey(cfg.lat).c_str(), cfg.numPhysVRegs, cfg.numPhysARegs,
-        cfg.numPhysSRegs, cfg.numPhysMRegs, cfg.queueSize,
-        cfg.robSize, cfg.commitWidth, cfg.fetchBufferSize,
-        cfg.btbEntries, cfg.rasDepth, static_cast<int>(cfg.commit),
+        "OOO/v2|%s|%u,%u,%u|%d,%d,%d,%u,%d,%d|%s",
+        latKey(cfg.lat).c_str(), cfg.numPhysVRegs, cfg.queueSize,
+        cfg.commitWidth, static_cast<int>(cfg.commit),
         static_cast<int>(cfg.loadElim),
         static_cast<int>(cfg.chainLoadsToFus), cfg.trapPenalty,
         static_cast<int>(cfg.cpiStack),

@@ -121,7 +121,9 @@ regStr(const RegId &r)
 {
     if (!r.valid())
         return "-";
-    return std::string(1, regClassPrefix(r.cls)) + std::to_string(r.idx);
+    std::string s = std::to_string(r.idx);
+    s.insert(s.begin(), regClassPrefix(r.cls));
+    return s;
 }
 
 } // namespace

@@ -39,8 +39,8 @@ constexpr unsigned kMaxSrcRegs = 3;
  *
  * Fields are ordered by size, widest first, so the record packs into
  * one 64-byte cache line with no padding (traces hold millions of
- * them). The order is not the serialized order: trace_io writes the
- * fields one by one, so the trace format does not depend on it.
+ * them). The order is not the hashed order: traceContentHash()
+ * mixes the fields one by one, so the hash does not depend on it.
  */
 struct DynInst
 {

@@ -95,21 +95,17 @@ class BusyRunMerger
   public:
     explicit BusyRunMerger(IntervalRecorder &rec) : rec_(rec) {}
 
-    /** Record cycle @p t busy; cycles arrive nondecreasing. */
+    /** Record cycle @p t busy; cycles arrive increasing. */
     void
     add(Cycle t)
     {
         if (runStart_ == kNoCycle) {
             runStart_ = t;
-            runEnd_ = t + 1;
-        } else if (t == runEnd_) {
-            ++runEnd_;
-        } else if (t > runEnd_) {
+        } else if (t != runEnd_) {
             rec_.add(runStart_, runEnd_);
             runStart_ = t;
-            runEnd_ = t + 1;
         }
-        // t within the open run (multi-port same-cycle issue): no-op.
+        runEnd_ = t + 1;
     }
 
     /** Record cycles [t0, t0 + n) busy, as n calls of add() would. */
@@ -210,23 +206,22 @@ class FlatBus : public MemorySystem
 };
 
 /**
- * Interleaved banks behind per-unit sets of address ports. Addresses
- * of one stream are generated in order; each element takes the first
- * cycle with both a free port slot on its unit and a free bank, and
- * then holds its bank for bankBusyCycles. Streams on the same unit
- * serialize as on the flat bus; streams on different units overlap,
- * colliding only where they share banks.
+ * Interleaved banks behind one address port per unit. Addresses of
+ * one stream are generated in order, one per cycle at most; each
+ * element takes the first cycle after its predecessor's that finds
+ * its bank free, and then holds its bank for bankBusyCycles. Streams
+ * on the same unit serialize as on the flat bus; streams on
+ * different units overlap, colliding only where they share banks.
  */
 class BankedMemory : public MemorySystem
 {
   public:
     BankedMemory(const MemConfig &cfg, unsigned latency)
         : latency_(latency), bankMask_(cfg.banks - 1),
-          ports_(cfg.addressPorts), bankBusy_(cfg.bankBusyCycles),
+          bankBusy_(cfg.bankBusyCycles),
           interleaveShift_(static_cast<unsigned>(
               std::countr_zero(cfg.interleaveBytes))),
-          bankFreeAt_(cfg.banks, 0), units_(cfg),
-          unitPorts_(units_.count())
+          bankFreeAt_(cfg.banks, 0), units_(cfg)
     {
     }
 
@@ -254,13 +249,6 @@ class BankedMemory : public MemorySystem
     Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
 
   private:
-    /** Address-port occupancy of one unit. */
-    struct PortState
-    {
-        Cycle cycle = 0;
-        unsigned used = 0;
-    };
-
     /** @p stride: the byte stride of a strided (!@p indexed) stream. */
     template <typename AddrOf>
     MemAccess
@@ -274,7 +262,6 @@ class BankedMemory : public MemorySystem
             return acc;
         }
         unsigned u = units_.pick(op);
-        PortState &ports = unitPorts_[u];
         Cycle cur = std::max(earliest, units_[u]);
         Cycle last = cur;
         BusyRunMerger busy(busy_);
@@ -282,9 +269,9 @@ class BankedMemory : public MemorySystem
         unsigned streak = 0; // elements issued on back-to-back cycles
         for (unsigned i = 0; i < elems; ++i) {
             unsigned bank = bankOf(addr_of(i));
-            Cycle t = portSlot(ports, cur);
+            Cycle t = cur;
             if (bankFreeAt_[bank] > t) {
-                Cycle delayed = portSlot(ports, bankFreeAt_[bank]);
+                Cycle delayed = bankFreeAt_[bank];
                 ++stats_.bankConflicts;
                 stats_.conflictCycles += delayed - t;
                 if (indexed) {
@@ -293,14 +280,13 @@ class BankedMemory : public MemorySystem
                 }
                 t = delayed;
             }
-            takePort(ports, t);
             bankFreeAt_[bank] = t + bankBusy_;
             busy.add(t);
             if (i == 0)
                 acc.start = t;
             streak = i > 0 && t == last + 1 ? streak + 1 : 1;
             last = t;
-            cur = t;
+            cur = t + 1;
             if (period == 0 || streak < period || i + 1 == elems)
                 continue;
             // The last `period` elements went out on back-to-back
@@ -315,7 +301,6 @@ class BankedMemory : public MemorySystem
                     t + (j - i) + bankBusy_;
             busy.addRun(t + 1, rest);
             last = t + rest;
-            takePort(ports, last);
             break;
         }
         stats_.requests += elems;
@@ -338,16 +323,16 @@ class BankedMemory : public MemorySystem
      * steady-state shortcut does not apply. A stride of whole
      * interleave units steps the bank by a constant mod the bank
      * count, so the banks repeat every banks / gcd(step, banks)
-     * elements, all distinct within a period. The shortcut needs one
-     * address port (one element per cycle) and a period of at least
-     * bankBusy_ cycles (else the stream conflicts with itself).
+     * elements, all distinct within a period. The shortcut needs a
+     * period of at least bankBusy_ cycles (else the stream conflicts
+     * with itself).
      */
     unsigned
     steadyPeriod(int64_t stride) const
     {
         auto s = static_cast<uint64_t>(stride);
         Addr unit_mask = (Addr{1} << interleaveShift_) - 1;
-        if (ports_ != 1 || (s & unit_mask) != 0)
+        if ((s & unit_mask) != 0)
             return 0;
         auto step =
             static_cast<unsigned>((s >> interleaveShift_) & bankMask_);
@@ -356,45 +341,21 @@ class BankedMemory : public MemorySystem
         return period >= bankBusy_ ? period : 0;
     }
 
-    /** First cycle >= @p c with a free address-port slot. */
-    Cycle
-    portSlot(const PortState &ports, Cycle c) const
-    {
-        if (c < ports.cycle)
-            c = ports.cycle;
-        if (c == ports.cycle && ports.used >= ports_)
-            return ports.cycle + 1;
-        return c;
-    }
-
-    void
-    takePort(PortState &ports, Cycle t)
-    {
-        if (t > ports.cycle) {
-            ports.cycle = t;
-            ports.used = 1;
-        } else {
-            ++ports.used;
-        }
-    }
-
     unsigned latency_;
     unsigned bankMask_; ///< banks - 1 (the bank count is 2^k)
-    unsigned ports_;
     unsigned bankBusy_;
     unsigned interleaveShift_; ///< log2(interleaveBytes)
     std::vector<Cycle> bankFreeAt_;
     UnitPool units_;
-    std::vector<PortState> unitPorts_;
 };
 
 /**
- * A non-blocking set-associative cache in front of a backing model.
- * Each unit's front drives one element address per cycle. Hits
+ * A non-blocking set-associative cache in front of the paper's flat
+ * bus. Each unit's front drives one element address per cycle. Hits
  * return data after cacheHitLatency (or when their line's
  * outstanding fill lands). A miss claims an MSHR — stalling the
- * address stream when none is free — and fetches the whole line from
- * the backing model; later accesses to that line merge with the
+ * address stream when none is free — and fetches the whole line over
+ * the bus; later accesses to that line merge with the
  * in-flight fill. Loads and stores are treated uniformly
  * (allocate-on-miss), which keeps the model simple and symmetric
  * with the other two. Indexed streams probe the cache with their
@@ -405,7 +366,7 @@ class CachedMemory : public MemorySystem
 {
   public:
     CachedMemory(const MemConfig &cfg, unsigned latency)
-        : hitLat_(cfg.cacheHitLatency),
+        : hitLat_(cfg.cacheHitLatency), latency_(latency),
           lineShift_(static_cast<unsigned>(
               std::countr_zero(cfg.lineBytes))),
           assoc_(std::max(cfg.associativity, 1u)),
@@ -428,17 +389,6 @@ class CachedMemory : public MemorySystem
         setMask_ = sets - 1;
         ways_.assign(static_cast<size_t>(sets) * assoc_, Way{});
         mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
-        MemConfig back = cfg;
-        back.model = cfg.backing == MemModel::Banked
-                         ? MemModel::Banked
-                         : MemModel::FlatBus;
-        // The backing bus serves line fills from every front unit.
-        back.memUnits = 1;
-        back.lsPolicy = LsPolicy::Shared;
-        // Line fills are physically addressed: translation happens
-        // once, in front of the cache, never again behind it.
-        back.tlb.enabled = false;
-        backing_ = makeMemorySystem(back, latency);
     }
 
     MemAccess
@@ -494,11 +444,6 @@ class CachedMemory : public MemorySystem
             acc.firstData = acc.lastData = earliest + hitLat_;
             return acc;
         }
-        // Backing conflicts accrued by this stream's line fills are
-        // attributed to the requesting stream's kind: a fill is a
-        // strided line read, but an indexed stream caused it.
-        uint64_t preConfl = backing_->stats().bankConflicts;
-        uint64_t preConflCycles = backing_->stats().conflictCycles;
         unsigned u = units_.pick(op);
         Cycle cur = std::max(earliest, units_[u]);
         Cycle last = cur;
@@ -522,15 +467,13 @@ class CachedMemory : public MemorySystem
                     stats_.mshrStallCycles += *m - t;
                     t = *m;
                 }
-                MemAccess fill = backing_->reserve(
-                    t, line << lineShift_, kWordBytes, lineElems_,
-                    MemOp::Load);
-                // fill.lastData is one past the last element's
-                // arrival; the line is usable on the arrival cycle
-                // itself (dataAt is a closed arrival time, like the
+                // One bus serves the line fills of every front unit.
+                // The line is usable on the cycle its last word
+                // arrives (dataAt is a closed arrival time, like the
                 // hit path's t + hitLat_).
-                dataAt = fill.lastData - 1;
-                *m = fill.lastData;
+                Cycle fill = bus_.reserve(t, lineElems_);
+                dataAt = fill + lineElems_ + latency_ - 1;
+                *m = dataAt + 1;
                 w = &victim(line, t);
                 w->line = line;
                 w->valid = true;
@@ -564,18 +507,10 @@ class CachedMemory : public MemorySystem
             i += run;
         }
         // "requests" means bus traffic (the figure-13 metric): a
-        // cache's job is to shrink it, so report the backing model's
-        // line-fill elements, not the CPU-side element count (which
-        // is cacheHits + cacheMisses).
-        stats_.requests = backing_->stats().requests;
-        stats_.bankConflicts = backing_->stats().bankConflicts;
-        stats_.conflictCycles = backing_->stats().conflictCycles;
-        if (indexed) {
-            stats_.indexedConflicts +=
-                backing_->stats().bankConflicts - preConfl;
-            stats_.indexedConflictCycles +=
-                backing_->stats().conflictCycles - preConflCycles;
-        }
+        // cache's job is to shrink it, so report the bus's line-fill
+        // elements, not the CPU-side element count (which is
+        // cacheHits + cacheMisses).
+        stats_.requests = bus_.requests();
         acc.end = last + 1;
         acc.lastData = maxDataAt + 1;
         units_[u] = acc.end;
@@ -608,13 +543,14 @@ class CachedMemory : public MemorySystem
     }
 
     unsigned hitLat_;
+    unsigned latency_;
     unsigned lineShift_; ///< log2(lineBytes)
     unsigned assoc_;
     unsigned lineElems_;
     Addr setMask_ = 0; ///< sets - 1 (the set count is 2^k)
     std::vector<Way> ways_;
     std::vector<Cycle> mshrFreeAt_;
-    std::unique_ptr<MemorySystem> backing_;
+    AddressBus bus_;
     UnitPool units_;
 };
 
@@ -647,50 +583,44 @@ MemConfig::label() const
         l = units.empty() ? "" : "/" + units;
         break;
     case MemModel::Banked:
-        l = csprintf("/mb%up%u", banks, addressPorts) + units;
+        l = csprintf("/mb%up1", banks) + units;
         break;
     case MemModel::Cached:
         l = csprintf("/c%uk%uw%um", cacheBytes / 1024, associativity,
-                     mshrs);
-        if (backing == MemModel::Banked)
-            l += csprintf("b%u", banks);
-        l += units;
+                     mshrs) +
+            units;
         break;
     }
     return l + tlb.label();
 }
 
 MemConfig
-makeBankedMem(unsigned banks, unsigned address_ports,
-              unsigned bank_busy_cycles)
+makeBankedMem(unsigned banks, unsigned bank_busy_cycles)
 {
     MemConfig cfg;
     cfg.model = MemModel::Banked;
     cfg.banks = banks;
-    cfg.addressPorts = address_ports;
     cfg.bankBusyCycles = bank_busy_cycles;
     return cfg;
 }
 
 MemConfig
 makeMultiUnitMem(unsigned banks, unsigned units, LsPolicy policy,
-                 unsigned address_ports, unsigned bank_busy_cycles)
+                 unsigned bank_busy_cycles)
 {
-    MemConfig cfg =
-        makeBankedMem(banks, address_ports, bank_busy_cycles);
+    MemConfig cfg = makeBankedMem(banks, bank_busy_cycles);
     cfg.memUnits = units;
     cfg.lsPolicy = policy;
     return cfg;
 }
 
 MemConfig
-makeCachedMem(unsigned cache_bytes, unsigned mshrs, MemModel backing)
+makeCachedMem(unsigned cache_bytes, unsigned mshrs)
 {
     MemConfig cfg;
     cfg.model = MemModel::Cached;
     cfg.cacheBytes = cache_bytes;
     cfg.mshrs = mshrs;
-    cfg.backing = backing;
     return cfg;
 }
 
@@ -705,8 +635,6 @@ makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
         mem = std::make_unique<FlatBus>(cfg, mem_latency);
         break;
     case MemModel::Banked:
-        if (cfg.banks == 0 || cfg.addressPorts == 0)
-            fatal("banked memory needs >= 1 bank and >= 1 port");
         // The bank index is a shift and a mask, not two divisions.
         if (!std::has_single_bit(cfg.banks))
             fatal("banked memory: %u banks is not a power of two",
@@ -718,8 +646,6 @@ makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
         mem = std::make_unique<BankedMemory>(cfg, mem_latency);
         break;
     case MemModel::Cached:
-        if (cfg.backing == MemModel::Cached)
-            fatal("cache backing must be FlatBus or Banked");
         if (!std::has_single_bit(cfg.lineBytes) ||
             cfg.lineBytes < kWordBytes)
             fatal("cache line size %u is not a power of two of at "

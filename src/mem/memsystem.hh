@@ -8,14 +8,14 @@
  * figure is byte-identical under it. Two richer models slot in
  * behind the same interface:
  *
- *  - BankedMemory: N interleaved banks with a per-bank busy time and
- *    a configurable number of address ports, so strided vector
- *    streams suffer realistic bank conflicts (stride vs. bank-count
- *    interactions, as in multi-banked vector machines such as Ara
- *    and the RISC-V vector evaluations of Ramirez et al.).
+ *  - BankedMemory: N interleaved banks with a per-bank busy time,
+ *    so strided vector streams suffer realistic bank conflicts
+ *    (stride vs. bank-count interactions, as in multi-banked vector
+ *    machines such as Ara and the RISC-V vector evaluations of
+ *    Ramirez et al.).
  *  - CachedMemory: a simple non-blocking cache front (configurable
  *    size / line / associativity, MSHR-limited outstanding misses)
- *    over either backing model.
+ *    over the flat bus.
  *
  * The interface is stream-oriented, matching how both simulators
  * talk to memory: a memory instruction reserves a stream of element
@@ -55,8 +55,8 @@ struct SimResult;
 enum class MemModel : uint8_t
 {
     FlatBus, ///< the paper's single address bus + fixed latency
-    Banked,  ///< interleaved banks, address ports, bank busy time
-    Cached,  ///< non-blocking cache front over a backing model
+    Banked,  ///< interleaved banks, bank busy time
+    Cached,  ///< non-blocking cache front over a flat bus
 };
 
 /**
@@ -104,8 +104,6 @@ struct MemConfig
     // ---- BankedMemory knobs ----
     /** Number of interleaved banks (a power of two). */
     unsigned banks = 8;
-    /** Addresses the memory unit can drive per cycle. */
-    unsigned addressPorts = 1;
     /** Cycles a bank stays busy after accepting one access. */
     unsigned bankBusyCycles = 4;
     /**
@@ -115,8 +113,6 @@ struct MemConfig
     unsigned interleaveBytes = 8;
 
     // ---- CachedMemory knobs ----
-    /** Backing model behind the cache (FlatBus or Banked). */
-    MemModel backing = MemModel::FlatBus;
     /** Exactly lineBytes x associativity x a power-of-two set count. */
     unsigned cacheBytes = 32 * 1024;
     /** A power of two of at least one 8-byte word. */
@@ -155,19 +151,16 @@ std::pair<unsigned, unsigned> memUnitRange(const MemConfig &cfg,
                                            MemOp op);
 
 /** Convenience builder for a banked configuration. */
-MemConfig makeBankedMem(unsigned banks, unsigned address_ports = 1,
-                        unsigned bank_busy_cycles = 4);
+MemConfig makeBankedMem(unsigned banks, unsigned bank_busy_cycles = 4);
 
 /** Banked configuration with @p units load/store units. */
 MemConfig makeMultiUnitMem(unsigned banks, unsigned units,
                            LsPolicy policy = LsPolicy::Shared,
-                           unsigned address_ports = 1,
                            unsigned bank_busy_cycles = 4);
 
 /** Convenience builder for a cached configuration. */
 MemConfig makeCachedMem(unsigned cache_bytes = 32 * 1024,
-                        unsigned mshrs = 8,
-                        MemModel backing = MemModel::FlatBus);
+                        unsigned mshrs = 8);
 
 /**
  * Timing of one reserved element stream. All windows are half-open.
@@ -213,8 +206,8 @@ struct MemStats
 {
     /**
      * Element requests driven on the memory bus (the "requests" of
-     * figure 13). Under CachedMemory this is the backing model's
-     * line-fill traffic — the quantity a cache exists to shrink —
+     * figure 13). Under CachedMemory this is the bus's line-fill
+     * traffic — the quantity a cache exists to shrink —
      * while the CPU-side access count is cacheHits + cacheMisses.
      */
     uint64_t requests = 0;
@@ -225,7 +218,7 @@ struct MemStats
     /**
      * The subset of bankConflicts/conflictCycles charged to
      * index-vector (gather/scatter) streams; the strided remainder
-     * is exposed by stridedConflicts()/stridedConflictCycles().
+     * of the conflicts is stridedConflicts().
      */
     uint64_t indexedConflicts = 0;
     uint64_t indexedConflictCycles = 0;
@@ -258,12 +251,6 @@ struct MemStats
     {
         return bankConflicts - indexedConflicts;
     }
-
-    uint64_t
-    stridedConflictCycles() const
-    {
-        return conflictCycles - indexedConflictCycles;
-    }
 };
 
 /**
@@ -275,9 +262,8 @@ struct MemStats
  * serializes against the other streams of that unit only, so
  * independent streams on different units overlap their address
  * phases, contending only for shared structures (banks, the cache
- * front). Within a stream, the banked model may drive several
- * addresses per cycle (addressPorts, a per-unit resource) or dilate
- * the phase on bank conflicts.
+ * front). Within a stream, the banked model dilates the phase on
+ * bank conflicts.
  */
 class MemorySystem
 {

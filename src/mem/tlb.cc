@@ -21,8 +21,6 @@ TlbConfig::label() const
         l += csprintf("%ub", pageBytes);
     if (associativity != 4)
         l += csprintf("a%u", associativity);
-    if (l2Entries)
-        l += csprintf("l%u", l2Entries);
     if (refill == TlbRefill::SoftwareTrap)
         l += "s";
     return l;
@@ -33,14 +31,12 @@ TlbConfig::label() const
 void
 Tlb::Level::init(unsigned entries, unsigned associativity)
 {
-    if (entries == 0)
-        return;
     assoc = std::min(std::max(associativity, 1u), entries);
     // Refuse to round: a 10-entry 4-way config would silently hold
     // 8 translations while its /tNe label claimed 10.
     if (entries % assoc != 0)
-        fatal("TLB level: %u entries not divisible by %u ways",
-              entries, assoc);
+        fatal("TLB: %u entries not divisible by %u ways", entries,
+              assoc);
     sets = entries / assoc;
     ways.assign(static_cast<size_t>(sets) * assoc, Entry{});
 }
@@ -100,7 +96,6 @@ Tlb::Tlb(const TlbConfig &cfg) : cfg_(cfg)
         fatal("TLB page size %u is not a power of two", cfg_.pageBytes);
     pageShift_ = static_cast<unsigned>(std::countr_zero(cfg_.pageBytes));
     l1_.init(cfg_.entries, cfg_.associativity);
-    l2_.init(cfg_.l2Entries, cfg_.l2Associativity);
 }
 
 std::vector<Addr>
@@ -153,7 +148,7 @@ Tlb::translate(const std::vector<Addr> &pages, bool indexed)
     unsigned delay = 0;
     // Page sequences repeat heavily (unit-stride re-entries,
     // congruent-mod gathers), so batch consecutive lookups of the
-    // same page: a repeat of the page just touched always hits L1,
+    // same page: a repeat of the page just touched always hits,
     // and the cached entry pointer is refreshed after every insert,
     // so counters, ticks and LRU timestamps are exactly those of the
     // full set walk.
@@ -175,14 +170,6 @@ Tlb::translate(const std::vector<Addr> &pages, bool indexed)
         ++misses_;
         if (indexed)
             ++indexedMisses_;
-        unsigned cost;
-        if (!l2_.empty() && l2_.find(p, tick_)) {
-            cost = cfg_.l2HitPenalty;
-        } else {
-            cost = cfg_.missPenalty;
-            if (!l2_.empty())
-                l2_.insert(p, tick_);
-        }
         last = l1_.insert(p, tick_);
         last_page = p;
         // Misses that reach this point always walk in hardware. With
@@ -192,8 +179,8 @@ Tlb::translate(const std::vector<Addr> &pages, bool indexed)
         // commit) and a stream too large for the TLB to hold fall
         // through to this walk, so a software-refill configuration
         // is never silently free.
-        delay += cost;
-        missCycles_ += cost;
+        delay += cfg_.missPenalty;
+        missCycles_ += cfg_.missPenalty;
     }
     return delay;
 }
@@ -212,7 +199,6 @@ Tlb::auditView() const
     };
     TlbAuditView v;
     v.l1 = snap(l1_);
-    v.l2 = snap(l2_);
     v.tick = tick_;
     v.hits = hits_;
     v.misses = misses_;
@@ -237,11 +223,8 @@ Tlb::wouldMiss(const std::vector<Addr> &pages) const
             continue;
         prev = p;
         have_prev = true;
-        if (l1_.peek(p))
-            continue;
-        if (!l2_.empty() && l2_.peek(p))
-            continue;
-        return true;
+        if (!l1_.peek(p))
+            return true;
     }
     return false;
 }
@@ -251,7 +234,7 @@ Tlb::install(const std::vector<Addr> &pages, bool indexed)
 {
     unsigned installed = 0;
     // Same consecutive-page batching as translate(): a repeat of the
-    // page just handled is resident in L1 by construction.
+    // page just handled is resident by construction.
     Entry *last = nullptr;
     Addr last_page = 0;
     for (Addr p : pages) {
@@ -265,16 +248,9 @@ Tlb::install(const std::vector<Addr> &pages, bool indexed)
             last_page = p;
             continue;
         }
-        if (!l2_.empty() && l2_.find(p, tick_)) {
-            last = l1_.insert(p, tick_);
-            last_page = p;
-            continue;
-        }
         ++misses_;
         if (indexed)
             ++indexedMisses_;
-        if (!l2_.empty())
-            l2_.insert(p, tick_);
         last = l1_.insert(p, tick_);
         last_page = p;
         ++installed;

@@ -78,7 +78,6 @@ struct TlbAuditView
     };
 
     Level l1;
-    Level l2;
 
     uint64_t tick = 0; ///< LRU timestamp source == lookups performed
     uint64_t hits = 0;
@@ -111,7 +110,7 @@ struct TlbConfig
      */
     bool enabled = false;
 
-    /** First-level entries. */
+    /** Translation entries. */
     unsigned entries = 64;
     /** Page size in bytes (a power of two; others are rejected). */
     unsigned pageBytes = 4096;
@@ -120,28 +119,20 @@ struct TlbConfig
     /** Stall cycles charged per hardware page walk. */
     unsigned missPenalty = 30;
 
-    /** Optional second level: 0 disables it. */
-    unsigned l2Entries = 0;
-    /** Ways per set of the second level. */
-    unsigned l2Associativity = 8;
-    /** Stall cycles when an L1 miss hits the second level. */
-    unsigned l2HitPenalty = 6;
-
     TlbRefill refill = TlbRefill::HardwareWalk;
 
     /**
      * Config suffix appended to the memory-model label, e.g.
      * "/t64e4k" (64 entries, 4 KiB pages), "/t16e4ka2" (2-way),
-     * "/t64e4kl512" (512-entry second level), "/t64e4ks" (software
-     * refill). Empty while disabled, so default labels are
-     * untouched.
+     * "/t64e4ks" (software refill). Empty while disabled, so default
+     * labels are untouched.
      */
     std::string label() const;
 };
 
 /**
- * The TLB proper: L1 (and optional L2) set-associative translation
- * arrays with LRU replacement, plus the hit/miss/stall counters
+ * The TLB proper: one set-associative translation array with LRU
+ * replacement, plus the hit/miss/stall counters
  * surfaced through MemStats. Owned by the translation wrapper that
  * makeMemorySystem puts in front of the selected model; reachable
  * from the simulators via MemorySystem::tlb() for the
@@ -206,15 +197,11 @@ class Tlb
     uint64_t missCycles() const { return missCycles_; }
 
     /**
-     * Valid entries across both levels right now. O(1): maintained
-     * at insert time (nothing ever invalidates an entry), so the
-     * occupancy telemetry can sample it every calendar advance.
+     * Valid entries right now. O(1): maintained at insert time
+     * (nothing ever invalidates an entry), so the occupancy
+     * telemetry can sample it every calendar advance.
      */
-    unsigned
-    residentPages() const
-    {
-        return l1_.valid + l2_.valid;
-    }
+    unsigned residentPages() const { return l1_.valid; }
 
     /** Snapshot for the invariant audit (see TlbAuditView). */
     TlbAuditView auditView() const;
@@ -236,7 +223,6 @@ class Tlb
         unsigned valid = 0; ///< valid ways (grows monotonically)
 
         void init(unsigned entries, unsigned associativity);
-        bool empty() const { return ways.empty(); }
         Entry *find(Addr page, uint64_t tick);
         const Entry *peek(Addr page) const;
         Entry *insert(Addr page, uint64_t tick);
@@ -245,7 +231,6 @@ class Tlb
     TlbConfig cfg_;
     unsigned pageShift_ = 0; ///< log2(pageBytes)
     Level l1_;
-    Level l2_;
     uint64_t tick_ = 0; ///< LRU timestamp source (not cycles)
 
     uint64_t hits_ = 0;

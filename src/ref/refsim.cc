@@ -423,7 +423,7 @@ RefMachine::run()
             finish(resolve);
             if (inst.taken) {
                 nextIssue_ = std::max(nextIssue_,
-                                      t + 1 + cfg_.takenBranchPenalty);
+                                      t + 1 + lat_.branchMispredict);
             }
         } else {
             // Scalar ALU / move / SetVL / SetVS.

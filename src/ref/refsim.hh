@@ -45,17 +45,14 @@ struct RefConfig
      * vector registers so that no port conflicts arise" (paper
      * section 2.1), and our generator does not perform that
      * port-aware allocation, so charging the conflicts to REF would
-     * penalize it for stalls the real machine never saw. The
-     * bench/abl_ports ablation turns this on to quantify what
+     * penalize it for stalls the real machine never saw. The `abl`
+     * figure's port-conflict section turns this on to quantify what
      * port-oblivious allocation would cost.
      */
     bool modelPortConflicts = false;
 
     /** Allow load->FU chaining (off on the real C3400). */
     bool chainLoadsToFus = false;
-
-    /** Pipeline depth charged on taken branches. */
-    unsigned takenBranchPenalty = 3;
 
     /**
      * Invariant-audit level (src/check/), mirroring

@@ -7,7 +7,8 @@
  * program here is a synthetic model that reproduces the trace-level
  * characteristics the paper documents for it (Table 2 statistics,
  * spill behaviour, loop structure, cross-iteration dependences).
- * See DESIGN.md section 5 for the per-program inventory.
+ * The comment above each generator in benchmarks.cc gives its
+ * program's inventory.
  */
 
 #ifndef OOVA_TGEN_BENCHMARKS_HH

@@ -381,7 +381,7 @@ CodeGen::emitIteration(const LoopSpec &loop, size_t loop_idx,
     const KernelInfo &info = kernelInfo(&k);
     curInfo_ = &info;
 
-    if (opts_.emitSetVl && vl != curVl_) {
+    if (vl != curVl_) {
         DynInst setvl;
         setvl.op = Opcode::SetVL;
         setvl.vl = 1;

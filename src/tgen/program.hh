@@ -52,8 +52,6 @@ struct GenOptions
 {
     /** Multiplies every loop's trip count (>= 1 trip kept). */
     double scale = 1.0;
-    /** Emit SetVL instructions when the vector length changes. */
-    bool emitSetVl = true;
 };
 
 /** A whole synthetic program. */

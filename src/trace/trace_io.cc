@@ -1,252 +1,79 @@
 #include "trace/trace_io.hh"
 
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
-#include <streambuf>
-
-#include "common/logging.hh"
-
 namespace oova
 {
 
 namespace
 {
 
-// Version 2 added the gather/scatter index-pattern fields.
-constexpr char kMagic[8] = {'O', 'O', 'V', 'A', 'T', 'R', 'C', '2'};
-
-template <typename T>
-void
-put(std::ostream &os, T value)
-{
-    // Serialize little-endian regardless of host order.
-    unsigned char buf[sizeof(T)];
-    auto u = static_cast<uint64_t>(value);
-    for (size_t i = 0; i < sizeof(T); ++i)
-        buf[i] = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
-    os.write(reinterpret_cast<const char *>(buf), sizeof(T));
-}
-
-template <typename T>
-bool
-get(std::istream &is, T &value)
-{
-    unsigned char buf[sizeof(T)];
-    if (!is.read(reinterpret_cast<char *>(buf), sizeof(T)))
-        return false;
-    uint64_t u = 0;
-    for (size_t i = 0; i < sizeof(T); ++i)
-        u |= static_cast<uint64_t>(buf[i]) << (8 * i);
-    value = static_cast<T>(u);
-    return true;
-}
-
-void
-putReg(std::ostream &os, const RegId &r)
-{
-    put<uint8_t>(os, static_cast<uint8_t>(r.cls));
-    put<uint8_t>(os, r.idx);
-}
-
-bool
-getReg(std::istream &is, RegId &r)
-{
-    uint8_t cls, idx;
-    if (!get(is, cls) || !get(is, idx))
-        return false;
-    // Validate at the deserialization boundary: register classes
-    // and indices are used as unchecked array subscripts everywhere
-    // downstream, so a corrupted byte must be rejected here.
-    if (cls > static_cast<uint8_t>(RegClass::None))
-        return false;
-    r.cls = static_cast<RegClass>(cls);
-    if (r.cls != RegClass::None && idx >= numLogicalRegs(r.cls))
-        return false;
-    r.idx = idx;
-    return true;
-}
-
-} // namespace
-
-bool
-saveTrace(const Trace &trace, std::ostream &os)
-{
-    os.write(kMagic, sizeof(kMagic));
-    put<uint32_t>(os, static_cast<uint32_t>(trace.name().size()));
-    os.write(trace.name().data(),
-             static_cast<std::streamsize>(trace.name().size()));
-    put<uint64_t>(os, trace.size());
-
-    for (const DynInst &inst : trace) {
-        put<uint64_t>(os, inst.pc);
-        put<uint8_t>(os, static_cast<uint8_t>(inst.op));
-        putReg(os, inst.dst);
-        put<uint8_t>(os, inst.numSrc);
-        for (unsigned i = 0; i < kMaxSrcRegs; ++i)
-            putReg(os, inst.src[i]);
-        put<uint16_t>(os, inst.vl);
-        put<int64_t>(os, inst.strideBytes);
-        put<uint64_t>(os, inst.addr);
-        put<uint32_t>(os, inst.regionBytes);
-        put<uint8_t>(os, inst.elemSize);
-        put<uint8_t>(os, static_cast<uint8_t>(inst.idxPattern));
-        put<uint32_t>(os, inst.idxParam);
-        put<uint64_t>(os, inst.idxSeed);
-        put<uint8_t>(os, inst.taken ? 1 : 0);
-        put<uint64_t>(os, inst.target);
-        put<uint8_t>(os, inst.isSpill ? 1 : 0);
-    }
-    return static_cast<bool>(os);
-}
-
-bool
-saveTraceFile(const Trace &trace, const std::string &path)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        return false;
-    return saveTrace(trace, os);
-}
-
-bool
-loadTrace(Trace &out, std::istream &is)
-{
-    out = Trace();
-
-    char magic[sizeof(kMagic)];
-    if (!is.read(magic, sizeof(magic)) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        return false;
-    }
-
-    uint32_t name_len;
-    if (!get(is, name_len) || name_len > (1u << 20))
-        return false;
-    std::string name(name_len, '\0');
-    if (!is.read(name.data(), name_len))
-        return false;
-    out.setName(name);
-
-    uint64_t count;
-    if (!get(is, count))
-        return false;
-    out.reserve(count);
-
-    for (uint64_t n = 0; n < count; ++n) {
-        DynInst inst;
-        uint8_t op, num_src, taken, spill, esize, ipat;
-        if (!get(is, inst.pc) || !get(is, op) ||
-            !getReg(is, inst.dst) || !get(is, num_src)) {
-            out = Trace();
-            return false;
-        }
-        // Validate at the deserialization boundary: traits() is an
-        // unchecked table lookup on the hot path, so a corrupted
-        // opcode byte must be rejected here, not deep in a simulator.
-        if (op >= kNumOpcodes) {
-            out = Trace();
-            return false;
-        }
-        inst.op = static_cast<Opcode>(op);
-        // Same boundary rule: numSrc bounds every src[] loop in the
-        // simulators (the array holds kMaxSrcRegs entries).
-        if (num_src > kMaxSrcRegs) {
-            out = Trace();
-            return false;
-        }
-        inst.numSrc = num_src;
-        for (unsigned i = 0; i < kMaxSrcRegs; ++i) {
-            if (!getReg(is, inst.src[i])) {
-                out = Trace();
-                return false;
-            }
-        }
-        if (!get(is, inst.vl) || !get(is, inst.strideBytes) ||
-            !get(is, inst.addr) || !get(is, inst.regionBytes) ||
-            !get(is, esize) || !get(is, ipat) ||
-            !get(is, inst.idxParam) || !get(is, inst.idxSeed) ||
-            !get(is, taken) || !get(is, inst.target) ||
-            !get(is, spill)) {
-            out = Trace();
-            return false;
-        }
-        inst.elemSize = esize;
-        if (ipat > static_cast<uint8_t>(IndexPattern::Random)) {
-            out = Trace();
-            return false;
-        }
-        inst.idxPattern = static_cast<IndexPattern>(ipat);
-        inst.taken = taken != 0;
-        inst.isSpill = spill != 0;
-        out.push(inst);
-    }
-    return true;
-}
-
-bool
-loadTraceFile(Trace &out, const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    return loadTrace(out, is);
-}
-
-namespace
-{
-
-/**
- * A streambuf that hashes every byte written instead of storing it,
- * so traceContentHash() reuses saveTrace() verbatim — the hash
- * covers exactly the serialized format, field order and all.
- */
-class FnvStreambuf : public std::streambuf
+/** 64-bit FNV-1a over fixed-width little-endian fields. */
+class Fnv1a
 {
   public:
-    uint64_t
-    hash() const
+    template <typename T>
+    void
+    put(T value)
     {
-        return hash_;
+        auto u = static_cast<uint64_t>(value);
+        for (size_t i = 0; i < sizeof(T); ++i)
+            mix(static_cast<unsigned char>(u >> (8 * i)));
     }
 
-  protected:
-    int
-    overflow(int ch) override
+    void
+    putReg(const RegId &r)
     {
-        if (ch != traits_type::eof())
-            mix(static_cast<unsigned char>(ch));
-        return ch;
+        put<uint8_t>(static_cast<uint8_t>(r.cls));
+        put<uint8_t>(r.idx);
     }
 
-    std::streamsize
-    xsputn(const char *s, std::streamsize n) override
-    {
-        for (std::streamsize i = 0; i < n; ++i)
-            mix(static_cast<unsigned char>(s[i]));
-        return n;
-    }
-
-  private:
     void
     mix(unsigned char b)
     {
         hash_ = (hash_ ^ b) * 1099511628211ull;
     }
 
+    uint64_t value() const { return hash_; }
+
+  private:
     uint64_t hash_ = 14695981039346656037ull; // FNV-1a offset basis
 };
+
+// Version 2 of the format added the gather/scatter index-pattern fields.
+constexpr char kFormatTag[8] = {'O', 'O', 'V', 'A', 'T', 'R', 'C', '2'};
 
 } // namespace
 
 uint64_t
 traceContentHash(const Trace &trace)
 {
-    FnvStreambuf buf;
-    std::ostream os(&buf);
-    saveTrace(trace, os);
-    return buf.hash();
+    Fnv1a h;
+    for (char c : kFormatTag)
+        h.mix(static_cast<unsigned char>(c));
+    h.put<uint32_t>(static_cast<uint32_t>(trace.name().size()));
+    for (char c : trace.name())
+        h.mix(static_cast<unsigned char>(c));
+    h.put<uint64_t>(trace.size());
+
+    for (const DynInst &inst : trace) {
+        h.put<uint64_t>(inst.pc);
+        h.put<uint8_t>(static_cast<uint8_t>(inst.op));
+        h.putReg(inst.dst);
+        h.put<uint8_t>(inst.numSrc);
+        for (unsigned i = 0; i < kMaxSrcRegs; ++i)
+            h.putReg(inst.src[i]);
+        h.put<uint16_t>(inst.vl);
+        h.put<int64_t>(inst.strideBytes);
+        h.put<uint64_t>(inst.addr);
+        h.put<uint32_t>(inst.regionBytes);
+        h.put<uint8_t>(inst.elemSize);
+        h.put<uint8_t>(static_cast<uint8_t>(inst.idxPattern));
+        h.put<uint32_t>(inst.idxParam);
+        h.put<uint64_t>(inst.idxSeed);
+        h.put<uint8_t>(inst.taken ? 1 : 0);
+        h.put<uint64_t>(inst.target);
+        h.put<uint8_t>(inst.isSpill ? 1 : 0);
+    }
+    return h.value();
 }
 
 } // namespace oova

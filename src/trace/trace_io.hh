@@ -1,46 +1,31 @@
 /**
  * @file
- * Binary trace serialization.
+ * The trace content hash, the trace half of the result-store key.
  *
- * The format is a small fixed-width little-endian record stream with
- * a magic/version header, so traces can be generated once and
- * replayed by the simulators, mirroring the paper's
- * trace-once/simulate-many Dixie workflow.
+ * traceContentHash() runs 64-bit FNV-1a over a fixed byte sequence:
+ * the format tag "OOVATRC2", the name's length and bytes, the
+ * instruction count, then every instruction field by field as
+ * fixed-width little-endian integers. That sequence is the byte
+ * stream of the binary trace format the project used to write, so
+ * every hash, and every store key built on one, keeps its value. It
+ * depends neither on DynInst's in-memory layout nor on host byte
+ * order.
  */
 
 #ifndef OOVA_TRACE_TRACE_IO_HH
 #define OOVA_TRACE_TRACE_IO_HH
 
-#include <iosfwd>
-#include <string>
+#include <cstdint>
 
 #include "trace/trace.hh"
 
 namespace oova
 {
 
-/** Serialize a trace to a stream. Returns false on I/O error. */
-bool saveTrace(const Trace &trace, std::ostream &os);
-
-/** Serialize a trace to a file. Returns false on I/O error. */
-bool saveTraceFile(const Trace &trace, const std::string &path);
-
 /**
- * Deserialize a trace from a stream.
- * @return true on success; on failure @p out is left empty.
- */
-bool loadTrace(Trace &out, std::istream &is);
-
-/** Deserialize a trace from a file. */
-bool loadTraceFile(Trace &out, const std::string &path);
-
-/**
- * 64-bit FNV-1a hash of the trace's serialized byte stream — the
- * exact bytes saveTrace() would write, including the format
- * magic/version and the trace name. Two traces hash equal iff their
- * serialized forms are identical, and a trace-format version bump
- * changes every hash; this is the trace half of the sweep-farm
- * result-store key.
+ * 64-bit FNV-1a hash of the trace's name and instructions (see the
+ * file comment for the byte order). Two traces hash equal iff their
+ * names and every hashed field agree, barring collisions.
  */
 uint64_t traceContentHash(const Trace &trace);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: formatting, RNG, interval statistics,
- * the 8-state breakdown and histograms.
+ * Unit tests for src/common: formatting, RNG, interval statistics
+ * and the 8-state breakdown.
  */
 
 #include <gtest/gtest.h>
@@ -212,38 +212,4 @@ TEST(UnitStateBreakdown, StateNames)
     EXPECT_EQ(UnitStateBreakdown::stateName(0), "<   ,   ,   >");
     EXPECT_EQ(UnitStateBreakdown::stateName(7), "<FU2,FU1,MEM>");
     EXPECT_EQ(UnitStateBreakdown::stateName(5), "<FU2,   ,MEM>");
-}
-
-TEST(Histogram, BasicBuckets)
-{
-    Histogram h(10, 5);
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(49);
-    h.sample(50); // overflow bucket
-    EXPECT_EQ(h.buckets()[0], 2u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[4], 1u);
-    EXPECT_EQ(h.buckets()[5], 1u);
-    EXPECT_EQ(h.count(), 5u);
-}
-
-TEST(Histogram, MinMaxMean)
-{
-    Histogram h(1, 10);
-    h.sample(2);
-    h.sample(4);
-    h.sample(6);
-    EXPECT_EQ(h.min(), 2u);
-    EXPECT_EQ(h.max(), 6u);
-    EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-}
-
-TEST(Histogram, EmptyIsSafe)
-{
-    Histogram h(4, 4);
-    EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }

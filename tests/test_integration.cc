@@ -11,7 +11,6 @@
 #include "core/ooosim.hh"
 #include "harness/experiment.hh"
 #include "ref/refsim.hh"
-#include "trace/trace_io.hh"
 
 using namespace oova;
 
@@ -88,19 +87,6 @@ TEST_P(EndToEnd, MoreRegistersNeverHurt)
     EXPECT_GE(c9, c16);
     // Allow a tiny wobble between 16 and 64 from allocation order.
     EXPECT_LE(c64, c16 + c16 / 100);
-}
-
-TEST_P(EndToEnd, TraceSurvivesSerializationIntoSameResults)
-{
-    Trace t = trace();
-    std::stringstream ss;
-    ASSERT_TRUE(saveTrace(t, ss));
-    Trace u;
-    ASSERT_TRUE(loadTrace(u, ss));
-    SimResult a = simulateOoo(t, makeOooConfig(16, 16, 50));
-    SimResult b = simulateOoo(u, makeOooConfig(16, 16, 50));
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.memRequests, b.memRequests);
 }
 
 TEST_P(EndToEnd, SimulationIsDeterministic)

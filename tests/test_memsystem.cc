@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the pluggable memory hierarchy: FlatBus equivalence with
- * the seed AddressBus, banked-memory bank mapping and port
- * arbitration, cache hit/miss/MSHR behaviour, and the config labels
- * threaded into machine names.
+ * the seed AddressBus, banked-memory bank mapping, cache
+ * hit/miss/MSHR behaviour, and the config labels threaded into
+ * machine names.
  */
 
 #include <gtest/gtest.h>
@@ -34,11 +34,9 @@ makeFlat(unsigned latency = 50)
 }
 
 std::unique_ptr<MemorySystem>
-makeBanked(unsigned banks, unsigned ports = 1, unsigned busy = 4,
-           unsigned latency = 50)
+makeBanked(unsigned banks, unsigned busy = 4, unsigned latency = 50)
 {
-    MemConfig cfg = makeBankedMem(banks, ports, busy);
-    return makeMemorySystem(cfg, latency);
+    return makeMemorySystem(makeBankedMem(banks, busy), latency);
 }
 
 } // namespace
@@ -122,7 +120,7 @@ TEST(BankedMemory, UnitStrideCoversAllBanksWithoutConflict)
     // Stride 1 over 8 banks: each bank is revisited only every 8
     // cycles, beyond the 4-cycle busy time, so the stream drives one
     // address per cycle like the flat bus.
-    auto mem = makeBanked(8, 1, 4);
+    auto mem = makeBanked(8, 4);
     MemAccess a = mem->reserve(0, 0, 8, 32);
     EXPECT_EQ(a.start, 0u);
     EXPECT_EQ(a.end, 32u);
@@ -135,7 +133,7 @@ TEST(BankedMemory, BankCountStrideSerializesOnOneBank)
     // Stride == bank count: every element maps to bank 0 and must
     // wait out the 4-cycle busy time — the address phase dilates to
     // busy * elems.
-    auto mem = makeBanked(8, 1, 4);
+    auto mem = makeBanked(8, 4);
     MemAccess a = mem->reserve(0, 0, 8 * 8, 16);
     EXPECT_EQ(a.start, 0u);
     EXPECT_EQ(a.end, 15u * 4 + 1);
@@ -146,7 +144,7 @@ TEST(BankedMemory, BankCountStrideSerializesOnOneBank)
 TEST(BankedMemory, CoPrimeStrideAvoidsConflicts)
 {
     // Stride 3 (co-prime with 8) permutes all banks before reuse.
-    auto mem = makeBanked(8, 1, 4);
+    auto mem = makeBanked(8, 4);
     MemAccess a = mem->reserve(0, 0, 3 * 8, 32);
     EXPECT_EQ(a.end, 32u);
     EXPECT_EQ(mem->stats().bankConflicts, 0u);
@@ -157,22 +155,10 @@ TEST(BankedMemory, StrideTwoHalvesTheBankPool)
     // Stride 2 on 4 banks touches 2 banks; with busy 4 the reuse
     // distance (2 cycles) is under the busy time, so the stream
     // degrades to one element every busy/2 = 2 cycles steady state.
-    auto mem = makeBanked(4, 1, 4);
+    auto mem = makeBanked(4, 4);
     MemAccess a = mem->reserve(0, 0, 2 * 8, 16);
     EXPECT_GT(a.end, 24u);
     EXPECT_GT(mem->stats().bankConflicts, 0u);
-}
-
-TEST(BankedMemory, PortArbitrationLimitsIssueRate)
-{
-    // Two ports, plenty of banks: two addresses per cycle, so 16
-    // elements drain in 8 cycles. The first element still defines
-    // the start.
-    auto mem = makeBanked(16, 2, 1);
-    MemAccess a = mem->reserve(10, 0, 8, 16);
-    EXPECT_EQ(a.start, 10u);
-    EXPECT_EQ(a.end, 18u);
-    EXPECT_EQ(mem->stats().bankConflicts, 0u);
 }
 
 TEST(BankedMemory, StreamsSerializeInOrder)
@@ -180,7 +166,7 @@ TEST(BankedMemory, StreamsSerializeInOrder)
     // The single memory unit serializes streams: a second stream
     // with an earlier "earliest" still starts after the first one's
     // address phase.
-    auto mem = makeBanked(8, 1, 4);
+    auto mem = makeBanked(8, 4);
     MemAccess a = mem->reserve(5, 0, 8, 8);
     EXPECT_EQ(a.end, 13u);
     MemAccess b = mem->reserve(0, 0x800, 8, 8);
@@ -190,7 +176,7 @@ TEST(BankedMemory, StreamsSerializeInOrder)
 
 TEST(BankedMemory, DataFollowsAddressPhase)
 {
-    auto mem = makeBanked(8, 1, 4, 100);
+    auto mem = makeBanked(8, 4, 100);
     MemAccess a = mem->reserve(0, 0, 8, 8);
     EXPECT_EQ(a.firstData, a.start + 100);
     EXPECT_EQ(a.lastData, a.end + 100);
@@ -298,7 +284,7 @@ TEST(IndexedReserve, PermutationAddressesRunConflictFree)
     // A bank-friendly permutation of 32 consecutive words (odd step
     // 5): every bank revisit is 8 elements apart, beyond the 4-cycle
     // busy time.
-    auto mem = makeBanked(8, 1, 4);
+    auto mem = makeBanked(8, 4);
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < 32; ++i)
         addrs.push_back(0x1000 + ((i * 5) % 32) * 8);
@@ -313,7 +299,7 @@ TEST(IndexedReserve, CongruentIndicesDilateOnOneBank)
 {
     // All addresses congruent mod 8 words: one bank, serialized at
     // the bank busy time — and counted as indexed conflicts.
-    auto mem = makeBanked(8, 1, 4);
+    auto mem = makeBanked(8, 4);
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < 16; ++i)
         addrs.push_back(0x1000 + i * 8 * 8);
@@ -327,7 +313,7 @@ TEST(IndexedReserve, CongruentIndicesDilateOnOneBank)
 
 TEST(IndexedReserve, StridedAndIndexedConflictsSplitCleanly)
 {
-    auto mem = makeBanked(8, 1, 4);
+    auto mem = makeBanked(8, 4);
     // A strided one-bank stream first...
     mem->reserve(0, 0x1000, 64, 8, MemOp::Load);
     uint64_t strided = mem->stats().bankConflicts;
@@ -377,26 +363,6 @@ TEST(IndexedElemAddrs, ZeroLengthGatherReservesNothing)
     gi.regionBytes = 4096;
     gi.idxPattern = IndexPattern::Permutation;
     EXPECT_TRUE(indexedElemAddrs(gi).empty());
-}
-
-TEST(CachedMemory, IndexedStreamFillConflictsCountAsIndexed)
-{
-    // Cache over a 2-bank backing: every line fill alternates two
-    // banks faster than the bank busy time, so fills conflict. When
-    // the requesting stream is a gather, those conflicts must land
-    // in the indexed counters, not the strided remainder.
-    MemConfig cfg = makeCachedMem(4 * 1024, 8, MemModel::Banked);
-    cfg.banks = 2;
-    auto mem = makeMemorySystem(cfg, 50);
-    std::vector<Addr> addrs;
-    for (unsigned i = 0; i < 16; ++i)
-        addrs.push_back(static_cast<Addr>(i) * 64 * 8);
-    mem->reserve(0, addrs, MemOp::Load);
-    EXPECT_EQ(mem->stats().cacheMisses, 16u);
-    EXPECT_GT(mem->stats().bankConflicts, 0u);
-    EXPECT_EQ(mem->stats().indexedConflicts,
-              mem->stats().bankConflicts);
-    EXPECT_EQ(mem->stats().stridedConflicts(), 0u);
 }
 
 TEST(IndexedElemAddrs, PatternsHaveTheAdvertisedShape)
@@ -509,10 +475,9 @@ TEST(MemConfig, DefaultLabelIsEmpty)
 TEST(MemConfig, LabelsReflectModelParameters)
 {
     EXPECT_EQ(makeBankedMem(8).label(), "/mb8p1");
-    EXPECT_EQ(makeBankedMem(16, 2).label(), "/mb16p2");
+    EXPECT_EQ(makeBankedMem(16).label(), "/mb16p1");
     EXPECT_EQ(makeCachedMem().label(), "/c32k4w8m");
-    EXPECT_EQ(makeCachedMem(64 * 1024, 4, MemModel::Banked).label(),
-              "/c64k4w4mb8");
+    EXPECT_EQ(makeCachedMem(64 * 1024, 4).label(), "/c64k4w4m");
 
     OooConfig ooo;
     ooo.mem = makeBankedMem(8);
@@ -524,8 +489,7 @@ TEST(MemConfig, UnitCountAndPolicyRoundTripThroughLabels)
     EXPECT_EQ(makeMultiUnitMem(8, 2).label(), "/mb8p1x2");
     EXPECT_EQ(makeMultiUnitMem(8, 2, LsPolicy::Split).label(),
               "/mb8p1x2s");
-    EXPECT_EQ(makeMultiUnitMem(16, 4, LsPolicy::Shared, 2).label(),
-              "/mb16p2x4");
+    EXPECT_EQ(makeMultiUnitMem(16, 4).label(), "/mb16p1x4");
     // One unit is the default and stays invisible, for every model.
     EXPECT_EQ(makeMultiUnitMem(8, 1).label(), "/mb8p1");
     MemConfig flat;
@@ -592,7 +556,7 @@ TEST(MemUnitRange, OddSplitStoresGetTheirOwnUnitInTheModel)
     // Stride 32 over 8 banks with a 1-cycle bank busy time puts each
     // word-offset base on its own disjoint {b, b+4} bank pair, so
     // only unit assignment decides the timing.
-    MemConfig cfg = makeMultiUnitMem(8, 3, LsPolicy::Split, 1, 1);
+    MemConfig cfg = makeMultiUnitMem(8, 3, LsPolicy::Split, 1);
     auto mem = makeMemorySystem(cfg, 50);
     MemAccess a = mem->reserve(0, 0x1000, 32, 16, MemOp::Load);
     MemAccess b = mem->reserve(0, 0x1008, 32, 16, MemOp::Load);
@@ -604,30 +568,6 @@ TEST(MemUnitRange, OddSplitStoresGetTheirOwnUnitInTheModel)
     MemAccess s = mem->reserve(0, 0x1010, 32, 16, MemOp::Store);
     EXPECT_EQ(s.start, 0u) << "the store unit was idle all along";
     EXPECT_EQ(mem->stats().bankConflicts, 0u);
-}
-
-TEST(MemConfig, CachedOverBankedLabels)
-{
-    // The cache label encodes size/ways/MSHRs, the backing's bank
-    // count, then the unit suffix — all three dimensions must
-    // round-trip for sweep tables to be self-describing.
-    MemConfig cfg = makeCachedMem(16 * 1024, 2, MemModel::Banked);
-    EXPECT_EQ(cfg.label(), "/c16k4w2mb8");
-    cfg.banks = 16;
-    EXPECT_EQ(cfg.label(), "/c16k4w2mb16");
-    cfg.associativity = 8;
-    EXPECT_EQ(cfg.label(), "/c16k8w2mb16");
-    cfg.memUnits = 2;
-    cfg.lsPolicy = LsPolicy::Split;
-    EXPECT_EQ(cfg.label(), "/c16k8w2mb16x2s");
-    // The banked suffix only appears for a banked backing.
-    cfg.backing = MemModel::FlatBus;
-    EXPECT_EQ(cfg.label(), "/c16k8w2mx2s");
-
-    OooConfig ooo;
-    ooo.mem = makeCachedMem(64 * 1024, 4, MemModel::Banked);
-    ooo.mem.banks = 4;
-    EXPECT_EQ(ooo.name(), "OOOVA-16/16r/early/c64k4w4mb4");
 }
 
 TEST(MemSystemSim, TwoUnitsSpeedUpDualStreamPrograms)
@@ -692,7 +632,7 @@ TEST(BankedMemory, UnitStrideStreamsMonotoneInBankCount)
     // property is asserted here, on the model.)
     Cycle prev = kNoCycle;
     for (unsigned banks : {1u, 2u, 4u, 8u, 16u}) {
-        auto mem = makeBanked(banks, 1, 4);
+        auto mem = makeBanked(banks, 4);
         Cycle end = 0;
         for (unsigned s = 0; s < 8; ++s) {
             MemAccess a =
@@ -746,19 +686,6 @@ TEST(MemSystemSim, CachedModelRunsBothSimulators)
     EXPECT_GT(b.cacheHits + b.cacheMisses, 0u);
 }
 
-TEST(MemSystemSim, CacheOverBankedBacking)
-{
-    GenOptions opts;
-    opts.scale = 0.02;
-    Trace t = makeBenchmarkTrace("flo52", opts);
-    OooConfig cfg;
-    cfg.mem = makeCachedMem(16 * 1024, 4, MemModel::Banked);
-    cfg.mem.banks = 4;
-    SimResult r = simulateOoo(t, cfg);
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_GT(r.cacheMisses, 0u);
-}
-
 // ------------------------------------------------------ geometry
 //
 // Bank, line and set indices are shifts and masks, so every
@@ -770,12 +697,6 @@ TEST(MemGeometryDeathTest, NonPowerOfTwoBankCountIsRejected)
     EXPECT_EXIT(makeMemorySystem(makeBankedMem(6), 50),
                 ::testing::ExitedWithCode(1),
                 "6 banks is not a power of two");
-    // The banked backing behind a cache is checked the same way.
-    MemConfig cached = makeCachedMem(32 * 1024, 8, MemModel::Banked);
-    cached.banks = 12;
-    EXPECT_EXIT(makeMemorySystem(cached, 50),
-                ::testing::ExitedWithCode(1),
-                "12 banks is not a power of two");
 }
 
 TEST(MemGeometryDeathTest, NonPowerOfTwoInterleaveIsRejected)
@@ -840,7 +761,7 @@ TEST(MemGeometry, ExactCapacityHoldsEveryLineOnASecondPass)
 // ------------------------------------------- reference element loops
 //
 // The banked and cached models place a strided stream's cache-line
-// runs and a one-port banked stream's steady state in closed form.
+// runs and a banked stream's steady state in closed form.
 // The classes below are the models as they were before that: every
 // element of every stream walks the full per-element loop. Random
 // stream sequences on random geometries must time, count and record
@@ -931,11 +852,10 @@ class RefBanked : public MemorySystem
   public:
     RefBanked(const MemConfig &cfg, unsigned latency)
         : latency_(latency), bankMask_(cfg.banks - 1),
-          ports_(cfg.addressPorts), bankBusy_(cfg.bankBusyCycles),
+          bankBusy_(cfg.bankBusyCycles),
           interleaveShift_(static_cast<unsigned>(
               std::countr_zero(cfg.interleaveBytes))),
-          bankFreeAt_(cfg.banks, 0), units_(cfg),
-          unitPorts_(units_.count())
+          bankFreeAt_(cfg.banks, 0), units_(cfg)
     {
     }
 
@@ -962,12 +882,6 @@ class RefBanked : public MemorySystem
     Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
 
   private:
-    struct PortState
-    {
-        Cycle cycle = 0;
-        unsigned used = 0;
-    };
-
     template <typename AddrOf>
     MemAccess
     stream(Cycle earliest, MemOp op, bool indexed, unsigned elems,
@@ -980,7 +894,6 @@ class RefBanked : public MemorySystem
             return acc;
         }
         unsigned u = units_.pick(op);
-        PortState &ports = unitPorts_[u];
         Cycle cur = std::max(earliest, units_[u]);
         Cycle last = cur;
         RefBusyRunMerger busy(busy_);
@@ -988,24 +901,21 @@ class RefBanked : public MemorySystem
             Addr a = addr_of(i);
             unsigned bank = static_cast<unsigned>(
                 (a >> interleaveShift_) & bankMask_);
-            Cycle t = portSlot(ports, cur);
-            if (bankFreeAt_[bank] > t) {
-                Cycle delayed = portSlot(ports, bankFreeAt_[bank]);
+            Cycle t = std::max(cur, bankFreeAt_[bank]);
+            if (t > cur) {
                 ++stats_.bankConflicts;
-                stats_.conflictCycles += delayed - t;
+                stats_.conflictCycles += t - cur;
                 if (indexed) {
                     ++stats_.indexedConflicts;
-                    stats_.indexedConflictCycles += delayed - t;
+                    stats_.indexedConflictCycles += t - cur;
                 }
-                t = delayed;
             }
-            takePort(ports, t);
             bankFreeAt_[bank] = t + bankBusy_;
             busy.add(t);
             if (i == 0)
                 acc.start = t;
             last = t;
-            cur = t;
+            cur = t + 1;
         }
         stats_.requests += elems;
         acc.end = last + 1;
@@ -1015,40 +925,17 @@ class RefBanked : public MemorySystem
         return acc;
     }
 
-    Cycle
-    portSlot(const PortState &ports, Cycle c) const
-    {
-        if (c < ports.cycle)
-            c = ports.cycle;
-        if (c == ports.cycle && ports.used >= ports_)
-            return ports.cycle + 1;
-        return c;
-    }
-
-    void
-    takePort(PortState &ports, Cycle t)
-    {
-        if (t > ports.cycle) {
-            ports.cycle = t;
-            ports.used = 1;
-        } else {
-            ++ports.used;
-        }
-    }
-
     unsigned latency_;
     unsigned bankMask_;
-    unsigned ports_;
     unsigned bankBusy_;
     unsigned interleaveShift_;
     std::vector<Cycle> bankFreeAt_;
     RefUnitPool units_;
-    std::vector<PortState> unitPorts_;
 };
 
 /**
- * CachedMemory with one loop iteration per element, over a RefBanked
- * or the library's flat bus (whose code the shortcuts do not touch).
+ * CachedMemory with one loop iteration per element, over the
+ * library's flat bus (whose code the shortcuts do not touch).
  */
 class RefCached : public MemorySystem
 {
@@ -1065,24 +952,15 @@ class RefCached : public MemorySystem
         setMask_ = sets - 1;
         ways_.assign(static_cast<size_t>(sets) * assoc_, Way{});
         mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
-        MemConfig back = cfg;
-        back.memUnits = 1;
-        back.lsPolicy = LsPolicy::Shared;
-        back.tlb.enabled = false;
-        if (cfg.backing == MemModel::Banked) {
-            back.model = MemModel::Banked;
-            backing_ = std::make_unique<RefBanked>(back, latency);
-        } else {
-            back.model = MemModel::FlatBus;
-            backing_ = makeMemorySystem(back, latency);
-        }
+        // The default MemConfig: one flat bus, no TLB.
+        bus_ = makeMemorySystem(MemConfig{}, latency);
     }
 
     MemAccess
     reserve(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
             MemOp op) override
     {
-        return stream(earliest, op, false, elems, [&](unsigned i) {
+        return stream(earliest, op, elems, [&](unsigned i) {
             return addr + static_cast<int64_t>(i) * stride;
         });
     }
@@ -1091,7 +969,7 @@ class RefCached : public MemorySystem
     reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
             MemOp op) override
     {
-        return stream(earliest, op, true,
+        return stream(earliest, op,
                       static_cast<unsigned>(elem_addrs.size()),
                       [&](unsigned i) { return elem_addrs[i]; });
     }
@@ -1111,8 +989,7 @@ class RefCached : public MemorySystem
 
     template <typename AddrOf>
     MemAccess
-    stream(Cycle earliest, MemOp op, bool indexed, unsigned elems,
-           AddrOf addr_of)
+    stream(Cycle earliest, MemOp op, unsigned elems, AddrOf addr_of)
     {
         MemAccess acc;
         if (elems == 0) {
@@ -1120,8 +997,6 @@ class RefCached : public MemorySystem
             acc.firstData = acc.lastData = earliest + hitLat_;
             return acc;
         }
-        uint64_t preConfl = backing_->stats().bankConflicts;
-        uint64_t preConflCycles = backing_->stats().conflictCycles;
         unsigned u = units_.pick(op);
         Cycle cur = std::max(earliest, units_[u]);
         Cycle last = cur;
@@ -1144,7 +1019,7 @@ class RefCached : public MemorySystem
                     stats_.mshrStallCycles += *m - t;
                     t = *m;
                 }
-                MemAccess fill = backing_->reserve(
+                MemAccess fill = bus_->reserve(
                     t, line << lineShift_, 8, lineElems_, MemOp::Load);
                 dataAt = fill.lastData - 1;
                 *m = fill.lastData;
@@ -1163,15 +1038,7 @@ class RefCached : public MemorySystem
             last = t;
             cur = t + 1;
         }
-        stats_.requests = backing_->stats().requests;
-        stats_.bankConflicts = backing_->stats().bankConflicts;
-        stats_.conflictCycles = backing_->stats().conflictCycles;
-        if (indexed) {
-            stats_.indexedConflicts +=
-                backing_->stats().bankConflicts - preConfl;
-            stats_.indexedConflictCycles +=
-                backing_->stats().conflictCycles - preConflCycles;
-        }
+        stats_.requests = bus_->stats().requests;
         acc.end = last + 1;
         acc.lastData = maxDataAt + 1;
         units_[u] = acc.end;
@@ -1209,7 +1076,7 @@ class RefCached : public MemorySystem
     Addr setMask_ = 0;
     std::vector<Way> ways_;
     std::vector<Cycle> mshrFreeAt_;
-    std::unique_ptr<MemorySystem> backing_;
+    std::unique_ptr<MemorySystem> bus_;
     RefUnitPool units_;
 };
 
@@ -1227,7 +1094,6 @@ randomBankedConfig(Rng &rng)
     MemConfig cfg;
     cfg.model = MemModel::Banked;
     cfg.banks = pickOne(rng, {1u, 2u, 4u, 8u, 16u, 32u});
-    cfg.addressPorts = static_cast<unsigned>(rng.uniform(1, 3));
     cfg.bankBusyCycles = static_cast<unsigned>(rng.uniform(1, 12));
     cfg.interleaveBytes = pickOne(rng, {8u, 16u, 64u});
     cfg.memUnits = static_cast<unsigned>(rng.uniform(1, 3));
@@ -1235,14 +1101,12 @@ randomBankedConfig(Rng &rng)
     return cfg;
 }
 
-/** A random cache (2-16 sets) over a random backing. */
+/** A random cache (2-16 sets). */
 MemConfig
 randomCachedConfig(Rng &rng)
 {
     MemConfig cfg = randomBankedConfig(rng);
     cfg.model = MemModel::Cached;
-    cfg.backing =
-        rng.chance(0.5) ? MemModel::Banked : MemModel::FlatBus;
     cfg.lineBytes = pickOne(rng, {8u, 16u, 32u, 64u, 128u});
     cfg.associativity = static_cast<unsigned>(rng.uniform(1, 8));
     unsigned sets = pickOne(rng, {2u, 4u, 8u, 16u});

@@ -143,6 +143,21 @@ TEST(RefSim, TakenBranchPenalty)
               simulateRef(nt, cfg).cycles);
 }
 
+TEST(RefSim, TakenBranchCostIsTheLatencyTables)
+{
+    // Table 1 lists lat.branchMispredict as REF's taken-branch cost:
+    // each taken branch holds the next issue back by that many
+    // cycles.
+    Trace t("taken-loop");
+    for (int i = 0; i < 4; ++i)
+        t.push(makeBranch(aReg(0), true, 0x0));
+    t.push(makeScalar(Opcode::SMove, sReg(0), RegId()));
+    RefConfig cfg = cfgLat(1);
+    Cycle base = simulateRef(t, cfg).cycles;
+    cfg.lat.branchMispredict += 7;
+    EXPECT_EQ(simulateRef(t, cfg).cycles, base + 4 * 7);
+}
+
 TEST(RefSim, ScalarLoadLatency)
 {
     Trace t("sload-use");

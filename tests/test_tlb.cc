@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the virtual-memory/TLB subsystem: the set-associative
- * translation arrays (LRU, associativity, optional second level),
+ * translation array (LRU, associativity),
  * the page-lookup sequences of strided vs indexed streams, the
  * translation wrapper in front of every memory model, the config
  * labels, and the two refill policies — hardware walks charged in
@@ -83,10 +83,8 @@ TEST(TlbConfig, LabelGrammar)
 
     cfg = smallTlb(16, 4096, 2);
     EXPECT_EQ(cfg.label(), "/t16e4ka2");
-    cfg.l2Entries = 512;
-    EXPECT_EQ(cfg.label(), "/t16e4ka2l512");
     cfg.refill = TlbRefill::SoftwareTrap;
-    EXPECT_EQ(cfg.label(), "/t16e4ka2l512s");
+    EXPECT_EQ(cfg.label(), "/t16e4ka2s");
 }
 
 TEST(TlbConfig, LabelComposesWithEveryMemoryModel)
@@ -264,21 +262,6 @@ TEST(Tlb, AssociativityConflictsEvictEarly)
     EXPECT_EQ(assoc.hits(), 2u);
 }
 
-TEST(Tlb, SecondLevelShortensTheWalk)
-{
-    TlbConfig cfg = smallTlb(2, 4096, 2);
-    cfg.missPenalty = 30;
-    cfg.l2Entries = 64;
-    cfg.l2HitPenalty = 6;
-    Tlb tlb(cfg);
-    // Fill pages 1..4: each first touch is a full walk.
-    EXPECT_EQ(tlb.translate({1, 2, 3, 4}, false), 4 * 30u);
-    // 1 and 2 were evicted from the tiny L1 but remain in L2: the
-    // refill costs the L2 hit penalty, not the walk.
-    EXPECT_EQ(tlb.translate({1}, false), 6u);
-    EXPECT_EQ(tlb.misses(), 5u);
-}
-
 TEST(Tlb, ProbeAndInstallForSoftwareRefill)
 {
     Tlb tlb(smallTlb(16));
@@ -385,7 +368,7 @@ TEST(TlbWrapper, ZeroElementReservationStaysANoop)
 TEST(TlbWrapper, CachedModelTranslatesOnceInFront)
 {
     // The cache's line fills are physically addressed: a miss's
-    // backing fetch must not be translated a second time.
+    // line fetch must not be translated a second time.
     MemConfig cfg = makeCachedMem();
     cfg.tlb = smallTlb(64);
     auto mem = makeMemorySystem(cfg, 50);

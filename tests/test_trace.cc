@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/trace: the trace container, statistics (the
- * Table 2/3 columns) and binary serialization round-trips.
+ * Table 2/3 columns) and the content hash.
  */
 
 #include <gtest/gtest.h>
@@ -81,26 +81,81 @@ TEST(TraceStats, EmptyTraceSafe)
     EXPECT_DOUBLE_EQ(s.spillTrafficFraction(), 0.0);
 }
 
-TEST(TraceIo, RoundTripSmall)
+namespace
 {
-    Trace t = smallTrace();
-    std::stringstream ss;
-    ASSERT_TRUE(saveTrace(t, ss));
-    Trace u;
-    ASSERT_TRUE(loadTrace(u, ss));
-    ASSERT_EQ(u.size(), t.size());
-    EXPECT_EQ(u.name(), t.name());
-    for (size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(u[i].op, t[i].op) << i;
-        EXPECT_EQ(u[i].dst, t[i].dst) << i;
-        EXPECT_EQ(u[i].numSrc, t[i].numSrc) << i;
-        EXPECT_EQ(u[i].addr, t[i].addr) << i;
-        EXPECT_EQ(u[i].vl, t[i].vl) << i;
-        EXPECT_EQ(u[i].taken, t[i].taken) << i;
-    }
+
+// The binary trace writer the project used to ship, kept as the
+// reference for traceContentHash(): the hash is FNV-1a over exactly
+// these bytes, so the store keys of every earlier build stay valid.
+
+template <typename T>
+void
+put(std::ostream &os, T value)
+{
+    // Serialize little-endian regardless of host order.
+    unsigned char buf[sizeof(T)];
+    auto u = static_cast<uint64_t>(value);
+    for (size_t i = 0; i < sizeof(T); ++i)
+        buf[i] = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
+    os.write(reinterpret_cast<const char *>(buf), sizeof(T));
 }
 
-/** Property: random traces survive serialization byte-exactly. */
+void
+putReg(std::ostream &os, const RegId &r)
+{
+    put<uint8_t>(os, static_cast<uint8_t>(r.cls));
+    put<uint8_t>(os, r.idx);
+}
+
+std::string
+oldFormatBytes(const Trace &trace)
+{
+    constexpr char kMagic[8] = {'O', 'O', 'V', 'A', 'T', 'R', 'C', '2'};
+    std::ostringstream os;
+    os.write(kMagic, sizeof(kMagic));
+    put<uint32_t>(os, static_cast<uint32_t>(trace.name().size()));
+    os.write(trace.name().data(),
+             static_cast<std::streamsize>(trace.name().size()));
+    put<uint64_t>(os, trace.size());
+
+    for (const DynInst &inst : trace) {
+        put<uint64_t>(os, inst.pc);
+        put<uint8_t>(os, static_cast<uint8_t>(inst.op));
+        putReg(os, inst.dst);
+        put<uint8_t>(os, inst.numSrc);
+        for (unsigned i = 0; i < kMaxSrcRegs; ++i)
+            putReg(os, inst.src[i]);
+        put<uint16_t>(os, inst.vl);
+        put<int64_t>(os, inst.strideBytes);
+        put<uint64_t>(os, inst.addr);
+        put<uint32_t>(os, inst.regionBytes);
+        put<uint8_t>(os, inst.elemSize);
+        put<uint8_t>(os, static_cast<uint8_t>(inst.idxPattern));
+        put<uint32_t>(os, inst.idxParam);
+        put<uint64_t>(os, inst.idxSeed);
+        put<uint8_t>(os, inst.taken ? 1 : 0);
+        put<uint64_t>(os, inst.target);
+        put<uint8_t>(os, inst.isSpill ? 1 : 0);
+    }
+    return os.str();
+}
+
+uint64_t
+fnv1a(const std::string &bytes)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (unsigned char b : bytes)
+        h = (h ^ b) * 1099511628211ull;
+    return h;
+}
+
+} // namespace
+
+/**
+ * Property: on random traces (gathers, negative strides, every index
+ * pattern, odd names) the content hash covers the same bytes, in the
+ * same order, as the old trace format.
+ */
 class TraceIoRoundTrip : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -108,14 +163,16 @@ class TraceIoRoundTrip : public ::testing::TestWithParam<uint64_t>
 TEST_P(TraceIoRoundTrip, RandomTrace)
 {
     Rng rng(GetParam());
-    Trace t("rand" + std::to_string(GetParam()));
+    // Odd names: empty, or with a space, a NUL and non-ASCII bytes.
+    std::string name;
+    if (GetParam() % 2 == 0)
+        name = std::string("rand ") + '\0' + "\xc3\xa9\xff" +
+               std::to_string(GetParam());
+    Trace t(name);
     for (int i = 0; i < 500; ++i) {
         DynInst inst;
         inst.pc = rng.next();
         inst.op = static_cast<Opcode>(rng.uniform(0, kNumOpcodes - 1));
-        // Register indices stay inside each class's architected
-        // count: the deserializer rejects out-of-range registers
-        // (they would index out of the rename tables downstream).
         auto rand_reg = [&](int max_cls) {
             auto cls = static_cast<RegClass>(rng.uniform(0, max_cls));
             if (cls == RegClass::None)
@@ -133,97 +190,21 @@ TEST_P(TraceIoRoundTrip, RandomTrace)
         inst.strideBytes = static_cast<int64_t>(rng.uniform(0, 64)) - 32;
         inst.addr = rng.next();
         inst.regionBytes = static_cast<uint32_t>(rng.uniform(0, 1 << 20));
+        inst.elemSize = static_cast<uint8_t>(rng.uniform(1, 8));
+        inst.idxPattern = static_cast<IndexPattern>(
+            rng.uniform(0, static_cast<int>(IndexPattern::Random)));
+        inst.idxParam = static_cast<uint32_t>(rng.next());
+        inst.idxSeed = rng.next();
         inst.taken = rng.chance(0.5);
         inst.target = rng.next();
         inst.isSpill = rng.chance(0.3);
         t.push(inst);
     }
-
-    std::stringstream ss;
-    ASSERT_TRUE(saveTrace(t, ss));
-    Trace u;
-    ASSERT_TRUE(loadTrace(u, ss));
-    ASSERT_EQ(u.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(u[i].pc, t[i].pc);
-        EXPECT_EQ(u[i].op, t[i].op);
-        EXPECT_EQ(u[i].dst, t[i].dst);
-        EXPECT_EQ(u[i].strideBytes, t[i].strideBytes);
-        EXPECT_EQ(u[i].regionBytes, t[i].regionBytes);
-        EXPECT_EQ(u[i].target, t[i].target);
-        EXPECT_EQ(u[i].isSpill, t[i].isSpill);
-        for (unsigned k = 0; k < t[i].numSrc; ++k)
-            EXPECT_EQ(u[i].src[k], t[i].src[k]);
-    }
+    EXPECT_EQ(traceContentHash(t), fnv1a(oldFormatBytes(t)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoRoundTrip,
                          ::testing::Values(1, 2, 3, 42, 1234));
-
-TEST(TraceIo, RejectsBadMagic)
-{
-    std::stringstream ss;
-    ss << "NOTATRACE-FILE-AT-ALL";
-    Trace u;
-    EXPECT_FALSE(loadTrace(u, ss));
-    EXPECT_TRUE(u.empty());
-}
-
-TEST(TraceIo, RejectsOutOfRangeEnumBytes)
-{
-    Trace t = smallTrace();
-    std::stringstream ss;
-    ASSERT_TRUE(saveTrace(t, ss));
-    std::string bytes = ss.str();
-    // First instruction's opcode byte: magic(8) + name_len(4) +
-    // name + count(8) + pc(8); then dst reg (2), numSrc (1), three
-    // src regs (6), vl (2), stride (8), addr (8), region (4),
-    // esize (1), ipat. All of these feed unchecked array subscripts
-    // (traits() table, register files, src[] loops), so a corrupted
-    // byte at any of them must be rejected at deserialization.
-    size_t op_off = 8 + 4 + t.name().size() + 8 + 8;
-    size_t dst_cls_off = op_off + 1;
-    size_t num_src_off = op_off + 3;
-    size_t ipat_off = num_src_off + 1 + 6 + 2 + 8 + 8 + 4 + 1;
-    for (size_t off : {op_off, dst_cls_off, num_src_off, ipat_off}) {
-        std::string bad_bytes = bytes;
-        bad_bytes[off] = static_cast<char>(0xff);
-        std::stringstream bad(bad_bytes);
-        Trace u;
-        EXPECT_FALSE(loadTrace(u, bad)) << "offset=" << off;
-        EXPECT_TRUE(u.empty()) << "offset=" << off;
-    }
-}
-
-TEST(TraceIo, RejectsTruncation)
-{
-    Trace t = smallTrace();
-    std::stringstream ss;
-    ASSERT_TRUE(saveTrace(t, ss));
-    std::string bytes = ss.str();
-    for (size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t(9)}) {
-        std::stringstream cut_ss(bytes.substr(0, cut));
-        Trace u;
-        EXPECT_FALSE(loadTrace(u, cut_ss)) << "cut=" << cut;
-    }
-}
-
-TEST(TraceIo, FileRoundTrip)
-{
-    Trace t = smallTrace();
-    std::string path = ::testing::TempDir() + "/oova_trace_test.bin";
-    ASSERT_TRUE(saveTraceFile(t, path));
-    Trace u;
-    ASSERT_TRUE(loadTraceFile(u, path));
-    EXPECT_EQ(u.size(), t.size());
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileFails)
-{
-    Trace u;
-    EXPECT_FALSE(loadTraceFile(u, "/nonexistent/path/trace.bin"));
-}
 
 /**
  * traceContentHash() is the ResultStore key, so it must not move
