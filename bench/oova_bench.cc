@@ -160,6 +160,7 @@ main(int argc, char **argv)
     std::string which;
     std::string pipetracePath;
     size_t traceLimit = PipeTracer::kDefaultLimit;
+    bool traceLimitSet = false;
     FigureOptions opts;
     opts.scale = envTraceScale();
 
@@ -194,6 +195,7 @@ main(int argc, char **argv)
                 return 2;
             }
             traceLimit = static_cast<size_t>(n);
+            traceLimitSet = true;
         } else if (arg[0] == '-') {
             return usage(argv[0]);
         } else if (which.empty()) {
@@ -207,9 +209,26 @@ main(int argc, char **argv)
     if (!validateFigureOptions(opts))
         return 2;
 
-    if (!pipetracePath.empty())
+    // A flag the chosen mode cannot honour is refused, never dropped:
+    // the pipetrace run is one OOOVA simulation with no sweep, store
+    // or result dump behind it.
+    if (pipetracePath.empty() && traceLimitSet) {
+        std::fprintf(stderr, "--trace-limit needs --pipetrace=FILE\n");
+        return 2;
+    }
+    if (!pipetracePath.empty()) {
+        if (opts.json || opts.progress || !opts.storeDir.empty() ||
+            opts.storeStats || opts.storeFsync ||
+            !opts.statsPath.empty() || !opts.perfettoPath.empty()) {
+            std::fprintf(stderr,
+                         "--pipetrace runs one simulation: --json, "
+                         "--progress, --store*, --stats and "
+                         "--perfetto do not apply\n");
+            return 2;
+        }
         return runPipetrace(which, pipetracePath, traceLimit,
                             opts.scale);
+    }
 
     std::vector<const FigureDef *> figs;
     if (which == "all") {

@@ -245,64 +245,9 @@ checkMemStatsMonotone(const MemStats &prev, const MemStats &cur,
     mono("tlbMissCycles", prev.tlbMissCycles, cur.tlbMissCycles);
 }
 
-namespace
-{
-
-void
-checkTlbArray(const TlbAuditView::Level &lvl, uint64_t tick,
-              Reporter &r)
-{
-    if (lvl.ways.size() !=
-        static_cast<size_t>(lvl.sets) * lvl.assoc) {
-        r.fail("TLB: %zu ways for %u sets x %u assoc",
-               lvl.ways.size(), lvl.sets, lvl.assoc);
-        return;
-    }
-    if (lvl.sets == 0) {
-        r.fail("TLB: zero sets with %zu ways", lvl.ways.size());
-        return;
-    }
-    for (unsigned set = 0; set < lvl.sets; ++set) {
-        const TlbAuditView::Way *ways =
-            &lvl.ways[static_cast<size_t>(set) * lvl.assoc];
-        for (unsigned w = 0; w < lvl.assoc; ++w) {
-            if (!ways[w].valid)
-                continue;
-            if (ways[w].page % lvl.sets != set) {
-                r.fail("TLB: page %llu stored in set %u, indexes "
-                       "to set %llu",
-                       static_cast<unsigned long long>(ways[w].page),
-                       set,
-                       static_cast<unsigned long long>(ways[w].page %
-                                                       lvl.sets));
-            }
-            if (ways[w].lastUse > tick) {
-                r.fail("TLB: set %u way %u lastUse=%llu is in the "
-                       "future (tick=%llu)",
-                       set, w,
-                       static_cast<unsigned long long>(
-                           ways[w].lastUse),
-                       static_cast<unsigned long long>(tick));
-            }
-            for (unsigned w2 = w + 1; w2 < lvl.assoc; ++w2) {
-                if (ways[w2].valid && ways[w2].page == ways[w].page) {
-                    r.fail("TLB: page %llu duplicated in set %u "
-                           "(ways %u and %u)",
-                           static_cast<unsigned long long>(
-                               ways[w].page),
-                           set, w, w2);
-                }
-            }
-        }
-    }
-}
-
-} // namespace
-
 void
 checkTlbSoundness(const TlbAuditView &v, Reporter &r)
 {
-    checkTlbArray(v.l1, v.tick, r);
     if (v.indexedMisses > v.misses) {
         r.fail("TLB indexedMisses=%llu exceeds misses=%llu",
                static_cast<unsigned long long>(v.indexedMisses),
@@ -315,6 +260,48 @@ checkTlbSoundness(const TlbAuditView &v, Reporter &r)
                "(tick=%llu)",
                static_cast<unsigned long long>(v.hits + v.misses),
                static_cast<unsigned long long>(v.tick));
+    }
+    if (v.ways.size() != static_cast<size_t>(v.sets) * v.assoc) {
+        r.fail("TLB: %zu ways for %u sets x %u assoc", v.ways.size(),
+               v.sets, v.assoc);
+        return;
+    }
+    if (v.sets == 0) {
+        r.fail("TLB: zero sets with %zu ways", v.ways.size());
+        return;
+    }
+    for (unsigned set = 0; set < v.sets; ++set) {
+        const TlbAuditView::Way *ways =
+            &v.ways[static_cast<size_t>(set) * v.assoc];
+        for (unsigned w = 0; w < v.assoc; ++w) {
+            if (!ways[w].valid)
+                continue;
+            if (ways[w].page % v.sets != set) {
+                r.fail("TLB: page %llu stored in set %u, indexes "
+                       "to set %llu",
+                       static_cast<unsigned long long>(ways[w].page),
+                       set,
+                       static_cast<unsigned long long>(ways[w].page %
+                                                       v.sets));
+            }
+            if (ways[w].lastUse > v.tick) {
+                r.fail("TLB: set %u way %u lastUse=%llu is in the "
+                       "future (tick=%llu)",
+                       set, w,
+                       static_cast<unsigned long long>(
+                           ways[w].lastUse),
+                       static_cast<unsigned long long>(v.tick));
+            }
+            for (unsigned w2 = w + 1; w2 < v.assoc; ++w2) {
+                if (ways[w2].valid && ways[w2].page == ways[w].page) {
+                    r.fail("TLB: page %llu duplicated in set %u "
+                           "(ways %u and %u)",
+                           static_cast<unsigned long long>(
+                               ways[w].page),
+                           set, w, w2);
+                }
+            }
+        }
     }
 }
 

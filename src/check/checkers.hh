@@ -142,11 +142,11 @@ void checkMemStatsMonotone(const MemStats &prev, const MemStats &cur,
                            Reporter &r);
 
 /**
- * TLB structural soundness over Tlb::auditView(): set geometry
- * consistent, every valid entry in the set its page indexes to, no
- * duplicate pages within a set, LRU timestamps bounded by the tick
- * counter, and the miss counters contained (indexed <= total,
- * hits + misses <= lookups).
+ * TLB structural soundness over Tlb::auditView(): the miss counters
+ * contained (indexed <= total, hits + misses <= lookups), set
+ * geometry consistent, and, when it is, every valid entry in the set
+ * its page indexes to, no duplicate pages within a set and LRU
+ * timestamps bounded by the tick counter.
  */
 void checkTlbSoundness(const TlbAuditView &v, Reporter &r);
 

@@ -40,14 +40,6 @@ IntervalRecorder::busyCycles() const
     return busy;
 }
 
-void
-IntervalRecorder::clear()
-{
-    intervals_.clear();
-    lastEnd_ = 0;
-    sortedDisjoint_ = true;
-}
-
 namespace
 {
 

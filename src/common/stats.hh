@@ -70,8 +70,6 @@ class IntervalRecorder
      */
     bool sortedDisjoint() const { return sortedDisjoint_; }
 
-    void clear();
-
   private:
     std::vector<std::pair<Cycle, Cycle>> intervals_;
     Cycle lastEnd_ = 0;

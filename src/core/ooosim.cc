@@ -227,7 +227,7 @@ class OooMachine
     void executeScalar(RobEntry *e);
     void takeTrap();
     void finish(Cycle c) { endCycle_ = std::max(endCycle_, c); }
-    [[maybe_unused]] Cycle nextEventAfterScan() const;
+    Cycle nextEventAfterScan() const;
 
     /** CPI stack: classify one non-committing cycle, top-down. */
     CpiBucket cpiWaitBucket() const;
@@ -248,8 +248,8 @@ class OooMachine
     // The run loop skips idle stretches by jumping to the next cycle
     // anything can change. That time used to be recomputed with a
     // full rescan of the ROB and register files
-    // (nextEventAfterScan(), kept as the debug cross-check and the
-    // ground truth for the deadlock diagnostics); it is now
+    // (nextEventAfterScan(), kept as the ground truth the level-2
+    // calendar-bound checker compares against); it is now
     // maintained incrementally: every site that writes a future time
     // pushes it into the calendar, and candidates are validated
     // against live state so a stale value can never surface a cycle
@@ -2382,21 +2382,12 @@ OooMachine::run()
             advanceTo(now_ + 1);
         } else {
             Cycle next = nextEventFromCalendar();
-#ifndef NDEBUG
-            // The incremental calendar must agree with the full
-            // rescan on every idle jump; a divergence would silently
-            // change simulated timing.
-            sim_assert(next == nextEventAfterScan(),
-                       "event calendar (%llu) diverges from scan "
-                       "(%llu) at cycle %llu",
-                       (unsigned long long)next,
-                       (unsigned long long)nextEventAfterScan(),
-                       (unsigned long long)now_);
-#endif
             if (checkFull_) {
-                // Generalizes the Debug-only assert above to every
-                // build type: no live state transition may precede
-                // the calendar minimum, and the minimum must be real.
+                // The incremental calendar must agree with the full
+                // rescan on every idle jump (a divergence would
+                // silently change simulated timing): no live state
+                // transition may precede the calendar minimum, and
+                // the minimum must be real.
                 check::Reporter r =
                     audit_.reporter("calendar-bound", now_);
                 check::checkCalendarAgreement(next,

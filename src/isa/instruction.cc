@@ -23,14 +23,6 @@ mix64(uint64_t x)
 
 } // namespace
 
-std::vector<Addr>
-indexedElemAddrs(const DynInst &di)
-{
-    std::vector<Addr> out;
-    indexedElemAddrs(di, out);
-    return out;
-}
-
 void
 indexedElemAddrs(const DynInst &di, std::vector<Addr> &out)
 {

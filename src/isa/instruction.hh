@@ -118,9 +118,10 @@ static_assert(sizeof(DynInst) == 64,
 
 /**
  * Reconstruct the per-element addresses of a gather/scatter from its
- * recorded index pattern. Pure and deterministic — the same
- * instruction always yields the same addresses — so simulation
- * results stay reproducible. Patterns:
+ * recorded index pattern into @p out, clearing it first and reusing
+ * its capacity (the simulators call this on their hot paths). Pure
+ * and deterministic — the same instruction always yields the same
+ * addresses — so simulation results stay reproducible. Patterns:
  *
  *  - None: contiguous word walk of [addr, addr+regionBytes), the
  *    pre-pattern conservative assumption;
@@ -132,12 +133,6 @@ static_assert(sizeof(DynInst) == 64,
  *    congruent mod m — the pathological case that serializes on a
  *    bank subset;
  *  - Random: xorshift-uniform words of the region.
- */
-std::vector<Addr> indexedElemAddrs(const DynInst &di);
-
-/**
- * Allocation-free variant for simulator hot paths: clears @p out and
- * fills it with the same addresses, reusing its capacity.
  */
 void indexedElemAddrs(const DynInst &di, std::vector<Addr> &out);
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "mem/membus.hh"
 #include "mem/simresult.hh"
 
 namespace oova
@@ -25,10 +24,10 @@ elemAddr(Addr addr, int64_t stride, unsigned i)
 }
 
 /**
- * Per-unit stream assignment shared by the concrete models: tracks
- * when each memory unit's address phase frees up and picks the
- * earliest-free unit among those eligible for a stream's direction
- * (all units under Shared; a dedicated subset under Split).
+ * The banked model's stream assignment: tracks when each memory
+ * unit's address phase frees up and picks the earliest-free unit
+ * among those eligible for a stream's direction (all units under
+ * Shared; a dedicated subset under Split).
  */
 class UnitPool
 {
@@ -40,18 +39,11 @@ class UnitPool
     {
     }
 
-    /** [lo, hi) of unit indices eligible for @p op. */
-    std::pair<unsigned, unsigned>
-    range(MemOp op) const
-    {
-        return op == MemOp::Load ? loadRange_ : storeRange_;
-    }
-
     /** Earliest-free eligible unit (lowest index wins ties). */
     unsigned
     pick(MemOp op) const
     {
-        auto [lo, hi] = range(op);
+        auto [lo, hi] = op == MemOp::Load ? loadRange_ : storeRange_;
         unsigned best = lo;
         for (unsigned u = lo + 1; u < hi; ++u)
             if (freeAt_[u] < freeAt_[best])
@@ -72,11 +64,6 @@ class UnitPool
     }
 
     Cycle &operator[](unsigned u) { return freeAt_[u]; }
-
-    unsigned count() const
-    {
-        return static_cast<unsigned>(freeAt_.size());
-    }
 
   private:
     std::vector<Cycle> freeAt_;
@@ -130,28 +117,22 @@ class BusyRunMerger
 };
 
 /**
- * The paper's model: exclusive serializing address buses driving one
- * address per cycle, plus a fixed latency to data. Addresses never
- * matter (there are no banks), so indexed streams time exactly like
- * strided ones. With the default single unit, grant timing delegates
- * to the seed AddressBus, so equivalence with it holds by
- * construction: a stream of n elements granted at cycle s occupies
- * [s, s+n) and element i's data arrives at s + i + latency. With
- * multiple units, each unit is one such bus and a stream takes the
- * earliest-free eligible bus.
+ * The paper's model: one exclusive, serializing address bus driving
+ * one address per cycle, plus a fixed latency to data. Addresses
+ * never matter (there are no banks), so indexed streams time exactly
+ * like strided ones: a stream of n elements granted at cycle s
+ * occupies [s, s+n) and element i's data arrives at s + i + latency.
+ * A stream is granted no earlier than requested and no earlier than
+ * the previous stream's address phase ends.
  */
 class FlatBus : public MemorySystem
 {
   public:
-    FlatBus(const MemConfig &cfg, unsigned latency)
-        : latency_(latency), units_(cfg),
-          buses_(units_.count())
-    {
-    }
+    explicit FlatBus(unsigned latency) : latency_(latency) {}
 
     MemAccess
     reserve(Cycle earliest, Addr, int64_t, unsigned elems,
-            MemOp op) override
+            MemOp) override
     {
         MemAccess acc;
         if (elems == 0) {
@@ -159,20 +140,12 @@ class FlatBus : public MemorySystem
             acc.firstData = acc.lastData = earliest + latency_;
             return acc;
         }
-        unsigned u = units_.pick(op);
-        acc.start = buses_[u].reserve(earliest, elems);
-        acc.end = acc.start + elems;
+        acc.start = std::max(earliest, freeAt_);
+        acc.end = freeAt_ = acc.start + elems;
         acc.firstData = acc.start + latency_;
         acc.lastData = acc.end + latency_;
-        units_[u] = buses_[u].freeAt();
-        if (buses_.size() == 1) {
-            stats_.requests = buses_[0].requests();
-        } else {
-            stats_.requests = 0;
-            for (const AddressBus &b : buses_)
-                stats_.requests += b.requests();
-            busy_.add(acc.start, acc.end);
-        }
+        stats_.requests += elems;
+        busy_.add(acc.start, acc.end);
         return acc;
     }
 
@@ -185,24 +158,13 @@ class FlatBus : public MemorySystem
                        static_cast<unsigned>(elem_addrs.size()), op);
     }
 
-    Cycle freeAt() const override { return units_.freeAt(); }
+    Cycle freeAt() const override { return freeAt_; }
 
-    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
-
-    /**
-     * A single bus already records its occupancy; don't store it
-     * twice. Multiple buses merge into the base-class recorder.
-     */
-    const IntervalRecorder &
-    busy() const override
-    {
-        return buses_.size() == 1 ? buses_[0].busy() : busy_;
-    }
+    Cycle freeAt(MemOp) const override { return freeAt_; }
 
   private:
     unsigned latency_;
-    UnitPool units_;
-    std::vector<AddressBus> buses_;
+    Cycle freeAt_ = 0;
 };
 
 /**
@@ -351,16 +313,16 @@ class BankedMemory : public MemorySystem
 
 /**
  * A non-blocking set-associative cache in front of the paper's flat
- * bus. Each unit's front drives one element address per cycle. Hits
+ * bus. Its one front drives one element address per cycle. Hits
  * return data after cacheHitLatency (or when their line's
  * outstanding fill lands). A miss claims an MSHR — stalling the
  * address stream when none is free — and fetches the whole line over
- * the bus; later accesses to that line merge with the
- * in-flight fill. Loads and stores are treated uniformly
- * (allocate-on-miss), which keeps the model simple and symmetric
- * with the other two. Indexed streams probe the cache with their
- * real element addresses, so gather locality (or the lack of it) is
- * what decides their hit rate.
+ * one line bus, one word per cycle, fills serializing in miss order;
+ * later accesses to that line merge with the in-flight fill. Loads
+ * and stores are treated uniformly (allocate-on-miss), which keeps
+ * the model simple and symmetric with the other two. Indexed streams
+ * probe the cache with their real element addresses, so gather
+ * locality (or the lack of it) is what decides their hit rate.
  */
 class CachedMemory : public MemorySystem
 {
@@ -370,8 +332,7 @@ class CachedMemory : public MemorySystem
           lineShift_(static_cast<unsigned>(
               std::countr_zero(cfg.lineBytes))),
           assoc_(std::max(cfg.associativity, 1u)),
-          lineElems_(cfg.lineBytes / kWordBytes),
-          units_(cfg)
+          lineElems_(cfg.lineBytes / kWordBytes)
     {
         // Refuse to round: 33000 bytes would model a 32 KiB cache
         // under the same /c32k label. The line and set indices are a
@@ -393,9 +354,9 @@ class CachedMemory : public MemorySystem
 
     MemAccess
     reserve(Cycle earliest, Addr addr, int64_t stride,
-            unsigned elems, MemOp op) override
+            unsigned elems, MemOp) override
     {
-        return stream(earliest, op, false, stride, elems,
+        return stream(earliest, false, stride, elems,
                       [&](unsigned i) {
                           return elemAddr(addr, stride, i);
                       });
@@ -403,16 +364,16 @@ class CachedMemory : public MemorySystem
 
     MemAccess
     reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
-            MemOp op) override
+            MemOp) override
     {
-        return stream(earliest, op, true, 0,
+        return stream(earliest, true, 0,
                       static_cast<unsigned>(elem_addrs.size()),
                       [&](unsigned i) { return elem_addrs[i]; });
     }
 
-    Cycle freeAt() const override { return units_.freeAt(); }
+    Cycle freeAt() const override { return frontFreeAt_; }
 
-    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
+    Cycle freeAt(MemOp) const override { return frontFreeAt_; }
 
     unsigned
     inFlightMshrs(Cycle now) const override
@@ -435,8 +396,8 @@ class CachedMemory : public MemorySystem
     /** @p stride: the byte stride of a strided (!@p indexed) stream. */
     template <typename AddrOf>
     MemAccess
-    stream(Cycle earliest, MemOp op, bool indexed, int64_t stride,
-           unsigned elems, AddrOf addr_of)
+    stream(Cycle earliest, bool indexed, int64_t stride, unsigned elems,
+           AddrOf addr_of)
     {
         MemAccess acc;
         if (elems == 0) {
@@ -444,8 +405,7 @@ class CachedMemory : public MemorySystem
             acc.firstData = acc.lastData = earliest + hitLat_;
             return acc;
         }
-        unsigned u = units_.pick(op);
-        Cycle cur = std::max(earliest, units_[u]);
+        Cycle cur = std::max(earliest, frontFreeAt_);
         Cycle last = cur;
         Cycle maxDataAt = 0;
         BusyRunMerger busy(busy_);
@@ -467,14 +427,19 @@ class CachedMemory : public MemorySystem
                     stats_.mshrStallCycles += *m - t;
                     t = *m;
                 }
-                // One bus serves the line fills of every front unit.
-                // The line is usable on the cycle its last word
-                // arrives (dataAt is a closed arrival time, like the
-                // hit path's t + hitLat_).
-                Cycle fill = bus_.reserve(t, lineElems_);
+                // The fill takes the line bus for one cycle per word.
+                // "requests" means this bus traffic (the figure-13
+                // metric): a cache's job is to shrink it, so it counts
+                // fill words, not the CPU-side element count (which
+                // is cacheHits + cacheMisses). The line is usable on
+                // the cycle its last word arrives (dataAt is a closed
+                // arrival time, like the hit path's t + hitLat_).
+                Cycle fill = std::max(t, fillFreeAt_);
+                fillFreeAt_ = fill + lineElems_;
+                stats_.requests += lineElems_;
                 dataAt = fill + lineElems_ + latency_ - 1;
                 *m = dataAt + 1;
-                w = &victim(line, t);
+                w = &victim(line);
                 w->line = line;
                 w->valid = true;
                 w->lastUse = t;
@@ -506,14 +471,9 @@ class CachedMemory : public MemorySystem
             cur = last + 1;
             i += run;
         }
-        // "requests" means bus traffic (the figure-13 metric): a
-        // cache's job is to shrink it, so report the bus's line-fill
-        // elements, not the CPU-side element count (which is
-        // cacheHits + cacheMisses).
-        stats_.requests = bus_.requests();
         acc.end = last + 1;
         acc.lastData = maxDataAt + 1;
-        units_[u] = acc.end;
+        frontFreeAt_ = acc.end;
         return acc;
     }
 
@@ -529,7 +489,7 @@ class CachedMemory : public MemorySystem
 
     /** LRU victim in @p line's set (invalid ways first). */
     Way &
-    victim(Addr line, Cycle)
+    victim(Addr line)
     {
         Way *set = &ways_[(line & setMask_) * assoc_];
         Way *best = &set[0];
@@ -550,8 +510,8 @@ class CachedMemory : public MemorySystem
     Addr setMask_ = 0; ///< sets - 1 (the set count is 2^k)
     std::vector<Way> ways_;
     std::vector<Cycle> mshrFreeAt_;
-    AddressBus bus_;
-    UnitPool units_;
+    Cycle frontFreeAt_ = 0; ///< end of the front's last address phase
+    Cycle fillFreeAt_ = 0;  ///< end of the line bus's last fill
 };
 
 } // namespace
@@ -571,24 +531,19 @@ memUnitRange(const MemConfig &cfg, MemOp op)
 std::string
 MemConfig::label() const
 {
-    std::string units;
-    if (memUnits > 1) {
-        units = csprintf("x%u", memUnits);
-        if (lsPolicy == LsPolicy::Split)
-            units += "s";
-    }
     std::string l;
     switch (model) {
     case MemModel::FlatBus:
-        l = units.empty() ? "" : "/" + units;
         break;
     case MemModel::Banked:
-        l = csprintf("/mb%up1", banks) + units;
+        l = csprintf("/mb%up1", banks);
+        if (memUnits > 1)
+            l += csprintf("x%u%s", memUnits,
+                          lsPolicy == LsPolicy::Split ? "s" : "");
         break;
     case MemModel::Cached:
         l = csprintf("/c%uk%uw%um", cacheBytes / 1024, associativity,
-                     mshrs) +
-            units;
+                     mshrs);
         break;
     }
     return l + tlb.label();
@@ -629,10 +584,15 @@ makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
 {
     if (cfg.memUnits == 0)
         fatal("memory system needs >= 1 load/store unit");
+    // The flat bus and the cache front are one unit each, as in the
+    // paper's machines; only the banked model has a unit pool.
+    if (cfg.memUnits > 1 && cfg.model != MemModel::Banked)
+        fatal("%u load/store units need the banked memory model",
+              cfg.memUnits);
     std::unique_ptr<MemorySystem> mem;
     switch (cfg.model) {
     case MemModel::FlatBus:
-        mem = std::make_unique<FlatBus>(cfg, mem_latency);
+        mem = std::make_unique<FlatBus>(mem_latency);
         break;
     case MemModel::Banked:
         // The bank index is a shift and a mask, not two divisions.

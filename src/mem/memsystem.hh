@@ -26,12 +26,14 @@
  * latency lives inside the model (FlatBus adds the fixed latency;
  * CachedMemory shortens it on hits).
  *
- * Every model supports N load/store units (MemConfig::memUnits):
- * streams assigned to different units overlap their address phases,
- * contending only for shared structures (banks, the cache front and
- * MSHRs), which is what lets independent streams on disjoint banks
- * proceed in parallel. A Split policy dedicates units to loads and
- * stores respectively, as in decoupled vector load/store pipelines.
+ * The flat bus and the cache drive one stream at a time, as the
+ * paper's REF and OOOVA each have one memory unit. The banked model
+ * alone takes N load/store units (MemConfig::memUnits): streams
+ * assigned to different units overlap their address phases,
+ * colliding only where they share banks, which is what lets
+ * independent streams on disjoint banks proceed in parallel. A Split
+ * policy dedicates units to loads and stores respectively, as in
+ * decoupled vector load/store pipelines.
  */
 
 #ifndef OOVA_MEM_MEMSYSTEM_HH
@@ -60,10 +62,10 @@ enum class MemModel : uint8_t
 };
 
 /**
- * Whether a reserved stream reads or writes memory. Only unit
- * assignment cares (a Split configuration dedicates units per
- * direction); timing within a unit is direction-agnostic, as in the
- * paper's shared address bus.
+ * Whether a reserved stream reads or writes memory. Only the banked
+ * model's unit assignment cares (a Split configuration dedicates
+ * units per direction); timing within a unit is direction-agnostic,
+ * as in the paper's shared address bus.
  */
 enum class MemOp : uint8_t
 {
@@ -71,7 +73,7 @@ enum class MemOp : uint8_t
     Store,
 };
 
-/** How streams are assigned when there is more than one memory unit. */
+/** How banked streams are assigned when there is more than one unit. */
 enum class LsPolicy : uint8_t
 {
     /** Any unit may serve any stream (earliest-free wins). */
@@ -89,16 +91,17 @@ struct MemConfig
 {
     MemModel model = MemModel::FlatBus;
 
-    // ---- memory-unit knobs (all models) ----
+    // ---- memory-unit knobs (BankedMemory only) ----
     /**
      * Number of independent load/store units. Each unit serializes
      * the address phases of the streams assigned to it; different
-     * units overlap, contending only for shared structures (banks,
-     * cache front, MSHRs). The default single unit reproduces the
-     * paper's one-memory-unit machine exactly.
+     * units overlap, colliding only where they share banks. The
+     * default single unit is the paper's one-memory-unit machine;
+     * makeMemorySystem refuses more than one on the flat bus or the
+     * cache.
      */
     unsigned memUnits = 1;
-    /** Stream-to-unit assignment when memUnits > 1. */
+    /** Stream-to-unit assignment when a banked memUnits > 1. */
     LsPolicy lsPolicy = LsPolicy::Shared;
 
     // ---- BankedMemory knobs ----
@@ -132,9 +135,9 @@ struct MemConfig
 
     /**
      * Config suffix appended to machine names, e.g. "/mb8p1",
-     * "/mb8p1x2" (two shared units), "/mb8p1x2s" (split load/store
-     * units), "/c32k4w8m" or "/t64e4k" (TLB in front of the default
-     * flat bus). Empty for the default single-unit FlatBus so the
+     * "/mb8p1x2" (two shared banked units), "/mb8p1x2s" (split
+     * load/store units), "/c32k4w8m" or "/t64e4k" (TLB in front of
+     * the default flat bus). Empty for the default FlatBus so the
      * seed machine labels (and every paper table) are unchanged.
      */
     std::string label() const;
@@ -144,7 +147,7 @@ struct MemConfig
  * [lo, hi) of the unit indices eligible for @p op under @p cfg: all
  * units under Shared, the first ceil(N/2) for loads / the rest for
  * stores under Split. The single definition of the assignment
- * policy, shared by the models' internal arbitration and the REF
+ * policy, shared by the banked model's arbitration and the REF
  * front end's unit-availability modeling.
  */
 std::pair<unsigned, unsigned> memUnitRange(const MemConfig &cfg,
@@ -201,12 +204,12 @@ sameBlockRun(Addr a, int64_t stride, unsigned shift, unsigned n)
     return stay < n ? static_cast<unsigned>(stay) : n;
 }
 
-/** Occupancy and conflict counters, all zero on the flat bus. */
+/** Traffic and conflict counters; the flat bus moves only requests. */
 struct MemStats
 {
     /**
      * Element requests driven on the memory bus (the "requests" of
-     * figure 13). Under CachedMemory this is the bus's line-fill
+     * figure 13). Under CachedMemory this is the line bus's fill
      * traffic — the quantity a cache exists to shrink —
      * while the CPU-side access count is cacheHits + cacheMisses.
      */
@@ -217,8 +220,7 @@ struct MemStats
     uint64_t conflictCycles = 0;
     /**
      * The subset of bankConflicts/conflictCycles charged to
-     * index-vector (gather/scatter) streams; the strided remainder
-     * of the conflicts is stridedConflicts().
+     * index-vector (gather/scatter) streams.
      */
     uint64_t indexedConflicts = 0;
     uint64_t indexedConflictCycles = 0;
@@ -230,40 +232,23 @@ struct MemStats
     uint64_t tlbHits = 0;
     /**
      * TLB lookups that required a refill; the subset charged to
-     * gather/scatter per-element translation is tlbIndexedMisses
-     * (the strided remainder is stridedTlbMisses()).
+     * gather/scatter per-element translation is tlbIndexedMisses.
      */
     uint64_t tlbMisses = 0;
     uint64_t tlbIndexedMisses = 0;
     /** Stall cycles hardware page walks added to stream setup. */
     uint64_t tlbMissCycles = 0;
-
-    /** TLB refills charged to strided (non-indexed) streams. */
-    uint64_t
-    stridedTlbMisses() const
-    {
-        return tlbMisses - tlbIndexedMisses;
-    }
-
-    /** Conflicts charged to strided (non-indexed) streams. */
-    uint64_t
-    stridedConflicts() const
-    {
-        return bankConflicts - indexedConflicts;
-    }
 };
 
 /**
  * Abstract memory system. One instance per simulated machine; not
  * thread-safe (each sweep job owns its own machine).
  *
- * Streams are reserved in issue order; each is assigned to one of
- * the configured memory units (MemConfig::memUnits / lsPolicy) and
- * serializes against the other streams of that unit only, so
- * independent streams on different units overlap their address
- * phases, contending only for shared structures (banks, the cache
- * front). Within a stream, the banked model dilates the phase on
- * bank conflicts.
+ * Streams are reserved in issue order and serialize their address
+ * phases on one unit. The banked model assigns each stream to one of
+ * its units (MemConfig::memUnits / lsPolicy), so streams on
+ * different units overlap, and dilates a stream's phase on bank
+ * conflicts.
  */
 class MemorySystem
 {
@@ -296,7 +281,7 @@ class MemorySystem
 
     /**
      * First cycle a unit eligible for @p op could begin a new
-     * stream (== freeAt() unless the policy splits load/store).
+     * stream (== freeAt() unless a banked policy splits load/store).
      */
     virtual Cycle freeAt(MemOp op) const = 0;
 

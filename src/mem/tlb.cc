@@ -26,67 +26,6 @@ TlbConfig::label() const
     return l;
 }
 
-// ------------------------------------------------------------ Level
-
-void
-Tlb::Level::init(unsigned entries, unsigned associativity)
-{
-    assoc = std::min(std::max(associativity, 1u), entries);
-    // Refuse to round: a 10-entry 4-way config would silently hold
-    // 8 translations while its /tNe label claimed 10.
-    if (entries % assoc != 0)
-        fatal("TLB: %u entries not divisible by %u ways", entries,
-              assoc);
-    sets = entries / assoc;
-    ways.assign(static_cast<size_t>(sets) * assoc, Entry{});
-}
-
-Tlb::Entry *
-Tlb::Level::find(Addr page, uint64_t tick)
-{
-    Entry *set = &ways[(page % sets) * assoc];
-    for (unsigned w = 0; w < assoc; ++w) {
-        if (set[w].valid && set[w].page == page) {
-            set[w].lastUse = tick;
-            return &set[w];
-        }
-    }
-    return nullptr;
-}
-
-const Tlb::Entry *
-Tlb::Level::peek(Addr page) const
-{
-    const Entry *set = &ways[(page % sets) * assoc];
-    for (unsigned w = 0; w < assoc; ++w)
-        if (set[w].valid && set[w].page == page)
-            return &set[w];
-    return nullptr;
-}
-
-Tlb::Entry *
-Tlb::Level::insert(Addr page, uint64_t tick)
-{
-    Entry *set = &ways[(page % sets) * assoc];
-    Entry *victim = &set[0];
-    for (unsigned w = 0; w < assoc; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lastUse < victim->lastUse)
-            victim = &set[w];
-    }
-    if (!victim->valid)
-        ++valid;
-    victim->page = page;
-    victim->valid = true;
-    victim->lastUse = tick;
-    return victim;
-}
-
-// -------------------------------------------------------------- Tlb
-
 Tlb::Tlb(const TlbConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.entries == 0 || cfg_.pageBytes == 0)
@@ -95,7 +34,56 @@ Tlb::Tlb(const TlbConfig &cfg) : cfg_(cfg)
     if (!std::has_single_bit(cfg_.pageBytes))
         fatal("TLB page size %u is not a power of two", cfg_.pageBytes);
     pageShift_ = static_cast<unsigned>(std::countr_zero(cfg_.pageBytes));
-    l1_.init(cfg_.entries, cfg_.associativity);
+    assoc_ = std::min(std::max(cfg_.associativity, 1u), cfg_.entries);
+    // Refuse to round: a 10-entry 4-way config would silently hold
+    // 8 translations while its /tNe label claimed 10.
+    if (cfg_.entries % assoc_ != 0)
+        fatal("TLB: %u entries not divisible by %u ways", cfg_.entries,
+              assoc_);
+    sets_ = cfg_.entries / assoc_;
+    ways_.assign(cfg_.entries, Entry{});
+}
+
+Tlb::Entry *
+Tlb::find(Addr page)
+{
+    Entry *set = &ways_[(page % sets_) * assoc_];
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (set[w].valid && set[w].page == page) {
+            set[w].lastUse = tick_;
+            return &set[w];
+        }
+    }
+    return nullptr;
+}
+
+const Tlb::Entry *
+Tlb::peek(Addr page) const
+{
+    const Entry *set = &ways_[(page % sets_) * assoc_];
+    for (unsigned w = 0; w < assoc_; ++w)
+        if (set[w].valid && set[w].page == page)
+            return &set[w];
+    return nullptr;
+}
+
+Tlb::Entry *
+Tlb::insert(Addr page)
+{
+    Entry *set = &ways_[(page % sets_) * assoc_];
+    Entry *victim = &set[0];
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (!set[w].valid) {
+            victim = &set[w];
+            break;
+        }
+        if (set[w].lastUse < victim->lastUse)
+            victim = &set[w];
+    }
+    if (!victim->valid)
+        ++valid_;
+    *victim = {true, page, tick_};
+    return victim;
 }
 
 std::vector<Addr>
@@ -143,68 +131,54 @@ Tlb::indexedPages(const std::vector<Addr> &elem_addrs,
 }
 
 unsigned
-Tlb::translate(const std::vector<Addr> &pages, bool indexed)
+Tlb::lookup(const std::vector<Addr> &pages, bool indexed)
 {
-    unsigned delay = 0;
+    unsigned missed = 0;
     // Page sequences repeat heavily (unit-stride re-entries,
     // congruent-mod gathers), so batch consecutive lookups of the
-    // same page: a repeat of the page just touched always hits,
-    // and the cached entry pointer is refreshed after every insert,
-    // so counters, ticks and LRU timestamps are exactly those of the
+    // same page: a repeat of the page just touched always hits, so
+    // counters, ticks and LRU timestamps are exactly those of the
     // full set walk.
     Entry *last = nullptr;
     Addr last_page = 0;
     for (Addr p : pages) {
         ++tick_;
         if (last && p == last_page) {
-            ++hits_;
             last->lastUse = tick_;
             continue;
         }
-        if (Entry *e = l1_.find(p, tick_)) {
-            ++hits_;
-            last = e;
-            last_page = p;
-            continue;
-        }
-        ++misses_;
-        if (indexed)
-            ++indexedMisses_;
-        last = l1_.insert(p, tick_);
         last_page = p;
-        // Misses that reach this point always walk in hardware. With
-        // SoftwareTrap the OOOVA's trap handler pre-installs a
-        // stream's pages so its reserve sees hits and pays nothing
-        // here; machines without a precise-trap path (REF, early
-        // commit) and a stream too large for the TLB to hold fall
-        // through to this walk, so a software-refill configuration
-        // is never silently free.
-        delay += cfg_.missPenalty;
-        missCycles_ += cfg_.missPenalty;
+        last = find(p);
+        if (!last) {
+            ++missed;
+            last = insert(p);
+        }
     }
-    return delay;
+    misses_ += missed;
+    if (indexed)
+        indexedMisses_ += missed;
+    return missed;
 }
 
-TlbAuditView
-Tlb::auditView() const
+unsigned
+Tlb::translate(const std::vector<Addr> &pages, bool indexed)
 {
-    auto snap = [](const Level &lvl) {
-        TlbAuditView::Level out;
-        out.sets = lvl.sets;
-        out.assoc = lvl.assoc;
-        out.ways.reserve(lvl.ways.size());
-        for (const Entry &e : lvl.ways)
-            out.ways.push_back({e.valid, e.page, e.lastUse});
-        return out;
-    };
-    TlbAuditView v;
-    v.l1 = snap(l1_);
-    v.tick = tick_;
-    v.hits = hits_;
-    v.misses = misses_;
-    v.indexedMisses = indexedMisses_;
-    v.missCycles = missCycles_;
-    return v;
+    // Misses that reach this point always walk in hardware. With
+    // SoftwareTrap the OOOVA's trap handler pre-installs a stream's
+    // pages so its reserve sees hits and pays nothing here; machines
+    // without a precise-trap path (REF, early commit) and a stream
+    // too large for the TLB to hold fall through to this walk, so a
+    // software-refill configuration is never silently free.
+    unsigned missed = lookup(pages, indexed);
+    hits_ += pages.size() - missed;
+    missCycles_ += uint64_t{missed} * cfg_.missPenalty;
+    return missed * cfg_.missPenalty;
+}
+
+unsigned
+Tlb::install(const std::vector<Addr> &pages, bool indexed)
+{
+    return lookup(pages, indexed);
 }
 
 bool
@@ -223,39 +197,25 @@ Tlb::wouldMiss(const std::vector<Addr> &pages) const
             continue;
         prev = p;
         have_prev = true;
-        if (!l1_.peek(p))
+        if (!peek(p))
             return true;
     }
     return false;
 }
 
-unsigned
-Tlb::install(const std::vector<Addr> &pages, bool indexed)
+TlbAuditView
+Tlb::auditView() const
 {
-    unsigned installed = 0;
-    // Same consecutive-page batching as translate(): a repeat of the
-    // page just handled is resident by construction.
-    Entry *last = nullptr;
-    Addr last_page = 0;
-    for (Addr p : pages) {
-        ++tick_;
-        if (last && p == last_page) {
-            last->lastUse = tick_;
-            continue;
-        }
-        if (Entry *e = l1_.find(p, tick_)) {
-            last = e;
-            last_page = p;
-            continue;
-        }
-        ++misses_;
-        if (indexed)
-            ++indexedMisses_;
-        last = l1_.insert(p, tick_);
-        last_page = p;
-        ++installed;
-    }
-    return installed;
+    TlbAuditView v;
+    v.sets = sets_;
+    v.assoc = assoc_;
+    v.ways = ways_;
+    v.tick = tick_;
+    v.hits = hits_;
+    v.misses = misses_;
+    v.indexedMisses = indexedMisses_;
+    v.missCycles = missCycles_;
+    return v;
 }
 
 // ---------------------------------------------------------- wrapper

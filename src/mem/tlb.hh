@@ -54,11 +54,11 @@ namespace oova
 class MemorySystem;
 
 /**
- * Plain-data snapshot of a TLB's translation arrays and counters for
- * the invariant audit (src/check/): geometry, per-way contents and
- * the LRU/stat state, with no back-pointers into the live structure,
- * so the checker logic can be exercised on hand-built (corrupted)
- * views in tests.
+ * Plain-data snapshot of a TLB's translation array and counters for
+ * the invariant audit (src/check/): the set geometry, every way's
+ * contents and the LRU/stat state, with no back-pointers into the
+ * live structure, so the checker logic can be exercised on
+ * hand-built (corrupted) views in tests.
  */
 struct TlbAuditView
 {
@@ -69,15 +69,10 @@ struct TlbAuditView
         uint64_t lastUse = 0;
     };
 
-    struct Level
-    {
-        unsigned sets = 0;
-        unsigned assoc = 0;
-        /** sets * assoc entries, set-major (set i at [i*assoc, ...)). */
-        std::vector<Way> ways;
-    };
-
-    Level l1;
+    unsigned sets = 0;
+    unsigned assoc = 0;
+    /** sets * assoc entries, set-major (set i at [i*assoc, ...)). */
+    std::vector<Way> ways;
 
     uint64_t tick = 0; ///< LRU timestamp source == lookups performed
     uint64_t hits = 0;
@@ -201,37 +196,39 @@ class Tlb
      * (nothing ever invalidates an entry), so the occupancy
      * telemetry can sample it every calendar advance.
      */
-    unsigned residentPages() const { return l1_.valid; }
+    unsigned residentPages() const { return valid_; }
 
     /** Snapshot for the invariant audit (see TlbAuditView). */
     TlbAuditView auditView() const;
 
   private:
-    struct Entry
-    {
-        Addr page = 0;
-        bool valid = false;
-        uint64_t lastUse = 0;
-    };
+    using Entry = TlbAuditView::Way;
 
-    /** One set-associative translation array. */
-    struct Level
-    {
-        std::vector<Entry> ways;
-        unsigned sets = 0;
-        unsigned assoc = 0;
-        unsigned valid = 0; ///< valid ways (grows monotonically)
-
-        void init(unsigned entries, unsigned associativity);
-        Entry *find(Addr page, uint64_t tick);
-        const Entry *peek(Addr page) const;
-        Entry *insert(Addr page, uint64_t tick);
-    };
+    /** @p page's way, stamped with the current tick, or nullptr. */
+    Entry *find(Addr page);
+    /** @p page's way, or nullptr; no state changes. */
+    const Entry *peek(Addr page) const;
+    /**
+     * Fill @p page into the first invalid way of its set, else the
+     * least recently used one, stamped with the current tick.
+     */
+    Entry *insert(Addr page);
+    /**
+     * The lookups of one stream, filling on miss: the walk translate()
+     * and install() share. Counts the misses (indexed or strided per
+     * @p indexed) and returns how many there were; every other lookup
+     * hit.
+     */
+    unsigned lookup(const std::vector<Addr> &pages, bool indexed);
 
     TlbConfig cfg_;
     unsigned pageShift_ = 0; ///< log2(pageBytes)
-    Level l1_;
-    uint64_t tick_ = 0; ///< LRU timestamp source (not cycles)
+    unsigned sets_ = 0;
+    unsigned assoc_ = 0;
+    /** sets_ * assoc_ entries, set-major. */
+    std::vector<Entry> ways_;
+    unsigned valid_ = 0; ///< valid ways (grows monotonically)
+    uint64_t tick_ = 0;  ///< LRU timestamp source (not cycles)
 
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

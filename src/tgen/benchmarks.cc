@@ -570,15 +570,6 @@ benchmarkNames()
     return names;
 }
 
-bool
-isBenchmarkName(const std::string &name)
-{
-    for (const auto &n : benchmarkNames())
-        if (n == name)
-            return true;
-    return false;
-}
-
 std::unique_ptr<Program>
 makeBenchmarkProgram(const std::string &name)
 {

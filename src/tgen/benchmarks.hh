@@ -26,9 +26,6 @@ namespace oova
 /** Names of the ten benchmark programs, in the paper's order. */
 const std::vector<std::string> &benchmarkNames();
 
-/** True if @p name is one of the ten benchmarks. */
-bool isBenchmarkName(const std::string &name);
-
 /** Construct the synthetic program model for @p name. */
 std::unique_ptr<Program> makeBenchmarkProgram(const std::string &name);
 

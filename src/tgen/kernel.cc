@@ -1,7 +1,5 @@
 #include "tgen/kernel.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace oova
@@ -201,43 +199,6 @@ Kernel::scalarChain(int n)
     op.kind = KOp::Kind::ScalarChain;
     op.chainLen = n;
     ops_.push_back(op);
-}
-
-int
-Kernel::maxVectorPressure() const
-{
-    // A vector value is live from its def to its last use.
-    std::vector<int> last_use(numVVals_, -1);
-    std::vector<int> def_at(numVVals_, -1);
-    for (int i = 0; i < static_cast<int>(ops_.size()); ++i) {
-        const KOp &op = ops_[i];
-        bool v_dst = op.kind == KOp::Kind::VLoad ||
-                     op.kind == KOp::Kind::VGather ||
-                     op.kind == KOp::Kind::VArith ||
-                     op.kind == KOp::Kind::VCmpMerge;
-        if (v_dst && op.dst >= 0)
-            def_at[op.dst] = i;
-        bool v_src = op.kind != KOp::Kind::SArith &&
-                     op.kind != KOp::Kind::SLoadSlot &&
-                     op.kind != KOp::Kind::SStoreSlot &&
-                     op.kind != KOp::Kind::ScalarChain;
-        if (v_src) {
-            for (int s = 0; s < op.nsrcs; ++s)
-                if (op.srcs[s] >= 0)
-                    last_use[op.srcs[s]] = i;
-        }
-    }
-    int pressure = 0, peak = 0;
-    for (int i = 0; i < static_cast<int>(ops_.size()); ++i) {
-        for (int v = 0; v < numVVals_; ++v)
-            if (def_at[v] == i)
-                ++pressure;
-        peak = std::max(peak, pressure);
-        for (int v = 0; v < numVVals_; ++v)
-            if (last_use[v] == i && def_at[v] >= 0)
-                --pressure;
-    }
-    return peak;
 }
 
 } // namespace oova

@@ -132,12 +132,6 @@ class Kernel
     int numVVals() const { return numVVals_; }
     int numSVals() const { return numSVals_; }
 
-    /**
-     * Maximum number of simultaneously live vector values, i.e. the
-     * register pressure the allocator will face.
-     */
-    int maxVectorPressure() const;
-
   private:
     VVid newV() { return numVVals_++; }
     SVid newS() { return numSVals_++; }

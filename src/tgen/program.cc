@@ -31,26 +31,6 @@ vlConstant(uint16_t vl)
     return [vl](uint64_t) { return vl; };
 }
 
-uint64_t
-stripTrips(uint64_t total_elems)
-{
-    return (total_elems + kMaxVectorLength - 1) / kMaxVectorLength;
-}
-
-VlFn
-vlStripmine(uint64_t total_elems)
-{
-    sim_assert(total_elems >= 1, "stripmine of empty range");
-    uint64_t full = total_elems / kMaxVectorLength;
-    uint16_t rem =
-        static_cast<uint16_t>(total_elems % kMaxVectorLength);
-    return [full, rem](uint64_t iter) -> uint16_t {
-        if (iter < full)
-            return kMaxVectorLength;
-        return rem ? rem : kMaxVectorLength;
-    };
-}
-
 VlFn
 vlTriangular(uint16_t max_vl, uint16_t lo, uint16_t step)
 {

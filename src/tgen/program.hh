@@ -28,14 +28,6 @@ using VlFn = std::function<uint16_t(uint64_t iter)>;
 /** Constant vector length. */
 VlFn vlConstant(uint16_t vl);
 
-/**
- * Strip-mine @p total_elems elements: full strips of kMaxVectorLength
- * followed by one remainder strip. Trip count must be
- * stripTrips(total_elems).
- */
-VlFn vlStripmine(uint64_t total_elems);
-uint64_t stripTrips(uint64_t total_elems);
-
 /** Triangular loop: vl cycles max_vl, max_vl-step, ..., down to lo. */
 VlFn vlTriangular(uint16_t max_vl, uint16_t lo, uint16_t step);
 

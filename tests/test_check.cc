@@ -57,9 +57,9 @@ TlbAuditView
 cleanTlb()
 {
     TlbAuditView v;
-    v.l1.sets = 2;
-    v.l1.assoc = 1;
-    v.l1.ways = {{true, 2, 5}, {false, 0, 0}};
+    v.sets = 2;
+    v.assoc = 1;
+    v.ways = {{true, 2, 5}, {false, 0, 0}};
     v.tick = 10;
     v.hits = 4;
     v.misses = 2;
@@ -339,14 +339,14 @@ TEST(CheckerFamilies, TlbCorruptionIsCaught)
     // A page stored in the wrong set.
     EXPECT_EQ(countViolations([](Reporter &r) {
                   TlbAuditView v = cleanTlb();
-                  v.l1.ways[1] = {true, 2, 5}; // page 2 in set 1
+                  v.ways[1] = {true, 2, 5}; // page 2 in set 1
                   checkTlbSoundness(v, r);
               }),
               1u);
     // An LRU stamp from the future.
     EXPECT_EQ(countViolations([](Reporter &r) {
                   TlbAuditView v = cleanTlb();
-                  v.l1.ways[0].lastUse = 99;
+                  v.ways[0].lastUse = 99;
                   checkTlbSoundness(v, r);
               }),
               1u);
@@ -364,6 +364,23 @@ TEST(CheckerFamilies, TlbCorruptionIsCaught)
                   checkTlbSoundness(v, r);
               }),
               1u);
+    // A malformed geometry stops the per-way walk, never the counter
+    // checks: both faults are reported.
+    EXPECT_EQ(countViolations([](Reporter &r) {
+                  TlbAuditView v = cleanTlb();
+                  v.sets = 3;
+                  v.hits = 20;
+                  checkTlbSoundness(v, r);
+              }),
+              2u);
+    EXPECT_EQ(countViolations([](Reporter &r) {
+                  TlbAuditView v = cleanTlb();
+                  v.sets = 0;
+                  v.ways.clear();
+                  v.indexedMisses = 3;
+                  checkTlbSoundness(v, r);
+              }),
+              2u);
     resetProcessViolations();
 }
 

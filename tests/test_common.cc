@@ -129,15 +129,6 @@ TEST(IntervalRecorder, OutOfOrderInsertion)
     EXPECT_EQ(rec.busyCycles(), 30u);
 }
 
-TEST(IntervalRecorder, ClearResets)
-{
-    IntervalRecorder rec;
-    rec.add(0, 100);
-    rec.clear();
-    EXPECT_EQ(rec.busyCycles(), 0u);
-    EXPECT_EQ(rec.lastEnd(), 0u);
-}
-
 TEST(UnitStateBreakdown, AllIdle)
 {
     IntervalRecorder a, b, c;

@@ -1,64 +1,86 @@
 /**
  * @file
- * Tests for the memory-system substrate (the shared address bus) and
- * the REF stall-attribution plumbing, plus cross-simulator sanity
- * properties on degenerate traces.
+ * Tests for the memory-system substrate (the paper's shared address
+ * bus, the default FlatBus model) and the REF stall-attribution
+ * plumbing, plus cross-simulator sanity properties on degenerate
+ * traces.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/ooosim.hh"
-#include "mem/membus.hh"
+#include "mem/memsystem.hh"
 #include "mem/simresult.hh"
 #include "ref/refsim.hh"
 
 using namespace oova;
 
-TEST(AddressBus, FirstReservationStartsOnRequest)
+namespace
 {
-    AddressBus bus;
-    EXPECT_EQ(bus.reserve(10, 4), 10u);
-    EXPECT_EQ(bus.freeAt(), 14u);
-    EXPECT_EQ(bus.requests(), 4u);
+
+/** The default memory system: the paper's one address bus. */
+std::unique_ptr<MemorySystem>
+makeBus()
+{
+    return makeMemorySystem(MemConfig{}, 50);
 }
 
-TEST(AddressBus, BackToBackReservationsQueue)
+/** Reserve @p elems address slots; returns the first one's cycle. */
+Cycle
+reserve(MemorySystem &bus, Cycle earliest, unsigned elems)
 {
-    AddressBus bus;
-    bus.reserve(0, 10);
-    EXPECT_EQ(bus.reserve(0, 5), 10u) << "bus is exclusive";
-    EXPECT_EQ(bus.freeAt(), 15u);
+    return bus.reserve(earliest, 0x1000, 8, elems).start;
 }
 
-TEST(AddressBus, GapsStayIdle)
+} // namespace
+
+TEST(FlatBus, FirstReservationStartsOnRequest)
 {
-    AddressBus bus;
-    bus.reserve(0, 5);
-    bus.reserve(100, 5);
-    EXPECT_EQ(bus.busy().busyCycles(), 10u);
-    EXPECT_EQ(bus.requests(), 10u);
+    auto bus = makeBus();
+    EXPECT_EQ(reserve(*bus, 10, 4), 10u);
+    EXPECT_EQ(bus->freeAt(), 14u);
+    EXPECT_EQ(bus->stats().requests, 4u);
 }
 
-TEST(AddressBus, LaterEarliestWins)
+TEST(FlatBus, BackToBackReservationsQueue)
 {
-    AddressBus bus;
-    bus.reserve(0, 2);
-    EXPECT_EQ(bus.reserve(50, 2), 50u);
+    auto bus = makeBus();
+    reserve(*bus, 0, 10);
+    EXPECT_EQ(reserve(*bus, 0, 5), 10u) << "bus is exclusive";
+    EXPECT_EQ(bus->freeAt(), 15u);
 }
 
-TEST(AddressBus, ZeroElementReservationIsNoop)
+TEST(FlatBus, GapsStayIdle)
 {
-    AddressBus bus;
-    bus.reserve(0, 5);
+    auto bus = makeBus();
+    reserve(*bus, 0, 5);
+    reserve(*bus, 100, 5);
+    EXPECT_EQ(bus->busy().busyCycles(), 10u);
+    EXPECT_EQ(bus->stats().requests, 10u);
+}
+
+TEST(FlatBus, LaterEarliestWins)
+{
+    auto bus = makeBus();
+    reserve(*bus, 0, 2);
+    EXPECT_EQ(reserve(*bus, 50, 2), 50u);
+}
+
+TEST(FlatBus, ZeroElementReservationIsNoop)
+{
+    auto bus = makeBus();
+    reserve(*bus, 0, 5);
     // A zero-element reservation returns its earliest untouched —
     // even one before freeAt() — and advances no state: no empty
     // busy interval, no requests, no bus occupancy.
-    EXPECT_EQ(bus.reserve(2, 0), 2u);
-    EXPECT_EQ(bus.freeAt(), 5u);
-    EXPECT_EQ(bus.requests(), 5u);
-    EXPECT_EQ(bus.busy().count(), 1u);
-    EXPECT_EQ(bus.reserve(100, 0), 100u);
-    EXPECT_EQ(bus.freeAt(), 5u);
+    EXPECT_EQ(reserve(*bus, 2, 0), 2u);
+    EXPECT_EQ(bus->freeAt(), 5u);
+    EXPECT_EQ(bus->stats().requests, 5u);
+    EXPECT_EQ(bus->busy().count(), 1u);
+    EXPECT_EQ(reserve(*bus, 100, 0), 100u);
+    EXPECT_EQ(bus->freeAt(), 5u);
 }
 
 TEST(StallCause, NamesAreStable)

@@ -30,51 +30,11 @@ TEST(Kernel, BuilderCountsValues)
     EXPECT_EQ(k.ops().size(), 5u);
 }
 
-TEST(Kernel, PressureOfChain)
-{
-    // A pure chain has pressure 2 (operand + result).
-    Kernel k("chain");
-    VVid v = k.vload(0);
-    for (int i = 0; i < 10; ++i)
-        v = k.vadd(v, v);
-    EXPECT_LE(k.maxVectorPressure(), 2);
-}
-
-TEST(Kernel, PressureOfWideBlock)
-{
-    Kernel k("wide");
-    VVid vals[12];
-    for (auto &val : vals)
-        val = k.vload(0);
-    VVid acc = k.vadd(vals[0], vals[1]);
-    for (int i = 2; i < 12; ++i)
-        acc = k.vadd(acc, vals[i]);
-    EXPECT_GE(k.maxVectorPressure(), 12);
-}
-
 TEST(VlPatterns, Constant)
 {
     VlFn f = vlConstant(77);
     EXPECT_EQ(f(0), 77);
     EXPECT_EQ(f(1000), 77);
-}
-
-TEST(VlPatterns, Stripmine)
-{
-    EXPECT_EQ(stripTrips(128), 1u);
-    EXPECT_EQ(stripTrips(129), 2u);
-    EXPECT_EQ(stripTrips(300), 3u);
-    VlFn f = vlStripmine(300);
-    EXPECT_EQ(f(0), 128);
-    EXPECT_EQ(f(1), 128);
-    EXPECT_EQ(f(2), 44);
-}
-
-TEST(VlPatterns, StripmineExactMultiple)
-{
-    VlFn f = vlStripmine(256);
-    EXPECT_EQ(f(0), 128);
-    EXPECT_EQ(f(1), 128);
 }
 
 TEST(VlPatterns, Triangular)
@@ -340,8 +300,6 @@ INSTANTIATE_TEST_SUITE_P(AllTen, BenchmarkModels,
 TEST(Benchmarks, NamesAndRegistry)
 {
     EXPECT_EQ(benchmarkNames().size(), 10u);
-    EXPECT_TRUE(isBenchmarkName("trfd"));
-    EXPECT_FALSE(isBenchmarkName("doom"));
 }
 
 TEST(Benchmarks, Swm256HasPaperProfile)

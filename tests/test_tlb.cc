@@ -295,7 +295,9 @@ TEST(Tlb, RandomGatherThrashesWhatAPermutationDoesNot)
     auto missesFor = [&](IndexPattern pat) {
         gi.idxPattern = pat;
         Tlb tlb(smallTlb(16));
-        tlb.translate(tlb.indexedPages(indexedElemAddrs(gi)), true);
+        std::vector<Addr> addrs;
+        indexedElemAddrs(gi, addrs);
+        tlb.translate(tlb.indexedPages(addrs), true);
         return tlb.misses();
     };
     uint64_t perm = missesFor(IndexPattern::Permutation);
@@ -348,7 +350,7 @@ TEST(TlbWrapper, IndexedMissesSplitFromStrided)
     const MemStats &s = mem->stats();
     EXPECT_EQ(s.tlbMisses, 9u);
     EXPECT_EQ(s.tlbIndexedMisses, 8u);
-    EXPECT_EQ(s.stridedTlbMisses(), 1u);
+    EXPECT_EQ(s.tlbMisses - s.tlbIndexedMisses, 1u) << "strided";
 }
 
 TEST(TlbWrapper, ZeroElementReservationStaysANoop)
