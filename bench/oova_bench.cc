@@ -48,7 +48,8 @@ printUsage(std::FILE *to, const char *argv0)
 {
     std::fprintf(
         to,
-        "usage: %s <figure>|all|--list [--threads N]\n"
+        "usage: %s --list | --help\n"
+        "       %s <figure>|all [--threads N]\n"
         "       %*s [--store DIR] [--store-stats] [--store-fsync]\n"
         "       %*s [--stats FILE] [--perfetto FILE]\n"
         "       %*s [--json] [--progress] [--scale S]\n"
@@ -78,7 +79,7 @@ printUsage(std::FILE *to, const char *argv0)
         "manifests\n"
         "  --progress      per-job heartbeat on stderr\n"
         "  --scale S       trace scale (overrides OOVA_SCALE)\n",
-        argv0, static_cast<int>(std::strlen(argv0)), "",
+        argv0, argv0, static_cast<int>(std::strlen(argv0)), "",
         static_cast<int>(std::strlen(argv0)), "",
         static_cast<int>(std::strlen(argv0)), "", argv0);
     std::fprintf(to, "figures:\n");
@@ -161,22 +162,26 @@ main(int argc, char **argv)
     std::string pipetracePath;
     size_t traceLimit = PipeTracer::kDefaultLimit;
     bool traceLimitSet = false;
+    bool threadsSet = false;
+    const char *infoFlag = nullptr; // --list or --help
     FigureOptions opts;
     opts.scale = envTraceScale();
 
+    // Every argument is parsed before any is acted on, so a bad one
+    // is refused wherever it stands.
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         int r = parseCommonFlag(argc, argv, i, opts);
         if (r < 0)
             return 2;
-        if (r == 1)
+        if (r == 1) {
+            if (std::strncmp(arg, "--threads", 9) == 0)
+                threadsSet = true;
             continue;
-        if (std::strcmp(arg, "--list") == 0) {
-            list();
-            return stdoutWritten() ? 0 : 1;
-        } else if (std::strcmp(arg, "--help") == 0) {
-            printUsage(stdout, argv[0]);
-            return stdoutWritten() ? 0 : 1;
+        }
+        if (std::strcmp(arg, "--list") == 0 ||
+            std::strcmp(arg, "--help") == 0) {
+            infoFlag = arg;
         } else if (std::strncmp(arg, "--pipetrace=", 12) == 0) {
             pipetracePath = arg + 12;
             if (pipetracePath.empty()) {
@@ -204,6 +209,18 @@ main(int argc, char **argv)
             return usage(argv[0]);
         }
     }
+    if (infoFlag) {
+        if (argc > 2) {
+            std::fprintf(stderr, "%s takes no other argument\n",
+                         infoFlag);
+            return 2;
+        }
+        if (std::strcmp(infoFlag, "--list") == 0)
+            list();
+        else
+            printUsage(stdout, argv[0]);
+        return stdoutWritten() ? 0 : 1;
+    }
     if (which.empty())
         return usage(argv[0]);
     if (!validateFigureOptions(opts))
@@ -217,12 +234,13 @@ main(int argc, char **argv)
         return 2;
     }
     if (!pipetracePath.empty()) {
-        if (opts.json || opts.progress || !opts.storeDir.empty() ||
-            opts.storeStats || opts.storeFsync ||
-            !opts.statsPath.empty() || !opts.perfettoPath.empty()) {
+        if (threadsSet || opts.json || opts.progress ||
+            !opts.storeDir.empty() || opts.storeStats ||
+            opts.storeFsync || !opts.statsPath.empty() ||
+            !opts.perfettoPath.empty()) {
             std::fprintf(stderr,
-                         "--pipetrace runs one simulation: --json, "
-                         "--progress, --store*, --stats and "
+                         "--pipetrace runs one simulation: --threads, "
+                         "--json, --progress, --store*, --stats and "
                          "--perfetto do not apply\n");
             return 2;
         }

@@ -1203,7 +1203,7 @@ OooMachine::memIssueStep()
         // software-managed TLB needs).
         if (cfg_.commit == CommitMode::Late &&
             e->seq != lastTlbTrapSeq_) {
-            if (Tlb *tlb = mem_->tlb();
+            if (const Tlb *tlb = mem_->tlb();
                 tlb &&
                 tlb->config().refill == TlbRefill::SoftwareTrap) {
                 if (di.isIndexedMem())
@@ -1253,13 +1253,13 @@ OooMachine::memIssueStep()
         if (di.isLoad()) {
             PhysReg &d = renamer_.file(di.dst.cls).reg(e->physDst);
             if (di.isVector()) {
-                Cycle wstart = acc.firstData + lat_.writeXbarVector;
+                Cycle wstart = acc.firstData + kWriteXbarVector;
                 d.chainReadyAt = wstart + 1;
-                d.fullReadyAt = acc.lastData + lat_.writeXbarVector;
+                d.fullReadyAt = acc.lastData + kWriteXbarVector;
                 d.writerIsLoad = true;
                 e->completeAt = d.fullReadyAt;
             } else {
-                Cycle ready = acc.firstData + lat_.writeXbarScalar;
+                Cycle ready = acc.firstData + kWriteXbarScalar;
                 d.chainReadyAt = ready;
                 d.fullReadyAt = ready;
                 e->completeAt = ready;
@@ -1321,8 +1321,8 @@ OooMachine::executeVector(RobEntry *e)
     e->started = true;
     if (di.dst.cls == RegClass::V || di.dst.cls == RegClass::M) {
         PhysReg &d = renamer_.file(di.dst.cls).reg(e->physDst);
-        Cycle wstart = now_ + lat_.vectorStartup + lat_.readXbar +
-                       lat_.opLatency(di.op) + lat_.writeXbarVector;
+        Cycle wstart = now_ + lat_.vectorStartup + kReadXbar +
+                       lat_.opLatency(di.op) + kWriteXbarVector;
         d.chainReadyAt = wstart + 1;
         d.fullReadyAt = wstart + di.vl;
         d.writerIsLoad = false;
@@ -1333,9 +1333,8 @@ OooMachine::executeVector(RobEntry *e)
     } else if (di.dst.valid()) {
         // VReduce: scalar result after consuming all elements.
         PhysReg &d = renamer_.file(di.dst.cls).reg(e->physDst);
-        Cycle ready = now_ + lat_.vectorStartup + lat_.readXbar +
-                      lat_.opLatency(di.op) + di.vl +
-                      lat_.writeXbarScalar;
+        Cycle ready = now_ + lat_.vectorStartup + kReadXbar +
+                      lat_.opLatency(di.op) + di.vl + kWriteXbarScalar;
         d.chainReadyAt = ready;
         d.fullReadyAt = ready;
         e->completeAt = ready;
@@ -1364,7 +1363,7 @@ OooMachine::executeScalar(RobEntry *e)
         }
     } else if (di.dst.valid()) {
         PhysReg &d = renamer_.file(di.dst.cls).reg(e->physDst);
-        Cycle ready = done + lat_.writeXbarScalar;
+        Cycle ready = done + kWriteXbarScalar;
         d.chainReadyAt = ready;
         d.fullReadyAt = ready;
         e->completeAt = ready;
@@ -1662,13 +1661,11 @@ OooMachine::takeTrap()
     SeqNum fault_seq = head->seq;
 
     // A software TLB refill delivers here: the handler installs the
-    // missing translations (install() re-checks residence, so pages
+    // missing translations (refill() re-checks residence, so pages
     // that arrived since detection are skipped) and the replay of
     // this instruction skips re-detection via the latch.
     if (head->tlbRefillPending) {
-        Tlb *tlb = mem_->tlb();
-        sim_assert(tlb != nullptr, "TLB refill trap without a TLB");
-        tlb->install(head->tlbRefillPages, head->tlbRefillIndexed);
+        mem_->refill(head->tlbRefillPages, head->tlbRefillIndexed);
         head->tlbRefillPending = false;
         head->tlbRefillPages.clear();
         lastTlbTrapSeq_ = fault_seq;

@@ -452,9 +452,8 @@ fig13Traffic(const SweepEngine &engine)
 // ------------------------------------------------------------- tab1
 // Functional-unit latencies of the two architectures. The scanned
 // paper's table is partially illegible; these are the reconstructed
-// values used throughout this reproduction (LatencyTable in
-// src/isa/latency.hh), printed so every experiment's parameters are
-// on record.
+// values used throughout this reproduction (src/isa/latency.hh),
+// printed so every experiment's parameters are on record.
 
 FigureResult
 tab1Machine(const SweepEngine &)
@@ -466,16 +465,14 @@ tab1Machine(const SweepEngine &)
     auto row = [&](const char *name, unsigned a, unsigned b) {
         table.rows.push_back({name, {intCell(a), intCell(b)}});
     };
-    row("read x-bar", ref.readXbar, ooo.readXbar);
-    row("write x-bar (vector)", ref.writeXbarVector,
-        ooo.writeXbarVector);
-    row("write x-bar (scalar)", ref.writeXbarScalar,
-        ooo.writeXbarScalar);
+    row("read x-bar", kReadXbar, kReadXbar);
+    row("write x-bar (vector)", kWriteXbarVector, kWriteXbarVector);
+    row("write x-bar (scalar)", kWriteXbarScalar, kWriteXbarScalar);
     row("vector startup (*)", ref.vectorStartup, ooo.vectorStartup);
-    row("move", ref.moveLat, ooo.moveLat);
-    row("add/logic/shift", ref.addLogic, ooo.addLogic);
-    row("mul", ref.mul, ooo.mul);
-    row("div/sqrt", ref.divSqrt, ooo.divSqrt);
+    row("move", kMoveLat, kMoveLat);
+    row("add/logic/shift", kAddLogicLat, kAddLogicLat);
+    row("mul", kMulLat, kMulLat);
+    row("div/sqrt", kDivSqrtLat, kDivSqrtLat);
     row("memory (default, swept)", ref.memLatency, ooo.memLatency);
     row("branch mispredict", ref.branchMispredict,
         ooo.branchMispredict);

@@ -27,11 +27,8 @@ namespace
 std::string
 latKey(const LatencyTable &lat)
 {
-    return csprintf(
-        "lat{%u,%u,%u,%u,%u,%u,%u,%u,%u,%u}", lat.readXbar,
-        lat.writeXbarVector, lat.writeXbarScalar, lat.vectorStartup,
-        lat.moveLat, lat.addLogic, lat.mul, lat.divSqrt,
-        lat.memLatency, lat.branchMispredict);
+    return csprintf("lat{%u,%u,%u}", lat.vectorStartup,
+                    lat.memLatency, lat.branchMispredict);
 }
 
 std::string
@@ -64,7 +61,7 @@ std::string
 sweepConfigKey(const RefConfig &cfg)
 {
     // BEGIN config-key fields
-    return csprintf("REF/v2|%s|%d,%d,%d,%d|%s",
+    return csprintf("REF/v3|%s|%d,%d,%d,%d|%s",
                     latKey(cfg.lat).c_str(),
                     static_cast<int>(cfg.modelPortConflicts),
                     static_cast<int>(cfg.chainLoadsToFus),
@@ -79,7 +76,7 @@ sweepConfigKey(const OooConfig &cfg)
 {
     // BEGIN config-key fields
     return csprintf(
-        "OOO/v2|%s|%u,%u,%u|%d,%d,%d,%u,%d,%d|%s",
+        "OOO/v3|%s|%u,%u,%u|%d,%d,%d,%u,%d,%d|%s",
         latKey(cfg.lat).c_str(), cfg.numPhysVRegs, cfg.queueSize,
         cfg.commitWidth, static_cast<int>(cfg.commit),
         static_cast<int>(cfg.loadElim),

@@ -1,12 +1,14 @@
 /**
  * @file
- * Configurable functional-unit latencies (the paper's Table 1).
+ * Functional-unit latencies (the paper's Table 1).
  *
  * The scanned paper's Table 1 is partially illegible, so these are
  * reconstructed defaults consistent with the legible fragments
  * ("write x-bar 1|2", "3 4/9" patterns) and with Convex C34xx
- * descriptions in the authors' related work. Everything is a knob;
- * `oova_bench tab1` prints the values in force.
+ * descriptions in the authors' related work. The crossbar and
+ * execution latencies are fixed; the vector startup differs between
+ * the machines, and the memory latency and branch penalty are
+ * configurable. `oova_bench tab1` prints the values in force.
  */
 
 #ifndef OOVA_ISA_LATENCY_HH
@@ -17,17 +19,18 @@
 namespace oova
 {
 
-/** Cycle counts for each latency class plus crossbar/startup costs. */
+constexpr unsigned kReadXbar = 1;        ///< register-file read crossbar
+constexpr unsigned kWriteXbarVector = 2; ///< vector write crossbar
+constexpr unsigned kWriteXbarScalar = 1; ///< scalar write path
+constexpr unsigned kMoveLat = 1;
+constexpr unsigned kAddLogicLat = 3; ///< add / logic / shift / compare
+constexpr unsigned kMulLat = 4;
+constexpr unsigned kDivSqrtLat = 9;
+
+/** The per-machine latencies: startup, memory and branch penalty. */
 struct LatencyTable
 {
-    unsigned readXbar = 1;        ///< register-file read crossbar
-    unsigned writeXbarVector = 2; ///< vector write crossbar
-    unsigned writeXbarScalar = 1; ///< scalar write path
     unsigned vectorStartup = 1;   ///< 1 in REF, 0 in OOOVA (Table 1 *)
-    unsigned moveLat = 1;
-    unsigned addLogic = 3;        ///< add / logic / shift / compare
-    unsigned mul = 4;
-    unsigned divSqrt = 9;
     unsigned memLatency = 50;     ///< main memory latency (swept)
     unsigned branchMispredict = 3;///< REF taken-branch / OOOVA redirect
 
@@ -37,13 +40,13 @@ struct LatencyTable
     {
         switch (traits(op).lat) {
         case LatClass::Move:
-            return moveLat;
+            return kMoveLat;
         case LatClass::AddLogic:
-            return addLogic;
+            return kAddLogicLat;
         case LatClass::Mul:
-            return mul;
+            return kMulLat;
         case LatClass::DivSqrt:
-            return divSqrt;
+            return kDivSqrtLat;
         case LatClass::Mem:
             return memLatency;
         }

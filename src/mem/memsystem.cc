@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -24,10 +25,39 @@ elemAddr(Addr addr, int64_t stride, unsigned i)
 }
 
 /**
+ * Copy @p tlb's counters into @p s: after each translation and each
+ * refill, the only two places they change.
+ */
+void
+copyTlbStats(const Tlb &tlb, MemStats &s)
+{
+    s.tlbHits = tlb.hits();
+    s.tlbMisses = tlb.misses();
+    s.tlbIndexedMisses = tlb.indexedMisses();
+    s.tlbMissCycles = tlb.missCycles();
+}
+
+/**
+ * [lo, hi) of the unit indices eligible for @p op under @p cfg: all
+ * units under Shared, the first ceil(N/2) for loads / the rest for
+ * stores under Split.
+ */
+std::pair<unsigned, unsigned>
+memUnitRange(const MemConfig &cfg, MemOp op)
+{
+    unsigned n = std::max(cfg.memUnits, 1u);
+    if (cfg.lsPolicy != LsPolicy::Split || n < 2)
+        return {0, n};
+    unsigned load_units = (n + 1) / 2;
+    return op == MemOp::Load
+               ? std::pair<unsigned, unsigned>{0, load_units}
+               : std::pair<unsigned, unsigned>{load_units, n};
+}
+
+/**
  * The banked model's stream assignment: tracks when each memory
  * unit's address phase frees up and picks the earliest-free unit
- * among those eligible for a stream's direction (all units under
- * Shared; a dedicated subset under Split).
+ * among those eligible for a stream's direction (memUnitRange).
  */
 class UnitPool
 {
@@ -51,17 +81,7 @@ class UnitPool
         return best;
     }
 
-    Cycle
-    freeAt(MemOp op) const
-    {
-        return freeAt_[pick(op)];
-    }
-
-    Cycle
-    freeAt() const
-    {
-        return *std::min_element(freeAt_.begin(), freeAt_.end());
-    }
+    Cycle freeAt(MemOp op) const { return freeAt_[pick(op)]; }
 
     Cycle &operator[](unsigned u) { return freeAt_[u]; }
 
@@ -130,9 +150,12 @@ class FlatBus : public MemorySystem
   public:
     explicit FlatBus(unsigned latency) : latency_(latency) {}
 
+    Cycle freeAt(MemOp) const override { return freeAt_; }
+
+  private:
     MemAccess
-    reserve(Cycle earliest, Addr, int64_t, unsigned elems,
-            MemOp) override
+    place(Cycle earliest, Addr, int64_t, unsigned elems,
+          MemOp) override
     {
         MemAccess acc;
         if (elems == 0) {
@@ -150,19 +173,14 @@ class FlatBus : public MemorySystem
     }
 
     MemAccess
-    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
-            MemOp op) override
+    place(Cycle earliest, const std::vector<Addr> &elem_addrs,
+          MemOp op) override
     {
         // No banks: only the element count matters.
-        return reserve(earliest, 0, 0,
-                       static_cast<unsigned>(elem_addrs.size()), op);
+        return place(earliest, 0, 0,
+                     static_cast<unsigned>(elem_addrs.size()), op);
     }
 
-    Cycle freeAt() const override { return freeAt_; }
-
-    Cycle freeAt(MemOp) const override { return freeAt_; }
-
-  private:
     unsigned latency_;
     Cycle freeAt_ = 0;
 };
@@ -187,9 +205,12 @@ class BankedMemory : public MemorySystem
     {
     }
 
+    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
+
+  private:
     MemAccess
-    reserve(Cycle earliest, Addr addr, int64_t stride,
-            unsigned elems, MemOp op) override
+    place(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
+          MemOp op) override
     {
         return stream(earliest, op, false, stride, elems,
                       [&](unsigned i) {
@@ -198,19 +219,14 @@ class BankedMemory : public MemorySystem
     }
 
     MemAccess
-    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
-            MemOp op) override
+    place(Cycle earliest, const std::vector<Addr> &elem_addrs,
+          MemOp op) override
     {
         return stream(earliest, op, true, 0,
                       static_cast<unsigned>(elem_addrs.size()),
                       [&](unsigned i) { return elem_addrs[i]; });
     }
 
-    Cycle freeAt() const override { return units_.freeAt(); }
-
-    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
-
-  private:
     /** @p stride: the byte stride of a strided (!@p indexed) stream. */
     template <typename AddrOf>
     MemAccess
@@ -352,27 +368,6 @@ class CachedMemory : public MemorySystem
         mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
     }
 
-    MemAccess
-    reserve(Cycle earliest, Addr addr, int64_t stride,
-            unsigned elems, MemOp) override
-    {
-        return stream(earliest, false, stride, elems,
-                      [&](unsigned i) {
-                          return elemAddr(addr, stride, i);
-                      });
-    }
-
-    MemAccess
-    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
-            MemOp) override
-    {
-        return stream(earliest, true, 0,
-                      static_cast<unsigned>(elem_addrs.size()),
-                      [&](unsigned i) { return elem_addrs[i]; });
-    }
-
-    Cycle freeAt() const override { return frontFreeAt_; }
-
     Cycle freeAt(MemOp) const override { return frontFreeAt_; }
 
     unsigned
@@ -392,6 +387,25 @@ class CachedMemory : public MemorySystem
         Cycle lastUse = 0;
         Cycle fillDone = 0;
     };
+
+    MemAccess
+    place(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
+          MemOp) override
+    {
+        return stream(earliest, false, stride, elems,
+                      [&](unsigned i) {
+                          return elemAddr(addr, stride, i);
+                      });
+    }
+
+    MemAccess
+    place(Cycle earliest, const std::vector<Addr> &elem_addrs,
+          MemOp) override
+    {
+        return stream(earliest, true, 0,
+                      static_cast<unsigned>(elem_addrs.size()),
+                      [&](unsigned i) { return elem_addrs[i]; });
+    }
 
     /** @p stride: the byte stride of a strided (!@p indexed) stream. */
     template <typename AddrOf>
@@ -516,16 +530,36 @@ class CachedMemory : public MemorySystem
 
 } // namespace
 
-std::pair<unsigned, unsigned>
-memUnitRange(const MemConfig &cfg, MemOp op)
+MemAccess
+MemorySystem::reserve(Cycle earliest, Addr addr, int64_t stride_bytes,
+                      unsigned elems, MemOp op)
 {
-    unsigned n = std::max(cfg.memUnits, 1u);
-    if (cfg.lsPolicy != LsPolicy::Split || n < 2)
-        return {0, n};
-    unsigned load_units = (n + 1) / 2;
-    return op == MemOp::Load
-               ? std::pair<unsigned, unsigned>{0, load_units}
-               : std::pair<unsigned, unsigned>{load_units, n};
+    if (tlb_ && elems > 0) {
+        tlb_->stridedPages(addr, stride_bytes, elems, pageScratch_);
+        earliest += tlb_->translate(pageScratch_, false);
+        copyTlbStats(*tlb_, stats_);
+    }
+    return place(earliest, addr, stride_bytes, elems, op);
+}
+
+MemAccess
+MemorySystem::reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
+                      MemOp op)
+{
+    if (tlb_ && !elem_addrs.empty()) {
+        tlb_->indexedPages(elem_addrs, pageScratch_);
+        earliest += tlb_->translate(pageScratch_, true);
+        copyTlbStats(*tlb_, stats_);
+    }
+    return place(earliest, elem_addrs, op);
+}
+
+void
+MemorySystem::refill(const std::vector<Addr> &pages, bool indexed)
+{
+    sim_assert(tlb_, "TLB refill without a TLB");
+    tlb_->install(pages, indexed);
+    copyTlbStats(*tlb_, stats_);
 }
 
 std::string
@@ -617,7 +651,7 @@ makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
     if (!mem)
         panic("unknown memory model %d", static_cast<int>(cfg.model));
     if (cfg.tlb.enabled)
-        mem = wrapWithTlb(std::move(mem), cfg.tlb);
+        mem->tlb_.emplace(cfg.tlb);
     return mem;
 }
 

@@ -26,22 +26,28 @@
  * latency lives inside the model (FlatBus adds the fixed latency;
  * CachedMemory shortens it on hits).
  *
+ * Translation is the first step of every reserve(): with
+ * MemConfig::tlb enabled, the stream's pages are looked up in the TLB
+ * (mem/tlb.hh) and the stream waits out the walk stall before the
+ * model places it. Software refills go through refill().
+ *
  * The flat bus and the cache drive one stream at a time, as the
  * paper's REF and OOOVA each have one memory unit. The banked model
- * alone takes N load/store units (MemConfig::memUnits): streams
- * assigned to different units overlap their address phases,
- * colliding only where they share banks, which is what lets
- * independent streams on disjoint banks proceed in parallel. A Split
- * policy dedicates units to loads and stores respectively, as in
- * decoupled vector load/store pipelines.
+ * alone takes N load/store units (MemConfig::memUnits), which only
+ * the OOOVA drives: streams assigned to different units overlap
+ * their address phases, colliding only where they share banks, which
+ * is what lets independent streams on disjoint banks proceed in
+ * parallel. A Split policy dedicates units to loads and stores
+ * respectively, as in decoupled vector load/store pipelines.
  */
 
 #ifndef OOVA_MEM_MEMSYSTEM_HH
 #define OOVA_MEM_MEMSYSTEM_HH
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -98,7 +104,7 @@ struct MemConfig
      * units overlap, colliding only where they share banks. The
      * default single unit is the paper's one-memory-unit machine;
      * makeMemorySystem refuses more than one on the flat bus or the
-     * cache.
+     * cache, and the REF machine on any model.
      */
     unsigned memUnits = 1;
     /** Stream-to-unit assignment when a banked memUnits > 1. */
@@ -142,16 +148,6 @@ struct MemConfig
      */
     std::string label() const;
 };
-
-/**
- * [lo, hi) of the unit indices eligible for @p op under @p cfg: all
- * units under Shared, the first ceil(N/2) for loads / the rest for
- * stores under Split. The single definition of the assignment
- * policy, shared by the banked model's arbitration and the REF
- * front end's unit-availability modeling.
- */
-std::pair<unsigned, unsigned> memUnitRange(const MemConfig &cfg,
-                                           MemOp op);
 
 /** Convenience builder for a banked configuration. */
 MemConfig makeBankedMem(unsigned banks, unsigned bank_busy_cycles = 4);
@@ -244,11 +240,12 @@ struct MemStats
  * Abstract memory system. One instance per simulated machine; not
  * thread-safe (each sweep job owns its own machine).
  *
- * Streams are reserved in issue order and serialize their address
- * phases on one unit. The banked model assigns each stream to one of
- * its units (MemConfig::memUnits / lsPolicy), so streams on
- * different units overlap, and dilates a stream's phase on bank
- * conflicts.
+ * Streams are reserved in issue order. reserve() translates a stream
+ * through the optional TLB and hands it to the model's place(), which
+ * serializes address phases on one unit. The banked model assigns
+ * each stream to one of its units (MemConfig::memUnits / lsPolicy),
+ * so streams on different units overlap, and dilates a stream's
+ * phase on bank conflicts.
  */
 class MemorySystem
 {
@@ -258,38 +255,48 @@ class MemorySystem
     /**
      * Reserve a stream of @p elems element accesses starting at
      * @p addr with byte stride @p stride_bytes, no earlier than
-     * @p earliest. Zero-element reservations are a no-op returning
-     * an empty window at @p earliest.
+     * @p earliest. With a TLB, the stream first looks up each page
+     * it crosses and starts no earlier than @p earliest plus the
+     * walk stall. Zero-element reservations are a no-op returning an
+     * empty window at @p earliest.
      */
-    virtual MemAccess reserve(Cycle earliest, Addr addr,
-                              int64_t stride_bytes, unsigned elems,
-                              MemOp op = MemOp::Load) = 0;
+    MemAccess reserve(Cycle earliest, Addr addr, int64_t stride_bytes,
+                      unsigned elems, MemOp op = MemOp::Load);
 
     /**
      * Index-vector overload: reserve one element access per entry
      * of @p elem_addrs — a gather/scatter whose real per-element
-     * addresses are known, so bank mapping and conflicts follow the
-     * actual index pattern instead of a contiguous walk. Conflicts
-     * are counted in the indexed counters of MemStats.
+     * addresses are known, so translation (one lookup per element),
+     * bank mapping and conflicts follow the actual index pattern
+     * instead of a contiguous walk. Conflicts and TLB misses are
+     * counted in the indexed counters of MemStats.
      */
-    virtual MemAccess reserve(Cycle earliest,
-                              const std::vector<Addr> &elem_addrs,
-                              MemOp op = MemOp::Load) = 0;
-
-    /** First cycle any unit could begin a new stream. */
-    virtual Cycle freeAt() const = 0;
+    MemAccess reserve(Cycle earliest,
+                      const std::vector<Addr> &elem_addrs,
+                      MemOp op = MemOp::Load);
 
     /**
      * First cycle a unit eligible for @p op could begin a new
-     * stream (== freeAt() unless a banked policy splits load/store).
+     * stream (the same for both directions unless a banked policy
+     * splits load/store).
      */
     virtual Cycle freeAt(MemOp op) const = 0;
 
-    /** Occupancy and conflict counters. */
-    virtual const MemStats &stats() const { return stats_; }
+    /**
+     * First cycle any unit could begin a new stream: the load and
+     * store unit ranges together cover every unit.
+     */
+    Cycle
+    freeAt() const
+    {
+        return std::min(freeAt(MemOp::Load), freeAt(MemOp::Store));
+    }
+
+    /** Occupancy, conflict and translation counters. */
+    const MemStats &stats() const { return stats_; }
 
     /** Address-phase busy intervals (the MEM state component). */
-    virtual const IntervalRecorder &busy() const { return busy_; }
+    const IntervalRecorder &busy() const { return busy_; }
 
     /**
      * Miss-status registers still tracking an outstanding line fill
@@ -305,14 +312,41 @@ class MemorySystem
 
     /**
      * The TLB in front of this model, or nullptr when translation is
-     * disabled. The OOOVA uses it to route software-refilled misses
-     * through its precise-trap path.
+     * disabled. The OOOVA probes it to route software-refilled
+     * misses through its precise-trap path.
      */
-    virtual Tlb *tlb() { return nullptr; }
+    const Tlb *tlb() const { return tlb_ ? &*tlb_ : nullptr; }
+
+    /**
+     * Software refill at trap time: install the absent pages of
+     * @p pages (see Tlb::install), counting them as misses in
+     * stats() at once. Requires a TLB.
+     */
+    void refill(const std::vector<Addr> &pages, bool indexed);
 
   protected:
+    /**
+     * The model's half of reserve(): place an already translated
+     * stream. Same contract as the reserve() overload of the same
+     * shape, zero-element no-op included.
+     */
+    virtual MemAccess place(Cycle earliest, Addr addr,
+                            int64_t stride_bytes, unsigned elems,
+                            MemOp op) = 0;
+    virtual MemAccess place(Cycle earliest,
+                            const std::vector<Addr> &elem_addrs,
+                            MemOp op) = 0;
+
     MemStats stats_;
     IntervalRecorder busy_;
+
+  private:
+    friend std::unique_ptr<MemorySystem>
+    makeMemorySystem(const MemConfig &cfg, unsigned mem_latency);
+
+    std::optional<Tlb> tlb_;
+    /** Reusable page-sequence buffer (one stream at a time). */
+    std::vector<Addr> pageScratch_;
 };
 
 /**

@@ -218,110 +218,4 @@ Tlb::auditView() const
     return v;
 }
 
-// ---------------------------------------------------------- wrapper
-
-namespace
-{
-
-/**
- * The translation stage in front of a concrete memory model: every
- * stream pays its page-lookup stalls before its addresses reach the
- * wrapped model, and the TLB counters ride on the wrapped model's
- * stats. Everything else — unit arbitration, busy intervals, free
- * times — is the inner model's.
- */
-class TranslatingMemorySystem : public MemorySystem
-{
-  public:
-    TranslatingMemorySystem(std::unique_ptr<MemorySystem> inner,
-                            const TlbConfig &cfg)
-        : inner_(std::move(inner)), tlb_(cfg)
-    {
-    }
-
-    MemAccess
-    reserve(Cycle earliest, Addr addr, int64_t stride_bytes,
-            unsigned elems, MemOp op) override
-    {
-        if (elems == 0)
-            return inner_->reserve(earliest, addr, stride_bytes,
-                                   elems, op);
-        tlb_.stridedPages(addr, stride_bytes, elems, pageScratch_);
-        unsigned stall = tlb_.translate(pageScratch_, false);
-        MemAccess acc = inner_->reserve(earliest + stall, addr,
-                                        stride_bytes, elems, op);
-        refreshStats();
-        return acc;
-    }
-
-    MemAccess
-    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
-            MemOp op) override
-    {
-        if (elem_addrs.empty())
-            return inner_->reserve(earliest, elem_addrs, op);
-        tlb_.indexedPages(elem_addrs, pageScratch_);
-        unsigned stall = tlb_.translate(pageScratch_, true);
-        MemAccess acc =
-            inner_->reserve(earliest + stall, elem_addrs, op);
-        refreshStats();
-        return acc;
-    }
-
-    Cycle freeAt() const override { return inner_->freeAt(); }
-
-    Cycle freeAt(MemOp op) const override { return inner_->freeAt(op); }
-
-    const IntervalRecorder &busy() const override
-    {
-        return inner_->busy();
-    }
-
-    unsigned
-    inFlightMshrs(Cycle now) const override
-    {
-        return inner_->inFlightMshrs(now);
-    }
-
-    const MemStats &
-    stats() const override
-    {
-        refreshStats();
-        return merged_;
-    }
-
-    Tlb *tlb() override { return &tlb_; }
-
-  private:
-    /**
-     * Re-merge after every reserve() as well as on stats() reads, so
-     * a reference held across reserve() calls observes fresh
-     * counters just as it would on the bare models.
-     */
-    void
-    refreshStats() const
-    {
-        merged_ = inner_->stats();
-        merged_.tlbHits = tlb_.hits();
-        merged_.tlbMisses = tlb_.misses();
-        merged_.tlbIndexedMisses = tlb_.indexedMisses();
-        merged_.tlbMissCycles = tlb_.missCycles();
-    }
-
-    std::unique_ptr<MemorySystem> inner_;
-    Tlb tlb_;
-    /** Reusable page-sequence buffer (one stream at a time). */
-    std::vector<Addr> pageScratch_;
-    mutable MemStats merged_;
-};
-
-} // namespace
-
-std::unique_ptr<MemorySystem>
-wrapWithTlb(std::unique_ptr<MemorySystem> inner, const TlbConfig &cfg)
-{
-    return std::make_unique<TranslatingMemorySystem>(std::move(inner),
-                                                     cfg);
-}
-
 } // namespace oova

@@ -42,7 +42,6 @@
 #define OOVA_MEM_TLB_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,8 +49,6 @@
 
 namespace oova
 {
-
-class MemorySystem;
 
 /**
  * Plain-data snapshot of a TLB's translation array and counters for
@@ -127,11 +124,12 @@ struct TlbConfig
 
 /**
  * The TLB proper: one set-associative translation array with LRU
- * replacement, plus the hit/miss/stall counters
- * surfaced through MemStats. Owned by the translation wrapper that
- * makeMemorySystem puts in front of the selected model; reachable
- * from the simulators via MemorySystem::tlb() for the
- * software-refill trap path.
+ * replacement, plus the hit/miss/stall counters surfaced through
+ * MemStats. Owned by the MemorySystem that makeMemorySystem builds
+ * when translation is enabled, whose reserve() translates every
+ * stream through it; the simulators read it via MemorySystem::tlb()
+ * to probe for software-refill traps and refill it through
+ * MemorySystem::refill().
  */
 class Tlb
 {
@@ -235,15 +233,6 @@ class Tlb
     uint64_t indexedMisses_ = 0;
     uint64_t missCycles_ = 0;
 };
-
-/**
- * Wrap @p inner with the translation stage described by @p cfg: every
- * reserve() first pays for its page lookups, then the stream proceeds
- * into the wrapped model. Used by makeMemorySystem when
- * MemConfig::tlb.enabled is set.
- */
-std::unique_ptr<MemorySystem>
-wrapWithTlb(std::unique_ptr<MemorySystem> inner, const TlbConfig &cfg);
 
 } // namespace oova
 

@@ -59,8 +59,7 @@ class RefMachine
   public:
     RefMachine(const Trace &trace, const RefConfig &cfg)
         : trace_(trace), cfg_(cfg), lat_(cfg.lat),
-          mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency)),
-          memUnitFree_(std::max(cfg.mem.memUnits, 1u), 0)
+          mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency))
     {
         aReady_.fill(0);
         sReady_.fill(0);
@@ -114,28 +113,16 @@ class RefMachine
         readPortFree_;
     std::array<Cycle, kNumLogicalVRegs / 2> writePortFree_;
 
-    /**
-     * Earliest-free eligible vector memory unit for @p op: the
-     * in-order front end stalls a vector memory instruction until
-     * one of its direction's units is free. Scalar accesses slip
-     * past this (as on the seed machine) and contend only inside
-     * the memory model itself.
-     */
-    unsigned
-    memUnitPick(MemOp op) const
-    {
-        auto [lo, hi] = memUnitRange(cfg_.mem, op);
-        unsigned best = lo;
-        for (unsigned u = lo + 1; u < hi; ++u)
-            if (memUnitFree_[u] < memUnitFree_[best])
-                best = u;
-        return best;
-    }
-
     Cycle fu1Free_ = 0;
     Cycle fu2Free_ = 0;
     std::unique_ptr<MemorySystem> mem_;
-    std::vector<Cycle> memUnitFree_;
+    /**
+     * End of the last vector stream's address phase: the in-order
+     * front end stalls a vector memory instruction until the one
+     * memory unit is free. Scalar accesses slip past this (as on
+     * the seed machine) and contend only inside the memory model.
+     */
+    Cycle memUnitFree_ = 0;
     /** Reusable gather/scatter element-address buffer. */
     std::vector<Addr> idxScratch_;
     IntervalRecorder fu1Rec_;
@@ -282,11 +269,10 @@ RefMachine::run()
             Cycle write_delay;
             if (inst.isLoad()) {
                 write_delay = lat_.vectorStartup + lat_.memLatency +
-                              lat_.writeXbarVector;
+                              kWriteXbarVector;
             } else {
-                write_delay = lat_.vectorStartup + lat_.readXbar +
-                              lat_.opLatency(inst.op) +
-                              lat_.writeXbarVector;
+                write_delay = lat_.vectorStartup + kReadXbar +
+                              lat_.opLatency(inst.op) + kWriteXbarVector;
             }
             Cycle clear = std::max(d.lastReadEnd + 1, d.writeEnd);
             if (clear > write_delay)
@@ -314,9 +300,8 @@ RefMachine::run()
             Cycle t = ip.t;
             Cycle exec = t + lat_.vectorStartup;
             Cycle read_done = exec + inst.vl;
-            Cycle write_start = exec + lat_.readXbar +
-                                lat_.opLatency(inst.op) +
-                                lat_.writeXbarVector;
+            Cycle write_start = exec + kReadXbar +
+                                lat_.opLatency(inst.op) + kWriteXbarVector;
             Cycle write_end = write_start + inst.vl;
 
             if (fu == 1) {
@@ -346,16 +331,15 @@ RefMachine::run()
                 finish(write_end);
             } else if (inst.dst.valid()) {
                 // VReduce: the scalar result needs every element.
-                Cycle ready = exec + lat_.readXbar +
+                Cycle ready = exec + kReadXbar +
                               lat_.opLatency(inst.op) + inst.vl +
-                              lat_.writeXbarScalar;
+                              kWriteXbarScalar;
                 scalarReady(inst.dst) = ready;
                 finish(ready);
             }
         } else if (inst.isVectorMem()) {
             MemOp mop = tr.isStore ? MemOp::Store : MemOp::Load;
-            unsigned mu = memUnitPick(mop);
-            ip.raise(memUnitFree_[mu], StallCause::MemUnit);
+            ip.raise(memUnitFree_, StallCause::MemUnit);
             // Gather/scatter reserve their real per-element
             // addresses (the whole index vector is available at
             // issue), so bank conflicts follow the actual pattern.
@@ -378,10 +362,10 @@ RefMachine::run()
                              StallCause::Ports);
                 Cycle t = ip.t;
                 MemAccess a = reserveStream(t + lat_.vectorStartup);
-                memUnitFree_[mu] = a.end;
+                memUnitFree_ = a.end;
                 VRegState &d = vreg_[inst.dst.idx];
-                d.writeStart = a.firstData + lat_.writeXbarVector;
-                d.writeEnd = a.lastData + lat_.writeXbarVector;
+                d.writeStart = a.firstData + kWriteXbarVector;
+                d.writeEnd = a.lastData + kWriteXbarVector;
                 d.writerIsLoad = true;
                 occupyWritePort(inst.dst, d.writeEnd);
                 finish(d.writeEnd);
@@ -392,7 +376,7 @@ RefMachine::run()
                          StallCause::Ports);
                 Cycle t = ip.t;
                 MemAccess a = reserveStream(t + lat_.vectorStartup);
-                memUnitFree_[mu] = a.end;
+                memUnitFree_ = a.end;
                 Cycle read_done = a.end;
                 vreg_[data.idx].lastReadEnd =
                     std::max(vreg_[data.idx].lastReadEnd, read_done);
@@ -407,7 +391,7 @@ RefMachine::run()
                                             inst.elemSize, 1,
                                             MemOp::Load);
                 auditAccess(a, t);
-                Cycle ready = a.firstData + lat_.writeXbarScalar;
+                Cycle ready = a.firstData + kWriteXbarScalar;
                 scalarReady(inst.dst) = ready;
                 finish(ready);
             } else {
@@ -429,8 +413,8 @@ RefMachine::run()
             // Scalar ALU / move / SetVL / SetVS.
             Cycle t = ip.t;
             if (inst.dst.valid()) {
-                Cycle ready = t + lat_.opLatency(inst.op) +
-                              lat_.writeXbarScalar;
+                Cycle ready =
+                    t + lat_.opLatency(inst.op) + kWriteXbarScalar;
                 scalarReady(inst.dst) = ready;
                 finish(ready);
             } else {
@@ -469,7 +453,7 @@ RefMachine::run()
 
     // Occupancy telemetry (observe-only): REF is in-order with no
     // ROB, queues, renaming, or cache, so the only structure it
-    // models is concurrently-busy memory units — derived from the
+    // models is its one memory unit's busy depth — derived from the
     // same busy-interval sweep the OOOVA uses, so the occupancy
     // figure compares like with like.
     std::array<StatDistribution, kNumOccStructs> occ{};
@@ -477,7 +461,7 @@ RefMachine::run()
     bool telemetry = cfg_.telemetry || telemetryForced();
     if (telemetry) {
         size_t mu = static_cast<size_t>(OccStruct::MemUnits);
-        occ[mu].setCapacity(std::max(cfg_.mem.memUnits, 1u));
+        occ[mu].setCapacity(1);
         accumulateIntervalDepth(mem_->busy(), endCycle_, occ[mu],
                                 occTs[mu]);
     }
@@ -528,6 +512,10 @@ RefMachine::run()
 SimResult
 simulateRef(const Trace &trace, const RefConfig &cfg)
 {
+    // The C3400 drives one memory unit; only the OOOVA's banked
+    // studies add more.
+    if (cfg.mem.memUnits > 1)
+        fatal("REF drives one memory unit, not %u", cfg.mem.memUnits);
     RefMachine machine(trace, cfg);
     return machine.run();
 }

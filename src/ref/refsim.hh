@@ -80,7 +80,8 @@ struct RefConfig
     /**
      * The memory hierarchy (default: the paper's flat address bus;
      * see mem/memsystem.hh). Non-default models are reflected in the
-     * result's machine label, e.g. "REF/mb8p1".
+     * result's machine label, e.g. "REF/mb8p1". REF drives one
+     * memory unit: simulateRef refuses memUnits > 1.
      */
     MemConfig mem;
 };

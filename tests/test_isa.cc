@@ -202,9 +202,9 @@ TEST(Latency, Defaults)
     LatencyTable ooo = LatencyTable::oooDefaults();
     EXPECT_EQ(ref.vectorStartup, 1u);
     EXPECT_EQ(ooo.vectorStartup, 0u); // Table 1 footnote
-    EXPECT_EQ(ref.opLatency(Opcode::VMul), ref.mul);
-    EXPECT_EQ(ref.opLatency(Opcode::VDiv), ref.divSqrt);
-    EXPECT_EQ(ref.opLatency(Opcode::VAdd), ref.addLogic);
-    EXPECT_EQ(ref.opLatency(Opcode::SMove), ref.moveLat);
+    EXPECT_EQ(ref.opLatency(Opcode::VMul), kMulLat);
+    EXPECT_EQ(ref.opLatency(Opcode::VDiv), kDivSqrtLat);
+    EXPECT_EQ(ref.opLatency(Opcode::VAdd), kAddLogicLat);
+    EXPECT_EQ(ref.opLatency(Opcode::SMove), kMoveLat);
     EXPECT_EQ(ref.opLatency(Opcode::VLoad), ref.memLatency);
 }

@@ -310,6 +310,18 @@ TEST(MultiUnitDeathTest, OnlyTheBankedModelTakesSeveralUnits)
                 "4 load/store units need the banked memory model");
 }
 
+TEST(MultiUnitDeathTest, RefDrivesOneMemoryUnit)
+{
+    // The C3400 has one memory unit: extra banked units are an
+    // OOOVA study, and REF refuses them rather than modeling them.
+    Trace t("one-load");
+    t.push(makeVLoad(vReg(0), aReg(0), 0x1000, 8, 16));
+    RefConfig ref;
+    ref.mem = makeMultiUnitMem(4, 2, LsPolicy::Split);
+    EXPECT_EXIT(simulateRef(t, ref), ::testing::ExitedWithCode(1),
+                "REF drives one memory unit, not 2");
+}
+
 // ------------------------------------------- index-vector reserve
 
 TEST(IndexedReserve, PermutationAddressesRunConflictFree)
@@ -540,48 +552,41 @@ TEST(MemConfig, UnitCountAndPolicyRoundTripThroughLabels)
     OooConfig ooo;
     ooo.mem = makeMultiUnitMem(8, 2);
     EXPECT_EQ(ooo.name(), "OOOVA-16/16r/early/mb8p1x2");
-
-    Trace t("one-load");
-    t.push(makeVLoad(vReg(0), aReg(0), 0x1000, 8, 16));
-    RefConfig ref;
-    ref.mem = makeMultiUnitMem(4, 2, LsPolicy::Split);
-    EXPECT_EQ(simulateRef(t, ref).machine, "REF/mb4p1x2s");
 }
 
 TEST(MemUnitRange, OddUnitCountsUnderSplitFavorLoads)
 {
     // Split gives loads the first ceil(N/2) units and stores the
     // rest: with an odd count the extra unit goes to loads, the two
-    // ranges never overlap, and together they cover every unit.
-    auto ranges = [](unsigned units) {
-        MemConfig cfg;
-        cfg.memUnits = units;
-        cfg.lsPolicy = LsPolicy::Split;
-        return std::pair{memUnitRange(cfg, MemOp::Load),
-                         memUnitRange(cfg, MemOp::Store)};
-    };
-    {
-        auto [ld, st] = ranges(3);
-        EXPECT_EQ(ld, (std::pair<unsigned, unsigned>{0, 2}));
-        EXPECT_EQ(st, (std::pair<unsigned, unsigned>{2, 3}));
-    }
-    {
-        auto [ld, st] = ranges(5);
-        EXPECT_EQ(ld, (std::pair<unsigned, unsigned>{0, 3}));
-        EXPECT_EQ(st, (std::pair<unsigned, unsigned>{3, 5}));
-    }
-    {
-        auto [ld, st] = ranges(7);
-        EXPECT_EQ(ld.second, st.first) << "no gap, no overlap";
-        EXPECT_EQ(st.second, 7u) << "every unit covered";
-        EXPECT_GT(ld.second - ld.first, st.second - st.first)
-            << "loads take the extra unit";
-    }
-    {
-        // A single unit cannot be split: both directions share it.
-        auto [ld, st] = ranges(1);
-        EXPECT_EQ(ld, (std::pair<unsigned, unsigned>{0, 1}));
-        EXPECT_EQ(st, (std::pair<unsigned, unsigned>{0, 1}));
+    // ranges never overlap, and together they cover every unit. On
+    // 128 banks each stream below has banks of its own, so a stream
+    // at cycle 0 takes one idle unit of its direction: the streams
+    // issued until freeAt(op) leaves 0 count op's units.
+    for (unsigned units : {1u, 3u, 5u, 7u}) {
+        SCOPED_TRACE(testing::Message() << units << " units");
+        auto mem = makeMemorySystem(
+            makeMultiUnitMem(128, units, LsPolicy::Split), 50);
+        unsigned streams = 0;
+        auto fill = [&](MemOp op, unsigned elems) {
+            unsigned n = 0;
+            for (; mem->freeAt(op) == 0 && n <= units; ++n)
+                mem->reserve(0, 128 * streams++, 8, elems, op);
+            return n;
+        };
+        unsigned loads = fill(MemOp::Load, 8);    // busy until 8
+        unsigned stores = fill(MemOp::Store, 16); // busy until 16
+        EXPECT_EQ(mem->freeAt(), 8u) << "every unit busy";
+        if (units == 1) {
+            // A single unit cannot be split: both directions share it.
+            EXPECT_EQ(loads, 1u);
+            EXPECT_EQ(stores, 0u);
+            continue;
+        }
+        EXPECT_EQ(loads, (units + 1) / 2) << "loads take the extra";
+        EXPECT_EQ(loads + stores, units) << "every unit covered";
+        EXPECT_EQ(mem->freeAt(MemOp::Store), 16u)
+            << "no load unit serves stores";
+        EXPECT_EQ(mem->stats().bankConflicts, 0u);
     }
 }
 
@@ -806,15 +811,22 @@ TEST(MemGeometry, ExactCapacityHoldsEveryLineOnASecondPass)
 namespace
 {
 
-/** Per-unit earliest-free tracking, as in the banked model. */
+/**
+ * Per-unit earliest-free tracking, as in the banked model, with its
+ * own copy of the assignment rule: every unit under Shared; under
+ * Split the first ceil(N/2) units for loads, the rest for stores.
+ */
 class RefUnitPool
 {
   public:
     explicit RefUnitPool(const MemConfig &cfg)
-        : freeAt_(std::max(cfg.memUnits, 1u), 0),
-          loadRange_(memUnitRange(cfg, MemOp::Load)),
-          storeRange_(memUnitRange(cfg, MemOp::Store))
+        : freeAt_(cfg.memUnits, 0)
     {
+        unsigned n = cfg.memUnits;
+        unsigned loads =
+            cfg.lsPolicy == LsPolicy::Split && n > 1 ? (n + 1) / 2 : n;
+        loadRange_ = {0, loads};
+        storeRange_ = {loads == n ? 0 : loads, n};
     }
 
     unsigned
@@ -829,12 +841,6 @@ class RefUnitPool
     }
 
     Cycle freeAt(MemOp op) const { return freeAt_[pick(op)]; }
-
-    Cycle
-    freeAt() const
-    {
-        return *std::min_element(freeAt_.begin(), freeAt_.end());
-    }
 
     Cycle &operator[](unsigned u) { return freeAt_[u]; }
 
@@ -889,9 +895,12 @@ class RefBanked : public MemorySystem
     {
     }
 
+    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
+
+  private:
     MemAccess
-    reserve(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
-            MemOp op) override
+    place(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
+          MemOp op) override
     {
         return stream(earliest, op, false, elems, [&](unsigned i) {
             return addr + static_cast<int64_t>(i) * stride;
@@ -899,19 +908,14 @@ class RefBanked : public MemorySystem
     }
 
     MemAccess
-    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
-            MemOp op) override
+    place(Cycle earliest, const std::vector<Addr> &elem_addrs,
+          MemOp op) override
     {
         return stream(earliest, op, true,
                       static_cast<unsigned>(elem_addrs.size()),
                       [&](unsigned i) { return elem_addrs[i]; });
     }
 
-    Cycle freeAt() const override { return units_.freeAt(); }
-
-    Cycle freeAt(MemOp op) const override { return units_.freeAt(op); }
-
-  private:
     template <typename AddrOf>
     MemAccess
     stream(Cycle earliest, MemOp op, bool indexed, unsigned elems,
@@ -987,9 +991,12 @@ class RefCached : public MemorySystem
         bus_ = makeMemorySystem(MemConfig{}, latency);
     }
 
+    Cycle freeAt(MemOp) const override { return freeAt_; }
+
+  private:
     MemAccess
-    reserve(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
-            MemOp) override
+    place(Cycle earliest, Addr addr, int64_t stride, unsigned elems,
+          MemOp) override
     {
         return stream(earliest, elems, [&](unsigned i) {
             return addr + static_cast<int64_t>(i) * stride;
@@ -997,19 +1004,14 @@ class RefCached : public MemorySystem
     }
 
     MemAccess
-    reserve(Cycle earliest, const std::vector<Addr> &elem_addrs,
-            MemOp) override
+    place(Cycle earliest, const std::vector<Addr> &elem_addrs,
+          MemOp) override
     {
         return stream(earliest,
                       static_cast<unsigned>(elem_addrs.size()),
                       [&](unsigned i) { return elem_addrs[i]; });
     }
 
-    Cycle freeAt() const override { return freeAt_; }
-
-    Cycle freeAt(MemOp) const override { return freeAt_; }
-
-  private:
     struct Way
     {
         Addr line = 0;

@@ -41,7 +41,7 @@ TEST(RefSim, SingleVectorLoadTiming)
     SimResult r = simulateRef(t, cfg);
     // startup + bus(64) ... data written [startup+50+wx, +64).
     Cycle expect = cfg.lat.vectorStartup + cfg.lat.memLatency +
-                   cfg.lat.writeXbarVector + 64;
+                   kWriteXbarVector + 64;
     EXPECT_EQ(r.cycles, expect);
     EXPECT_EQ(r.memRequests, 64u);
 }
@@ -55,7 +55,7 @@ TEST(RefSim, LoadUseNotChained)
     RefConfig cfg = cfgLat(50);
     SimResult r = simulateRef(t, cfg);
     Cycle load_done = cfg.lat.vectorStartup + cfg.lat.memLatency +
-                      cfg.lat.writeXbarVector + 64;
+                      kWriteXbarVector + 64;
     EXPECT_GE(r.cycles, load_done + 64) << "add overlapped the load";
 }
 
@@ -123,7 +123,7 @@ TEST(RefSim, ScalarInterlock)
     t.push(makeScalar(Opcode::SAdd, sReg(3), sReg(2)));
     RefConfig cfg = cfgLat(1);
     SimResult r = simulateRef(t, cfg);
-    unsigned per_op = cfg.lat.addLogic + cfg.lat.writeXbarScalar;
+    unsigned per_op = kAddLogicLat + kWriteXbarScalar;
     EXPECT_GE(r.cycles, 2 * per_op);
     EXPECT_GT(r.stallCycles[static_cast<unsigned>(
                   StallCause::ScalarDep)],

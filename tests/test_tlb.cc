@@ -2,10 +2,11 @@
  * @file
  * Tests for the virtual-memory/TLB subsystem: the set-associative
  * translation array (LRU, associativity),
- * the page-lookup sequences of strided vs indexed streams, the
- * translation wrapper in front of every memory model, the config
- * labels, and the two refill policies — hardware walks charged in
- * the model, software refills through the OOOVA's precise-trap path.
+ * the page-lookup sequences of strided vs indexed streams,
+ * translation as the first step of every model's reserve(), the
+ * config labels, and the two refill policies — hardware walks
+ * charged in reserve(), software refills through the OOOVA's
+ * precise-trap path and MemorySystem::refill().
  */
 
 #include <gtest/gtest.h>
@@ -306,7 +307,7 @@ TEST(Tlb, RandomGatherThrashesWhatAPermutationDoesNot)
     EXPECT_GE(rnd, 8 * perm) << "random >> permutation";
 }
 
-// ---------------------------------------------------------- wrapper
+// ------------------------------------------- translation in reserve()
 
 TEST(TlbWrapper, DisabledTlbLeavesTheModelBare)
 {
@@ -378,6 +379,30 @@ TEST(TlbWrapper, CachedModelTranslatesOnceInFront)
     const MemStats &s = mem->stats();
     EXPECT_EQ(s.tlbMisses, 1u) << "one page, one walk";
     EXPECT_EQ(s.cacheMisses, 8u);
+}
+
+TEST(TlbWrapper, RefillShowsBeforeTheNextReserve)
+{
+    // A software refill installs pages outside any reserve(): the
+    // TLB and the counters must show it at once, so a run that ends
+    // on a trap reports every install.
+    MemConfig cfg;
+    cfg.tlb = smallTlb(16);
+    auto mem = makeMemorySystem(cfg, 50);
+    std::vector<Addr> pages = {10, 11, 12};
+    ASSERT_TRUE(mem->tlb()->wouldMiss(pages));
+    mem->refill(pages, true);
+    EXPECT_FALSE(mem->tlb()->wouldMiss(pages));
+    EXPECT_EQ(mem->tlb()->misses(), 3u);
+    const MemStats &s = mem->stats();
+    EXPECT_EQ(s.tlbMisses, 3u);
+    EXPECT_EQ(s.tlbIndexedMisses, 3u);
+    EXPECT_EQ(s.tlbMissCycles, 0u) << "the trap is the cost";
+    // The stream over a refilled page then hits without a walk.
+    MemAccess a = mem->reserve(0, 10 * 4096, 8, 16);
+    EXPECT_EQ(a.start, 0u);
+    EXPECT_EQ(s.tlbHits, 1u);
+    EXPECT_EQ(s.tlbMisses, 3u);
 }
 
 // --------------------------------------------------- whole machines
