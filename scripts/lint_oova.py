@@ -22,12 +22,13 @@ see, each of which has bitten (or nearly bitten) a past PR:
      and vice versa — a bucket nobody can read about or parse out of
      the JSON is dead observability.
   6. Every data member of the machine-config structs (OooConfig,
-     RefConfig, MemConfig, TlbConfig, LatencyTable) is serialized in
-     the config-key region of src/harness/sweep.cc (or explicitly
-     allowlisted as observe-only) — a knob missing from
-     sweepConfigKey() would alias store entries of runs that set it.
-     Their count is pinned (CONFIG_MEMBERS_PINNED), so every new
-     setting is a visible decision.
+     RefConfig, MemConfig, TlbConfig, LatencyTable) is named exactly
+     once, as `("name", c.name`, in its struct's walkConfig() next to
+     it. sweepConfigKey() and validate() read the walks, so a member
+     missing from one would alias store entries of runs that set it
+     and escape its rule. Their count is pinned
+     (CONFIG_MEMBERS_PINNED), so every new setting is a visible
+     decision.
   7. Every OccStruct enum entry has an occStructName() label and a
      row in the README's occupancy-structure table, and vice versa;
      and both telemetry renderers (toJson() in simresult.cc, the
@@ -243,14 +244,9 @@ for label in readme_labels:
             "cpiBucketName() label")
 
 # ---------------------------------------------------------------
-# Rule 6: every machine-config data member is serialized in the
-# config-key region of src/harness/sweep.cc (or allowlisted).
+# Rule 6: every machine-config data member is named once in its
+# struct's walkConfig().
 # ---------------------------------------------------------------
-
-# Observe-only knobs that never change a simulation result:
-# checkLevel (the invariant audit observes, it never steers) and
-# pipeTracer (tracing jobs are made uncacheable instead of keyed).
-CONFIG_KEY_EXEMPT = {"checkLevel", "pipeTracer"}
 
 # Each setting doubles the configurations tests must cover. A new
 # field fails lint until this pin moves in the same commit, with the
@@ -266,9 +262,8 @@ CONFIG_STRUCTS = [
 ]
 
 
-def config_members(struct: str, rel: str) -> list:
+def config_members(struct: str, src: str, rel: str) -> list:
     """Data-member names of one config struct."""
-    src = (ROOT / rel).read_text()
     m = re.search(r"struct " + struct + r"\s*\{(.*?)\n\};", src, re.S)
     if not m:
         err(f"cannot find struct {struct} in {rel}")
@@ -294,33 +289,43 @@ def config_members(struct: str, rel: str) -> list:
         body, re.M)]
 
 
-sweep_src = (ROOT / "src/harness/sweep.cc").read_text()
-key_regions = re.findall(
-    r"// BEGIN config-key fields(.*?)// END config-key fields",
-    sweep_src, re.S)
-if not key_regions:
-    err("no '// BEGIN config-key fields' region in "
-        "src/harness/sweep.cc")
-key_text = "\n".join(key_regions)
+def config_walk(struct: str, src: str, rel: str) -> list:
+    """(name, member) of each entry in the struct's walkConfig()."""
+    m = re.search(r"template <ConfigOf<" + struct +
+                  r"> \w+, typename \w+>\s*void\s*walkConfig\(.*?\n\}",
+                  src, re.S)
+    if not m:
+        err(f"no walkConfig() for {struct} in {rel}")
+        return []
+    return re.findall(r'\(\s*"(\w+)",\s*\w+\.(\w+)\b', m.group(0))
+
 
 config_member_count = 0
 for struct, rel in CONFIG_STRUCTS:
-    members = config_members(struct, rel)
+    src = (ROOT / rel).read_text()
+    members = config_members(struct, src, rel)
     # A parser that misses members trips the pinned total below;
     # this only catches one that finds none at all.
     if not members:
         err(f"{struct} parse found no members in {rel}; the parser "
             "is broken")
     config_member_count += len(members)
+    walk = config_walk(struct, src, rel)
+    for name, member in walk:
+        if name != member:
+            err(f"{struct}'s walkConfig() ({rel}) names member "
+                f"'{member}' as \"{name}\"")
+    named = [member for _, member in walk]
     for member in members:
-        if member in CONFIG_KEY_EXEMPT:
-            continue
-        if f".{member}" not in key_text:
-            err(f"{struct}::{member} ({rel}) is not serialized in "
-                "the config-key region of src/harness/sweep.cc — "
-                "runs differing only in it would alias one result-"
-                "store entry; key it (or allowlist it as observe-"
-                "only in scripts/lint_oova.py)")
+        if member not in named:
+            err(f"{struct}::{member} ({rel}) is missing from its "
+                "walkConfig() — sweepConfigKey() and validate() read "
+                "the walk, so runs differing only in it would alias "
+                "one result-store entry; add it as field() (keyed) "
+                "or unkeyed() (observe-only)")
+        elif named.count(member) > 1:
+            err(f"{struct}::{member} ({rel}) is named "
+                f"{named.count(member)} times in its walkConfig()")
 if config_member_count != CONFIG_MEMBERS_PINNED:
     err(f"the config structs have {config_member_count} members, "
         f"pinned at {CONFIG_MEMBERS_PINNED}: move CONFIG_MEMBERS_PINNED "
@@ -405,5 +410,5 @@ if errors:
 print("lint_oova: all checks passed "
       f"({len(figures)} figures, {len(fields)} SimResult fields, "
       f"{len(cpi_entries)} CPI buckets, "
-      f"{config_member_count} config-key members, "
+      f"{config_member_count} config members walked, "
       f"{len(occ_entries)} occupancy structures)")

@@ -144,8 +144,6 @@ class Registry
         return Reporter(*this, checker, now);
     }
 
-    size_t numCheckers() const { return checkers_.size(); }
-
     uint64_t violationCount() const { return violationCount_; }
     /** Recorded violations (capped at kMaxStored; the count is not). */
     const std::vector<Violation> &violations() const

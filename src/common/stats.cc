@@ -1,6 +1,7 @@
 #include "common/stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -257,8 +258,11 @@ StatDistribution::p95() const
 void
 StatTimeSeries::sample(uint64_t value, uint64_t n)
 {
+    // epochLen only ever doubles from 1: the epoch index is a shift
+    // and the offset into the epoch a mask.
+    auto shift = static_cast<unsigned>(std::countr_zero(epochLen));
     while (n > 0) {
-        size_t cur = static_cast<size_t>(total / epochLen);
+        size_t cur = static_cast<size_t>(total >> shift);
         if (cur >= kMaxEpochs) {
             // Window full: halve the resolution, keep exact sums.
             for (size_t i = 0; i < kMaxEpochs / 2; ++i)
@@ -266,9 +270,10 @@ StatTimeSeries::sample(uint64_t value, uint64_t n)
             std::fill(sums.begin() + kMaxEpochs / 2, sums.end(),
                       uint64_t{0});
             epochLen *= 2;
+            ++shift;
             continue;
         }
-        uint64_t room = epochLen - total % epochLen;
+        uint64_t room = epochLen - (total & (epochLen - 1));
         uint64_t take = std::min(room, n);
         sums[cur] += value * take;
         total += take;

@@ -50,9 +50,6 @@ class IntervalRecorder
     /** Total busy cycles with overlapping intervals merged. */
     uint64_t busyCycles() const;
 
-    /** Latest end cycle over all intervals (0 if none). */
-    Cycle lastEnd() const { return lastEnd_; }
-
     /** Raw (unmerged) intervals, in insertion order. */
     const std::vector<std::pair<Cycle, Cycle>> &
     intervals() const

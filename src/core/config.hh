@@ -124,6 +124,31 @@ struct OooConfig
     std::string name() const;
 };
 
+/**
+ * Every OooConfig member, named once (see common/configwalk.hh). No
+ * rule beyond the memory system's: a machine that cannot make
+ * progress (queueSize 0, say) dies on the deadlock diagnostic.
+ */
+template <ConfigOf<OooConfig> Cfg, typename Visitor>
+void
+walkConfig(Cfg &c, Visitor &v)
+{
+    v.nest("lat", c.lat);
+    v.field("numPhysVRegs", c.numPhysVRegs);
+    v.field("queueSize", c.queueSize);
+    v.field("commitWidth", c.commitWidth);
+    v.field("commit", c.commit);
+    v.field("loadElim", c.loadElim);
+    v.field("chainLoadsToFus", c.chainLoadsToFus);
+    v.field("trapPenalty", c.trapPenalty);
+    v.unkeyed("checkLevel", c.checkLevel);
+    v.field("cpiStack", c.cpiStack);
+    v.field("telemetry", c.telemetry, {.key = ConfigField::Key::Telemetry});
+    // A tracing job is uncacheable instead (oooJob()).
+    v.unkeyed("pipeTracer", c.pipeTracer);
+    v.nest("mem", c.mem);
+}
+
 } // namespace oova
 
 #endif // OOVA_CORE_CONFIG_HH

@@ -1839,10 +1839,12 @@ OooMachine::clearWheelSlot(uint32_t slot)
  * Each case checks exactly what nextEventAfterScan() would look at:
  * the value must still be current, and register times must still be
  * referenced by a live ROB entry (or, for full-ready times, an
- * unresolved eliminated load). An EvComplete/EvMemDone whose slot
- * has since been recycled is judged against the new occupant's live
- * inRob and times, so it can only pass with a time the rescan also
- * sees.
+ * unresolved eliminated load). An address phase is live while its
+ * access is on the wait set: an early-committed store leaves the ROB
+ * before its phase ends, and younger conflicting accesses still wait
+ * for that end. An EvComplete/EvMemDone whose slot has since been
+ * recycled is judged against the new occupant's live inRob/inWaitSet
+ * and times, so it can only pass with a time the rescan also sees.
  */
 bool
 OooMachine::eventLive(const Event &ev) const
@@ -1866,7 +1868,7 @@ OooMachine::eventLive(const Event &ev) const
     }
     case EvMemDone: {
         const RobEntry &e = slab_[ev.id];
-        return e.inRob && ev.t == e.memDoneAt;
+        return e.inWaitSet && ev.t == e.memDoneAt;
     }
     case EvRegChain: {
         const PhysReg &p =
@@ -1941,9 +1943,11 @@ OooMachine::nextEventAfterScan() const
     consider(mem_->freeAt(MemOp::Load));
     consider(mem_->freeAt(MemOp::Store));
     consider(fetchStalledUntil_);
+    for (const RobEntry *e : waitSet_)
+        if (e->memIssued)
+            consider(e->memDoneAt);
     for (const RobEntry *e : rob_) {
         consider(e->completeAt);
-        consider(e->memDoneAt);
         if (e->physDst >= 0 && e->dstCls != RegClass::None) {
             const PhysReg &p =
                 renamer_.file(e->dstCls).reg(e->physDst);

@@ -12,79 +12,62 @@ namespace oova
 namespace
 {
 
-// BEGIN config-key fields
-//
-// Every data member of LatencyTable / TlbConfig / MemConfig /
-// RefConfig / OooConfig that can influence a simulation result must
-// be serialized between these markers — scripts/lint_oova.py fails
-// the build when a member of those structs is missing here, so a new
-// knob can never silently alias store entries of runs that set it.
-// Deliberately excluded (observe-only, results unaffected):
-// checkLevel, pipeTracer (tracing jobs are made uncacheable instead).
-// Telemetry is keyed as the simulators apply it, OOVA_TELEMETRY
-// included, so a sampled result never serves an unsampled run.
-
-std::string
-latKey(const LatencyTable &lat)
+/**
+ * Writes the value of every keyed member the config walks name, in
+ * walk order, one after another. The walks fix the order and the
+ * count, so the values alone say which run a key stands for.
+ */
+class KeyWriter
 {
-    return csprintf("lat{%u,%u,%u}", lat.vectorStartup,
-                    lat.memLatency, lat.branchMispredict);
-}
+  public:
+    explicit KeyWriter(const char *prefix) : key_(prefix) {}
 
-std::string
-tlbKey(const TlbConfig &tlb)
-{
-    if (!tlb.enabled)
-        return "tlb{off}";
-    return csprintf("tlb{%u,%u,%u,%u,%d}", tlb.entries, tlb.pageBytes,
-                    tlb.associativity, tlb.missPenalty,
-                    static_cast<int>(tlb.refill));
-}
+    template <typename T>
+    void
+    field(const char *, const T &value, const ConfigField &f = {})
+    {
+        auto v = static_cast<uint64_t>(value);
+        if (f.key == ConfigField::Key::Telemetry)
+            v = v || telemetryForced();
+        key_ += std::to_string(v);
+        key_ += ',';
+    }
 
-std::string
-memKey(const MemConfig &mem)
-{
-    return csprintf(
-        "mem{%d,%u,%d,%u,%u,%u,%u,%u,%u,%u,%u,%s}",
-        static_cast<int>(mem.model), mem.memUnits,
-        static_cast<int>(mem.lsPolicy), mem.banks, mem.bankBusyCycles,
-        mem.interleaveBytes, mem.cacheBytes, mem.lineBytes,
-        mem.associativity, mem.mshrs, mem.cacheHitLatency,
-        tlbKey(mem.tlb).c_str());
-}
+    template <typename T>
+    void
+    unkeyed(const char *, const T &)
+    {
+    }
 
-// END config-key fields
+    template <typename C>
+    void
+    nest(const char *, const C &sub)
+    {
+        walkConfig(sub, *this);
+    }
+
+    std::string take() { return std::move(key_); }
+
+  private:
+    std::string key_;
+};
 
 } // namespace
 
 std::string
 sweepConfigKey(const RefConfig &cfg)
 {
-    // BEGIN config-key fields
-    return csprintf("REF/v3|%s|%d,%d,%d,%d|%s",
-                    latKey(cfg.lat).c_str(),
-                    static_cast<int>(cfg.modelPortConflicts),
-                    static_cast<int>(cfg.chainLoadsToFus),
-                    static_cast<int>(cfg.cpiStack),
-                    static_cast<int>(cfg.telemetry || telemetryForced()),
-                    memKey(cfg.mem).c_str());
-    // END config-key fields
+    KeyWriter key("REF/v4|");
+    walkConfig(cfg, key);
+    return key.take();
 }
 
 std::string
 sweepConfigKey(const OooConfig &cfg)
 {
-    // BEGIN config-key fields
-    return csprintf(
-        "OOO/v3|%s|%u,%u,%u|%d,%d,%d,%u,%d,%d|%s",
-        latKey(cfg.lat).c_str(), cfg.numPhysVRegs, cfg.queueSize,
-        cfg.commitWidth, static_cast<int>(cfg.commit),
-        static_cast<int>(cfg.loadElim),
-        static_cast<int>(cfg.chainLoadsToFus), cfg.trapPenalty,
-        static_cast<int>(cfg.cpiStack),
-        static_cast<int>(cfg.telemetry || telemetryForced()),
-        memKey(cfg.mem).c_str());
-    // END config-key fields
+    KeyWriter key("OOO/v4|");
+    walkConfig(cfg, key);
+    return key.take();
 }
 
 SweepJob

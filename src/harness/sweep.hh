@@ -61,11 +61,11 @@ struct SweepJob
 };
 
 /**
- * Canonical config-key strings: every field that can influence a
- * simulation result, enumerated explicitly (lint_oova.py checks the
- * enumeration stays complete as configs grow). checkLevel is
- * deliberately excluded — the invariant audit observes, it never
- * steers results.
+ * Canonical config-key strings: the value of every member the config
+ * walks (walkConfig(), next to each config struct) mark keyed, in
+ * walk order; lint_oova.py checks that the walks cover every member.
+ * checkLevel and pipeTracer are unkeyed: the invariant audit and the
+ * tracer observe, they never steer results.
  */
 std::string sweepConfigKey(const RefConfig &cfg);
 std::string sweepConfigKey(const OooConfig &cfg);

@@ -94,14 +94,6 @@ struct DynInst
      */
     std::pair<Addr, Addr> memRange() const;
 
-    /** True if two memory ranges overlap. */
-    static bool
-    rangesOverlap(const std::pair<Addr, Addr> &a,
-                  const std::pair<Addr, Addr> &b)
-    {
-        return a.first < b.second && b.first < a.second;
-    }
-
     /** Append a source operand. */
     void
     addSrc(RegId r)

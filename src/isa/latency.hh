@@ -14,6 +14,7 @@
 #ifndef OOVA_ISA_LATENCY_HH
 #define OOVA_ISA_LATENCY_HH
 
+#include "common/configwalk.hh"
 #include "isa/opcodes.hh"
 
 namespace oova
@@ -71,6 +72,16 @@ struct LatencyTable
         return t;
     }
 };
+
+/** Every LatencyTable member, named once (see common/configwalk.hh). */
+template <ConfigOf<LatencyTable> Lat, typename Visitor>
+void
+walkConfig(Lat &lat, Visitor &v)
+{
+    v.field("vectorStartup", lat.vectorStartup);
+    v.field("memLatency", lat.memLatency);
+    v.field("branchMispredict", lat.branchMispredict);
+}
 
 } // namespace oova
 

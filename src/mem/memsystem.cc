@@ -14,9 +14,6 @@ namespace oova
 namespace
 {
 
-/** Machine word size; the interleave/line unit of every model. */
-constexpr unsigned kWordBytes = 8;
-
 /** Element @p i of a strided stream, wrapping mod 2^64. */
 Addr
 elemAddr(Addr addr, int64_t stride, unsigned i)
@@ -350,19 +347,7 @@ class CachedMemory : public MemorySystem
           assoc_(std::max(cfg.associativity, 1u)),
           lineElems_(cfg.lineBytes / kWordBytes)
     {
-        // Refuse to round: 33000 bytes would model a 32 KiB cache
-        // under the same /c32k label. The line and set indices are a
-        // shift and a mask, so the set count must be a power of two.
-        uint64_t way_bytes = uint64_t{cfg.lineBytes} * assoc_;
-        if (cfg.cacheBytes % way_bytes != 0)
-            fatal("cache: %u bytes is not a whole number of %u-byte "
-                  "lines x %u ways",
-                  cfg.cacheBytes, cfg.lineBytes, assoc_);
-        auto sets = static_cast<unsigned>(cfg.cacheBytes / way_bytes);
-        if (!std::has_single_bit(sets))
-            fatal("cache: %u sets (%u bytes / %u-byte lines / %u "
-                  "ways) is not a power of two",
-                  sets, cfg.cacheBytes, cfg.lineBytes, assoc_);
+        unsigned sets = cfg.cacheBytes / (cfg.lineBytes * assoc_);
         setMask_ = sets - 1;
         ways_.assign(static_cast<size_t>(sets) * assoc_, Way{});
         mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
@@ -613,43 +598,101 @@ makeCachedMem(unsigned cache_bytes, unsigned mshrs)
     return cfg;
 }
 
-std::unique_ptr<MemorySystem>
-makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
+namespace
 {
-    if (cfg.memUnits == 0)
-        fatal("memory system needs >= 1 load/store unit");
+
+/**
+ * Applies the rule each walk states for a member. Nested structs are
+ * left to their own validate(), which the caller runs where it
+ * applies.
+ */
+struct RuleCheck
+{
+    template <typename T>
+    void
+    field(const char *, const T &value, const ConfigField &f = {})
+    {
+        auto v = static_cast<uint64_t>(value);
+        if (!f.holds(v))
+            fatal(f.what, static_cast<unsigned>(v), f.min);
+    }
+
+    template <typename T>
+    void
+    unkeyed(const char *, const T &)
+    {
+    }
+
+    template <typename C>
+    void
+    nest(const char *, const C &)
+    {
+    }
+};
+
+} // namespace
+
+void
+validate(const TlbConfig &cfg)
+{
+    if (cfg.entries == 0 || cfg.pageBytes == 0)
+        fatal("TLB needs >= 1 entry and a non-zero page size");
+    RuleCheck check;
+    walkConfig(cfg, check);
+    // Refuse to round: a 10-entry 4-way config would silently hold
+    // 8 translations while its /tNe label claimed 10.
+    unsigned ways = std::min(std::max(cfg.associativity, 1u), cfg.entries);
+    if (cfg.entries % ways != 0)
+        fatal("TLB: %u entries not divisible by %u ways", cfg.entries,
+              ways);
+}
+
+void
+validate(const MemConfig &cfg)
+{
     // The flat bus and the cache front are one unit each, as in the
     // paper's machines; only the banked model has a unit pool.
     if (cfg.memUnits > 1 && cfg.model != MemModel::Banked)
         fatal("%u load/store units need the banked memory model",
               cfg.memUnits);
+    RuleCheck check;
+    walkConfig(cfg, check);
+    if (cfg.model == MemModel::Cached) {
+        // Refuse to round: 33000 bytes would model a 32 KiB cache
+        // under the same /c32k label. The line and set indices are a
+        // shift and a mask, so the set count must be a power of two.
+        unsigned ways = std::max(cfg.associativity, 1u);
+        uint64_t way_bytes = uint64_t{cfg.lineBytes} * ways;
+        if (cfg.cacheBytes % way_bytes != 0)
+            fatal("cache: %u bytes is not a whole number of %u-byte "
+                  "lines x %u ways",
+                  cfg.cacheBytes, cfg.lineBytes, ways);
+        auto sets = static_cast<unsigned>(cfg.cacheBytes / way_bytes);
+        if (!std::has_single_bit(sets))
+            fatal("cache: %u sets (%u bytes / %u-byte lines / %u "
+                  "ways) is not a power of two",
+                  sets, cfg.cacheBytes, cfg.lineBytes, ways);
+    }
+    if (cfg.tlb.enabled)
+        validate(cfg.tlb);
+}
+
+std::unique_ptr<MemorySystem>
+makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
+{
+    validate(cfg);
     std::unique_ptr<MemorySystem> mem;
     switch (cfg.model) {
     case MemModel::FlatBus:
         mem = std::make_unique<FlatBus>(mem_latency);
         break;
     case MemModel::Banked:
-        // The bank index is a shift and a mask, not two divisions.
-        if (!std::has_single_bit(cfg.banks))
-            fatal("banked memory: %u banks is not a power of two",
-                  cfg.banks);
-        if (!std::has_single_bit(cfg.interleaveBytes))
-            fatal("banked memory: %u-byte interleave is not a power "
-                  "of two",
-                  cfg.interleaveBytes);
         mem = std::make_unique<BankedMemory>(cfg, mem_latency);
         break;
     case MemModel::Cached:
-        if (!std::has_single_bit(cfg.lineBytes) ||
-            cfg.lineBytes < kWordBytes)
-            fatal("cache line size %u is not a power of two of at "
-                  "least %u bytes",
-                  cfg.lineBytes, kWordBytes);
         mem = std::make_unique<CachedMemory>(cfg, mem_latency);
         break;
     }
-    if (!mem)
-        panic("unknown memory model %d", static_cast<int>(cfg.model));
     if (cfg.tlb.enabled)
         mem->tlb_.emplace(cfg.tlb);
     return mem;

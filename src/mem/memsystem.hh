@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "common/configwalk.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/tlb.hh"
@@ -58,6 +59,9 @@ namespace oova
 {
 
 struct SimResult;
+
+/** Machine word size; the interleave/line unit of every model. */
+constexpr unsigned kWordBytes = 8;
 
 /** Which concrete memory model to instantiate. */
 enum class MemModel : uint8_t
@@ -148,6 +152,58 @@ struct MemConfig
      */
     std::string label() const;
 };
+
+/**
+ * Every MemConfig member, named once (see common/configwalk.hh). Bank
+ * and line indices are shifts and masks, so the geometry a model
+ * reads must be a power of two; validate() adds the rules that span
+ * members.
+ */
+template <ConfigOf<MemConfig> Cfg, typename Visitor>
+void
+walkConfig(Cfg &m, Visitor &v)
+{
+    const bool banked = m.model == MemModel::Banked;
+    const bool cached = m.model == MemModel::Cached;
+    v.field("model", m.model,
+            {.max = static_cast<unsigned>(MemModel::Cached),
+             .what = "unknown memory model %u"});
+    v.field("memUnits", m.memUnits,
+            {.min = 1, .what = "memory system needs >= 1 load/store unit"});
+    v.field("lsPolicy", m.lsPolicy);
+    v.field("banks", m.banks,
+            {.pow2 = true, .applies = banked,
+             .what = "banked memory: %u banks is not a power of two"});
+    v.field("bankBusyCycles", m.bankBusyCycles);
+    v.field("interleaveBytes", m.interleaveBytes,
+            {.pow2 = true, .applies = banked,
+             .what = "banked memory: %u-byte interleave is not a power "
+                     "of two"});
+    v.field("cacheBytes", m.cacheBytes);
+    v.field("lineBytes", m.lineBytes,
+            {.min = kWordBytes, .pow2 = true, .applies = cached,
+             .what = "cache line size %u is not a power of two of at "
+                     "least %u bytes"});
+    v.field("associativity", m.associativity);
+    v.field("mshrs", m.mshrs);
+    v.field("cacheHitLatency", m.cacheHitLatency);
+    v.nest("tlb", m.tlb);
+}
+
+/**
+ * Stop with fatal() unless a TLB can be built from @p cfg: it has
+ * entries and a page size, keeps the rules of its walk, and its ways
+ * divide its entries.
+ */
+void validate(const TlbConfig &cfg);
+
+/**
+ * Stop with fatal() unless makeMemorySystem() can build @p cfg: only
+ * the banked model takes several load/store units, then the rules of
+ * the walk, then a cache's capacity is exactly line x ways x a
+ * power-of-two set count, and the TLB, if enabled, is valid.
+ */
+void validate(const MemConfig &cfg);
 
 /** Convenience builder for a banked configuration. */
 MemConfig makeBankedMem(unsigned banks, unsigned bank_busy_cycles = 4);

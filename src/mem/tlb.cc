@@ -28,18 +28,9 @@ TlbConfig::label() const
 
 Tlb::Tlb(const TlbConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.entries == 0 || cfg_.pageBytes == 0)
-        fatal("TLB needs >= 1 entry and a non-zero page size");
-    // pageOf() runs once per gather element: a shift, not a divide.
-    if (!std::has_single_bit(cfg_.pageBytes))
-        fatal("TLB page size %u is not a power of two", cfg_.pageBytes);
+    validate(cfg_);
     pageShift_ = static_cast<unsigned>(std::countr_zero(cfg_.pageBytes));
     assoc_ = std::min(std::max(cfg_.associativity, 1u), cfg_.entries);
-    // Refuse to round: a 10-entry 4-way config would silently hold
-    // 8 translations while its /tNe label claimed 10.
-    if (cfg_.entries % assoc_ != 0)
-        fatal("TLB: %u entries not divisible by %u ways", cfg_.entries,
-              assoc_);
     sets_ = cfg_.entries / assoc_;
     ways_.assign(cfg_.entries, Entry{});
 }

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/configwalk.hh"
 #include "common/types.hh"
 
 namespace oova
@@ -104,7 +105,7 @@ struct TlbConfig
 
     /** Translation entries. */
     unsigned entries = 64;
-    /** Page size in bytes (a power of two; others are rejected). */
+    /** Page size in bytes (a power of two). */
     unsigned pageBytes = 4096;
     /** Ways per set (>= entries means fully associative). */
     unsigned associativity = 4;
@@ -121,6 +122,25 @@ struct TlbConfig
      */
     std::string label() const;
 };
+
+/**
+ * Every TlbConfig member, named once (see common/configwalk.hh). The
+ * rules hold wherever a TLB is built; validate() adds the two that
+ * span members.
+ */
+template <ConfigOf<TlbConfig> Cfg, typename Visitor>
+void
+walkConfig(Cfg &t, Visitor &v)
+{
+    v.field("enabled", t.enabled);
+    v.field("entries", t.entries);
+    // pageOf() runs once per gather element: a shift, not a divide.
+    v.field("pageBytes", t.pageBytes,
+            {.pow2 = true, .what = "TLB page size %u is not a power of two"});
+    v.field("associativity", t.associativity);
+    v.field("missPenalty", t.missPenalty);
+    v.field("refill", t.refill);
+}
 
 /**
  * The TLB proper: one set-associative translation array with LRU

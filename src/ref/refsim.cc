@@ -509,13 +509,20 @@ RefMachine::run()
 
 } // namespace
 
-SimResult
-simulateRef(const Trace &trace, const RefConfig &cfg)
+void
+validate(const RefConfig &cfg)
 {
     // The C3400 drives one memory unit; only the OOOVA's banked
     // studies add more.
     if (cfg.mem.memUnits > 1)
         fatal("REF drives one memory unit, not %u", cfg.mem.memUnits);
+    validate(cfg.mem);
+}
+
+SimResult
+simulateRef(const Trace &trace, const RefConfig &cfg)
+{
+    validate(cfg);
     RefMachine machine(trace, cfg);
     return machine.run();
 }

@@ -86,6 +86,26 @@ struct RefConfig
     MemConfig mem;
 };
 
+/** Every RefConfig member, named once (see common/configwalk.hh). */
+template <ConfigOf<RefConfig> Cfg, typename Visitor>
+void
+walkConfig(Cfg &c, Visitor &v)
+{
+    v.nest("lat", c.lat);
+    v.field("modelPortConflicts", c.modelPortConflicts);
+    v.field("chainLoadsToFus", c.chainLoadsToFus);
+    v.unkeyed("checkLevel", c.checkLevel);
+    v.field("cpiStack", c.cpiStack);
+    v.field("telemetry", c.telemetry, {.key = ConfigField::Key::Telemetry});
+    v.nest("mem", c.mem);
+}
+
+/**
+ * Stop with fatal() unless the reference machine can run @p cfg: it
+ * drives one memory unit, and its memory system must be valid.
+ */
+void validate(const RefConfig &cfg);
+
 /** Run @p trace through the reference machine. */
 SimResult simulateRef(const Trace &trace, const RefConfig &cfg = {});
 

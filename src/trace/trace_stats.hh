@@ -37,12 +37,6 @@ struct TraceStats
 
     uint64_t branches = 0;
 
-    uint64_t
-    totalInsts() const
-    {
-        return scalarInsts + vectorInsts;
-    }
-
     /**
      * Percentage of vectorization as defined under Table 2: vector
      * operations over (scalar instructions + vector operations).

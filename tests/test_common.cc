@@ -91,7 +91,6 @@ TEST(IntervalRecorder, EmptyHasNoBusyCycles)
 {
     IntervalRecorder rec;
     EXPECT_EQ(rec.busyCycles(), 0u);
-    EXPECT_EQ(rec.lastEnd(), 0u);
     EXPECT_EQ(rec.count(), 0u);
 }
 
@@ -100,7 +99,7 @@ TEST(IntervalRecorder, SingleInterval)
     IntervalRecorder rec;
     rec.add(10, 20);
     EXPECT_EQ(rec.busyCycles(), 10u);
-    EXPECT_EQ(rec.lastEnd(), 20u);
+    EXPECT_EQ(rec.intervals().back().second, 20u);
 }
 
 TEST(IntervalRecorder, ZeroLengthIgnored)

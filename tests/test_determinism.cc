@@ -204,6 +204,29 @@ TEST(Calendar, FarEventsAndWheelWrapsMatchTheRescan)
 }
 
 /**
+ * Under early commit a store leaves the ROB while its address phase
+ * still runs. With two memory units the units' free times no longer
+ * cover that phase's end, so only the store's own event wakes a
+ * younger conflicting access: nasa7 on two banked units once found
+ * the calendar empty with a gather at the ROB head and died on the
+ * deadlock diagnostic. The full audit also compares the calendar
+ * with the rescan at every idle jump.
+ */
+TEST(Calendar, RetiredStoresWakeConflictingAccessesOnTwoUnits)
+{
+    check::resetProcessViolations();
+    GenOptions opts;
+    opts.scale = 0.1;
+    Trace t = makeBenchmarkTrace("nasa7", opts);
+    OooConfig cfg = makeMultiUnitOooConfig(8, 2);
+    cfg.checkLevel = 2;
+    SimResult r = simulateOoo(t, cfg);
+    EXPECT_EQ(r.instructions, t.size());
+    EXPECT_EQ(check::processViolationCount(), 0u);
+    check::resetProcessViolations();
+}
+
+/**
  * ROB entry slots are recycled once an entry has left the ROB, the
  * memory wait set and the eliminated-load list; the full audit's
  * slab-slots checker flags a slot freed twice, freed while still

@@ -144,15 +144,6 @@ TEST(Instruction, GatherUsesRegion)
     EXPECT_TRUE(g.isIndexedMem());
 }
 
-TEST(Instruction, RangesOverlap)
-{
-    using P = std::pair<Addr, Addr>;
-    EXPECT_TRUE(DynInst::rangesOverlap(P{0, 10}, P{5, 15}));
-    EXPECT_TRUE(DynInst::rangesOverlap(P{5, 15}, P{0, 10}));
-    EXPECT_FALSE(DynInst::rangesOverlap(P{0, 10}, P{10, 20}));
-    EXPECT_TRUE(DynInst::rangesOverlap(P{0, 100}, P{50, 51}));
-}
-
 TEST(Instruction, BuildersSetOperands)
 {
     DynInst add = makeVArith(Opcode::VAdd, vReg(2), vReg(0), vReg(1),

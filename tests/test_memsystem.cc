@@ -784,6 +784,28 @@ TEST(MemGeometryDeathTest, CacheCapacityIsNeverRoundedDown)
                 "40000 bytes is not a whole number");
 }
 
+TEST(MemGeometryDeathTest, ValidateHoldsTheUnitModelAndTlbRules)
+{
+    // The rules no other death test breaks, each alone.
+    MemConfig no_units;
+    no_units.memUnits = 0;
+    EXPECT_EXIT(validate(no_units), ::testing::ExitedWithCode(1),
+                "memory system needs >= 1 load/store unit");
+    MemConfig bad_model;
+    bad_model.model = static_cast<MemModel>(3);
+    EXPECT_EXIT(validate(bad_model), ::testing::ExitedWithCode(1),
+                "unknown memory model 3");
+    MemConfig no_pages;
+    no_pages.tlb = makeTlb(64, 0);
+    EXPECT_EXIT(validate(no_pages), ::testing::ExitedWithCode(1),
+                "TLB needs >= 1 entry and a non-zero page size");
+    // Rounded down to whole sets, 10 entries in 4 ways would hold 8.
+    MemConfig odd_ways;
+    odd_ways.tlb = makeTlb(10);
+    EXPECT_EXIT(validate(odd_ways), ::testing::ExitedWithCode(1),
+                "TLB: 10 entries not divisible by 4 ways");
+}
+
 TEST(MemGeometry, ExactCapacityHoldsEveryLineOnASecondPass)
 {
     // Ways need not be a power of two: 3 ways x 128 sets x 64 bytes.

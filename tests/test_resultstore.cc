@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <system_error>
 #include <thread>
@@ -21,6 +22,7 @@
 
 #include "common/logging.hh"
 #include "common/pipetrace.hh"
+#include "common/stats.hh"
 #include "harness/backend.hh"
 #include "harness/experiment.hh"
 #include "harness/resultstore.hh"
@@ -272,32 +274,112 @@ TEST(ResultStoreKey, StableAndSensitive)
     EXPECT_NE(base, ResultStore::makeKey(0x1234, "OOO/v1|x", 0.5));
 }
 
+namespace
+{
+
+/**
+ * A config-walk visitor that changes the member at walk position
+ * @c target (counting every member, nested ones included): a bool
+ * flips, a number or enum steps up by one, a null tracer gets one.
+ */
+struct PerturbOne
+{
+    explicit PerturbOne(size_t t) : target(t) {}
+
+    size_t target;
+    size_t seen = 0;
+    std::string name;
+    bool keyed = false;
+    bool telemetry = false;
+
+    template <typename T>
+    void
+    field(const char *n, T &member, const ConfigField &f = {})
+    {
+        if (seen++ != target)
+            return;
+        name = n;
+        keyed = true;
+        telemetry = f.key == ConfigField::Key::Telemetry;
+        bump(member);
+    }
+
+    template <typename T>
+    void
+    unkeyed(const char *n, T &member)
+    {
+        if (seen++ != target)
+            return;
+        name = n;
+        bump(member);
+    }
+
+    template <typename C>
+    void
+    nest(const char *, C &sub)
+    {
+        walkConfig(sub, *this);
+    }
+
+    template <typename T>
+    static void
+    bump(T &m)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            m = !m;
+        } else if constexpr (std::is_same_v<T, PipeTracer *>) {
+            static PipeTracer tracer(16);
+            m = &tracer;
+        } else if constexpr (std::is_enum_v<T>) {
+            m = static_cast<T>(static_cast<int>(m) + 1);
+        } else {
+            m = m + 1;
+        }
+    }
+};
+
+/**
+ * Perturb each member of @p base in turn: the key must move exactly
+ * for the keyed ones (telemetry stays put while OOVA_TELEMETRY forces
+ * it on either way). Adds every key to @p keys; returns how many
+ * members the walk named.
+ */
+template <typename Cfg>
+size_t
+perturbEachMember(const Cfg &base, std::set<std::string> &keys)
+{
+    const std::string base_key = sweepConfigKey(base);
+    keys.insert(base_key);
+    for (size_t i = 0;; ++i) {
+        Cfg cfg = base;
+        PerturbOne p(i);
+        walkConfig(cfg, p);
+        if (p.seen <= i)
+            return i;
+        bool moves = p.keyed && !(p.telemetry && telemetryForced());
+        std::string key = sweepConfigKey(cfg);
+        EXPECT_EQ(key != base_key, moves) << p.name;
+        keys.insert(key);
+    }
+}
+
+} // namespace
+
 TEST(ResultStoreKey, ConfigKeyCoversResultAffectingKnobs)
 {
-    OooConfig a = makeOooConfig();
-    OooConfig b = makeOooConfig();
-    EXPECT_EQ(sweepConfigKey(a), sweepConfigKey(b));
+    // Every keyed member moves the key; checkLevel and pipeTracer do
+    // not. Forcing the audit on is how the determinism suite proves
+    // results unchanged, so it shares entries with audit-off runs.
+    std::set<std::string> ooo, ref;
+    EXPECT_EQ(perturbEachMember(makeOooConfig(), ooo), 31u);
+    EXPECT_EQ(perturbEachMember(makeRefConfig(50), ref), 25u);
+    OooConfig tlb = makeOooConfig();
+    tlb.mem.tlb = makeTlb(64);
+    perturbEachMember(tlb, ooo);
 
-    // Knobs that change results must change the key...
-    b.cpiStack = true;
-    EXPECT_NE(sweepConfigKey(a), sweepConfigKey(b));
-    b = makeOooConfig();
-    b.lat.memLatency = 51;
-    EXPECT_NE(sweepConfigKey(a), sweepConfigKey(b));
-    b = makeOooConfig();
-    b.mem.tlb = makeTlb(64);
-    EXPECT_NE(sweepConfigKey(a), sweepConfigKey(b));
-
-    // ...while the observe-only audit level must not: forcing the
-    // audit on is exactly how the determinism suite proves results
-    // are unchanged, so it shares the cache line with audit-off runs.
-    b = makeOooConfig();
-    b.checkLevel = 2;
-    EXPECT_EQ(sweepConfigKey(a), sweepConfigKey(b));
-
-    // REF and OOOVA keys can never collide.
-    EXPECT_NE(sweepConfigKey(RefConfig{}),
-              sweepConfigKey(OooConfig{}));
+    // REF and OOOVA keys never collide.
+    for (const std::string &key : ref)
+        EXPECT_EQ(ooo.count(key), 0u) << key;
 }
 
 TEST(ResultStoreKey, PipeTracedJobsAreUncacheable)
