@@ -1,5 +1,6 @@
 #include "check/check.hh"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -47,10 +48,12 @@ parseLevel(const char *text)
 } // namespace
 
 CheckLevel
-levelFromEnv()
+levelFor(int config_level)
 {
-    static const CheckLevel level = parseLevel(getenv("OOVA_CHECK"));
-    return level;
+    if (config_level >= 0)
+        return static_cast<CheckLevel>(std::min(config_level, 2));
+    static const CheckLevel env = parseLevel(getenv("OOVA_CHECK"));
+    return env;
 }
 
 const char *
@@ -79,28 +82,12 @@ Reporter::fail(const char *fmt, ...)
 }
 
 void
-Registry::add(std::string id, uint8_t sites, CheckFn fn)
-{
-    checkers_.push_back({std::move(id), sites, std::move(fn)});
-}
-
-void
-Registry::runSite(Site site, Cycle now)
-{
-    for (auto &c : checkers_) {
-        if (!(c.sites & site))
-            continue;
-        Reporter r(*this, c.id.c_str(), now);
-        c.fn(r);
-    }
-}
-
-void
 Registry::record(const char *checker, Cycle now, std::string detail)
 {
     ++violationCount_;
     processViolations.fetch_add(1, std::memory_order_relaxed);
-    if (violations_.size() < kMaxStored)
+    bool stored = violations_.size() < kMaxStored;
+    if (stored)
         violations_.push_back({now, checker, detail});
 
     // Print immediately: if the broken invariant later crashes the
@@ -111,7 +98,7 @@ Registry::record(const char *checker, Cycle now, std::string detail)
             "OOVA-CHECK VIOLATION cycle=%llu checker=%s detail=%s\n",
             static_cast<unsigned long long>(now), checker,
             detail.c_str());
-    if (violations_.size() == kMaxStored) {
+    if (stored && violations_.size() == kMaxStored) {
         fprintf(stderr,
                 "OOVA-CHECK note: %zu violations stored; further "
                 "ones are counted but not recorded\n",

@@ -1,7 +1,8 @@
 /**
  * @file
- * The invariant-audit framework: a registry of named checkers that
- * observe simulator state and report structural violations.
+ * The invariant-audit framework: named checkers that observe
+ * simulator state and report structural violations to a per-run
+ * Registry.
  *
  * The event-driven hot path (intrusive wakeup lists, the timing-wheel
  * event calendar, slab/sliding-queue storage, TLB accounting) is
@@ -10,10 +11,13 @@
  * subscription refcounts mirror the live ROB, no state transition
  * fires earlier than the calendar minimum. Debug asserts cover a few
  * of those laws; this subsystem makes the whole set checkable in
- * every build type, gem5-checker style: checkers are registered
- * against live simulator state and run at configurable granularity.
+ * every build type, gem5-checker style. Each simulator calls its
+ * checkers (the free functions of checkers.hh) directly at the points
+ * its audit level selects, handing each one a Reporter named after
+ * the checker; the Registry only collects what they report.
  *
- * Levels (OOVA_CHECK environment variable, or OooConfig::checkLevel):
+ * Levels (OOVA_CHECK environment variable, or a config's checkLevel;
+ * see levelFor()):
  *
  *   0 (Off)    no checkers run; zero overhead beyond one branch.
  *   1 (Retire) cheap per-retire checks plus a full end-of-run audit.
@@ -33,7 +37,6 @@
 #define OOVA_CHECK_CHECK_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -51,33 +54,17 @@ enum class CheckLevel : uint8_t
 };
 
 /**
- * Audit level from the OOVA_CHECK environment variable (parsed once
- * per process): 0, 1 or 2. Unset means Off; anything else warns and
- * falls back to Off.
+ * The level a machine audits at: @p config_level (a config's
+ * checkLevel) when it is 0 or more, capped at Full. A negative one
+ * inherits OOVA_CHECK (parsed once per process): 0, 1 or 2; unset
+ * means Off, and anything else warns and falls back to Off.
  */
-CheckLevel levelFromEnv();
+CheckLevel levelFor(int config_level);
 
 /** Human-readable level name ("off", "retire", "full"). */
 const char *levelName(CheckLevel level);
 
-/**
- * The sites a checker can be invoked from, as a bitmask. The
- * simulator decides which sites fire at which level; a checker
- * declares where it is meaningful (and affordable).
- */
-enum Site : uint8_t
-{
-    /** After a cycle that retired at least one instruction. */
-    kSiteRetire = 1u << 0,
-    /** Every kAuditWindow simulated cycles (whole-state sweeps). */
-    kSiteWindow = 1u << 1,
-    /** Hot, targeted sites: idle jumps, memory reserves. */
-    kSiteEvent = 1u << 2,
-    /** Once when the simulation finishes (every level above Off). */
-    kSiteEnd = 1u << 3,
-};
-
-/** Cycle spacing of the kSiteWindow sweeps at level Full. */
+/** Cycle spacing of the whole-state sweeps at level Full. */
 constexpr Cycle kAuditWindow = 256;
 
 /** One recorded invariant violation. */
@@ -92,7 +79,7 @@ class Registry;
 
 /**
  * Handed to a checker while it runs; fail() records one violation
- * against the checker's id at the current audit cycle.
+ * against the checker's id at the audit cycle it was made for.
  */
 class Reporter
 {
@@ -116,27 +103,17 @@ class Reporter
 };
 
 /**
- * One simulation's set of registered checkers. Owned by the machine
- * being audited; not thread-safe (each sweep job owns its machine
- * and its registry), but violation reporting aggregates into a
- * thread-safe process tally.
+ * One simulation's violation sink. Owned by the machine being
+ * audited; not thread-safe (each sweep job owns its machine and its
+ * registry), but violation reporting aggregates into a thread-safe
+ * process tally.
  */
 class Registry
 {
   public:
-    using CheckFn = std::function<void(Reporter &)>;
-
-    /** Register a checker for the sites in @p sites. */
-    void add(std::string id, uint8_t sites, CheckFn fn);
-
-    /** Run every checker registered for @p site. */
-    void runSite(Site site, Cycle now);
-
     /**
-     * A reporter for inline push-style checks (sites too hot or too
-     * value-laden for a pull-based checker, e.g. validating each
-     * MemAccess as reserve returns it). @p checker must outlive the
-     * reporter (string literals do).
+     * A reporter for one run of checker @p checker at cycle @p now.
+     * @p checker must outlive the reporter (string literals do).
      */
     Reporter
     reporter(const char *checker, Cycle now)
@@ -165,14 +142,6 @@ class Registry
     friend class Reporter;
     void record(const char *checker, Cycle now, std::string detail);
 
-    struct Checker
-    {
-        std::string id;
-        uint8_t sites;
-        CheckFn fn;
-    };
-
-    std::vector<Checker> checkers_;
     std::vector<Violation> violations_;
     uint64_t violationCount_ = 0;
 };

@@ -310,9 +310,21 @@ checkCpiConservation(
     Cycle cycles, const std::array<uint64_t, kNumCpiBuckets> &buckets,
     Reporter &r)
 {
+    // A charge that went backwards wraps its bucket past the run's
+    // length, and the wrapping sum alone could still come out right.
     uint64_t sum = 0;
-    for (uint64_t b : buckets)
-        sum += b;
+    unsigned over = kNumCpiBuckets;
+    for (unsigned b = 0; b < kNumCpiBuckets; ++b) {
+        sum += buckets[b];
+        if (buckets[b] > cycles && over == kNumCpiBuckets)
+            over = b;
+    }
+    if (over < kNumCpiBuckets) {
+        r.fail("CPI bucket %s holds %llu cycles, run took %llu",
+               cpiBucketName(static_cast<CpiBucket>(over)),
+               static_cast<unsigned long long>(buckets[over]),
+               static_cast<unsigned long long>(cycles));
+    }
     if (sum != cycles) {
         r.fail("CPI stack sums to %llu, run took %llu cycles "
                "(%s by %lld)",

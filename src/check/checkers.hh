@@ -4,10 +4,10 @@
  * over plain data views.
  *
  * The OOOVA's internal state lives inside its translation unit, so
- * the simulator registers thin lambdas that snapshot the relevant
- * state (register files, expected reference counts recomputed from
- * the live ROB, queue age sequences, memory statistics) into the
- * view structures here and delegate the actual judgement to these
+ * the simulator's audit functions snapshot the relevant state
+ * (register files, expected reference counts recomputed from the
+ * live ROB, queue age sequences, memory statistics) into the view
+ * structures here and delegate the actual judgement to these
  * functions. That split is what makes the audit testable: the unit
  * tests build corrupted views directly and assert that each checker
  * family reports the injected violation.
@@ -156,7 +156,8 @@ void checkTlbSoundness(const TlbAuditView &v, Reporter &r);
  * CPI-stack conservation: with cycle accounting enabled, every cycle
  * of the run is charged to exactly one bucket, so the buckets must
  * sum exactly to @p cycles — an attribution gap or double charge is
- * an accounting bug, not a rounding error.
+ * an accounting bug, not a rounding error — and no one bucket may
+ * hold more than @p cycles (a negative charge wraps it there).
  */
 void checkCpiConservation(
     Cycle cycles,

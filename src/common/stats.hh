@@ -230,9 +230,7 @@ struct StatTimeSeries
  * sampled value is the number of intervals covering it (intervals
  * are clipped to the range). Charges exactly @p total weight into
  * each sink, which is what the occupancy-conservation checker
- * verifies. This is how per-unit memory busy is sampled on both
- * machines — REF has no cycle loop to hook, so both derive it from
- * the same busy()-interval sweep at end of run.
+ * verifies. RunLedger::finish() samples mem-units this way.
  */
 void accumulateIntervalDepth(const IntervalRecorder &rec, Cycle total,
                              StatDistribution &dist,

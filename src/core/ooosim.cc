@@ -13,6 +13,7 @@
 #include "core/btb.hh"
 #include "core/renamer.hh"
 #include "mem/memsystem.hh"
+#include "mem/runledger.hh"
 
 namespace oova
 {
@@ -168,29 +169,25 @@ class OooMachine
     {
         pipeStage_.fill(nullptr);
         wheel_.fill(kNoNode);
-        check::CheckLevel lvl =
-            cfg.checkLevel >= 0
-                ? static_cast<check::CheckLevel>(
-                      std::min(cfg.checkLevel, 2))
-                : check::levelFromEnv();
+        check::CheckLevel lvl = check::levelFor(cfg.checkLevel);
         checkRetire_ = lvl >= check::CheckLevel::Retire;
         checkFull_ = lvl >= check::CheckLevel::Full;
-        if (telemetry_) {
-            auto cap = [this](OccStruct s, uint64_t capacity) {
-                occ_[static_cast<size_t>(s)].setCapacity(capacity);
-            };
-            cap(OccStruct::Rob, kRobSize);
-            cap(OccStruct::AQueue, cfg.queueSize);
-            cap(OccStruct::SQueue, cfg.queueSize);
-            cap(OccStruct::VQueue, cfg.queueSize);
-            cap(OccStruct::FreeVRegs, cfg.numPhysVRegs);
-            cap(OccStruct::Mshrs, cfg.mem.mshrs);
-            cap(OccStruct::MemUnits, cfg.mem.memUnits);
-            cap(OccStruct::TlbPages,
-                cfg.mem.tlb.enabled ? cfg.mem.tlb.entries : 1);
+        if (checkRetire_) {
+            for (unsigned c = 0; c < kNumRegClasses; ++c) {
+                orphanedClaims_[c].assign(
+                    renamer_.file(static_cast<RegClass>(c)).size(), 0);
+            }
         }
-        if (checkRetire_)
-            registerAuditCheckers();
+        ledger_.setCapacity(OccStruct::Rob, kRobSize);
+        ledger_.setCapacity(OccStruct::AQueue, cfg.queueSize);
+        ledger_.setCapacity(OccStruct::SQueue, cfg.queueSize);
+        ledger_.setCapacity(OccStruct::VQueue, cfg.queueSize);
+        ledger_.setCapacity(OccStruct::FreeVRegs, cfg.numPhysVRegs);
+        ledger_.setCapacity(OccStruct::Mshrs, cfg.mem.mshrs);
+        ledger_.setCapacity(OccStruct::MemUnits, cfg.mem.memUnits);
+        ledger_.setCapacity(OccStruct::TlbPages,
+                            cfg.mem.tlb.enabled ? cfg.mem.tlb.entries
+                                                : 1);
     }
 
     SimResult run();
@@ -236,7 +233,10 @@ class OooMachine
     void sampleOccupancy(uint64_t weight);
 
     // ---- invariant audit (src/check/, observe-only) ----
-    void registerAuditCheckers();
+    /** Every whole-state checker, in report order. */
+    void auditState(Cycle now);
+    /** rob-age: every in-flight queue is in program order. */
+    void auditAges(Cycle now);
     check::RegFileAudit auditRegFile(RegClass cls) const;
     std::vector<int64_t> expectedRefCounts(RegClass cls) const;
     void expectedSubscriptions(RegClass cls,
@@ -553,9 +553,9 @@ class OooMachine
     SeqNum redirectSeq_ = kNoSeq;  ///< branch fetch is stalled on
     SeqNum lastTlbTrapSeq_ = kNoSeq; ///< last TLB software-refill trap
 
-    // ---- observability (observe-only; see cfg.cpiStack) ----
-    /** Cycle accounting: every cycle charged to one bucket. */
-    std::array<uint64_t, kNumCpiBuckets> cpi_{};
+    // ---- observability (observe-only) ----
+    /** FU busy, CPI stack and occupancy, charged at each advance. */
+    RunLedger ledger_{cfg_.cpiStack, cfg_.telemetry};
     /**
      * Shadow of the last trap's fetch stall window: while an empty
      * machine is refilling after a trap, the wait is trap handling,
@@ -565,20 +565,8 @@ class OooMachine
     Cycle trapStallUntil_ = 0;
     /** Instruction-lifecycle tracer (null = off). */
     PipeTracer *tracer_ = cfg_.pipeTracer;
-    /**
-     * Occupancy telemetry (observe-only; cfg.telemetry or
-     * OOVA_TELEMETRY=1): one distribution + time series per
-     * OccStruct, sampled at every event-calendar advance with the
-     * same bulk-charge discipline as the CPI stack. MemUnits is the
-     * exception: it is derived from the busy-interval sweep at end
-     * of run, identically on both machines.
-     */
-    bool telemetry_ = cfg_.telemetry || telemetryForced();
-    std::array<StatDistribution, kNumOccStructs> occ_{};
-    std::array<StatTimeSeries, kNumOccStructs> occTs_{};
 
     Cycle fu1Free_ = 0, fu2Free_ = 0;
-    IntervalRecorder fu1Rec_, fu2Rec_;
 
     Cycle now_ = 0;
     Cycle endCycle_ = 0;
@@ -590,7 +578,7 @@ class OooMachine
     /** Level Full: adds per-event checks and periodic sweeps. */
     bool checkFull_ = false;
     check::Registry audit_;
-    /** Next kSiteWindow sweep cycle (level Full). */
+    /** Next whole-state sweep cycle (level Full). */
     Cycle nextAuditAt_ = 0;
     /** Previous mem-stats snapshot for the monotonicity audit. */
     MemStats prevMemStats_;
@@ -1309,13 +1297,12 @@ OooMachine::executeVector(RobEntry *e)
     Cycle busy_until = now_ + lat_.vectorStartup + di.vl;
     if (fu == 1) {
         fu1Free_ = busy_until;
-        fu1Rec_.add(now_, busy_until);
         pushEvent(busy_until, EvFu1);
     } else {
         fu2Free_ = busy_until;
-        fu2Rec_.add(now_, busy_until);
         pushEvent(busy_until, EvFu2);
     }
+    ledger_.fuBusy(fu, now_, busy_until);
     occupyVectorReadPorts(*e, busy_until);
 
     e->started = true;
@@ -2121,30 +2108,25 @@ OooMachine::expectedSubscriptions(RegClass cls,
 }
 
 void
-OooMachine::registerAuditCheckers()
+OooMachine::auditState(Cycle now)
 {
     using check::RegAudit;
     using check::RegFileAudit;
-    using check::Reporter;
-    constexpr uint8_t kSweep = check::kSiteWindow | check::kSiteEnd;
-
-    for (unsigned c = 0; c < kNumRegClasses; ++c) {
-        orphanedClaims_[c].assign(
-            renamer_.file(static_cast<RegClass>(c)).size(), 0);
-    }
 
     // Every physical register is exactly one of free / mapped /
     // pending-free, and the free list structurally mirrors the
     // per-register flags.
-    audit_.add("preg-freelist", kSweep, [this](Reporter &r) {
+    {
+        check::Reporter r = audit_.reporter("preg-freelist", now);
         for (unsigned c = 0; c < kNumRegClasses; ++c)
-            checkFreeListStructure(
+            check::checkFreeListStructure(
                 auditRegFile(static_cast<RegClass>(c)), r);
-    });
+    }
 
     // Reference-count conservation: refCount equals the claims the
     // rest of the machine can account for.
-    audit_.add("preg-conservation", kSweep, [this](Reporter &r) {
+    {
+        check::Reporter r = audit_.reporter("preg-conservation", now);
         for (unsigned c = 0; c < kNumRegClasses; ++c) {
             RegClass cls = static_cast<RegClass>(c);
             RegFileAudit rf = auditRegFile(cls);
@@ -2152,10 +2134,10 @@ OooMachine::registerAuditCheckers()
             actual.reserve(rf.regs.size());
             for (const RegAudit &p : rf.regs)
                 actual.push_back(p.refCount);
-            checkCountsMatch("refCount", rf.cls, actual,
-                             expectedRefCounts(cls), r);
+            check::checkCountsMatch("refCount", rf.cls, actual,
+                                    expectedRefCounts(cls), r);
         }
-    });
+    }
 
     // Wakeup-subscription conservation, one checker per counter so a
     // violation names its family. wakeup-dst-refs is the dedicated
@@ -2163,63 +2145,39 @@ OooMachine::registerAuditCheckers()
     // renames the same destination again on retry and must drop the
     // prior robDstRefs subscription first — a missed drop surfaces
     // here as a count above the ground truth.
-    auto addSubChecker = [this](const char *id, const char *what,
-                                int kind) {
-        audit_.add(id, check::kSiteWindow | check::kSiteEnd,
-                   [this, what, kind](Reporter &r) {
-            for (unsigned c = 0; c < kNumRegClasses; ++c) {
-                RegClass cls = static_cast<RegClass>(c);
-                RegFileAudit rf = auditRegFile(cls);
-                std::vector<int64_t> src, dst, elim;
-                expectedSubscriptions(cls, src, dst, elim);
-                const std::vector<int64_t> &exp =
-                    kind == 0 ? src : kind == 1 ? dst : elim;
-                std::vector<int64_t> actual;
-                actual.reserve(rf.regs.size());
-                for (const RegAudit &p : rf.regs)
-                    actual.push_back(kind == 0   ? p.srcRefs
-                                     : kind == 1 ? p.dstRefs
-                                                 : p.elimRefs);
-                checkCountsMatch(what, rf.cls, actual, exp, r);
-            }
-        });
+    struct SubChecker
+    {
+        const char *id;
+        const char *what;
+        int64_t RegAudit::*count;
     };
-    addSubChecker("wakeup-src-refs", "robSrcRefs", 0);
-    addSubChecker("wakeup-dst-refs", "robDstRefs", 1);
-    addSubChecker("wakeup-elim-refs", "elimRefs", 2);
+    static constexpr SubChecker kSubCheckers[] = {
+        {"wakeup-src-refs", "robSrcRefs", &RegAudit::srcRefs},
+        {"wakeup-dst-refs", "robDstRefs", &RegAudit::dstRefs},
+        {"wakeup-elim-refs", "elimRefs", &RegAudit::elimRefs},
+    };
+    for (size_t k = 0; k < 3; ++k) {
+        check::Reporter r = audit_.reporter(kSubCheckers[k].id, now);
+        for (unsigned c = 0; c < kNumRegClasses; ++c) {
+            RegClass cls = static_cast<RegClass>(c);
+            RegFileAudit rf = auditRegFile(cls);
+            std::vector<int64_t> exp[3];
+            expectedSubscriptions(cls, exp[0], exp[1], exp[2]);
+            std::vector<int64_t> actual;
+            for (const RegAudit &p : rf.regs)
+                actual.push_back(p.*kSubCheckers[k].count);
+            check::checkCountsMatch(kSubCheckers[k].what, rf.cls,
+                                    actual, exp[k], r);
+        }
+    }
 
-    // Age monotonicity of every in-flight queue. Cheap enough to run
-    // at retire too (memory disambiguation depends on the wait set
-    // staying age-sorted).
-    audit_.add("rob-age",
-               check::kSiteRetire | check::kSiteWindow |
-                   check::kSiteEnd,
-               [this](Reporter &r) {
-        std::vector<SeqNum> seqs;
-        auto auditSeqs = [&](const char *what,
-                             const auto &container) {
-            seqs.clear();
-            for (const RobEntry *e : container)
-                seqs.push_back(e->seq);
-            check::checkAgeOrdered(what, seqs, r);
-        };
-        auditSeqs("rob", rob_);
-        auditSeqs("pipe-fifo", pipeFifo_);
-        auditSeqs("wait-set", waitSet_);
-        auditSeqs("a-queue", aQueue_);
-        auditSeqs("s-queue", sQueue_);
-        auditSeqs("v-queue", vQueue_);
-        auditSeqs("elim-wait", elimWait_);
-        seqs.clear();
-        for (const Fetched &fe : fetchBuffer_)
-            seqs.push_back(fe.seq);
-        check::checkAgeOrdered("fetch-buffer", seqs, r);
-    });
+    auditAges(now);
 
     // Memory-pipeline slot conservation: the structural counter the
     // dispatch gate trusts equals the occupants it can account for
     // (faulted entries keep their slot until the trap squash).
-    audit_.add("mem-slots", kSweep, [this](Reporter &r) {
+    {
+        check::Reporter r = audit_.reporter("mem-slots", now);
         uint64_t expected = pipeFifo_.size();
         for (const RobEntry *e : pipeStage_)
             if (e)
@@ -2229,13 +2187,14 @@ OooMachine::registerAuditCheckers()
                 ++expected;
         check::checkScalarMatch("memSlotsUsed", memSlotsUsed_,
                                 expected, r);
-    });
+    }
 
     // Slot recycling: no slot freed twice or while something still
     // reaches it (the ROB, issue queues, memory pipe, wait set,
     // eliminated-load list or a waiter list), none leaked, and all
     // of them free once the run is over.
-    audit_.add("slab-slots", kSweep, [this](Reporter &r) {
+    {
+        check::Reporter r = audit_.reporter("slab-slots", now);
         check::SlabAudit s;
         s.allocated = slab_.size();
         s.freeSlots = slab_.freeSlots();
@@ -2268,63 +2227,65 @@ OooMachine::registerAuditCheckers()
             }
         }
         check::checkSlabSlots(s, r);
-    });
+    }
 
     // Memory-system counter containment and monotonicity.
-    audit_.add("mem-stats", kSweep, [this](Reporter &r) {
+    {
+        check::Reporter r = audit_.reporter("mem-stats", now);
         const MemStats &s = mem_->stats();
         check::checkMemStatsBounds(s, r);
         check::checkMemStatsMonotone(prevMemStats_, s, r);
         prevMemStats_ = s;
-    });
+    }
 
     // TLB structural soundness (set indexing, LRU timestamps,
     // counter containment), when translation is enabled.
-    audit_.add("tlb-lru", kSweep, [this](Reporter &r) {
-        if (const Tlb *tlb = mem_->tlb())
-            check::checkTlbSoundness(tlb->auditView(), r);
-    });
-
-    // CPI-stack conservation: with cycle accounting on, the buckets
-    // must partition the run exactly (checked once the drain bucket
-    // has been settled at end of run).
-    if (cfg_.cpiStack) {
-        audit_.add("cpi-conservation", check::kSiteEnd,
-                   [this](Reporter &r) {
-            check::checkCpiConservation(endCycle_, cpi_, r);
-        });
+    if (const Tlb *tlb = mem_->tlb()) {
+        check::Reporter r = audit_.reporter("tlb-lru", now);
+        check::checkTlbSoundness(tlb->auditView(), r);
     }
+}
 
-    // Occupancy-telemetry conservation: every sampled structure gets
-    // exactly one weighted sample per cycle, so each non-empty
-    // distribution must hold endCycle_ samples once the drain charge
-    // has been settled at end of run.
-    if (telemetry_) {
-        audit_.add("occupancy-conservation", check::kSiteEnd,
-                   [this](Reporter &r) {
-            check::checkOccupancyConservation(endCycle_, occ_,
-                                              occTs_, r);
-        });
-    }
+void
+OooMachine::auditAges(Cycle now)
+{
+    // Age monotonicity of every in-flight queue. Cheap enough to run
+    // at retire too (memory disambiguation depends on the wait set
+    // staying age-sorted).
+    check::Reporter r = audit_.reporter("rob-age", now);
+    std::vector<SeqNum> seqs;
+    auto auditSeqs = [&](const char *what, const auto &container) {
+        seqs.clear();
+        for (const RobEntry *e : container)
+            seqs.push_back(e->seq);
+        check::checkAgeOrdered(what, seqs, r);
+    };
+    auditSeqs("rob", rob_);
+    auditSeqs("pipe-fifo", pipeFifo_);
+    auditSeqs("wait-set", waitSet_);
+    auditSeqs("a-queue", aQueue_);
+    auditSeqs("s-queue", sQueue_);
+    auditSeqs("v-queue", vQueue_);
+    auditSeqs("elim-wait", elimWait_);
+    seqs.clear();
+    for (const Fetched &fe : fetchBuffer_)
+        seqs.push_back(fe.seq);
+    check::checkAgeOrdered("fetch-buffer", seqs, r);
 }
 
 void
 OooMachine::sampleOccupancy(uint64_t weight)
 {
-    auto charge = [&](OccStruct s, uint64_t value) {
-        size_t i = static_cast<size_t>(s);
-        occ_[i].sample(value, weight);
-        occTs_[i].sample(value, weight);
-    };
-    charge(OccStruct::Rob, rob_.size());
-    charge(OccStruct::AQueue, aQueue_.size());
-    charge(OccStruct::SQueue, sQueue_.size());
-    charge(OccStruct::VQueue, vQueue_.size());
-    charge(OccStruct::FreeVRegs,
-           renamer_.file(RegClass::V).numFree());
-    charge(OccStruct::Mshrs, mem_->inFlightMshrs(now_));
+    ledger_.sample(OccStruct::Rob, rob_.size(), weight);
+    ledger_.sample(OccStruct::AQueue, aQueue_.size(), weight);
+    ledger_.sample(OccStruct::SQueue, sQueue_.size(), weight);
+    ledger_.sample(OccStruct::VQueue, vQueue_.size(), weight);
+    ledger_.sample(OccStruct::FreeVRegs,
+                   renamer_.file(RegClass::V).numFree(), weight);
+    ledger_.sample(OccStruct::Mshrs, mem_->inFlightMshrs(now_), weight);
     if (const Tlb *tlb = mem_->tlb())
-        charge(OccStruct::TlbPages, tlb->residentPages());
+        ledger_.sample(OccStruct::TlbPages, tlb->residentPages(),
+                       weight);
 }
 
 SimResult
@@ -2332,7 +2293,7 @@ OooMachine::run()
 {
     while (true) {
         if (checkFull_ && now_ >= nextAuditAt_) {
-            audit_.runSite(check::kSiteWindow, now_);
+            auditState(now_);
             nextAuditAt_ = now_ + check::kAuditWindow;
         }
         bool progress = false;
@@ -2340,7 +2301,7 @@ OooMachine::run()
         unsigned retired = commitStep();
         progress |= retired > 0;
         if (checkRetire_ && retired > 0)
-            audit_.runSite(check::kSiteRetire, now_);
+            auditAges(now_);
         resolveEliminated();
         cleanupWaitSet();
         // Each stage below is called only when its gate is open; a
@@ -2366,23 +2327,12 @@ OooMachine::run()
         if (drained())
             break;
 
-        if (progress) {
-            if (cfg_.cpiStack) {
-                // Charge exactly at the now_ advance: a trap squash
-                // dominates the cycle, a retirement makes it a
-                // committing cycle, anything else is charged to
-                // whatever blocks the ROB head.
-                CpiBucket b = traps_ > traps_before
-                                  ? CpiBucket::TlbTrap
-                                  : retired > 0 ? CpiBucket::Commit
-                                                : cpiWaitBucket();
-                ++cpi_[static_cast<unsigned>(b)];
-            }
-            if (telemetry_)
-                sampleOccupancy(1);
-            advanceTo(now_ + 1);
-        } else {
-            Cycle next = nextEventFromCalendar();
+        // Without progress nothing changes until the calendar's next
+        // event, so the cycles up to it are charged in bulk below:
+        // they share one blocker and see today's occupancies.
+        Cycle next = now_ + 1;
+        if (!progress) {
+            next = nextEventFromCalendar();
             if (checkFull_) {
                 // The incremental calendar must agree with the full
                 // rescan on every idle jump (a divergence would
@@ -2430,20 +2380,20 @@ OooMachine::run()
                       vQueue_.size(), aQueue_.size(), sQueue_.size(),
                       memSlotsUsed_, head.c_str());
             }
-            if (cfg_.cpiStack) {
-                // Every skipped cycle has the same blocker: nothing
-                // changes until the calendar's next event.
-                cpi_[static_cast<unsigned>(cpiWaitBucket())] +=
-                    next - now_;
-            }
-            if (telemetry_) {
-                // Same bulk-charge rule as the CPI stack: nothing
-                // changes until the calendar's next event, so every
-                // skipped cycle sees today's occupancies.
-                sampleOccupancy(next - now_);
-            }
-            advanceTo(next);
         }
+        if (ledger_.cpiStack()) {
+            // Charge exactly at the now_ advance: a trap squash
+            // dominates the cycle, a retirement makes it a
+            // committing cycle, anything else is charged to
+            // whatever blocks the ROB head.
+            CpiBucket b = traps_ > traps_before ? CpiBucket::TlbTrap
+                          : retired > 0         ? CpiBucket::Commit
+                                                : cpiWaitBucket();
+            ledger_.charge(b, next - now_);
+        }
+        if (ledger_.telemetry())
+            sampleOccupancy(next - now_);
+        advanceTo(next);
     }
     finish(now_);
     // Every address phase ends by endCycle_, so the wait set's
@@ -2453,42 +2403,20 @@ OooMachine::run()
         releaseIfDone(*e);
     }
     waitSet_.clear();
-    if (cfg_.cpiStack) {
-        // The loop exits when the ROB empties; functional units and
-        // the memory system keep draining until endCycle_. The final
-        // committing cycle itself lands here too, which keeps the
-        // stack an exact partition of res.cycles.
-        cpi_[static_cast<unsigned>(CpiBucket::Drain)] +=
-            endCycle_ - now_;
-    }
-    if (telemetry_) {
-        // Drain cycles: the ROB is empty, the units are finishing.
+    // Drain cycles: the ROB is empty, the units are finishing.
+    if (ledger_.telemetry())
         sampleOccupancy(endCycle_ - now_);
-        // Per-unit memory busy is derived from the busy-interval
-        // sweep — REF has no cycle loop to hook, so both machines
-        // compute this structure the same way.
-        size_t mu = static_cast<size_t>(OccStruct::MemUnits);
-        accumulateIntervalDepth(mem_->busy(), endCycle_, occ_[mu],
-                                occTs_[mu]);
-    }
 
-    if (checkRetire_) {
-        // Final whole-state audit: with the ROB drained, every
-        // conservation law collapses to its quiescent form (all
-        // subscription counts zero, refCounts purely map-held).
-        audit_.runSite(check::kSiteEnd, endCycle_);
-        if (audit_.violationCount() > 0)
-            std::fputs(audit_.report().c_str(), stderr);
-    }
+    // Final whole-state audit: with the ROB drained, every
+    // conservation law collapses to its quiescent form (all
+    // subscription counts zero, refCounts purely map-held).
+    if (checkRetire_)
+        auditState(endCycle_);
 
     SimResult res;
     res.program = trace_.name();
     res.machine = cfg_.name();
-    res.cycles = endCycle_;
     res.instructions = committed_;
-    res.fu1BusyCycles = fu1Rec_.busyCycles();
-    res.fu2BusyCycles = fu2Rec_.busyCycles();
-    fillMemoryCounters(*mem_, res);
     res.vectorLoadsEliminated = vElims_;
     res.scalarLoadsEliminated = sElims_;
     res.branchMispredicts = mispredicts_;
@@ -2496,11 +2424,14 @@ OooMachine::run()
     res.robStallCycles = robStalls_;
     res.queueStallCycles = queueStalls_;
     res.traps = traps_;
-    res.cpiCycles = cpi_;
-    res.occupancy = occ_;
-    res.occupancyTs = occTs_;
-    res.stateCycles = UnitStateBreakdown::compute(
-        fu2Rec_, fu1Rec_, mem_->busy(), endCycle_);
+    // The loop exits when the ROB empties; functional units and the
+    // memory system keep draining until endCycle_. The final
+    // committing cycle itself lands in the drain too, which keeps
+    // the CPI stack an exact partition of res.cycles.
+    ledger_.finish(endCycle_, now_, *mem_,
+                   checkRetire_ ? &audit_ : nullptr, res);
+    if (audit_.violationCount() > 0)
+        std::fputs(audit_.report().c_str(), stderr);
     return res;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "mem/simresult.hh"
 
 namespace oova
 {
@@ -696,25 +695,6 @@ makeMemorySystem(const MemConfig &cfg, unsigned mem_latency)
     if (cfg.tlb.enabled)
         mem->tlb_.emplace(cfg.tlb);
     return mem;
-}
-
-void
-fillMemoryCounters(const MemorySystem &mem, SimResult &res)
-{
-    const MemStats &s = mem.stats();
-    res.memBusyCycles = mem.busy().busyCycles();
-    res.memRequests = s.requests;
-    res.memBankConflicts = s.bankConflicts;
-    res.memConflictCycles = s.conflictCycles;
-    res.memIndexedConflicts = s.indexedConflicts;
-    res.memIndexedConflictCycles = s.indexedConflictCycles;
-    res.cacheHits = s.cacheHits;
-    res.cacheMisses = s.cacheMisses;
-    res.mshrStallCycles = s.mshrStallCycles;
-    res.tlbHits = s.tlbHits;
-    res.tlbMisses = s.tlbMisses;
-    res.tlbIndexedMisses = s.tlbIndexedMisses;
-    res.tlbMissCycles = s.tlbMissCycles;
 }
 
 } // namespace oova

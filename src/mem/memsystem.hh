@@ -58,8 +58,6 @@
 namespace oova
 {
 
-struct SimResult;
-
 /** Machine word size; the interleave/line unit of every model. */
 constexpr unsigned kWordBytes = 8;
 
@@ -412,12 +410,6 @@ class MemorySystem
  */
 std::unique_ptr<MemorySystem> makeMemorySystem(const MemConfig &cfg,
                                                unsigned mem_latency);
-
-/**
- * Copy @p mem's bus-busy cycles and MemStats counters into their
- * SimResult fields: the one mapping both simulators report through.
- */
-void fillMemoryCounters(const MemorySystem &mem, SimResult &res);
 
 } // namespace oova
 

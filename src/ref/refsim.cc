@@ -8,6 +8,7 @@
 #include "check/checkers.hh"
 #include "common/logging.hh"
 #include "mem/memsystem.hh"
+#include "mem/runledger.hh"
 #include "mem/tlb.hh"
 
 namespace oova
@@ -59,7 +60,8 @@ class RefMachine
   public:
     RefMachine(const Trace &trace, const RefConfig &cfg)
         : trace_(trace), cfg_(cfg), lat_(cfg.lat),
-          mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency))
+          mem_(makeMemorySystem(cfg.mem, cfg.lat.memLatency)),
+          ledger_(cfg.cpiStack, cfg.telemetry)
     {
         aReady_.fill(0);
         sReady_.fill(0);
@@ -67,11 +69,7 @@ class RefMachine
         for (auto &bank : readPortFree_)
             bank.fill(0);
         writePortFree_.fill(0);
-        check::CheckLevel lvl =
-            cfg.checkLevel >= 0
-                ? static_cast<check::CheckLevel>(
-                      std::min(cfg.checkLevel, 2))
-                : check::levelFromEnv();
+        check::CheckLevel lvl = check::levelFor(cfg.checkLevel);
         checkRetire_ = lvl >= check::CheckLevel::Retire;
         checkFull_ = lvl >= check::CheckLevel::Full;
     }
@@ -80,7 +78,7 @@ class RefMachine
 
   private:
     Cycle &scalarReady(const RegId &r);
-    Cycle vSrcAvail(const RegId &r, bool reader_is_store) const;
+    Cycle vSrcAvail(const RegId &r) const;
     void finish(Cycle c) { endCycle_ = std::max(endCycle_, c); }
 
     /** Level Full: audit every granted memory window (observe-only). */
@@ -125,16 +123,14 @@ class RefMachine
     Cycle memUnitFree_ = 0;
     /** Reusable gather/scatter element-address buffer. */
     std::vector<Addr> idxScratch_;
-    IntervalRecorder fu1Rec_;
-    IntervalRecorder fu2Rec_;
+    /** FU busy, CPI stack and occupancy (observe-only). */
+    RunLedger ledger_;
 
     Cycle nextIssue_ = 0;
     Cycle endCycle_ = 0;
     std::array<uint64_t, kNumStallCauses> stallCycles_{};
 
-    // ---- cycle accounting (observe-only; cfg.cpiStack) ----
-    std::array<uint64_t, kNumCpiBuckets> cpiCycles_{};
-    /** One past the previous instruction's issue cycle. */
+    /** Cycle accounting: one past the previous issue cycle. */
     Cycle issueEndPrev_ = 0;
 
     // ---- invariant audit (observe-only; see src/check/) ----
@@ -160,20 +156,14 @@ RefMachine::scalarReady(const RegId &r)
 }
 
 Cycle
-RefMachine::vSrcAvail(const RegId &r, bool reader_is_store) const
+RefMachine::vSrcAvail(const RegId &r) const
 {
+    // FU -> FU and FU -> store chaining are both supported, but the
+    // C3400 does not chain memory loads into functional units (or
+    // the store unit): their consumers wait for completion.
     const VRegState &st = vreg_[r.idx];
-    bool chain_ok;
-    if (st.writerIsLoad) {
-        // The C3400 does not chain memory loads into functional
-        // units (or the store unit); consumers wait for completion.
-        chain_ok = cfg_.chainLoadsToFus;
-    } else {
-        // FU -> FU and FU -> store chaining are both supported.
-        chain_ok = true;
-        (void)reader_is_store;
-    }
-    return chain_ok ? st.writeStart + 1 : st.writeEnd;
+    return !st.writerIsLoad || cfg_.chainLoadsToFus ? st.writeStart + 1
+                                                     : st.writeEnd;
 }
 
 Cycle
@@ -243,8 +233,7 @@ RefMachine::run()
         for (unsigned i = 0; i < inst.numSrc; ++i) {
             const RegId &r = inst.src[i];
             if (r.cls == RegClass::V) {
-                ip.raise(vSrcAvail(r, tr.isStore),
-                         StallCause::VectorDep);
+                ip.raise(vSrcAvail(r), StallCause::VectorDep);
             } else if (r.valid()) {
                 ip.raise(scalarReady(r), StallCause::ScalarDep);
             }
@@ -304,13 +293,11 @@ RefMachine::run()
                                 lat_.opLatency(inst.op) + kWriteXbarVector;
             Cycle write_end = write_start + inst.vl;
 
-            if (fu == 1) {
+            if (fu == 1)
                 fu1Free_ = read_done;
-                fu1Rec_.add(t, read_done);
-            } else {
+            else
                 fu2Free_ = read_done;
-                fu2Rec_.add(t, read_done);
-            }
+            ledger_.fuBusy(fu, t, read_done);
             for (unsigned i = 0; i < inst.numSrc; ++i) {
                 const RegId &r = inst.src[i];
                 if (r.cls == RegClass::V) {
@@ -426,7 +413,7 @@ RefMachine::run()
             stallCycles_[static_cast<unsigned>(ip.cause)] +=
                 ip.t - ip_base_;
         }
-        if (cfg_.cpiStack) {
+        if (ledger_.cpiStack()) {
             // Charge the issue timeline gap-free: the redirect
             // bubble folded into nextIssue_ by the previous taken
             // branch is fetch-limited, the raise()-tracked stall
@@ -434,41 +421,19 @@ RefMachine::run()
             // commits one instruction. Chaining the intervals off
             // issueEndPrev_ is what makes the stack sum to cycles
             // exactly.
-            cpiCycles_[static_cast<unsigned>(CpiBucket::Fetch)] +=
-                ip_base_ - issueEndPrev_;
-            cpiCycles_[static_cast<unsigned>(
-                cpiBucketFor(ip.cause))] += ip.t - ip_base_;
-            ++cpiCycles_[static_cast<unsigned>(CpiBucket::Commit)];
+            ledger_.charge(CpiBucket::Fetch, ip_base_ - issueEndPrev_);
+            ledger_.charge(cpiBucketFor(ip.cause), ip.t - ip_base_);
+            ledger_.charge(CpiBucket::Commit, 1);
             issueEndPrev_ = ip.t + 1;
         }
         nextIssue_ = std::max(nextIssue_, ip.t + 1);
         finish(ip.t + 1);
     }
 
-    if (cfg_.cpiStack) {
-        // After the last issue the vector units and memory drain.
-        cpiCycles_[static_cast<unsigned>(CpiBucket::Drain)] +=
-            endCycle_ - issueEndPrev_;
-    }
-
-    // Occupancy telemetry (observe-only): REF is in-order with no
-    // ROB, queues, renaming, or cache, so the only structure it
-    // models is its one memory unit's busy depth — derived from the
-    // same busy-interval sweep the OOOVA uses, so the occupancy
-    // figure compares like with like.
-    std::array<StatDistribution, kNumOccStructs> occ{};
-    std::array<StatTimeSeries, kNumOccStructs> occTs{};
-    bool telemetry = cfg_.telemetry || telemetryForced();
-    if (telemetry) {
-        size_t mu = static_cast<size_t>(OccStruct::MemUnits);
-        occ[mu].setCapacity(1);
-        accumulateIntervalDepth(mem_->busy(), endCycle_, occ[mu],
-                                occTs[mu]);
-    }
-
     // End-of-run audit: memory-counter containment and TLB
-    // structural soundness. Observe-only; violations go to stderr
-    // and the process-wide tally (check::processExitCode()).
+    // structural soundness; the ledger adds its conservation checks.
+    // Observe-only; violations go to stderr and the process-wide
+    // tally (check::processExitCode()).
     if (checkRetire_) {
         check::Reporter r = audit_.reporter("mem-stats", endCycle_);
         check::checkMemStatsBounds(mem_->stats(), r);
@@ -477,33 +442,16 @@ RefMachine::run()
                                                   endCycle_);
             check::checkTlbSoundness(tlb->auditView(), tr2);
         }
-        if (cfg_.cpiStack) {
-            check::Reporter cr = audit_.reporter("cpi-conservation",
-                                                 endCycle_);
-            check::checkCpiConservation(endCycle_, cpiCycles_, cr);
-        }
-        if (telemetry) {
-            check::Reporter oc = audit_.reporter(
-                "occupancy-conservation", endCycle_);
-            check::checkOccupancyConservation(endCycle_, occ, occTs,
-                                              oc);
-        }
     }
 
     SimResult res;
     res.program = trace_.name();
     res.machine = "REF" + cfg_.mem.label();
-    res.cycles = endCycle_;
     res.instructions = trace_.size();
-    res.fu1BusyCycles = fu1Rec_.busyCycles();
-    res.fu2BusyCycles = fu2Rec_.busyCycles();
-    fillMemoryCounters(*mem_, res);
     res.stallCycles = stallCycles_;
-    res.cpiCycles = cpiCycles_;
-    res.occupancy = occ;
-    res.occupancyTs = occTs;
-    res.stateCycles = UnitStateBreakdown::compute(
-        fu2Rec_, fu1Rec_, mem_->busy(), endCycle_);
+    // After the last issue the vector units and memory drain.
+    ledger_.finish(endCycle_, issueEndPrev_, *mem_,
+                   checkRetire_ ? &audit_ : nullptr, res);
     return res;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the invariant-audit subsystem (src/check/): registry
- * mechanics (site filtering, recording caps, the structured report,
- * the process-wide tally and exit code), plus one injected violation
+ * mechanics (recording caps, the structured report, the process-wide
+ * tally and exit code), plus one injected violation
  * per checker family to prove each family actually fires on corrupt
  * state. The companion end-to-end coverage — a full simulation with
  * every checker enabled staying violation-free — lives in
@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <string>
 
 #include "check/check.hh"
 #include "check/checkers.hh"
@@ -22,13 +24,13 @@ using namespace oova::check;
 namespace
 {
 
-/** Run one ad-hoc checker at kSiteEnd and return the registry. */
+/** Run one ad-hoc checker at cycle @p now and return the registry. */
 Registry
-runOnce(Registry::CheckFn fn, Cycle now = 100)
+runOnce(const std::function<void(Reporter &)> &fn, Cycle now = 100)
 {
     Registry reg;
-    reg.add("test-checker", kSiteEnd, std::move(fn));
-    reg.runSite(kSiteEnd, now);
+    Reporter r = reg.reporter("test-checker", now);
+    fn(r);
     return reg;
 }
 
@@ -70,27 +72,6 @@ cleanTlb()
 
 } // namespace
 
-TEST(CheckRegistry, SiteFiltering)
-{
-    Registry reg;
-    int retire_runs = 0, window_runs = 0;
-    reg.add("retire-only", kSiteRetire,
-            [&](Reporter &) { ++retire_runs; });
-    reg.add("window-or-end", kSiteWindow | kSiteEnd,
-            [&](Reporter &) { ++window_runs; });
-
-    reg.runSite(kSiteRetire, 1);
-    EXPECT_EQ(retire_runs, 1);
-    EXPECT_EQ(window_runs, 0);
-
-    reg.runSite(kSiteWindow, 2);
-    reg.runSite(kSiteEnd, 3);
-    EXPECT_EQ(retire_runs, 1);
-    EXPECT_EQ(window_runs, 2);
-    EXPECT_EQ(reg.violationCount(), 0u);
-    EXPECT_TRUE(reg.report().empty());
-}
-
 TEST(CheckRegistry, ViolationIsRecordedStructured)
 {
     resetProcessViolations();
@@ -116,12 +97,22 @@ TEST(CheckRegistry, ViolationIsRecordedStructured)
 TEST(CheckRegistry, StoredViolationsAreCapped)
 {
     resetProcessViolations();
+    ::testing::internal::CaptureStderr();
     Registry reg = runOnce([](Reporter &r) {
         for (int i = 0; i < 100; ++i)
             r.fail("violation %d", i);
     });
+    std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(reg.violationCount(), 100u);
     EXPECT_EQ(reg.violations().size(), Registry::kMaxStored);
+    // The cap is noted once, with the violation that fills the
+    // store: a hot broken invariant must not repeat it on each line.
+    const std::string note = "violations stored; further ones are "
+                             "counted but not recorded";
+    size_t first = err.find(note);
+    ASSERT_NE(first, std::string::npos);
+    EXPECT_EQ(err.find(note, first + 1), std::string::npos);
+    EXPECT_LT(first, err.find("violation 64\n"));
     resetProcessViolations();
 }
 

@@ -93,21 +93,23 @@ TEST(CpiStack, DisabledLeavesBucketsZero)
 
 TEST(CpiStack, CheckerFlagsCorruptStack)
 {
-    auto violations = [](Cycle cycles, uint64_t first_bucket) {
+    auto violations = [](Cycle cycles, uint64_t first_bucket,
+                         uint64_t second_bucket = 40) {
         std::array<uint64_t, kNumCpiBuckets> buckets{};
         buckets[0] = first_bucket;
-        buckets[1] = 40;
+        buckets[1] = second_bucket;
         check::Registry reg;
-        reg.add("cpi-conservation", check::kSiteEnd,
-                [&](check::Reporter &r) {
-                    check::checkCpiConservation(cycles, buckets, r);
-                });
-        reg.runSite(check::kSiteEnd, cycles);
+        check::Reporter r = reg.reporter("cpi-conservation", cycles);
+        check::checkCpiConservation(cycles, buckets, r);
         return reg.violationCount();
     };
     EXPECT_EQ(violations(100, 60), 0u); // 60 + 40 == 100
     EXPECT_EQ(violations(101, 60), 1u); // unattributed cycle
     EXPECT_EQ(violations(99, 60), 1u);  // overcharged cycle
+    // A charge that went backwards: the buckets wrap to the right
+    // sum, but one of them holds more cycles than the run.
+    EXPECT_EQ(violations(100, 105, uint64_t(0) - 5), 1u);
+    check::resetProcessViolations();
 }
 
 TEST(CpiStack, ObservabilityIsObserveOnly)

@@ -276,11 +276,8 @@ TEST(OccupancyConservation, CleanTelemetryIsQuiet)
     ts[3].sample(2, kCycles / 2);
 
     check::Registry reg;
-    reg.add("occupancy-conservation", check::kSiteEnd,
-            [&](check::Reporter &r) {
-                check::checkOccupancyConservation(kCycles, occ, ts, r);
-            });
-    reg.runSite(check::kSiteEnd, kCycles);
+    check::Reporter r = reg.reporter("occupancy-conservation", kCycles);
+    check::checkOccupancyConservation(kCycles, occ, ts, r);
     EXPECT_EQ(reg.violationCount(), 0u);
 }
 
@@ -295,11 +292,8 @@ TEST(OccupancyConservation, CorruptSampleWeightFires)
     ts[1].sample(2, kCycles + 1); // one cycle extra: double charge
 
     check::Registry reg;
-    reg.add("occupancy-conservation", check::kSiteEnd,
-            [&](check::Reporter &r) {
-                check::checkOccupancyConservation(kCycles, occ, ts, r);
-            });
-    reg.runSite(check::kSiteEnd, kCycles);
+    check::Reporter r = reg.reporter("occupancy-conservation", kCycles);
+    check::checkOccupancyConservation(kCycles, occ, ts, r);
     EXPECT_EQ(reg.violationCount(), 2u);
     check::resetProcessViolations();
 }
@@ -349,9 +343,6 @@ TEST(Telemetry, SamplingIsObserveOnly)
             << occStructName(static_cast<OccStruct>(i));
     }
     EXPECT_TRUE(sawNonEmpty);
-    // Telemetry off leaves the arrays untouched.
-    for (size_t i = 0; i < kNumOccStructs; ++i)
-        EXPECT_EQ(off.occupancy[i].samples, 0u);
 
     RefConfig rc = makeRefConfig(50);
     rc.telemetry = false;
@@ -359,6 +350,20 @@ TEST(Telemetry, SamplingIsObserveOnly)
     rc.telemetry = true;
     SimResult refOn = simulateRef(t, rc);
     expectCoreFieldsEqual(refOff, refOn);
+    EXPECT_GT(refOn.occupancy[static_cast<size_t>(OccStruct::MemUnits)]
+                  .samples,
+              0u);
+
+    // Telemetry off leaves the arrays untouched, histogram widths
+    // included: a width set without sampling would still move every
+    // bucket-width line of --stats and of the stored JSON.
+    const SimResult fresh;
+    for (const SimResult *off_res : {&off, &refOff}) {
+        EXPECT_EQ(off_res->occupancy, fresh.occupancy)
+            << off_res->machine;
+        EXPECT_EQ(off_res->occupancyTs, fresh.occupancyTs)
+            << off_res->machine;
+    }
 }
 
 // ------------------------------------------------- stats-dump output
