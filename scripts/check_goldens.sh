@@ -9,6 +9,12 @@
 # or an intentional model change that must re-capture its goldens
 # with --update in the same commit.
 #
+# A figure that exits non-zero fails the gate on a line of its own,
+# whatever it printed. Under OOVA_CHECK=2 (the invariant_audit ctest
+# entry) that is how an invariant violation fails it: the audit
+# prints an "OOVA-CHECK VIOLATION ..." line on stderr and the figure
+# exits 3.
+#
 # Usage:
 #   scripts/check_goldens.sh [path/to/oova_bench]            # check
 #   scripts/check_goldens.sh [path/to/oova_bench] --update   # re-capture
@@ -64,7 +70,13 @@ for fig in $figures; do
         fail=1
         continue
     fi
-    if ! "$BENCH" "$fig" | diff -u "$golden" - > /tmp/golden_diff_$$; then
+    "$BENCH" "$fig" | diff -u "$golden" - > /tmp/golden_diff_$$
+    status=("${PIPESTATUS[@]}")
+    if [ "${status[0]}" -ne 0 ]; then
+        echo "FIGURE FAILED: $fig (exit ${status[0]})" >&2
+        fail=1
+    fi
+    if [ "${status[1]}" -ne 0 ]; then
         echo "GOLDEN MISMATCH: $fig" >&2
         cat /tmp/golden_diff_$$ >&2
         fail=1

@@ -56,20 +56,6 @@ levelFor(int config_level)
     return env;
 }
 
-const char *
-levelName(CheckLevel level)
-{
-    switch (level) {
-      case CheckLevel::Off:
-        return "off";
-      case CheckLevel::Retire:
-        return "retire";
-      case CheckLevel::Full:
-        return "full";
-    }
-    return "?";
-}
-
 void
 Reporter::fail(const char *fmt, ...)
 {

@@ -61,9 +61,6 @@ enum class CheckLevel : uint8_t
  */
 CheckLevel levelFor(int config_level);
 
-/** Human-readable level name ("off", "retire", "full"). */
-const char *levelName(CheckLevel level);
-
 /** Cycle spacing of the whole-state sweeps at level Full. */
 constexpr Cycle kAuditWindow = 256;
 

@@ -11,61 +11,54 @@
 namespace oova
 {
 
+const IntervalRecorder::Runs &
+IntervalRecorder::unionRuns(Runs &scratch) const
+{
+    if (sortedDisjoint_)
+        return intervals_;
+    scratch = intervals_;
+    std::sort(scratch.begin(), scratch.end());
+    size_t n = 0;
+    for (const auto &[s, e] : scratch) {
+        if (n > 0 && s <= scratch[n - 1].second)
+            scratch[n - 1].second = std::max(scratch[n - 1].second, e);
+        else
+            scratch[n++] = {s, e};
+    }
+    scratch.resize(n);
+    return scratch;
+}
+
 uint64_t
 IntervalRecorder::busyCycles() const
 {
-    if (intervals_.empty())
-        return 0;
-    if (sortedDisjoint_) {
-        // Non-overlapping intervals: merging is a plain sum.
-        uint64_t busy = 0;
-        for (const auto &[s, e] : intervals_)
-            busy += e - s;
-        return busy;
-    }
-    auto sorted = intervals_;
-    std::sort(sorted.begin(), sorted.end());
+    Runs scratch;
     uint64_t busy = 0;
-    Cycle cur_start = sorted[0].first;
-    Cycle cur_end = sorted[0].second;
-    for (size_t i = 1; i < sorted.size(); ++i) {
-        if (sorted[i].first > cur_end) {
-            busy += cur_end - cur_start;
-            cur_start = sorted[i].first;
-            cur_end = sorted[i].second;
-        } else {
-            cur_end = std::max(cur_end, sorted[i].second);
-        }
-    }
-    busy += cur_end - cur_start;
+    for (const auto &[s, e] : unionRuns(scratch))
+        busy += e - s;
     return busy;
 }
 
-namespace
-{
-
-/**
- * Sort-free sweep for the common case: each unit's intervals are
- * already in order and non-overlapping (a serially-reused unit), so
- * the three lists merge with cursors instead of building and sorting
- * one big event vector. Produces exactly the sweep-line's output.
- */
 std::array<uint64_t, UnitStateBreakdown::kNumStates>
-computeSortedDisjoint(const IntervalRecorder &fu2,
-                      const IntervalRecorder &fu1,
-                      const IntervalRecorder &mem,
-                      Cycle total_cycles)
+UnitStateBreakdown::compute(const IntervalRecorder &fu2,
+                            const IntervalRecorder &fu1,
+                            const IntervalRecorder &mem,
+                            Cycle total_cycles)
 {
-    // Index by state bit: 2 = FU2, 1 = FU1, 0 = MEM.
-    const std::vector<std::pair<Cycle, Cycle>> *ivs[3] = {
-        &mem.intervals(), &fu1.intervals(), &fu2.intervals()};
+    // Each unit's busy time as sorted, non-overlapping runs, merged
+    // with one cursor per unit. Index by state bit: 2 = FU2,
+    // 1 = FU1, 0 = MEM.
+    IntervalRecorder::Runs scratch[3];
+    const IntervalRecorder::Runs *ivs[3] = {&mem.unionRuns(scratch[0]),
+                                            &fu1.unionRuns(scratch[1]),
+                                            &fu2.unionRuns(scratch[2])};
     size_t idx[3] = {0, 0, 0};
     bool busy[3] = {false, false, false};
 
     auto clampEnd = [&](const std::pair<Cycle, Cycle> &iv) {
         return std::min<Cycle>(iv.second, total_cycles);
     };
-    // Skip intervals the clamp makes empty (entirely past the end).
+    // Skip runs the clamp makes empty (entirely past the end).
     auto skipDead = [&](int u) {
         const auto &v = *ivs[u];
         while (idx[u] < v.size() &&
@@ -76,7 +69,7 @@ computeSortedDisjoint(const IntervalRecorder &fu2,
     for (int u = 0; u < 3; ++u)
         skipDead(u);
 
-    std::array<uint64_t, UnitStateBreakdown::kNumStates> out{};
+    std::array<uint64_t, kNumStates> out{};
     Cycle prev = 0;
     while (true) {
         Cycle next = kNoCycle;
@@ -104,7 +97,7 @@ computeSortedDisjoint(const IntervalRecorder &fu2,
                 ++idx[u];
                 skipDead(u);
             }
-            // Back-to-back intervals re-enter at the same boundary.
+            // Back-to-back runs re-enter at the same boundary.
             if (!busy[u] && idx[u] < v.size() &&
                 v[idx[u]].first == next) {
                 busy[u] = true;
@@ -113,70 +106,6 @@ computeSortedDisjoint(const IntervalRecorder &fu2,
     }
     if (total_cycles > prev)
         out[0] += total_cycles - prev; // trailing all-idle time
-    return out;
-}
-
-} // namespace
-
-std::array<uint64_t, UnitStateBreakdown::kNumStates>
-UnitStateBreakdown::compute(const IntervalRecorder &fu2,
-                            const IntervalRecorder &fu1,
-                            const IntervalRecorder &mem,
-                            Cycle total_cycles)
-{
-    if (fu2.sortedDisjoint() && fu1.sortedDisjoint() &&
-        mem.sortedDisjoint()) {
-        return computeSortedDisjoint(fu2, fu1, mem, total_cycles);
-    }
-
-    // Sweep-line over (cycle, unit, delta) events. A unit counts as
-    // busy while its overlap depth is positive.
-    struct Event
-    {
-        Cycle cycle;
-        int unit;  // 2 = FU2, 1 = FU1, 0 = MEM (bit position)
-        int delta; // +1 begin, -1 end
-    };
-
-    std::vector<Event> events;
-    auto addUnit = [&](const IntervalRecorder &rec, int unit) {
-        for (const auto &[s, e] : rec.intervals()) {
-            Cycle end = std::min<Cycle>(e, total_cycles);
-            if (s >= end)
-                continue;
-            events.push_back({s, unit, +1});
-            events.push_back({end, unit, -1});
-        }
-    };
-    addUnit(fu2, 2);
-    addUnit(fu1, 1);
-    addUnit(mem, 0);
-
-    std::sort(events.begin(), events.end(),
-              [](const Event &a, const Event &b) {
-                  return a.cycle < b.cycle;
-              });
-
-    std::array<uint64_t, kNumStates> out{};
-    int depth[3] = {0, 0, 0};
-    Cycle prev = 0;
-    size_t i = 0;
-    while (i < events.size()) {
-        Cycle now = events[i].cycle;
-        if (now > prev) {
-            int state = (depth[2] > 0 ? 4 : 0) | (depth[1] > 0 ? 2 : 0) |
-                        (depth[0] > 0 ? 1 : 0);
-            out[state] += now - prev;
-            prev = now;
-        }
-        while (i < events.size() && events[i].cycle == now) {
-            depth[events[i].unit] += events[i].delta;
-            ++i;
-        }
-    }
-    if (total_cycles > prev)
-        out[0] += total_cycles - prev; // trailing all-idle time
-
     return out;
 }
 

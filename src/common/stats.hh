@@ -47,28 +47,27 @@ class IntervalRecorder
         lastEnd_ = std::max(lastEnd_, end);
     }
 
+    using Runs = std::vector<std::pair<Cycle, Cycle>>;
+
     /** Total busy cycles with overlapping intervals merged. */
     uint64_t busyCycles() const;
 
     /** Raw (unmerged) intervals, in insertion order. */
-    const std::vector<std::pair<Cycle, Cycle>> &
-    intervals() const
-    {
-        return intervals_;
-    }
+    const Runs &intervals() const { return intervals_; }
+
+    /**
+     * The busy time as sorted, non-overlapping runs: the recorded
+     * intervals themselves while they already are (the natural
+     * product of a serially-reused unit), else their sorted union,
+     * built into @p scratch.
+     */
+    const Runs &unionRuns(Runs &scratch) const;
 
     /** Number of recorded intervals. */
     size_t count() const { return intervals_.size(); }
 
-    /**
-     * True while the recorded intervals are non-overlapping and in
-     * nondecreasing order — the natural product of a serially-reused
-     * unit — enabling the sort-free query fast paths.
-     */
-    bool sortedDisjoint() const { return sortedDisjoint_; }
-
   private:
-    std::vector<std::pair<Cycle, Cycle>> intervals_;
+    Runs intervals_;
     Cycle lastEnd_ = 0;
     bool sortedDisjoint_ = true;
 };

@@ -51,11 +51,13 @@ constexpr unsigned kRobSize = 64;
 constexpr unsigned kFetchBufferSize = 8;
 constexpr unsigned kBtbEntries = 64;
 constexpr unsigned kRasDepth = 8;
+/** Cycles charged for trap entry on a faulting instruction. */
+constexpr unsigned kTrapPenalty = 50;
 
 /** Full OOOVA configuration. */
 struct OooConfig
 {
-    LatencyTable lat = LatencyTable::oooDefaults();
+    LatencyTable lat;
 
     unsigned numPhysVRegs = 16; ///< swept 9..64 in figure 5
     unsigned queueSize = 16; ///< all four instruction queues
@@ -71,9 +73,6 @@ struct OooConfig
      * instead. On in the `abl` figure's load->FU chaining section.
      */
     bool chainLoadsToFus = false;
-
-    /** Cycles charged for trap entry on a faulting instruction. */
-    unsigned trapPenalty = 50;
 
     /**
      * Invariant-audit level (src/check/): -1 inherits the OOVA_CHECK
@@ -140,7 +139,6 @@ walkConfig(Cfg &c, Visitor &v)
     v.field("commit", c.commit);
     v.field("loadElim", c.loadElim);
     v.field("chainLoadsToFus", c.chainLoadsToFus);
-    v.field("trapPenalty", c.trapPenalty);
     v.unkeyed("checkLevel", c.checkLevel);
     v.field("cpiStack", c.cpiStack);
     v.field("telemetry", c.telemetry, {.key = ConfigField::Key::Telemetry});

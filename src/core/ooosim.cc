@@ -59,8 +59,7 @@ struct RobEntry
     Cycle memDoneAt = kNoCycle;    ///< end of its address-bus phase
     Addr rangeLo = 0, rangeHi = 0;
 
-    bool faultArmed = false;       ///< will page-fault at issue
-    bool faulted = false;          ///< fault pending trap at head
+    bool faulted = false;          ///< TLB refill trap pending at head
     bool wasMispredicted = false;  ///< fetch stalled on this branch
     bool inRob = false;            ///< between dispatch and commit
     bool inWaitSet = false;        ///< on waitSet_
@@ -79,14 +78,12 @@ struct RobEntry
     int8_t queueId = -1;           ///< issue queue (0=A 1=S 2=V)
 
     /**
-     * Software TLB refill pending trap delivery: the pages whose
-     * translations the handler will install when this entry's trap
-     * is taken at the ROB head. Installing only at delivery keeps a
-     * squash-discarded fault marking from leaking installs (which
-     * would let the squashed stream refill for free on replay).
+     * The pages whose translations the software refill handler will
+     * install when this entry's trap (faulted) is taken at the ROB
+     * head. Installing only at delivery keeps a squash-discarded
+     * fault marking from leaking installs (which would let the
+     * squashed stream refill for free on replay).
      */
-    bool tlbRefillPending = false;
-    bool tlbRefillIndexed = false;
     std::vector<Addr> tlbRefillPages;
 
     /** PipeTracer record handle (kNoTraceRec when not tracing). */
@@ -159,9 +156,8 @@ class EntrySlab
 class OooMachine
 {
   public:
-    OooMachine(const Trace &trace, const OooConfig &cfg,
-               const FaultInjection &fault)
-        : trace_(trace), cfg_(cfg), lat_(cfg.lat), fault_(fault),
+    OooMachine(const Trace &trace, const OooConfig &cfg)
+        : trace_(trace), cfg_(cfg), lat_(cfg.lat),
           renamer_(RenamerConfig{kNumPhysARegs, kNumPhysSRegs,
                                  cfg.numPhysVRegs, kNumPhysMRegs}),
           btb_(kBtbEntries), ras_(kRasDepth),
@@ -479,7 +475,6 @@ class OooMachine
     const Trace &trace_;
     const OooConfig &cfg_;
     const LatencyTable &lat_;
-    FaultInjection fault_;
 
     Renamer renamer_;
     Btb btb_;
@@ -912,7 +907,7 @@ OooMachine::depStage(RobEntry *e)
     }
 
     // ---- vector load elimination ----
-    if (vle && di.op == Opcode::VLoad && !e->faultArmed) {
+    if (vle && di.op == Opcode::VLoad) {
         MemTag tag = tagFor(di);
         int match = renamer_.file(RegClass::V).findExactTag(tag);
         if (match >= 0) {
@@ -969,7 +964,7 @@ OooMachine::depStage(RobEntry *e)
     }
 
     // ---- scalar load elimination ----
-    if (sle && di.op == Opcode::SLoad && !e->faultArmed) {
+    if (sle && di.op == Opcode::SLoad) {
         MemTag tag = tagFor(di);
         int match = renamer_.file(di.dst.cls).findExactTag(tag);
         if (match >= 0 && match != e->physDst) {
@@ -1158,15 +1153,6 @@ OooMachine::memIssueStep()
             continue;
         }
 
-        if (e->faultArmed) {
-            // Page fault detected at translation; the trap is taken
-            // when the instruction reaches the ROB head.
-            e->faultArmed = false;
-            e->faulted = true;
-            queueCheckAt_[3] = 0;
-            return true;
-        }
-
         // Gather/scatter element addresses, shared by the TLB
         // detection below and the reservation itself (reusable
         // scratch: one stream issues at a time).
@@ -1201,8 +1187,6 @@ OooMachine::memIssueStep()
                                       di.memElems(), pageScratch_);
                 if (tlb->wouldMiss(pageScratch_)) {
                     e->tlbRefillPages = pageScratch_;
-                    e->tlbRefillIndexed = di.isIndexedMem();
-                    e->tlbRefillPending = true;
                     e->faulted = true;
                     queueCheckAt_[3] = 0;
                     return true;
@@ -1294,7 +1278,7 @@ OooMachine::executeVector(RobEntry *e)
     else
         fu = fu1Free_ <= fu2Free_ ? 1 : 2;
 
-    Cycle busy_until = now_ + lat_.vectorStartup + di.vl;
+    Cycle busy_until = now_ + kOooVectorStartup + di.vl;
     if (fu == 1) {
         fu1Free_ = busy_until;
         pushEvent(busy_until, EvFu1);
@@ -1308,7 +1292,7 @@ OooMachine::executeVector(RobEntry *e)
     e->started = true;
     if (di.dst.cls == RegClass::V || di.dst.cls == RegClass::M) {
         PhysReg &d = renamer_.file(di.dst.cls).reg(e->physDst);
-        Cycle wstart = now_ + lat_.vectorStartup + kReadXbar +
+        Cycle wstart = now_ + kOooVectorStartup + kReadXbar +
                        lat_.opLatency(di.op) + kWriteXbarVector;
         d.chainReadyAt = wstart + 1;
         d.fullReadyAt = wstart + di.vl;
@@ -1320,7 +1304,7 @@ OooMachine::executeVector(RobEntry *e)
     } else if (di.dst.valid()) {
         // VReduce: scalar result after consuming all elements.
         PhysReg &d = renamer_.file(di.dst.cls).reg(e->physDst);
-        Cycle ready = now_ + lat_.vectorStartup + kReadXbar +
+        Cycle ready = now_ + kOooVectorStartup + kReadXbar +
                       lat_.opLatency(di.op) + di.vl + kWriteXbarScalar;
         d.chainReadyAt = ready;
         d.fullReadyAt = ready;
@@ -1344,7 +1328,7 @@ OooMachine::executeScalar(RobEntry *e)
         if (di.op == Opcode::Branch)
             btb_.update(di.pc, di.taken, di.target);
         if (e->wasMispredicted && e->seq == redirectSeq_) {
-            fetchStalledUntil_ = done + lat_.branchMispredict;
+            fetchStalledUntil_ = done + kBranchMispredict;
             redirectSeq_ = kNoSeq;
             pushEvent(fetchStalledUntil_, EvFetch);
         }
@@ -1538,8 +1522,6 @@ OooMachine::dispatchStep()
     e->di = &di;
     e->seq = seq;
     e->inRob = true;
-    if (fault_.faultSeq != kNoSeq && seq == fault_.faultSeq)
-        e->faultArmed = true;
 
     for (unsigned i = 0; i < di.numSrc; ++i) {
         const RegId &r = di.src[i];
@@ -1651,12 +1633,8 @@ OooMachine::takeTrap()
     // missing translations (refill() re-checks residence, so pages
     // that arrived since detection are skipped) and the replay of
     // this instruction skips re-detection via the latch.
-    if (head->tlbRefillPending) {
-        mem_->refill(head->tlbRefillPages, head->tlbRefillIndexed);
-        head->tlbRefillPending = false;
-        head->tlbRefillPages.clear();
-        lastTlbTrapSeq_ = fault_seq;
-    }
+    mem_->refill(head->tlbRefillPages, head->di->isIndexedMem());
+    lastTlbTrapSeq_ = fault_seq;
 
     // Already-retired eliminated loads whose value timing has not
     // resolved yet keep architected state (they committed); settle
@@ -1744,13 +1722,9 @@ OooMachine::takeTrap()
         renamer_.file(static_cast<RegClass>(c)).invalidateAllTags();
 
     // Re-execute from the faulting instruction; the page is now
-    // resident so the fault does not recur. Only the injected fault
-    // consumes its injection: a TLB refill trap delivered first must
-    // not disarm a pending injection at a younger instruction.
+    // resident so the fault does not recur.
     fetchIndex_ = fault_seq;
-    if (fault_.faultSeq == fault_seq)
-        fault_.faultSeq = kNoSeq;
-    fetchStalledUntil_ = now_ + cfg_.trapPenalty;
+    fetchStalledUntil_ = now_ + kTrapPenalty;
     trapStallUntil_ = fetchStalledUntil_;
     pushEvent(fetchStalledUntil_, EvFetch);
     ++traps_;
@@ -1982,7 +1956,7 @@ OooMachine::cpiWaitBucket() const
                                       : CpiBucket::Fetch;
     }
     const RobEntry &h = *rob_.front();
-    if (h.faulted || h.faultArmed || h.tlbRefillPending)
+    if (h.faulted)
         return CpiBucket::TlbTrap;
     if (h.started) {
         // Executing but not yet committable (late commit): the
@@ -2438,10 +2412,9 @@ OooMachine::run()
 } // namespace
 
 SimResult
-simulateOoo(const Trace &trace, const OooConfig &cfg,
-            const FaultInjection &fault)
+simulateOoo(const Trace &trace, const OooConfig &cfg)
 {
-    OooMachine machine(trace, cfg, fault);
+    OooMachine machine(trace, cfg);
     return machine.run();
 }
 

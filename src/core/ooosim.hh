@@ -37,21 +37,8 @@
 namespace oova
 {
 
-/**
- * Optional fault injection for the precise-trap integration tests:
- * the dynamic instruction with sequence number @p faultSeq (which
- * must be a load or store) page-faults on its first execution
- * attempt. Requires late commit; the machine recovers precise state
- * via the ROB and re-executes.
- */
-struct FaultInjection
-{
-    SeqNum faultSeq = kNoSeq;
-};
-
 /** Run @p trace through the OOOVA. */
-SimResult simulateOoo(const Trace &trace, const OooConfig &cfg = {},
-                      const FaultInjection &fault = {});
+SimResult simulateOoo(const Trace &trace, const OooConfig &cfg = {});
 
 } // namespace oova
 

@@ -11,7 +11,6 @@ RefConfig
 makeRefConfig(unsigned mem_latency)
 {
     RefConfig cfg;
-    cfg.lat = LatencyTable::refDefaults();
     cfg.lat.memLatency = mem_latency;
     return cfg;
 }
@@ -22,7 +21,6 @@ makeOooConfig(unsigned phys_vregs, unsigned queue_size,
               LoadElimMode elim)
 {
     OooConfig cfg;
-    cfg.lat = LatencyTable::oooDefaults();
     cfg.lat.memLatency = mem_latency;
     cfg.numPhysVRegs = phys_vregs;
     cfg.queueSize = queue_size;

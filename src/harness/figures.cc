@@ -458,8 +458,7 @@ fig13Traffic(const SweepEngine &engine)
 FigureResult
 tab1Machine(const SweepEngine &)
 {
-    LatencyTable ref = LatencyTable::refDefaults();
-    LatencyTable ooo = LatencyTable::oooDefaults();
+    unsigned mem = LatencyTable{}.memLatency;
 
     FigureSection table{"", {"Parameter", "REF", "OOOVA"}, {}};
     auto row = [&](const char *name, unsigned a, unsigned b) {
@@ -468,14 +467,13 @@ tab1Machine(const SweepEngine &)
     row("read x-bar", kReadXbar, kReadXbar);
     row("write x-bar (vector)", kWriteXbarVector, kWriteXbarVector);
     row("write x-bar (scalar)", kWriteXbarScalar, kWriteXbarScalar);
-    row("vector startup (*)", ref.vectorStartup, ooo.vectorStartup);
+    row("vector startup (*)", kRefVectorStartup, kOooVectorStartup);
     row("move", kMoveLat, kMoveLat);
     row("add/logic/shift", kAddLogicLat, kAddLogicLat);
     row("mul", kMulLat, kMulLat);
     row("div/sqrt", kDivSqrtLat, kDivSqrtLat);
-    row("memory (default, swept)", ref.memLatency, ooo.memLatency);
-    row("branch mispredict", ref.branchMispredict,
-        ooo.branchMispredict);
+    row("memory (default, swept)", mem, mem);
+    row("branch mispredict", kBranchMispredict, kBranchMispredict);
 
     return {{std::move(table)},
             "(*) as in the paper's footnote: 0 in OOOVA, 1 in REF.",

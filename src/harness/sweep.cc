@@ -57,7 +57,7 @@ class KeyWriter
 std::string
 sweepConfigKey(const RefConfig &cfg)
 {
-    KeyWriter key("REF/v4|");
+    KeyWriter key("REF/v5|");
     walkConfig(cfg, key);
     return key.take();
 }
@@ -65,7 +65,7 @@ sweepConfigKey(const RefConfig &cfg)
 std::string
 sweepConfigKey(const OooConfig &cfg)
 {
-    KeyWriter key("OOO/v4|");
+    KeyWriter key("OOO/v5|");
     walkConfig(cfg, key);
     return key.take();
 }

@@ -5,10 +5,10 @@
  * The scanned paper's Table 1 is partially illegible, so these are
  * reconstructed defaults consistent with the legible fragments
  * ("write x-bar 1|2", "3 4/9" patterns) and with Convex C34xx
- * descriptions in the authors' related work. The crossbar and
- * execution latencies are fixed; the vector startup differs between
- * the machines, and the memory latency and branch penalty are
- * configurable. `oova_bench tab1` prints the values in force.
+ * descriptions in the authors' related work. Every latency is fixed
+ * but the memory latency, which figure 8 sweeps; the vector startup
+ * differs between the machines. `oova_bench tab1` prints the values
+ * in force.
  */
 
 #ifndef OOVA_ISA_LATENCY_HH
@@ -27,13 +27,16 @@ constexpr unsigned kMoveLat = 1;
 constexpr unsigned kAddLogicLat = 3; ///< add / logic / shift / compare
 constexpr unsigned kMulLat = 4;
 constexpr unsigned kDivSqrtLat = 9;
+/** Vector startup: 1 in REF, 0 in the OOOVA (Table 1 *). */
+constexpr unsigned kRefVectorStartup = 1;
+constexpr unsigned kOooVectorStartup = 0;
+/** REF's taken-branch cost and the OOOVA's mispredict redirect. */
+constexpr unsigned kBranchMispredict = 3;
 
-/** The per-machine latencies: startup, memory and branch penalty. */
+/** The swept latency: main memory. */
 struct LatencyTable
 {
-    unsigned vectorStartup = 1;   ///< 1 in REF, 0 in OOOVA (Table 1 *)
-    unsigned memLatency = 50;     ///< main memory latency (swept)
-    unsigned branchMispredict = 3;///< REF taken-branch / OOOVA redirect
+    unsigned memLatency = 50; ///< main memory latency (swept)
 
     /** Execution latency of an op, excluding crossbars and memory. */
     unsigned
@@ -53,24 +56,6 @@ struct LatencyTable
         }
         return 1;
     }
-
-    /** The defaults used for the reference (in-order) machine. */
-    static LatencyTable
-    refDefaults()
-    {
-        LatencyTable t;
-        t.vectorStartup = 1;
-        return t;
-    }
-
-    /** The defaults used for the OOOVA. */
-    static LatencyTable
-    oooDefaults()
-    {
-        LatencyTable t;
-        t.vectorStartup = 0;
-        return t;
-    }
 };
 
 /** Every LatencyTable member, named once (see common/configwalk.hh). */
@@ -78,9 +63,7 @@ template <ConfigOf<LatencyTable> Lat, typename Visitor>
 void
 walkConfig(Lat &lat, Visitor &v)
 {
-    v.field("vectorStartup", lat.vectorStartup);
     v.field("memLatency", lat.memLatency);
-    v.field("branchMispredict", lat.branchMispredict);
 }
 
 } // namespace oova

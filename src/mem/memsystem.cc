@@ -13,6 +13,11 @@ namespace oova
 namespace
 {
 
+/** log2 of the word size: the bank interleave is one word. */
+constexpr unsigned kWordShift = std::countr_zero(kWordBytes);
+/** log2 of the cache line size. */
+constexpr unsigned kLineShift = std::countr_zero(kLineBytes);
+
 /** Element @p i of a strided stream, wrapping mod 2^64. */
 Addr
 elemAddr(Addr addr, int64_t stride, unsigned i)
@@ -182,10 +187,10 @@ class FlatBus : public MemorySystem
 };
 
 /**
- * Interleaved banks behind one address port per unit. Addresses of
- * one stream are generated in order, one per cycle at most; each
+ * Word-interleaved banks behind one address port per unit. Addresses
+ * of one stream are generated in order, one per cycle at most; each
  * element takes the first cycle after its predecessor's that finds
- * its bank free, and then holds its bank for bankBusyCycles. Streams
+ * its bank free, and then holds its bank for kBankBusyCycles. Streams
  * on the same unit serialize as on the flat bus; streams on
  * different units overlap, colliding only where they share banks.
  */
@@ -194,9 +199,6 @@ class BankedMemory : public MemorySystem
   public:
     BankedMemory(const MemConfig &cfg, unsigned latency)
         : latency_(latency), bankMask_(cfg.banks - 1),
-          bankBusy_(cfg.bankBusyCycles),
-          interleaveShift_(static_cast<unsigned>(
-              std::countr_zero(cfg.interleaveBytes))),
           bankFreeAt_(cfg.banks, 0), units_(cfg)
     {
     }
@@ -254,7 +256,7 @@ class BankedMemory : public MemorySystem
                 }
                 t = delayed;
             }
-            bankFreeAt_[bank] = t + bankBusy_;
+            bankFreeAt_[bank] = t + kBankBusyCycles;
             busy.add(t);
             if (i == 0)
                 acc.start = t;
@@ -265,14 +267,14 @@ class BankedMemory : public MemorySystem
                 continue;
             // The last `period` elements went out on back-to-back
             // cycles, so each later element's bank was taken by this
-            // stream `period` >= bankBusy_ cycles before its turn and
-            // is free again: the rest go out one per cycle. Only the
-            // last period of them leaves a bank time behind.
+            // stream `period` >= kBankBusyCycles cycles before its
+            // turn and is free again: the rest go out one per cycle.
+            // Only the last period of them leaves a bank time behind.
             unsigned rest = elems - 1 - i;
             for (unsigned j = elems - std::min(period, rest); j < elems;
                  ++j)
                 bankFreeAt_[bankOf(addr_of(j))] =
-                    t + (j - i) + bankBusy_;
+                    t + (j - i) + kBankBusyCycles;
             busy.addRun(t + 1, rest);
             last = t + rest;
             break;
@@ -288,37 +290,31 @@ class BankedMemory : public MemorySystem
     unsigned
     bankOf(Addr a) const
     {
-        return static_cast<unsigned>((a >> interleaveShift_) &
-                                     bankMask_);
+        return static_cast<unsigned>((a >> kWordShift) & bankMask_);
     }
 
     /**
      * The bank-sequence period of a strided stream, or 0 when the
-     * steady-state shortcut does not apply. A stride of whole
-     * interleave units steps the bank by a constant mod the bank
-     * count, so the banks repeat every banks / gcd(step, banks)
-     * elements, all distinct within a period. The shortcut needs a
-     * period of at least bankBusy_ cycles (else the stream conflicts
-     * with itself).
+     * steady-state shortcut does not apply. A stride of whole words
+     * steps the bank by a constant mod the bank count, so the banks
+     * repeat every banks / gcd(step, banks) elements, all distinct
+     * within a period. The shortcut needs a period of at least
+     * kBankBusyCycles cycles (else the stream conflicts with itself).
      */
     unsigned
     steadyPeriod(int64_t stride) const
     {
         auto s = static_cast<uint64_t>(stride);
-        Addr unit_mask = (Addr{1} << interleaveShift_) - 1;
-        if ((s & unit_mask) != 0)
+        if ((s & (kWordBytes - 1)) != 0)
             return 0;
-        auto step =
-            static_cast<unsigned>((s >> interleaveShift_) & bankMask_);
+        auto step = static_cast<unsigned>((s >> kWordShift) & bankMask_);
         unsigned period =
             step == 0 ? 1 : (bankMask_ + 1) >> std::countr_zero(step);
-        return period >= bankBusy_ ? period : 0;
+        return period >= kBankBusyCycles ? period : 0;
     }
 
     unsigned latency_;
     unsigned bankMask_; ///< banks - 1 (the bank count is 2^k)
-    unsigned bankBusy_;
-    unsigned interleaveShift_; ///< log2(interleaveBytes)
     std::vector<Cycle> bankFreeAt_;
     UnitPool units_;
 };
@@ -326,7 +322,7 @@ class BankedMemory : public MemorySystem
 /**
  * A non-blocking set-associative cache in front of the paper's flat
  * bus. Its one front drives one element address per cycle. Hits
- * return data after cacheHitLatency (or when their line's
+ * return data after kCacheHitLatency (or when their line's
  * outstanding fill lands). A miss claims an MSHR — stalling the
  * address stream when none is free — and fetches the whole line over
  * one line bus, one word per cycle, fills serializing in miss order;
@@ -340,15 +336,11 @@ class CachedMemory : public MemorySystem
 {
   public:
     CachedMemory(const MemConfig &cfg, unsigned latency)
-        : hitLat_(cfg.cacheHitLatency), latency_(latency),
-          lineShift_(static_cast<unsigned>(
-              std::countr_zero(cfg.lineBytes))),
-          assoc_(std::max(cfg.associativity, 1u)),
-          lineElems_(cfg.lineBytes / kWordBytes)
+        : latency_(latency)
     {
-        unsigned sets = cfg.cacheBytes / (cfg.lineBytes * assoc_);
+        unsigned sets = cfg.cacheBytes / (kLineBytes * kCacheWays);
         setMask_ = sets - 1;
-        ways_.assign(static_cast<size_t>(sets) * assoc_, Way{});
+        ways_.assign(static_cast<size_t>(sets) * kCacheWays, Way{});
         mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
     }
 
@@ -400,7 +392,7 @@ class CachedMemory : public MemorySystem
         MemAccess acc;
         if (elems == 0) {
             acc.start = acc.end = earliest;
-            acc.firstData = acc.lastData = earliest + hitLat_;
+            acc.firstData = acc.lastData = earliest + kCacheHitLatency;
             return acc;
         }
         Cycle cur = std::max(earliest, frontFreeAt_);
@@ -409,13 +401,13 @@ class CachedMemory : public MemorySystem
         BusyRunMerger busy(busy_);
         for (unsigned i = 0; i < elems; ++i) {
             Addr a = addr_of(i);
-            Addr line = a >> lineShift_;
+            Addr line = a >> kLineShift;
             Cycle t = cur;
             Cycle dataAt;
             Way *w = lookup(line);
             if (w) {
                 ++stats_.cacheHits;
-                dataAt = std::max(t + hitLat_, w->fillDone);
+                dataAt = std::max(t + kCacheHitLatency, w->fillDone);
                 w->lastUse = t;
             } else {
                 ++stats_.cacheMisses;
@@ -431,11 +423,11 @@ class CachedMemory : public MemorySystem
                 // fill words, not the CPU-side element count (which
                 // is cacheHits + cacheMisses). The line is usable on
                 // the cycle its last word arrives (dataAt is a closed
-                // arrival time, like the hit path's t + hitLat_).
+                // arrival time, like the hit path's t + hit latency).
                 Cycle fill = std::max(t, fillFreeAt_);
-                fillFreeAt_ = fill + lineElems_;
-                stats_.requests += lineElems_;
-                dataAt = fill + lineElems_ + latency_ - 1;
+                fillFreeAt_ = fill + kLineElems;
+                stats_.requests += kLineElems;
+                dataAt = fill + kLineElems + latency_ - 1;
                 *m = dataAt + 1;
                 w = &victim(line);
                 w->line = line;
@@ -456,7 +448,7 @@ class CachedMemory : public MemorySystem
             // The elements after this one that stay in its line hit
             // the way it now occupies, one per cycle, with no MSHR
             // wait: charge them as one run.
-            unsigned run = sameBlockRun(a, stride, lineShift_,
+            unsigned run = sameBlockRun(a, stride, kLineShift,
                                         elems - 1 - i);
             if (run == 0)
                 continue;
@@ -464,7 +456,7 @@ class CachedMemory : public MemorySystem
             last = t + run;
             w->lastUse = last;
             maxDataAt = std::max(
-                maxDataAt, std::max(last + hitLat_, w->fillDone));
+                maxDataAt, std::max(last + kCacheHitLatency, w->fillDone));
             busy.addRun(t + 1, run);
             cur = last + 1;
             i += run;
@@ -500,11 +492,17 @@ class CachedMemory : public MemorySystem
         return *best;
     }
 
-    unsigned hitLat_;
+    /** Words per line: the line bus cycles of one fill. */
+    static constexpr unsigned kLineElems = kLineBytes / kWordBytes;
+
     unsigned latency_;
-    unsigned lineShift_; ///< log2(lineBytes)
-    unsigned assoc_;
-    unsigned lineElems_;
+    /**
+     * kCacheWays, read at run time: with the way count a compile-time
+     * constant, GCC 12 unrolls victim()'s scan, and the cached gather
+     * row of BM_MemReserve (bench/simspeed.cc) ran about 20% slower
+     * on a 4-vCPU x86-64 host.
+     */
+    unsigned assoc_ = kCacheWays;
     Addr setMask_ = 0; ///< sets - 1 (the set count is 2^k)
     std::vector<Way> ways_;
     std::vector<Cycle> mshrFreeAt_;
@@ -560,28 +558,25 @@ MemConfig::label() const
                           lsPolicy == LsPolicy::Split ? "s" : "");
         break;
     case MemModel::Cached:
-        l = csprintf("/c%uk%uw%um", cacheBytes / 1024, associativity,
-                     mshrs);
+        l = csprintf("/c%uk%uw%um", cacheBytes / 1024, kCacheWays, mshrs);
         break;
     }
     return l + tlb.label();
 }
 
 MemConfig
-makeBankedMem(unsigned banks, unsigned bank_busy_cycles)
+makeBankedMem(unsigned banks)
 {
     MemConfig cfg;
     cfg.model = MemModel::Banked;
     cfg.banks = banks;
-    cfg.bankBusyCycles = bank_busy_cycles;
     return cfg;
 }
 
 MemConfig
-makeMultiUnitMem(unsigned banks, unsigned units, LsPolicy policy,
-                 unsigned bank_busy_cycles)
+makeMultiUnitMem(unsigned banks, unsigned units, LsPolicy policy)
 {
-    MemConfig cfg = makeBankedMem(banks, bank_busy_cycles);
+    MemConfig cfg = makeBankedMem(banks);
     cfg.memUnits = units;
     cfg.lsPolicy = policy;
     return cfg;
@@ -640,7 +635,7 @@ validate(const TlbConfig &cfg)
     walkConfig(cfg, check);
     // Refuse to round: a 10-entry 4-way config would silently hold
     // 8 translations while its /tNe label claimed 10.
-    unsigned ways = std::min(std::max(cfg.associativity, 1u), cfg.entries);
+    unsigned ways = std::min(kTlbWays, cfg.entries);
     if (cfg.entries % ways != 0)
         fatal("TLB: %u entries not divisible by %u ways", cfg.entries,
               ways);
@@ -658,19 +653,18 @@ validate(const MemConfig &cfg)
     walkConfig(cfg, check);
     if (cfg.model == MemModel::Cached) {
         // Refuse to round: 33000 bytes would model a 32 KiB cache
-        // under the same /c32k label. The line and set indices are a
-        // shift and a mask, so the set count must be a power of two.
-        unsigned ways = std::max(cfg.associativity, 1u);
-        uint64_t way_bytes = uint64_t{cfg.lineBytes} * ways;
+        // under the same /c32k label. The set index is a mask, so the
+        // set count must be a power of two.
+        constexpr unsigned way_bytes = kLineBytes * kCacheWays;
         if (cfg.cacheBytes % way_bytes != 0)
             fatal("cache: %u bytes is not a whole number of %u-byte "
                   "lines x %u ways",
-                  cfg.cacheBytes, cfg.lineBytes, ways);
-        auto sets = static_cast<unsigned>(cfg.cacheBytes / way_bytes);
+                  cfg.cacheBytes, kLineBytes, kCacheWays);
+        unsigned sets = cfg.cacheBytes / way_bytes;
         if (!std::has_single_bit(sets))
             fatal("cache: %u sets (%u bytes / %u-byte lines / %u "
                   "ways) is not a power of two",
-                  sets, cfg.cacheBytes, cfg.lineBytes, ways);
+                  sets, cfg.cacheBytes, kLineBytes, kCacheWays);
     }
     if (cfg.tlb.enabled)
         validate(cfg.tlb);

@@ -8,14 +8,14 @@
  * figure is byte-identical under it. Two richer models slot in
  * behind the same interface:
  *
- *  - BankedMemory: N interleaved banks with a per-bank busy time,
- *    so strided vector streams suffer realistic bank conflicts
+ *  - BankedMemory: N word-interleaved banks with a per-bank busy
+ *    time, so strided vector streams suffer realistic bank conflicts
  *    (stride vs. bank-count interactions, as in multi-banked vector
  *    machines such as Ara and the RISC-V vector evaluations of
  *    Ramirez et al.).
- *  - CachedMemory: a simple non-blocking cache front (configurable
- *    size / line / associativity, MSHR-limited outstanding misses)
- *    over the flat bus.
+ *  - CachedMemory: a simple non-blocking 4-way cache front with
+ *    64-byte lines (configurable size, MSHR-limited outstanding
+ *    misses) over the flat bus.
  *
  * The interface is stream-oriented, matching how both simulators
  * talk to memory: a memory instruction reserves a stream of element
@@ -60,6 +60,13 @@ namespace oova
 
 /** Machine word size; the interleave/line unit of every model. */
 constexpr unsigned kWordBytes = 8;
+/** Cycles a bank stays busy after accepting one access. */
+constexpr unsigned kBankBusyCycles = 4;
+/** The cache's line size and ways. */
+constexpr unsigned kLineBytes = 64;
+constexpr unsigned kCacheWays = 4;
+/** Data latency of a cache hit. */
+constexpr unsigned kCacheHitLatency = 2;
 
 /** Which concrete memory model to instantiate. */
 enum class MemModel : uint8_t
@@ -113,26 +120,14 @@ struct MemConfig
     LsPolicy lsPolicy = LsPolicy::Shared;
 
     // ---- BankedMemory knobs ----
-    /** Number of interleaved banks (a power of two). */
+    /** Number of word-interleaved banks (a power of two). */
     unsigned banks = 8;
-    /** Cycles a bank stays busy after accepting one access. */
-    unsigned bankBusyCycles = 4;
-    /**
-     * Interleave granularity in bytes, a power of two (one element
-     * by default).
-     */
-    unsigned interleaveBytes = 8;
 
     // ---- CachedMemory knobs ----
-    /** Exactly lineBytes x associativity x a power-of-two set count. */
+    /** Exactly kLineBytes x kCacheWays x a power-of-two set count. */
     unsigned cacheBytes = 32 * 1024;
-    /** A power of two of at least one 8-byte word. */
-    unsigned lineBytes = 64;
-    unsigned associativity = 4;
     /** Outstanding-miss registers; misses stall when all are busy. */
     unsigned mshrs = 8;
-    /** Data latency of a cache hit. */
-    unsigned cacheHitLatency = 2;
 
     // ---- translation knobs (all models) ----
     /**
@@ -153,16 +148,14 @@ struct MemConfig
 
 /**
  * Every MemConfig member, named once (see common/configwalk.hh). Bank
- * and line indices are shifts and masks, so the geometry a model
- * reads must be a power of two; validate() adds the rules that span
- * members.
+ * indices are a mask, so the bank count must be a power of two;
+ * validate() adds the rules that span members.
  */
 template <ConfigOf<MemConfig> Cfg, typename Visitor>
 void
 walkConfig(Cfg &m, Visitor &v)
 {
     const bool banked = m.model == MemModel::Banked;
-    const bool cached = m.model == MemModel::Cached;
     v.field("model", m.model,
             {.max = static_cast<unsigned>(MemModel::Cached),
              .what = "unknown memory model %u"});
@@ -172,19 +165,8 @@ walkConfig(Cfg &m, Visitor &v)
     v.field("banks", m.banks,
             {.pow2 = true, .applies = banked,
              .what = "banked memory: %u banks is not a power of two"});
-    v.field("bankBusyCycles", m.bankBusyCycles);
-    v.field("interleaveBytes", m.interleaveBytes,
-            {.pow2 = true, .applies = banked,
-             .what = "banked memory: %u-byte interleave is not a power "
-                     "of two"});
     v.field("cacheBytes", m.cacheBytes);
-    v.field("lineBytes", m.lineBytes,
-            {.min = kWordBytes, .pow2 = true, .applies = cached,
-             .what = "cache line size %u is not a power of two of at "
-                     "least %u bytes"});
-    v.field("associativity", m.associativity);
     v.field("mshrs", m.mshrs);
-    v.field("cacheHitLatency", m.cacheHitLatency);
     v.nest("tlb", m.tlb);
 }
 
@@ -198,18 +180,18 @@ void validate(const TlbConfig &cfg);
 /**
  * Stop with fatal() unless makeMemorySystem() can build @p cfg: only
  * the banked model takes several load/store units, then the rules of
- * the walk, then a cache's capacity is exactly line x ways x a
- * power-of-two set count, and the TLB, if enabled, is valid.
+ * the walk, then a cache's capacity is exactly kLineBytes x
+ * kCacheWays x a power-of-two set count, and the TLB, if enabled, is
+ * valid.
  */
 void validate(const MemConfig &cfg);
 
 /** Convenience builder for a banked configuration. */
-MemConfig makeBankedMem(unsigned banks, unsigned bank_busy_cycles = 4);
+MemConfig makeBankedMem(unsigned banks);
 
 /** Banked configuration with @p units load/store units. */
 MemConfig makeMultiUnitMem(unsigned banks, unsigned units,
-                           LsPolicy policy = LsPolicy::Shared,
-                           unsigned bank_busy_cycles = 4);
+                           LsPolicy policy = LsPolicy::Shared);
 
 /** Convenience builder for a cached configuration. */
 MemConfig makeCachedMem(unsigned cache_bytes = 32 * 1024,

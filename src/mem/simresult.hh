@@ -112,6 +112,14 @@ struct SimResult
     uint64_t vectorLoadsEliminated = 0;
     uint64_t scalarLoadsEliminated = 0;
     uint64_t branchMispredicts = 0;
+    /**
+     * Despite their names, the three stall counters below count
+     * iterations of the OOOVA's run loop, not cycles: an iteration
+     * in which dispatch, or the SLE+VLE Dep stage, found no free
+     * physical register, a full ROB or a full issue queue. The idle
+     * jump skips the cycles in which such a stall persists, so they
+     * undercount the stalled cycles.
+     */
     uint64_t renameStallCycles = 0;
     uint64_t robStallCycles = 0;
     uint64_t queueStallCycles = 0;

@@ -19,8 +19,6 @@ TlbConfig::label() const
         l += csprintf("%uk", pageBytes / 1024);
     else
         l += csprintf("%ub", pageBytes);
-    if (associativity != 4)
-        l += csprintf("a%u", associativity);
     if (refill == TlbRefill::SoftwareTrap)
         l += "s";
     return l;
@@ -30,7 +28,7 @@ Tlb::Tlb(const TlbConfig &cfg) : cfg_(cfg)
 {
     validate(cfg_);
     pageShift_ = static_cast<unsigned>(std::countr_zero(cfg_.pageBytes));
-    assoc_ = std::min(std::max(cfg_.associativity, 1u), cfg_.entries);
+    assoc_ = std::min(kTlbWays, cfg_.entries);
     sets_ = cfg_.entries / assoc_;
     ways_.assign(cfg_.entries, Entry{});
 }
@@ -162,8 +160,8 @@ Tlb::translate(const std::vector<Addr> &pages, bool indexed)
     // software-refill configuration is never silently free.
     unsigned missed = lookup(pages, indexed);
     hits_ += pages.size() - missed;
-    missCycles_ += uint64_t{missed} * cfg_.missPenalty;
-    return missed * cfg_.missPenalty;
+    missCycles_ += uint64_t{missed} * kTlbMissPenalty;
+    return missed * kTlbMissPenalty;
 }
 
 unsigned

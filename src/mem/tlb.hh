@@ -20,7 +20,7 @@
  *    one page window while uniform-random indices thrash any
  *    small TLB.
  *
- * Refill policy (TlbRefill): a HardwareWalk charges missPenalty
+ * Refill policy (TlbRefill): a HardwareWalk charges kTlbMissPenalty
  * stall cycles per refill inside the memory model, serializing the
  * stream's setup. SoftwareTrap instead raises a precise trap through
  * the OOOVA's existing squash-and-replay path (late commit only; the
@@ -50,6 +50,11 @@
 
 namespace oova
 {
+
+/** Ways per TLB set (a TLB of fewer entries is fully associative). */
+constexpr unsigned kTlbWays = 4;
+/** Stall cycles charged per hardware page walk. */
+constexpr unsigned kTlbMissPenalty = 30;
 
 /**
  * Plain-data snapshot of a TLB's translation array and counters for
@@ -82,7 +87,7 @@ struct TlbAuditView
 /** How a TLB miss is refilled. */
 enum class TlbRefill : uint8_t
 {
-    /** Hardware page walk: missPenalty stall cycles per refill. */
+    /** Hardware page walk: kTlbMissPenalty stall cycles per refill. */
     HardwareWalk,
     /**
      * Software-managed TLB: a miss raises a precise trap on the
@@ -107,18 +112,13 @@ struct TlbConfig
     unsigned entries = 64;
     /** Page size in bytes (a power of two). */
     unsigned pageBytes = 4096;
-    /** Ways per set (>= entries means fully associative). */
-    unsigned associativity = 4;
-    /** Stall cycles charged per hardware page walk. */
-    unsigned missPenalty = 30;
 
     TlbRefill refill = TlbRefill::HardwareWalk;
 
     /**
      * Config suffix appended to the memory-model label, e.g.
-     * "/t64e4k" (64 entries, 4 KiB pages), "/t16e4ka2" (2-way),
-     * "/t64e4ks" (software refill). Empty while disabled, so default
-     * labels are untouched.
+     * "/t64e4k" (64 entries, 4 KiB pages) or "/t64e4ks" (software
+     * refill). Empty while disabled, so default labels are untouched.
      */
     std::string label() const;
 };
@@ -137,8 +137,6 @@ walkConfig(Cfg &t, Visitor &v)
     // pageOf() runs once per gather element: a shift, not a divide.
     v.field("pageBytes", t.pageBytes,
             {.pow2 = true, .what = "TLB page size %u is not a power of two"});
-    v.field("associativity", t.associativity);
-    v.field("missPenalty", t.missPenalty);
     v.field("refill", t.refill);
 }
 

@@ -162,8 +162,7 @@ RefMachine::vSrcAvail(const RegId &r) const
     // C3400 does not chain memory loads into functional units (or
     // the store unit): their consumers wait for completion.
     const VRegState &st = vreg_[r.idx];
-    return !st.writerIsLoad || cfg_.chainLoadsToFus ? st.writeStart + 1
-                                                     : st.writeEnd;
+    return st.writerIsLoad ? st.writeEnd : st.writeStart + 1;
 }
 
 Cycle
@@ -257,10 +256,10 @@ RefMachine::run()
             const VRegState &d = vreg_[inst.dst.idx];
             Cycle write_delay;
             if (inst.isLoad()) {
-                write_delay = lat_.vectorStartup + lat_.memLatency +
+                write_delay = kRefVectorStartup + lat_.memLatency +
                               kWriteXbarVector;
             } else {
-                write_delay = lat_.vectorStartup + kReadXbar +
+                write_delay = kRefVectorStartup + kReadXbar +
                               lat_.opLatency(inst.op) + kWriteXbarVector;
             }
             Cycle clear = std::max(d.lastReadEnd + 1, d.writeEnd);
@@ -287,7 +286,7 @@ RefMachine::run()
                          StallCause::Ports);
 
             Cycle t = ip.t;
-            Cycle exec = t + lat_.vectorStartup;
+            Cycle exec = t + kRefVectorStartup;
             Cycle read_done = exec + inst.vl;
             Cycle write_start = exec + kReadXbar +
                                 lat_.opLatency(inst.op) + kWriteXbarVector;
@@ -348,7 +347,7 @@ RefMachine::run()
                     ip.raise(writePortConstraint(inst.dst),
                              StallCause::Ports);
                 Cycle t = ip.t;
-                MemAccess a = reserveStream(t + lat_.vectorStartup);
+                MemAccess a = reserveStream(t + kRefVectorStartup);
                 memUnitFree_ = a.end;
                 VRegState &d = vreg_[inst.dst.idx];
                 d.writeStart = a.firstData + kWriteXbarVector;
@@ -362,7 +361,7 @@ RefMachine::run()
                 ip.raise(readPortConstraint(data),
                          StallCause::Ports);
                 Cycle t = ip.t;
-                MemAccess a = reserveStream(t + lat_.vectorStartup);
+                MemAccess a = reserveStream(t + kRefVectorStartup);
                 memUnitFree_ = a.end;
                 Cycle read_done = a.end;
                 vreg_[data.idx].lastReadEnd =
@@ -394,7 +393,7 @@ RefMachine::run()
             finish(resolve);
             if (inst.taken) {
                 nextIssue_ = std::max(nextIssue_,
-                                      t + 1 + lat_.branchMispredict);
+                                      t + 1 + kBranchMispredict);
             }
         } else {
             // Scalar ALU / move / SetVL / SetVS.

@@ -36,7 +36,7 @@ namespace oova
 /** Configuration of the reference machine. */
 struct RefConfig
 {
-    LatencyTable lat = LatencyTable::refDefaults();
+    LatencyTable lat;
 
     /**
      * Model the banked V register file port conflicts dynamically.
@@ -50,9 +50,6 @@ struct RefConfig
      * port-oblivious allocation would cost.
      */
     bool modelPortConflicts = false;
-
-    /** Allow load->FU chaining (off on the real C3400). */
-    bool chainLoadsToFus = false;
 
     /**
      * Invariant-audit level (src/check/), mirroring
@@ -93,7 +90,6 @@ walkConfig(Cfg &c, Visitor &v)
 {
     v.nest("lat", c.lat);
     v.field("modelPortConflicts", c.modelPortConflicts);
-    v.field("chainLoadsToFus", c.chainLoadsToFus);
     v.unkeyed("checkLevel", c.checkLevel);
     v.field("cpiStack", c.cpiStack);
     v.field("telemetry", c.telemetry, {.key = ConfigField::Key::Telemetry});

@@ -146,13 +146,6 @@ TEST(CheckRegistry, ViolationTurnsExitCodeRed)
         ::testing::ExitedWithCode(3), "injected for exit-code test");
 }
 
-TEST(CheckLevelTest, Names)
-{
-    EXPECT_STREQ(levelName(CheckLevel::Off), "off");
-    EXPECT_STREQ(levelName(CheckLevel::Retire), "retire");
-    EXPECT_STREQ(levelName(CheckLevel::Full), "full");
-}
-
 // ---------------------------------------------------------------
 // One injected corruption per checker family.
 // ---------------------------------------------------------------

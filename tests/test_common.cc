@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -195,6 +199,55 @@ TEST(UnitStateBreakdown, SumAlwaysEqualsTotal)
     for (auto v : st)
         sum += v;
     EXPECT_EQ(sum, 60u);
+}
+
+TEST(UnitStateBreakdown, MatchesPerCycleBruteForce)
+{
+    // Random intervals per unit: sometimes in order and disjoint
+    // (back-to-back included), sometimes unsorted and overlapping,
+    // some reaching past the total. Every cycle's state, and each
+    // unit's busy cycles, must equal a per-cycle count.
+    constexpr Cycle kSpan = 300; // past every interval's end
+    Rng rng(0x5ca1ab1e);
+    for (int c = 0; c < 2000; ++c) {
+        auto total = static_cast<Cycle>(rng.uniform(0, 120));
+        IntervalRecorder rec[3]; // indexed by state bit
+        std::vector<int> depth(kSpan * 3, 0);
+        for (int u = 0; u < 3; ++u) {
+            bool ordered = rng.chance(0.5);
+            Cycle at = 0;
+            for (int n = static_cast<int>(rng.uniform(0, 8)); n > 0; --n) {
+                Cycle s = ordered ? at + rng.uniform(0, 3)
+                                  : rng.uniform(0, 140);
+                Cycle e = s + rng.uniform(0, 30);
+                rec[u].add(s, e);
+                at = std::max(at, e);
+                for (Cycle t = s; t < e; ++t)
+                    ++depth[t * 3 + static_cast<size_t>(u)];
+            }
+        }
+        std::array<uint64_t, UnitStateBreakdown::kNumStates> want{};
+        uint64_t busy[3] = {0, 0, 0};
+        for (Cycle t = 0; t < kSpan; ++t) {
+            int state = 0;
+            for (int u = 0; u < 3; ++u) {
+                if (depth[t * 3 + static_cast<size_t>(u)] > 0) {
+                    state |= 1 << u;
+                    ++busy[u];
+                }
+            }
+            if (t < total)
+                ++want[static_cast<size_t>(state)];
+        }
+        SCOPED_TRACE(testing::Message() << "case " << c);
+        EXPECT_EQ(UnitStateBreakdown::compute(rec[2], rec[1], rec[0],
+                                              total),
+                  want);
+        for (int u = 0; u < 3; ++u)
+            EXPECT_EQ(rec[u].busyCycles(), busy[u]);
+        if (testing::Test::HasFailure())
+            return;
+    }
 }
 
 TEST(UnitStateBreakdown, StateNames)

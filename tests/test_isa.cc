@@ -189,13 +189,12 @@ TEST(Instruction, Disassembly)
 
 TEST(Latency, Defaults)
 {
-    LatencyTable ref = LatencyTable::refDefaults();
-    LatencyTable ooo = LatencyTable::oooDefaults();
-    EXPECT_EQ(ref.vectorStartup, 1u);
-    EXPECT_EQ(ooo.vectorStartup, 0u); // Table 1 footnote
-    EXPECT_EQ(ref.opLatency(Opcode::VMul), kMulLat);
-    EXPECT_EQ(ref.opLatency(Opcode::VDiv), kDivSqrtLat);
-    EXPECT_EQ(ref.opLatency(Opcode::VAdd), kAddLogicLat);
-    EXPECT_EQ(ref.opLatency(Opcode::SMove), kMoveLat);
-    EXPECT_EQ(ref.opLatency(Opcode::VLoad), ref.memLatency);
+    EXPECT_EQ(kRefVectorStartup, 1u);
+    EXPECT_EQ(kOooVectorStartup, 0u); // Table 1 footnote
+    LatencyTable lat;
+    EXPECT_EQ(lat.opLatency(Opcode::VMul), kMulLat);
+    EXPECT_EQ(lat.opLatency(Opcode::VDiv), kDivSqrtLat);
+    EXPECT_EQ(lat.opLatency(Opcode::VAdd), kAddLogicLat);
+    EXPECT_EQ(lat.opLatency(Opcode::SMove), kMoveLat);
+    EXPECT_EQ(lat.opLatency(Opcode::VLoad), lat.memLatency);
 }

@@ -33,9 +33,9 @@ makeFlat(unsigned latency = 50)
 }
 
 std::unique_ptr<MemorySystem>
-makeBanked(unsigned banks, unsigned busy = 4, unsigned latency = 50)
+makeBanked(unsigned banks, unsigned latency = 50)
 {
-    return makeMemorySystem(makeBankedMem(banks, busy), latency);
+    return makeMemorySystem(makeBankedMem(banks), latency);
 }
 
 /**
@@ -151,7 +151,7 @@ TEST(BankedMemory, UnitStrideCoversAllBanksWithoutConflict)
     // Stride 1 over 8 banks: each bank is revisited only every 8
     // cycles, beyond the 4-cycle busy time, so the stream drives one
     // address per cycle like the flat bus.
-    auto mem = makeBanked(8, 4);
+    auto mem = makeBanked(8);
     MemAccess a = mem->reserve(0, 0, 8, 32);
     EXPECT_EQ(a.start, 0u);
     EXPECT_EQ(a.end, 32u);
@@ -164,7 +164,7 @@ TEST(BankedMemory, BankCountStrideSerializesOnOneBank)
     // Stride == bank count: every element maps to bank 0 and must
     // wait out the 4-cycle busy time — the address phase dilates to
     // busy * elems.
-    auto mem = makeBanked(8, 4);
+    auto mem = makeBanked(8);
     MemAccess a = mem->reserve(0, 0, 8 * 8, 16);
     EXPECT_EQ(a.start, 0u);
     EXPECT_EQ(a.end, 15u * 4 + 1);
@@ -175,7 +175,7 @@ TEST(BankedMemory, BankCountStrideSerializesOnOneBank)
 TEST(BankedMemory, CoPrimeStrideAvoidsConflicts)
 {
     // Stride 3 (co-prime with 8) permutes all banks before reuse.
-    auto mem = makeBanked(8, 4);
+    auto mem = makeBanked(8);
     MemAccess a = mem->reserve(0, 0, 3 * 8, 32);
     EXPECT_EQ(a.end, 32u);
     EXPECT_EQ(mem->stats().bankConflicts, 0u);
@@ -186,7 +186,7 @@ TEST(BankedMemory, StrideTwoHalvesTheBankPool)
     // Stride 2 on 4 banks touches 2 banks; with busy 4 the reuse
     // distance (2 cycles) is under the busy time, so the stream
     // degrades to one element every busy/2 = 2 cycles steady state.
-    auto mem = makeBanked(4, 4);
+    auto mem = makeBanked(4);
     MemAccess a = mem->reserve(0, 0, 2 * 8, 16);
     EXPECT_GT(a.end, 24u);
     EXPECT_GT(mem->stats().bankConflicts, 0u);
@@ -197,7 +197,7 @@ TEST(BankedMemory, StreamsSerializeInOrder)
     // The single memory unit serializes streams: a second stream
     // with an earlier "earliest" still starts after the first one's
     // address phase.
-    auto mem = makeBanked(8, 4);
+    auto mem = makeBanked(8);
     MemAccess a = mem->reserve(5, 0, 8, 8);
     EXPECT_EQ(a.end, 13u);
     MemAccess b = mem->reserve(0, 0x800, 8, 8);
@@ -207,7 +207,7 @@ TEST(BankedMemory, StreamsSerializeInOrder)
 
 TEST(BankedMemory, DataFollowsAddressPhase)
 {
-    auto mem = makeBanked(8, 4, 100);
+    auto mem = makeBanked(8, 100);
     MemAccess a = mem->reserve(0, 0, 8, 8);
     EXPECT_EQ(a.firstData, a.start + 100);
     EXPECT_EQ(a.lastData, a.end + 100);
@@ -329,7 +329,7 @@ TEST(IndexedReserve, PermutationAddressesRunConflictFree)
     // A bank-friendly permutation of 32 consecutive words (odd step
     // 5): every bank revisit is 8 elements apart, beyond the 4-cycle
     // busy time.
-    auto mem = makeBanked(8, 4);
+    auto mem = makeBanked(8);
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < 32; ++i)
         addrs.push_back(0x1000 + ((i * 5) % 32) * 8);
@@ -344,7 +344,7 @@ TEST(IndexedReserve, CongruentIndicesDilateOnOneBank)
 {
     // All addresses congruent mod 8 words: one bank, serialized at
     // the bank busy time — and counted as indexed conflicts.
-    auto mem = makeBanked(8, 4);
+    auto mem = makeBanked(8);
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < 16; ++i)
         addrs.push_back(0x1000 + i * 8 * 8);
@@ -360,7 +360,7 @@ TEST(IndexedReserve, CongruentIndicesDilateOnOneBank)
 
 TEST(IndexedReserve, StridedAndIndexedConflictsSplitCleanly)
 {
-    auto mem = makeBanked(8, 4);
+    auto mem = makeBanked(8);
     // A strided one-bank stream first...
     mem->reserve(0, 0x1000, 64, 8, MemOp::Load);
     uint64_t strided = mem->stats().bankConflicts;
@@ -594,10 +594,11 @@ TEST(MemUnitRange, OddSplitStoresGetTheirOwnUnitInTheModel)
 {
     // Three split units end to end: two load streams overlap on the
     // two load units while a store lands on the dedicated third.
-    // Stride 32 over 8 banks with a 1-cycle bank busy time puts each
-    // word-offset base on its own disjoint {b, b+4} bank pair, so
-    // only unit assignment decides the timing.
-    MemConfig cfg = makeMultiUnitMem(8, 3, LsPolicy::Split, 1);
+    // Stride 32 over 16 banks puts each word-offset base on its own
+    // disjoint set of four banks, each revisited every fourth cycle,
+    // just as its kBankBusyCycles run out, so only unit assignment
+    // decides the timing.
+    MemConfig cfg = makeMultiUnitMem(16, 3, LsPolicy::Split);
     auto mem = makeMemorySystem(cfg, 50);
     MemAccess a = mem->reserve(0, 0x1000, 32, 16, MemOp::Load);
     MemAccess b = mem->reserve(0, 0x1008, 32, 16, MemOp::Load);
@@ -673,7 +674,7 @@ TEST(BankedMemory, UnitStrideStreamsMonotoneInBankCount)
     // property is asserted here, on the model.)
     Cycle prev = kNoCycle;
     for (unsigned banks : {1u, 2u, 4u, 8u, 16u}) {
-        auto mem = makeBanked(banks, 4);
+        auto mem = makeBanked(banks);
         Cycle end = 0;
         for (unsigned s = 0; s < 8; ++s) {
             MemAccess a =
@@ -729,38 +730,15 @@ TEST(MemSystemSim, CachedModelRunsBothSimulators)
 
 // ------------------------------------------------------ geometry
 //
-// Bank, line and set indices are shifts and masks, so every
-// geometry that feeds them must be a power of two; anything else is
-// refused loudly at construction, never rounded.
+// Bank and set indices are masks, so the bank and set counts must be
+// powers of two; anything else is refused loudly at construction,
+// never rounded.
 
 TEST(MemGeometryDeathTest, NonPowerOfTwoBankCountIsRejected)
 {
     EXPECT_EXIT(makeMemorySystem(makeBankedMem(6), 50),
                 ::testing::ExitedWithCode(1),
                 "6 banks is not a power of two");
-}
-
-TEST(MemGeometryDeathTest, NonPowerOfTwoInterleaveIsRejected)
-{
-    MemConfig cfg = makeBankedMem(8);
-    cfg.interleaveBytes = 24;
-    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
-                "24-byte interleave is not a power of two");
-    cfg.interleaveBytes = 0;
-    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
-                "0-byte interleave is not a power of two");
-}
-
-TEST(MemGeometryDeathTest, NonPowerOfTwoLineSizeIsRejected)
-{
-    MemConfig cfg = makeCachedMem();
-    cfg.lineBytes = 48;
-    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
-                "cache line size 48 is not a power of two");
-    // Smaller than one word would silently become a word.
-    cfg.lineBytes = 4;
-    EXPECT_EXIT(makeMemorySystem(cfg, 50), ::testing::ExitedWithCode(1),
-                "cache line size 4 is not a power of two of at least 8");
 }
 
 TEST(MemGeometryDeathTest, NonPowerOfTwoSetCountIsRejected)
@@ -808,12 +786,11 @@ TEST(MemGeometryDeathTest, ValidateHoldsTheUnitModelAndTlbRules)
 
 TEST(MemGeometry, ExactCapacityHoldsEveryLineOnASecondPass)
 {
-    // Ways need not be a power of two: 3 ways x 128 sets x 64 bytes.
-    MemConfig cfg = makeCachedMem(24 * 1024);
-    cfg.associativity = 3;
-    EXPECT_EQ(cfg.label(), "/c24k3w8m");
+    // 4 ways x 128 sets x 64 bytes.
+    MemConfig cfg = makeCachedMem(32 * 1024);
+    EXPECT_EQ(cfg.label(), "/c32k4w8m");
     auto mem = makeMemorySystem(cfg, 50);
-    const unsigned lines = 24 * 1024 / 64;
+    const unsigned lines = 32 * 1024 / kLineBytes;
     Cycle t = mem->reserve(0, 0, 64, lines, MemOp::Load).end;
     uint64_t misses = mem->stats().cacheMisses;
     EXPECT_EQ(misses, lines);
@@ -910,9 +887,6 @@ class RefBanked : public MemorySystem
   public:
     RefBanked(const MemConfig &cfg, unsigned latency)
         : latency_(latency), bankMask_(cfg.banks - 1),
-          bankBusy_(cfg.bankBusyCycles),
-          interleaveShift_(static_cast<unsigned>(
-              std::countr_zero(cfg.interleaveBytes))),
           bankFreeAt_(cfg.banks, 0), units_(cfg)
     {
     }
@@ -955,8 +929,8 @@ class RefBanked : public MemorySystem
         RefBusyRunMerger busy(busy_);
         for (unsigned i = 0; i < elems; ++i) {
             Addr a = addr_of(i);
-            unsigned bank = static_cast<unsigned>(
-                (a >> interleaveShift_) & bankMask_);
+            unsigned bank = static_cast<unsigned>((a / kWordBytes) &
+                                                  bankMask_);
             Cycle t = std::max(cur, bankFreeAt_[bank]);
             if (t > cur) {
                 ++stats_.bankConflicts;
@@ -966,7 +940,7 @@ class RefBanked : public MemorySystem
                     stats_.indexedConflictCycles += t - cur;
                 }
             }
-            bankFreeAt_[bank] = t + bankBusy_;
+            bankFreeAt_[bank] = t + kBankBusyCycles;
             busy.add(t);
             if (i == 0)
                 acc.start = t;
@@ -983,8 +957,6 @@ class RefBanked : public MemorySystem
 
     unsigned latency_;
     unsigned bankMask_;
-    unsigned bankBusy_;
-    unsigned interleaveShift_;
     std::vector<Cycle> bankFreeAt_;
     RefUnitPool units_;
 };
@@ -998,16 +970,10 @@ class RefCached : public MemorySystem
 {
   public:
     RefCached(const MemConfig &cfg, unsigned latency)
-        : hitLat_(cfg.cacheHitLatency),
-          lineShift_(static_cast<unsigned>(
-              std::countr_zero(cfg.lineBytes))),
-          assoc_(std::max(cfg.associativity, 1u)),
-          lineElems_(cfg.lineBytes / 8)
     {
-        auto sets = static_cast<unsigned>(
-            cfg.cacheBytes / (uint64_t{cfg.lineBytes} * assoc_));
+        unsigned sets = cfg.cacheBytes / (kLineBytes * kCacheWays);
         setMask_ = sets - 1;
-        ways_.assign(static_cast<size_t>(sets) * assoc_, Way{});
+        ways_.assign(static_cast<size_t>(sets) * kCacheWays, Way{});
         mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
         // The default MemConfig: one flat bus, no TLB.
         bus_ = makeMemorySystem(MemConfig{}, latency);
@@ -1049,7 +1015,7 @@ class RefCached : public MemorySystem
         MemAccess acc;
         if (elems == 0) {
             acc.start = acc.end = earliest;
-            acc.firstData = acc.lastData = earliest + hitLat_;
+            acc.firstData = acc.lastData = earliest + kCacheHitLatency;
             return acc;
         }
         Cycle cur = std::max(earliest, freeAt_);
@@ -1058,12 +1024,12 @@ class RefCached : public MemorySystem
         RefBusyRunMerger busy(busy_);
         for (unsigned i = 0; i < elems; ++i) {
             Addr a = addr_of(i);
-            Addr line = a >> lineShift_;
+            Addr line = a / kLineBytes;
             Cycle t = cur;
             Cycle dataAt;
             if (Way *w = lookup(line)) {
                 ++stats_.cacheHits;
-                dataAt = std::max(t + hitLat_, w->fillDone);
+                dataAt = std::max(t + kCacheHitLatency, w->fillDone);
                 w->lastUse = t;
             } else {
                 ++stats_.cacheMisses;
@@ -1073,8 +1039,9 @@ class RefCached : public MemorySystem
                     stats_.mshrStallCycles += *m - t;
                     t = *m;
                 }
-                MemAccess fill = bus_->reserve(
-                    t, line << lineShift_, 8, lineElems_, MemOp::Load);
+                MemAccess fill =
+                    bus_->reserve(t, line * kLineBytes, 8,
+                                  kLineBytes / kWordBytes, MemOp::Load);
                 dataAt = fill.lastData - 1;
                 *m = fill.lastData;
                 Way &v = victim(line);
@@ -1102,8 +1069,8 @@ class RefCached : public MemorySystem
     Way *
     lookup(Addr line)
     {
-        Way *set = &ways_[(line & setMask_) * assoc_];
-        for (unsigned w = 0; w < assoc_; ++w)
+        Way *set = &ways_[(line & setMask_) * kCacheWays];
+        for (unsigned w = 0; w < kCacheWays; ++w)
             if (set[w].valid && set[w].line == line)
                 return &set[w];
         return nullptr;
@@ -1112,9 +1079,9 @@ class RefCached : public MemorySystem
     Way &
     victim(Addr line)
     {
-        Way *set = &ways_[(line & setMask_) * assoc_];
+        Way *set = &ways_[(line & setMask_) * kCacheWays];
         Way *best = &set[0];
-        for (unsigned w = 0; w < assoc_; ++w) {
+        for (unsigned w = 0; w < kCacheWays; ++w) {
             if (!set[w].valid)
                 return set[w];
             if (set[w].lastUse < best->lastUse)
@@ -1123,10 +1090,6 @@ class RefCached : public MemorySystem
         return *best;
     }
 
-    unsigned hitLat_;
-    unsigned lineShift_;
-    unsigned assoc_;
-    unsigned lineElems_;
     Addr setMask_ = 0;
     std::vector<Way> ways_;
     std::vector<Cycle> mshrFreeAt_;
@@ -1148,8 +1111,6 @@ randomBankedConfig(Rng &rng)
     MemConfig cfg;
     cfg.model = MemModel::Banked;
     cfg.banks = pickOne(rng, {1u, 2u, 4u, 8u, 16u, 32u});
-    cfg.bankBusyCycles = static_cast<unsigned>(rng.uniform(1, 12));
-    cfg.interleaveBytes = pickOne(rng, {8u, 16u, 64u});
     cfg.memUnits = static_cast<unsigned>(rng.uniform(1, 3));
     cfg.lsPolicy = rng.chance(0.5) ? LsPolicy::Shared : LsPolicy::Split;
     return cfg;
@@ -1159,22 +1120,17 @@ randomBankedConfig(Rng &rng)
 MemConfig
 randomCachedConfig(Rng &rng)
 {
-    MemConfig cfg = randomBankedConfig(rng);
+    MemConfig cfg;
     cfg.model = MemModel::Cached;
-    cfg.memUnits = 1;
-    cfg.lsPolicy = LsPolicy::Shared;
-    cfg.lineBytes = pickOne(rng, {8u, 16u, 32u, 64u, 128u});
-    cfg.associativity = static_cast<unsigned>(rng.uniform(1, 8));
     unsigned sets = pickOne(rng, {2u, 4u, 8u, 16u});
-    cfg.cacheBytes = cfg.lineBytes * cfg.associativity * sets;
+    cfg.cacheBytes = kLineBytes * kCacheWays * sets;
     cfg.mshrs = static_cast<unsigned>(rng.uniform(1, 8));
-    cfg.cacheHitLatency = static_cast<unsigned>(rng.uniform(1, 4));
     return cfg;
 }
 
 /** A stride from the shapes the shortcuts must get right. */
 int64_t
-randomStride(Rng &rng, const MemConfig &cfg)
+randomStride(Rng &rng)
 {
     int64_t sign = rng.chance(0.5) ? 1 : -1;
     auto small = static_cast<int64_t>(rng.uniform(1, 40));
@@ -1187,13 +1143,12 @@ randomStride(Rng &rng, const MemConfig &cfg)
         return sign * 16;
     case 3: // odd
         return sign * (2 * small + 1);
-    case 4: // whole interleave units
-        return sign * small * cfg.interleaveBytes;
-    case 5: // not a multiple of the interleave
-        return sign * (small * cfg.interleaveBytes + 8);
+    case 4: // whole words
+        return sign * small * kWordBytes;
+    case 5: // not a whole number of words
+        return sign * (small * kWordBytes + 4);
     case 6: // line-sized
-        return sign * static_cast<int64_t>(cfg.lineBytes) *
-               static_cast<int64_t>(rng.uniform(1, 3));
+        return sign * kLineBytes * static_cast<int64_t>(rng.uniform(1, 3));
     default: // page-sized
         return sign * 4096;
     }
@@ -1222,8 +1177,7 @@ expectSameStats(const MemStats &got, const MemStats &want)
  * false at the first difference.
  */
 bool
-sameStreams(Rng &rng, const MemConfig &cfg, MemorySystem &model,
-            MemorySystem &ref)
+sameStreams(Rng &rng, MemorySystem &model, MemorySystem &ref)
 {
     Cycle earliest = 0;
     std::vector<Addr> gather;
@@ -1244,7 +1198,7 @@ sameStreams(Rng &rng, const MemConfig &cfg, MemorySystem &model,
             got = model.reserve(earliest, gather, op);
             want = ref.reserve(earliest, gather, op);
         } else {
-            int64_t stride = randomStride(rng, cfg);
+            int64_t stride = randomStride(rng);
             got = model.reserve(earliest, base, stride, elems, op);
             want = ref.reserve(earliest, base, stride, elems, op);
         }
@@ -1279,10 +1233,8 @@ TEST(MemShortcuts, BankedStreamsEqualTheElementLoop)
         auto model = makeMemorySystem(cfg, latency);
         RefBanked ref(cfg, latency);
         SCOPED_TRACE(testing::Message()
-                     << "geometry " << g << " " << cfg.label()
-                     << " busy " << cfg.bankBusyCycles << " interleave "
-                     << cfg.interleaveBytes);
-        if (!sameStreams(rng, cfg, *model, ref))
+                     << "geometry " << g << " " << cfg.label());
+        if (!sameStreams(rng, *model, ref))
             return;
     }
 }
@@ -1296,11 +1248,8 @@ TEST(MemShortcuts, CachedStreamsEqualTheElementLoop)
         auto model = makeMemorySystem(cfg, latency);
         RefCached ref(cfg, latency);
         SCOPED_TRACE(testing::Message()
-                     << "geometry " << g << " " << cfg.label()
-                     << " line " << cfg.lineBytes << " busy "
-                     << cfg.bankBusyCycles << " interleave "
-                     << cfg.interleaveBytes);
-        if (!sameStreams(rng, cfg, *model, ref))
+                     << "geometry " << g << " " << cfg.label());
+        if (!sameStreams(rng, *model, ref))
             return;
     }
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.hh"
 #include "common/pipetrace.hh"
 #include "core/ooosim.hh"
 #include "harness/experiment.hh"
@@ -35,15 +36,6 @@ countLines(const std::string &text, const std::string &needle)
     return n;
 }
 
-/** The first vector load in @p t at or after @p start. */
-SeqNum
-firstVectorLoadAfter(const Trace &t, SeqNum start)
-{
-    for (SeqNum i = start; i < t.size(); ++i)
-        if (t[i].op == Opcode::VLoad)
-            return i;
-    return kNoSeq;
-}
 
 } // namespace
 
@@ -84,23 +76,27 @@ TEST(PipeTrace, SquashedReplayGetsZeroRetireTick)
 {
     TraceCache traces(kScale);
     const Trace &t = traces.get("hydro2d");
-    SeqNum victim = firstVectorLoadAfter(t, t.size() / 2);
-    ASSERT_NE(victim, kNoSeq);
 
+    // Every miss of a software-refilled TLB traps under late commit.
     PipeTracer tracer;
-    OooConfig cfg = makeOooConfig(16, 16, 50, CommitMode::Late);
+    OooConfig cfg = makeTlbOooConfig(64, 4096, 50, CommitMode::Late,
+                                     TlbRefill::SoftwareTrap);
+    cfg.checkLevel = 2;
     cfg.pipeTracer = &tracer;
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, cfg, fault);
+    check::resetProcessViolations();
+    SimResult r = simulateOoo(t, cfg);
     tracer.finish();
+    EXPECT_EQ(check::processViolationCount(), 0u);
+    check::resetProcessViolations();
 
-    ASSERT_EQ(r.traps, 1u);
-    // The squash killed at least the faulting instruction; replays
+    ASSERT_GE(r.traps, 1u);
+    EXPECT_EQ(r.instructions, t.size());
+    // Each squash killed at least the faulting instruction; replays
     // get fresh records, so the trace holds more than one record
-    // per committed instruction and at least one zero retire tick.
+    // per committed instruction and at least one zero retire tick
+    // per trap.
     EXPECT_GT(tracer.recorded(), r.instructions);
-    EXPECT_GE(countLines(tracer.str(), "O3PipeView:retire:0:"), 1u);
+    EXPECT_GE(countLines(tracer.str(), "O3PipeView:retire:0:"), r.traps);
 }
 
 TEST(PipeTrace, IndependentOfSweepThreadCount)

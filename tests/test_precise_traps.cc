@@ -1,29 +1,66 @@
 /**
  * @file
- * Tests for the precise-trap machinery (paper section 5): fault
- * injection on loads and stores, squash + rename rollback, replay,
- * and full-program recovery under every load-elimination mode.
+ * Tests for the precise-trap machinery (paper section 5). The traps
+ * come from the machine's own trap source, a software-refilled TLB
+ * under late commit: a stream whose pages are not resident traps at
+ * the ROB head, the squash rolls back every younger rename, the
+ * handler installs the pages and the instruction replays. Every run
+ * audits at checkLevel 2 and must commit each instruction exactly
+ * once, under every load-elimination mode.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/ooosim.hh"
-#include "tgen/benchmarks.hh"
+#include "check/check.hh"
+#include "harness/experiment.hh"
 
 using namespace oova;
 
 namespace
 {
 
+/** Late-commit OOOVA whose TLB misses trap, under the full audit. */
 OooConfig
-lateCfg(LoadElimMode elim = LoadElimMode::None)
+trapCfg(LoadElimMode elim = LoadElimMode::None, unsigned tlb_entries = 64)
 {
-    OooConfig c;
-    c.lat.memLatency = 50;
-    c.numPhysVRegs = 16;
-    c.commit = CommitMode::Late;
+    OooConfig c = makeTlbOooConfig(tlb_entries, 4096, 50,
+                                   CommitMode::Late,
+                                   TlbRefill::SoftwareTrap);
     c.loadElim = elim;
+    c.checkLevel = 2;
     return c;
+}
+
+/**
+ * Run @p t on @p cfg and expect no audit violation and every
+ * instruction committed once: squash and replay are exact.
+ */
+SimResult
+runAudited(const Trace &t, const OooConfig &cfg)
+{
+    check::resetProcessViolations();
+    SimResult r = simulateOoo(t, cfg);
+    EXPECT_EQ(check::processViolationCount(), 0u);
+    check::resetProcessViolations();
+    EXPECT_EQ(r.instructions, t.size());
+    return r;
+}
+
+/**
+ * @p mem, the trace's only memory instruction, between vector and
+ * scalar work that does not touch memory: on the cold TLB it traps
+ * with older and younger instructions in flight.
+ */
+Trace
+oneMemOp(const DynInst &mem)
+{
+    Trace t("one-mem-op");
+    t.push(makeVArith(Opcode::VAdd, vReg(1), vReg(2), vReg(3), 64));
+    t.push(makeScalar(Opcode::SAdd, sReg(1), sReg(2), sReg(3)));
+    t.push(mem);
+    t.push(makeVArith(Opcode::VMul, vReg(4), vReg(1), vReg(5), 64));
+    t.push(makeScalar(Opcode::SAdd, sReg(4), sReg(1), sReg(2)));
+    return t;
 }
 
 Trace
@@ -34,92 +71,49 @@ loopTrace()
     return makeBenchmarkTrace("swm256", small);
 }
 
-SeqNum
-firstVectorLoadAfter(const Trace &t, SeqNum start)
-{
-    for (SeqNum i = start; i < t.size(); ++i)
-        if (t[i].op == Opcode::VLoad)
-            return i;
-    return kNoSeq;
-}
-
 } // namespace
 
 TEST(PreciseTraps, FaultingLoadReplaysAndCompletes)
 {
-    Trace t = loopTrace();
-    SeqNum victim = firstVectorLoadAfter(t, t.size() / 2);
-    ASSERT_NE(victim, kNoSeq);
-
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, lateCfg(), fault);
+    Trace t = oneMemOp(makeVLoad(vReg(0), aReg(0), 0x10000, 8, 64));
+    SimResult r = runAudited(t, trapCfg());
     EXPECT_EQ(r.traps, 1u);
-    // Squashed instructions re-execute; every instruction commits
-    // exactly once overall.
-    EXPECT_EQ(r.instructions, t.size());
+    EXPECT_EQ(r.tlbMisses, 1u) << "the handler installs the one page";
 }
 
 TEST(PreciseTraps, TrapCostsCycles)
 {
-    Trace t = loopTrace();
-    SeqNum victim = firstVectorLoadAfter(t, t.size() / 2);
-    SimResult clean = simulateOoo(t, lateCfg());
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult faulted = simulateOoo(t, lateCfg(), fault);
-    EXPECT_GT(faulted.cycles, clean.cycles);
+    Trace t = oneMemOp(makeVLoad(vReg(0), aReg(0), 0x10000, 8, 64));
+    SimResult clean =
+        simulateOoo(t, makeOooConfig(16, 16, 50, CommitMode::Late));
+    SimResult trapped = runAudited(t, trapCfg());
+    EXPECT_GT(trapped.cycles, clean.cycles);
 }
 
 TEST(PreciseTraps, FaultOnStore)
 {
-    Trace t = loopTrace();
-    SeqNum victim = kNoSeq;
-    for (SeqNum i = t.size() / 3; i < t.size(); ++i)
-        if (t[i].op == Opcode::VStore) {
-            victim = i;
-            break;
-        }
-    ASSERT_NE(victim, kNoSeq);
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, lateCfg(), fault);
+    Trace t = oneMemOp(makeVStore(vReg(1), aReg(0), 0x10000, 8, 64));
+    SimResult r = runAudited(t, trapCfg());
     EXPECT_EQ(r.traps, 1u);
-    EXPECT_EQ(r.instructions, t.size());
 }
 
 TEST(PreciseTraps, FaultOnScalarLoad)
 {
-    Trace t = loopTrace();
-    SeqNum victim = kNoSeq;
-    for (SeqNum i = 10; i < t.size(); ++i)
-        if (t[i].op == Opcode::SLoad) {
-            victim = i;
-            break;
-        }
-    ASSERT_NE(victim, kNoSeq);
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, lateCfg(), fault);
+    Trace t = oneMemOp(makeSLoad(sReg(5), aReg(0), 0x10000));
+    SimResult r = runAudited(t, trapCfg());
     EXPECT_EQ(r.traps, 1u);
-    EXPECT_EQ(r.instructions, t.size());
 }
 
 TEST(PreciseTraps, FaultOnVeryFirstMemoryOp)
 {
-    Trace t = loopTrace();
-    SeqNum victim = kNoSeq;
-    for (SeqNum i = 0; i < t.size(); ++i)
-        if (t[i].isMem()) {
-            victim = i;
-            break;
-        }
-    ASSERT_NE(victim, kNoSeq);
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, lateCfg(), fault);
-    EXPECT_EQ(r.traps, 1u);
-    EXPECT_EQ(r.instructions, t.size());
+    // The load is instruction 0: nothing older is in flight, and the
+    // replay refetches from the start of the program.
+    Trace t("first-inst");
+    t.push(makeVLoad(vReg(0), aReg(0), 0x10000, 8, 64));
+    t.push(makeVArith(Opcode::VAdd, vReg(1), vReg(0), vReg(0), 64));
+    t.push(makeVStore(vReg(1), aReg(0), 0x10200, 8, 64));
+    SimResult r = runAudited(t, trapCfg());
+    EXPECT_EQ(r.traps, 1u) << "the store finds the page resident";
 }
 
 /** Recovery must work with load elimination active, too. */
@@ -130,13 +124,8 @@ class TrapsUnderElim
 
 TEST_P(TrapsUnderElim, RecoversCleanly)
 {
-    Trace t = loopTrace();
-    SeqNum victim = firstVectorLoadAfter(t, t.size() / 2);
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, lateCfg(GetParam()), fault);
-    EXPECT_EQ(r.traps, 1u);
-    EXPECT_EQ(r.instructions, t.size());
+    SimResult r = runAudited(loopTrace(), trapCfg(GetParam()));
+    EXPECT_GT(r.traps, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,7 +133,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LoadElimMode::None, LoadElimMode::Sle,
                       LoadElimMode::SleVle));
 
-/** Sweep fault positions through a whole small program. */
+/**
+ * Move the first trap through a whole small program: dyfesm from its
+ * Nth memory instruction on, so the cold TLB's first trap lands on a
+ * different instruction each time. A TLB this small keeps missing,
+ * so many more traps follow.
+ */
 class TrapPosition : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -153,23 +147,22 @@ TEST_P(TrapPosition, AnyMemoryOpCanFault)
 {
     GenOptions tiny;
     tiny.scale = 0.1;
-    Trace t = makeBenchmarkTrace("dyfesm", tiny);
-    // Pick the Nth memory instruction as the victim.
+    Trace whole = makeBenchmarkTrace("dyfesm", tiny);
     unsigned target = GetParam();
-    SeqNum victim = kNoSeq;
+    SeqNum first = kNoSeq;
     unsigned seen = 0;
-    for (SeqNum i = 0; i < t.size(); ++i) {
-        if (t[i].isMem() && seen++ == target) {
-            victim = i;
+    for (SeqNum i = 0; i < whole.size(); ++i) {
+        if (whole[i].isMem() && seen++ == target) {
+            first = i;
             break;
         }
     }
-    ASSERT_NE(victim, kNoSeq);
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult r = simulateOoo(t, lateCfg(LoadElimMode::SleVle), fault);
-    EXPECT_EQ(r.traps, 1u);
-    EXPECT_EQ(r.instructions, t.size());
+    ASSERT_NE(first, kNoSeq);
+    Trace t("dyfesm-tail");
+    for (SeqNum i = first; i < whole.size(); ++i)
+        t.push(whole[i]);
+    SimResult r = runAudited(t, trapCfg(LoadElimMode::SleVle, 4));
+    EXPECT_GT(r.traps, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Positions, TrapPosition,

@@ -40,7 +40,7 @@ TEST(RefSim, SingleVectorLoadTiming)
     RefConfig cfg = cfgLat(50);
     SimResult r = simulateRef(t, cfg);
     // startup + bus(64) ... data written [startup+50+wx, +64).
-    Cycle expect = cfg.lat.vectorStartup + cfg.lat.memLatency +
+    Cycle expect = kRefVectorStartup + cfg.lat.memLatency +
                    kWriteXbarVector + 64;
     EXPECT_EQ(r.cycles, expect);
     EXPECT_EQ(r.memRequests, 64u);
@@ -54,7 +54,7 @@ TEST(RefSim, LoadUseNotChained)
     t.push(makeVArith(Opcode::VAdd, vReg(1), vReg(0), vReg(0), 64));
     RefConfig cfg = cfgLat(50);
     SimResult r = simulateRef(t, cfg);
-    Cycle load_done = cfg.lat.vectorStartup + cfg.lat.memLatency +
+    Cycle load_done = kRefVectorStartup + cfg.lat.memLatency +
                       kWriteXbarVector + 64;
     EXPECT_GE(r.cycles, load_done + 64) << "add overlapped the load";
 }
@@ -68,18 +68,6 @@ TEST(RefSim, FuToFuChainingWorks)
     SimResult r = simulateRef(t, cfgLat(50));
     // Unchained would be ~2*(lat+64); chained ~lat+smallconst+64.
     EXPECT_LT(r.cycles, 2 * 64u);
-}
-
-TEST(RefSim, ChainLoadsConfigRestoresOverlap)
-{
-    Trace t("ld-use");
-    t.push(makeVLoad(vReg(0), aReg(0), 0x1000, 8, 64));
-    t.push(makeVArith(Opcode::VAdd, vReg(1), vReg(0), vReg(0), 64));
-    RefConfig no_chain = cfgLat(50);
-    RefConfig chain = cfgLat(50);
-    chain.chainLoadsToFus = true;
-    EXPECT_LT(simulateRef(t, chain).cycles,
-              simulateRef(t, no_chain).cycles);
 }
 
 TEST(RefSim, MemUnitSerializesVectorMemOps)
@@ -145,17 +133,20 @@ TEST(RefSim, TakenBranchPenalty)
 
 TEST(RefSim, TakenBranchCostIsTheLatencyTables)
 {
-    // Table 1 lists lat.branchMispredict as REF's taken-branch cost:
+    // Table 1 lists kBranchMispredict as REF's taken-branch cost:
     // each taken branch holds the next issue back by that many
     // cycles.
-    Trace t("taken-loop");
-    for (int i = 0; i < 4; ++i)
-        t.push(makeBranch(aReg(0), true, 0x0));
-    t.push(makeScalar(Opcode::SMove, sReg(0), RegId()));
+    auto branches = [](bool taken) {
+        Trace t("branch-loop");
+        for (int i = 0; i < 4; ++i)
+            t.push(makeBranch(aReg(0), taken, 0x0));
+        t.push(makeScalar(Opcode::SMove, sReg(0), RegId()));
+        return t;
+    };
     RefConfig cfg = cfgLat(1);
-    Cycle base = simulateRef(t, cfg).cycles;
-    cfg.lat.branchMispredict += 7;
-    EXPECT_EQ(simulateRef(t, cfg).cycles, base + 4 * 7);
+    EXPECT_EQ(simulateRef(branches(true), cfg).cycles,
+              simulateRef(branches(false), cfg).cycles +
+                  4 * kBranchMispredict);
 }
 
 TEST(RefSim, ScalarLoadLatency)

@@ -371,8 +371,8 @@ TEST(ResultStoreKey, ConfigKeyCoversResultAffectingKnobs)
     // not. Forcing the audit on is how the determinism suite proves
     // results unchanged, so it shares entries with audit-off runs.
     std::set<std::string> ooo, ref;
-    EXPECT_EQ(perturbEachMember(makeOooConfig(), ooo), 31u);
-    EXPECT_EQ(perturbEachMember(makeRefConfig(50), ref), 25u);
+    EXPECT_EQ(perturbEachMember(makeOooConfig(), ooo), 21u);
+    EXPECT_EQ(perturbEachMember(makeRefConfig(50), ref), 15u);
     OooConfig tlb = makeOooConfig();
     tlb.mem.tlb = makeTlb(64);
     perturbEachMember(tlb, ooo);

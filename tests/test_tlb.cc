@@ -29,14 +29,12 @@ namespace
 {
 
 TlbConfig
-smallTlb(unsigned entries = 4, unsigned page_bytes = 4096,
-         unsigned assoc = 4)
+smallTlb(unsigned entries = 4, unsigned page_bytes = 4096)
 {
     TlbConfig cfg;
     cfg.enabled = true;
     cfg.entries = entries;
     cfg.pageBytes = page_bytes;
-    cfg.associativity = assoc;
     return cfg;
 }
 
@@ -82,10 +80,9 @@ TEST(TlbConfig, LabelGrammar)
     cfg.pageBytes = 512;
     EXPECT_EQ(cfg.label(), "/t64e512b");
 
-    cfg = smallTlb(16, 4096, 2);
-    EXPECT_EQ(cfg.label(), "/t16e4ka2");
+    cfg = smallTlb(16, 4096);
     cfg.refill = TlbRefill::SoftwareTrap;
-    EXPECT_EQ(cfg.label(), "/t16e4ka2s");
+    EXPECT_EQ(cfg.label(), "/t16e4ks");
 }
 
 TEST(TlbConfig, LabelComposesWithEveryMemoryModel)
@@ -225,23 +222,21 @@ TEST(Tlb, IndexedStreamTranslatesPerElement)
 
 TEST(Tlb, HitsAreFreeMissesChargeTheWalk)
 {
-    TlbConfig cfg = smallTlb(64);
-    cfg.missPenalty = 30;
-    Tlb tlb(cfg);
-    EXPECT_EQ(tlb.translate({7}, false), 30u);
+    Tlb tlb(smallTlb(64));
+    EXPECT_EQ(tlb.translate({7}, false), kTlbMissPenalty);
     EXPECT_EQ(tlb.translate({7}, false), 0u) << "now resident";
     EXPECT_EQ(tlb.hits(), 1u);
     EXPECT_EQ(tlb.misses(), 1u);
-    EXPECT_EQ(tlb.missCycles(), 30u);
+    EXPECT_EQ(tlb.missCycles(), kTlbMissPenalty);
     EXPECT_EQ(tlb.indexedMisses(), 0u);
 }
 
 TEST(Tlb, LruEvictionWithinASet)
 {
-    // 2 entries, 2-way: one set. Pages 1,2 fill it; touching 1 then
-    // inserting 3 must evict 2 (the least recently used).
-    TlbConfig cfg = smallTlb(2, 4096, 2);
-    Tlb tlb(cfg);
+    // 2 entries, fewer than kTlbWays: one 2-way set. Pages 1,2 fill
+    // it; touching 1 then inserting 3 must evict 2 (the least
+    // recently used).
+    Tlb tlb(smallTlb(2));
     tlb.translate({1, 2}, false);
     tlb.translate({1}, false);
     tlb.translate({3}, false);
@@ -251,16 +246,18 @@ TEST(Tlb, LruEvictionWithinASet)
 
 TEST(Tlb, AssociativityConflictsEvictEarly)
 {
-    // 4 entries direct-mapped: pages 0 and 4 share set 0 and keep
-    // evicting each other even though the TLB is half empty.
-    Tlb direct(smallTlb(4, 4096, 1));
-    direct.translate({0, 4, 0, 4}, false);
-    EXPECT_EQ(direct.misses(), 4u);
+    // 8 entries in two sets of kTlbWays: the five even pages share
+    // set 0, so page 0 is evicted although only five of the eight
+    // entries are in use.
+    Tlb sets(smallTlb(8));
+    sets.translate({0, 2, 4, 6, 8, 0}, false);
+    EXPECT_EQ(sets.misses(), 6u);
 
-    Tlb assoc(smallTlb(4, 4096, 4));
-    assoc.translate({0, 4, 0, 4}, false);
-    EXPECT_EQ(assoc.misses(), 2u) << "fully associative keeps both";
-    EXPECT_EQ(assoc.hits(), 2u);
+    // Five pages spread over both sets all stay resident.
+    Tlb spread(smallTlb(8));
+    spread.translate({0, 1, 2, 3, 4, 0}, false);
+    EXPECT_EQ(spread.misses(), 5u);
+    EXPECT_EQ(spread.hits(), 1u);
 }
 
 TEST(Tlb, ProbeAndInstallForSoftwareRefill)
@@ -321,15 +318,14 @@ TEST(TlbWrapper, MissStallsDelayTheStream)
 {
     MemConfig cfg;
     cfg.tlb = smallTlb(64);
-    cfg.tlb.missPenalty = 30;
     auto mem = makeMemorySystem(cfg, 50);
     ASSERT_NE(mem->tlb(), nullptr);
     // First stream: one page, one walk — the bus grant slips by the
     // walk penalty relative to the bare flat bus.
     MemAccess a = mem->reserve(0, 0x1000, 8, 16, MemOp::Load);
-    EXPECT_EQ(a.start, 30u);
-    EXPECT_EQ(a.end, 46u);
-    EXPECT_EQ(a.firstData, 30u + 50u);
+    EXPECT_EQ(a.start, kTlbMissPenalty);
+    EXPECT_EQ(a.end, kTlbMissPenalty + 16);
+    EXPECT_EQ(a.firstData, kTlbMissPenalty + 50u);
     // Second stream on the same page: resident, no delay beyond the
     // bus serialization.
     MemAccess b = mem->reserve(a.end, 0x1200, 8, 16, MemOp::Load);
@@ -337,7 +333,7 @@ TEST(TlbWrapper, MissStallsDelayTheStream)
     const MemStats &s = mem->stats();
     EXPECT_EQ(s.tlbMisses, 1u);
     EXPECT_EQ(s.tlbHits, 1u);
-    EXPECT_EQ(s.tlbMissCycles, 30u);
+    EXPECT_EQ(s.tlbMissCycles, kTlbMissPenalty);
     EXPECT_EQ(s.requests, 32u) << "inner-model counters ride along";
 }
 
@@ -505,36 +501,6 @@ TEST(TlbSim, EachMissingStreamTrapsOnceUnderSoftwareRefill)
     EXPECT_EQ(r.traps, 2u);
     EXPECT_EQ(r.instructions, t.size());
     EXPECT_EQ(r.tlbMisses, 2u) << "one install per cold page";
-}
-
-TEST(TlbSim, InjectedFaultSurvivesEarlierTlbTraps)
-{
-    // Cold-TLB refill traps deliver before an injected page fault at
-    // a later instruction; delivering them must not disarm the
-    // injection (takeTrap only consumes fault_.faultSeq when the
-    // delivered trap is the injected one). With a TLB big enough
-    // that the replayed translations stay warm, the injected fault
-    // adds exactly one trap over the clean run.
-    GenOptions opts;
-    opts.scale = 0.05;
-    Trace t = makeBenchmarkTrace("swm256", opts);
-    SeqNum victim = kNoSeq;
-    for (SeqNum i = t.size() / 2; i < t.size(); ++i)
-        if (t[i].op == Opcode::VLoad) {
-            victim = i;
-            break;
-        }
-    ASSERT_NE(victim, kNoSeq);
-
-    OooConfig cfg = makeTlbOooConfig(256, 4096, 50, CommitMode::Late,
-                                     TlbRefill::SoftwareTrap);
-    SimResult clean = simulateOoo(t, cfg);
-    ASSERT_GT(clean.traps, 0u) << "cold TLB must trap first";
-    FaultInjection fault;
-    fault.faultSeq = victim;
-    SimResult faulted = simulateOoo(t, cfg, fault);
-    EXPECT_EQ(faulted.traps, clean.traps + 1);
-    EXPECT_EQ(faulted.instructions, t.size());
 }
 
 TEST(TlbSim, OversizedGatherStillMakesForwardProgress)
