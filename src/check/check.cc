@@ -68,13 +68,10 @@ Reporter::fail(const char *fmt, ...)
 }
 
 void
-Registry::record(const char *checker, Cycle now, std::string detail)
+Registry::record(const char *checker, Cycle now, const char *detail)
 {
     ++violationCount_;
     processViolations.fetch_add(1, std::memory_order_relaxed);
-    bool stored = violations_.size() < kMaxStored;
-    if (stored)
-        violations_.push_back({now, checker, detail});
 
     // Print immediately: if the broken invariant later crashes the
     // simulation, the evidence is already out. One line, one lock
@@ -82,32 +79,7 @@ Registry::record(const char *checker, Cycle now, std::string detail)
     std::lock_guard<std::mutex> lock(reportMutex);
     fprintf(stderr,
             "OOVA-CHECK VIOLATION cycle=%llu checker=%s detail=%s\n",
-            static_cast<unsigned long long>(now), checker,
-            detail.c_str());
-    if (stored && violations_.size() == kMaxStored) {
-        fprintf(stderr,
-                "OOVA-CHECK note: %zu violations stored; further "
-                "ones are counted but not recorded\n",
-                kMaxStored);
-    }
-}
-
-std::string
-Registry::report() const
-{
-    if (violationCount_ == 0)
-        return "";
-    std::string out =
-        csprintf("OOVA-CHECK REPORT: %llu violation(s), %zu "
-                 "recorded\n",
-                 static_cast<unsigned long long>(violationCount_),
-                 violations_.size());
-    for (const auto &v : violations_) {
-        out += csprintf("  cycle=%llu checker=%s detail=%s\n",
-                        static_cast<unsigned long long>(v.cycle),
-                        v.checker.c_str(), v.detail.c_str());
-    }
-    return out;
+            static_cast<unsigned long long>(now), checker, detail);
 }
 
 uint64_t

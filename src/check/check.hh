@@ -14,7 +14,7 @@
  * every build type, gem5-checker style. Each simulator calls its
  * checkers (the free functions of checkers.hh) directly at the points
  * its audit level selects, handing each one a Reporter named after
- * the checker; the Registry only collects what they report.
+ * the checker; the Registry counts and prints what they report.
  *
  * Levels (OOVA_CHECK environment variable, or a config's checkLevel;
  * see levelFor()):
@@ -28,17 +28,15 @@
  *
  * Checkers are strictly observe-only: simulated timing and figure
  * output are byte-identical at any level. A violation prints one
- * structured line to stderr (cycle, checker id, detail), is recorded
- * in the owning registry's report, and bumps a process-wide tally
- * that the bench drivers turn into a non-zero exit code.
+ * structured line to stderr (cycle, checker id, detail) and bumps
+ * the owning registry's count and a process-wide tally, which
+ * processExitCode() turns into a non-zero exit code.
  */
 
 #ifndef OOVA_CHECK_CHECK_HH
 #define OOVA_CHECK_CHECK_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -63,14 +61,6 @@ CheckLevel levelFor(int config_level);
 
 /** Cycle spacing of the whole-state sweeps at level Full. */
 constexpr Cycle kAuditWindow = 256;
-
-/** One recorded invariant violation. */
-struct Violation
-{
-    Cycle cycle = 0;
-    std::string checker;
-    std::string detail;
-};
 
 class Registry;
 
@@ -119,27 +109,11 @@ class Registry
     }
 
     uint64_t violationCount() const { return violationCount_; }
-    /** Recorded violations (capped at kMaxStored; the count is not). */
-    const std::vector<Violation> &violations() const
-    {
-        return violations_;
-    }
-
-    /**
-     * The structured report: one "cycle=... checker=... detail=..."
-     * line per recorded violation under a summary header; empty
-     * string when the audit is clean.
-     */
-    std::string report() const;
-
-    /** Stored-violation cap, so a hot broken invariant can't OOM. */
-    static constexpr size_t kMaxStored = 64;
 
   private:
     friend class Reporter;
-    void record(const char *checker, Cycle now, std::string detail);
+    void record(const char *checker, Cycle now, const char *detail);
 
-    std::vector<Violation> violations_;
     uint64_t violationCount_ = 0;
 };
 

@@ -2,11 +2,13 @@
  * @file
  * Deterministic pseudo-random number generation.
  *
- * All stochastic choices in the workload generator flow from one
- * seeded Rng instance so that traces, and therefore every simulation
- * result, are bit-for-bit reproducible across runs and platforms.
- * The generator is xoshiro256** (Blackman & Vigna), which is small,
- * fast and has no global state.
+ * Rng serves the tests and bench/simspeed.cc, which draw random
+ * memory geometries, address streams and traces from fixed seeds so
+ * that every run sees the same draws. Nothing in src/ uses it: the
+ * workload generator's traces follow from the program models alone,
+ * and gather/scatter indices come from mix64() in indexedElemAddrs()
+ * (isa/instruction.cc). The generator is xoshiro256** (Blackman &
+ * Vigna), which is small, fast and has no global state.
  */
 
 #ifndef OOVA_COMMON_RNG_HH

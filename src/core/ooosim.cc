@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <vector>
 
 #include "check/check.hh"
@@ -2404,8 +2403,6 @@ OooMachine::run()
     // the CPI stack an exact partition of res.cycles.
     ledger_.finish(endCycle_, now_, *mem_,
                    checkRetire_ ? &audit_ : nullptr, res);
-    if (audit_.violationCount() > 0)
-        std::fputs(audit_.report().c_str(), stderr);
     return res;
 }
 

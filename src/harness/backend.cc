@@ -56,9 +56,7 @@ recordJobSpan(SweepTraceLog *log, const JobOutcome &o,
     TraceSpan s;
     s.tsUs = startUs;
     s.durUs = log->nowUs() - startUs;
-    s.name = o.result.machine.empty()
-                 ? o.result.program + " (prefetch)"
-                 : o.result.program + " " + o.result.machine;
+    s.name = o.result.program + " " + o.result.machine;
     s.category = category;
     s.tid = tid;
     s.args = {{"program", o.result.program},
@@ -237,8 +235,8 @@ StoreBackend::run(const std::vector<SweepJob> &jobs)
     size_t hits = 0;
     for (size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob &job = jobs[i];
-        // Uncacheable jobs (empty configKey: prefetch dummies,
-        // observe-side-effect runs) always go to the inner backend.
+        // Uncacheable jobs (empty configKey: observe-side-effect
+        // runs) always go to the inner backend.
         std::string key;
         if (!job.configKey.empty()) {
             key = ResultStore::makeKey(traceHash(job), job.configKey,

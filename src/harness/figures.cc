@@ -491,10 +491,8 @@ traceTable(const SweepEngine &engine,
                &cells,
            std::string footnote)
 {
-    const auto &names = engine.traces().names();
-    engine.prefetch(names);
     FigureSection table{"", std::move(headers), {}};
-    for (const auto &name : names)
+    for (const auto &name : engine.traces().names())
         table.rows.push_back(
             {name, cells(TraceStats::compute(engine.traces().get(name)))});
     return {{std::move(table)}, std::move(footnote)};

@@ -172,36 +172,19 @@ SweepEngine::run(const std::vector<SweepJob> &jobs) const
 {
     std::vector<JobOutcome> outcomes = backend_->run(jobs);
 
-    // Prefetch dummies carry no machine label and are skipped, so
-    // the manifest lists exactly the simulations that ran.
     if (manifestEnabled_)
         for (const JobOutcome &o : outcomes)
-            if (!o.result.machine.empty())
-                manifest_.push_back({o.result.program,
-                                     o.result.machine, o.wallMs,
-                                     o.fromStore});
+            manifest_.push_back({o.result.program, o.result.machine,
+                                 o.wallMs, o.fromStore});
     if (captureEnabled_)
         for (const JobOutcome &o : outcomes)
-            if (!o.result.machine.empty())
-                captured_.push_back(o.result);
+            captured_.push_back(o.result);
 
     std::vector<SimResult> results;
     results.reserve(outcomes.size());
     for (JobOutcome &o : outcomes)
         results.push_back(std::move(o.result));
     return results;
-}
-
-void
-SweepEngine::prefetch(const std::vector<std::string> &names) const
-{
-    std::vector<SweepJob> jobs;
-    jobs.reserve(names.size());
-    for (const auto &name : names)
-        jobs.push_back({name,
-                        [](const Trace &) { return SimResult{}; },
-                        nullptr, std::string()});
-    run(jobs);
 }
 
 } // namespace oova

@@ -54,8 +54,8 @@ struct SweepJob
      * hash and scale it addresses this job's result in the
      * ResultStore, and with the trace name it lets the in-process
      * backend copy a repeat instead of simulating it again. Empty
-     * means the job always simulates (prefetch dummies, jobs with
-     * observation side effects such as pipeline tracing).
+     * means the job always simulates (jobs with observation side
+     * effects such as pipeline tracing).
      */
     std::string configKey;
 };
@@ -110,7 +110,7 @@ struct JobRecord
 
 /**
  * Executes batches of SweepJobs through a SweepBackend. The engine
- * owns manifest recording and prefetching; all execution policy
+ * owns manifest recording and result capture; all execution policy
  * (threads, store) lives in the backend.
  */
 class SweepEngine
@@ -139,12 +139,6 @@ class SweepEngine
      */
     std::vector<SimResult> run(const std::vector<SweepJob> &jobs) const;
 
-    /**
-     * Generate (and cache) the named traces using the worker pool,
-     * for figures that read traces without simulating them.
-     */
-    void prefetch(const std::vector<std::string> &names) const;
-
     /** The backend's worker parallelism (threads). */
     unsigned threads() const;
     /** The backend's self-description, e.g. "store+in-process x4". */
@@ -160,8 +154,8 @@ class SweepEngine
     void setProgress(std::function<void(size_t, size_t)> cb);
 
     /**
-     * Record a JobRecord for every job of subsequent run() calls
-     * (prefetch dummies excluded). Drives the --json run manifest.
+     * Record a JobRecord for every job of subsequent run() calls.
+     * Drives the --json run manifest.
      */
     void enableManifest() { manifestEnabled_ = true; }
 
@@ -178,10 +172,9 @@ class SweepEngine
     void setTraceLog(SweepTraceLog *log);
 
     /**
-     * Keep a copy of every SimResult of subsequent run() calls
-     * (prefetch dummies excluded). Drives the --stats dump, which
-     * needs the raw telemetry after the figure has reduced its
-     * results to table cells.
+     * Keep a copy of every SimResult of subsequent run() calls.
+     * Drives the --stats dump, which needs the raw telemetry after
+     * the figure has reduced its results to table cells.
      */
     void enableResultCapture() { captureEnabled_ = true; }
 

@@ -46,7 +46,7 @@ copyTlbStats(const Tlb &tlb, MemStats &s)
 std::pair<unsigned, unsigned>
 memUnitRange(const MemConfig &cfg, MemOp op)
 {
-    unsigned n = std::max(cfg.memUnits, 1u);
+    unsigned n = cfg.memUnits;
     if (cfg.lsPolicy != LsPolicy::Split || n < 2)
         return {0, n};
     unsigned load_units = (n + 1) / 2;
@@ -64,7 +64,7 @@ class UnitPool
 {
   public:
     explicit UnitPool(const MemConfig &cfg)
-        : freeAt_(std::max(cfg.memUnits, 1u), 0),
+        : freeAt_(cfg.memUnits, 0),
           loadRange_(memUnitRange(cfg, MemOp::Load)),
           storeRange_(memUnitRange(cfg, MemOp::Store))
     {
@@ -341,7 +341,7 @@ class CachedMemory : public MemorySystem
         unsigned sets = cfg.cacheBytes / (kLineBytes * kCacheWays);
         setMask_ = sets - 1;
         ways_.assign(static_cast<size_t>(sets) * kCacheWays, Way{});
-        mshrFreeAt_.assign(std::max(cfg.mshrs, 1u), 0);
+        mshrFreeAt_.assign(cfg.mshrs, 0);
     }
 
     Cycle freeAt(MemOp) const override { return frontFreeAt_; }

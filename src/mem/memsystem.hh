@@ -148,14 +148,16 @@ struct MemConfig
 
 /**
  * Every MemConfig member, named once (see common/configwalk.hh). Bank
- * indices are a mask, so the bank count must be a power of two;
- * validate() adds the rules that span members.
+ * indices are a mask, so the bank count must be a power of two, and a
+ * cache needs at least one MSHR; validate() adds the rules that span
+ * members.
  */
 template <ConfigOf<MemConfig> Cfg, typename Visitor>
 void
 walkConfig(Cfg &m, Visitor &v)
 {
     const bool banked = m.model == MemModel::Banked;
+    const bool cached = m.model == MemModel::Cached;
     v.field("model", m.model,
             {.max = static_cast<unsigned>(MemModel::Cached),
              .what = "unknown memory model %u"});
@@ -166,7 +168,9 @@ walkConfig(Cfg &m, Visitor &v)
             {.pow2 = true, .applies = banked,
              .what = "banked memory: %u banks is not a power of two"});
     v.field("cacheBytes", m.cacheBytes);
-    v.field("mshrs", m.mshrs);
+    v.field("mshrs", m.mshrs,
+            {.min = 1, .applies = cached,
+             .what = "cache: %u MSHRs, needs >= %u"});
     v.nest("tlb", m.tlb);
 }
 

@@ -14,111 +14,81 @@ namespace
 {
 
 constexpr Addr kScalarSpillRegion = 0x7a000000ULL;
-constexpr int kMaxVVidsPerLoop = 512;
-constexpr int kMaxSVidsPerLoop = 512;
+constexpr int kMaxValuesPerLoop = 512; // per class
 constexpr int kInfinity = std::numeric_limits<int>::max();
-
-/** V-source operand positions of an op (indices into op.srcs). */
-void
-forEachVSrc(const KOp &op, const std::function<void(int)> &fn)
-{
-    using K = KOp::Kind;
-    switch (op.kind) {
-    case K::VStore:
-    case K::VGather:
-    case K::VReduce:
-        fn(op.srcs[0]);
-        break;
-    case K::VScatter:
-        fn(op.srcs[0]);
-        fn(op.srcs[1]);
-        break;
-    case K::VArith:
-    case K::VCmpMerge:
-        for (int i = 0; i < op.nsrcs; ++i)
-            fn(op.srcs[i]);
-        break;
-    default:
-        break;
-    }
-}
-
-void
-forEachSSrc(const KOp &op, const std::function<void(int)> &fn)
-{
-    using K = KOp::Kind;
-    switch (op.kind) {
-    case K::SArith:
-        for (int i = 0; i < op.nsrcs; ++i)
-            fn(op.srcs[i]);
-        break;
-    case K::SStoreSlot:
-        fn(op.srcs[0]);
-        break;
-    default:
-        break;
-    }
-}
 
 } // namespace
 
 CodeGen::CodeGen(const Program &prog, const GenOptions &opts)
-    : prog_(prog), opts_(opts)
+    : prog_(prog), opts_(opts),
+      vAlloc_(RegClass::V, static_cast<int>(kNumLogicalVRegs),
+              prog.vectorSpillBase(), kMaxVectorLength * kElemBytes),
+      sAlloc_(RegClass::S, kNumAllocSRegs, kScalarSpillRegion,
+              kElemBytes)
 {
     streamRegHolder_.fill(-1);
 }
 
-void
-CodeGen::BlockAlloc::reset(int num_regs, int num_vids,
-                           const std::vector<std::vector<int>> &use_pos)
+CodeGen::BlockAlloc::BlockAlloc(RegClass cls, int num_regs,
+                                Addr spill_region, Addr slot_bytes)
+    : cls(cls), numRegs(num_regs), spillRegion(spill_region),
+      slotBytes(slot_bytes)
 {
-    numRegs = num_regs;
-    holder.assign(num_regs, -1);
-    pinned.assign(num_regs, false);
-    regOf.assign(num_vids, -1);
-    spilled.assign(num_vids, false);
-    cursor.assign(num_vids, 0);
-    usesLeft.assign(num_vids, 0);
-    for (int v = 0; v < num_vids; ++v)
-        usesLeft[v] = static_cast<int>(use_pos[v].size());
+}
+
+void
+CodeGen::BlockAlloc::reset(const std::vector<std::vector<int>> &value_uses,
+                           size_t loop_idx)
+{
+    uses = &value_uses;
+    spillBase = spillRegion + static_cast<Addr>(loop_idx) *
+                                  kMaxValuesPerLoop * slotBytes;
+    holder.assign(numRegs, -1);
+    pinned.assign(numRegs, false);
+    regOf.assign(uses->size(), -1);
+    spilled.assign(uses->size(), false);
+    cursor.assign(uses->size(), 0);
     rrNext = 0;
 }
 
 int
-CodeGen::BlockAlloc::nextUse(
-    int vid, const std::vector<std::vector<int>> &use_pos) const
+CodeGen::BlockAlloc::usesLeft(int vid) const
 {
-    if (cursor[vid] >= static_cast<int>(use_pos[vid].size()))
-        return kInfinity;
-    return use_pos[vid][cursor[vid]];
+    return static_cast<int>((*uses)[vid].size()) - cursor[vid];
 }
 
-const CodeGen::KernelInfo &
-CodeGen::kernelInfo(const Kernel *k)
+int
+CodeGen::BlockAlloc::nextUse(int vid) const
 {
-    auto it = kernelInfoCache_.find(k);
-    if (it != kernelInfoCache_.end())
-        return it->second;
+    return usesLeft(vid) > 0 ? (*uses)[vid][cursor[vid]] : kInfinity;
+}
 
-    KernelInfo info;
-    info.vUsePos.resize(k->numVVals());
-    info.sUsePos.resize(k->numSVals());
-    const auto &ops = k->ops();
-    for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
-        forEachVSrc(ops[i], [&](int v) {
-            sim_assert(v >= 0 && v < k->numVVals(),
-                       "kernel %s: op %d uses undefined vector value",
-                       k->name().c_str(), i);
-            info.vUsePos[v].push_back(i);
-        });
-        forEachSSrc(ops[i], [&](int s) {
-            sim_assert(s >= 0 && s < k->numSVals(),
-                       "kernel %s: op %d uses undefined scalar value",
-                       k->name().c_str(), i);
-            info.sUsePos[s].push_back(i);
-        });
+int
+CodeGen::BlockAlloc::pickVictim() const
+{
+    int victim = -1;
+    int victim_next = -1;
+    for (int r = 0; r < numRegs; ++r) {
+        if (pinned[r] || holder[r] < 0)
+            continue;
+        int nu = nextUse(holder[r]);
+        if (nu > victim_next) {
+            victim_next = nu;
+            victim = r;
+        }
     }
-    return kernelInfoCache_.emplace(k, std::move(info)).first->second;
+    sim_assert(victim >= 0, "no evictable register");
+    return victim;
+}
+
+void
+CodeGen::BlockAlloc::release(int vid)
+{
+    int r = regOf[vid];
+    if (r >= 0) {
+        holder[r] = -1;
+        regOf[vid] = -1;
+    }
 }
 
 void
@@ -129,163 +99,83 @@ CodeGen::emit(DynInst inst)
     trace_.push(inst);
 }
 
-Addr
-CodeGen::vSpillAddr(size_t loop_idx, int vvid) const
+void
+CodeGen::spillInst(const BlockAlloc &ba, int reg, int vid, bool store)
 {
-    sim_assert(vvid < kMaxVVidsPerLoop, "too many vector values");
-    return prog_.vectorSpillBase() +
-           (static_cast<Addr>(loop_idx) * kMaxVVidsPerLoop + vvid) *
-               (kMaxVectorLength * kElemBytes);
-}
-
-Addr
-CodeGen::sSpillAddr(size_t loop_idx, int svid) const
-{
-    sim_assert(svid < kMaxSVidsPerLoop, "too many scalar values");
-    return kScalarSpillRegion +
-           (static_cast<Addr>(loop_idx) * kMaxSVidsPerLoop + svid) *
-               kElemBytes;
+    sim_assert(vid < kMaxValuesPerLoop, "too many values in one loop");
+    RegId r(ba.cls, static_cast<uint8_t>(reg));
+    RegId base = aReg(kSpillBaseAReg);
+    Addr addr = ba.spillBase + static_cast<Addr>(vid) * ba.slotBytes;
+    if (ba.cls == RegClass::V)
+        emit(store ? makeVStore(r, base, addr, kElemBytes, curVl_, true)
+                   : makeVLoad(r, base, addr, kElemBytes, curVl_, true));
+    else
+        emit(store ? makeSStore(r, base, addr, /*is_spill=*/true)
+                   : makeSLoad(r, base, addr, /*is_spill=*/true));
 }
 
 int
-CodeGen::pickVictim(BlockAlloc &ba,
-                    const std::vector<std::vector<int>> &use_pos) const
-{
-    int victim = -1;
-    int victim_next = -1;
-    for (int r = 0; r < ba.numRegs; ++r) {
-        if (ba.pinned[r] || ba.holder[r] < 0)
-            continue;
-        int nu = ba.nextUse(ba.holder[r], use_pos);
-        if (nu > victim_next) {
-            victim_next = nu;
-            victim = r;
-        }
-    }
-    sim_assert(victim >= 0, "no evictable register");
-    return victim;
-}
-
-int
-CodeGen::allocV(int vvid, uint16_t vl, size_t loop_idx)
+CodeGen::alloc(BlockAlloc &ba, int vid)
 {
     // Free register first (round-robin scan to spread usage over the
     // banked file of the reference machine).
-    for (int i = 0; i < vAlloc_.numRegs; ++i) {
-        int r = (vAlloc_.rrNext + i) % vAlloc_.numRegs;
-        if (vAlloc_.holder[r] < 0 && !vAlloc_.pinned[r]) {
-            vAlloc_.rrNext = (r + 1) % vAlloc_.numRegs;
-            vAlloc_.holder[r] = vvid;
-            vAlloc_.regOf[vvid] = r;
-            return r;
+    int r = -1;
+    for (int i = 0; i < ba.numRegs && r < 0; ++i) {
+        int c = (ba.rrNext + i) % ba.numRegs;
+        if (ba.holder[c] < 0 && !ba.pinned[c]) {
+            r = c;
+            ba.rrNext = (r + 1) % ba.numRegs;
         }
     }
-    // Evict the holder with the farthest next use; spill it if it is
-    // still needed and has no valid spill copy.
-    int r = pickVictim(vAlloc_, curInfo_->vUsePos);
-    int victim = vAlloc_.holder[r];
-    if (vAlloc_.usesLeft[victim] > 0 && !vAlloc_.spilled[victim]) {
-        emit(makeVStore(vReg(static_cast<uint8_t>(r)),
-                        aReg(kSpillBaseAReg),
-                        vSpillAddr(loop_idx, victim), kElemBytes, vl,
-                        /*is_spill=*/true));
-        vAlloc_.spilled[victim] = true;
+    // Else evict the holder with the farthest next use; spill it if
+    // it is still needed and has no valid spill copy.
+    if (r < 0) {
+        r = ba.pickVictim();
+        int victim = ba.holder[r];
+        if (ba.usesLeft(victim) > 0 && !ba.spilled[victim]) {
+            spillInst(ba, r, victim, /*store=*/true);
+            ba.spilled[victim] = true;
+        }
+        ba.regOf[victim] = -1;
     }
-    vAlloc_.regOf[victim] = -1;
-    vAlloc_.holder[r] = vvid;
-    vAlloc_.regOf[vvid] = r;
+    ba.holder[r] = vid;
+    ba.regOf[vid] = r;
     return r;
 }
 
-int
-CodeGen::ensureV(int vvid, uint16_t vl, size_t loop_idx)
+RegId
+CodeGen::ensure(BlockAlloc &ba, int vid)
 {
-    int r = vAlloc_.regOf[vvid];
-    if (r >= 0) {
-        vAlloc_.pinned[r] = true;
-        return r;
+    int r = ba.regOf[vid];
+    if (r < 0) {
+        sim_assert(ba.spilled[vid], "%s value %d neither resident nor "
+                   "spilled", ba.cls == RegClass::V ? "vector" : "scalar",
+                   vid);
+        r = alloc(ba, vid);
+        spillInst(ba, r, vid, /*store=*/false);
     }
-    sim_assert(vAlloc_.spilled[vvid],
-               "vector value %d neither resident nor spilled", vvid);
-    r = allocV(vvid, vl, loop_idx);
-    vAlloc_.pinned[r] = true;
-    emit(makeVLoad(vReg(static_cast<uint8_t>(r)), aReg(kSpillBaseAReg),
-                   vSpillAddr(loop_idx, vvid), kElemBytes, vl,
-                   /*is_spill=*/true));
-    return r;
+    ba.pinned[r] = true;
+    return RegId(ba.cls, static_cast<uint8_t>(r));
+}
+
+RegId
+CodeGen::define(BlockAlloc &ba, int vid)
+{
+    int r = alloc(ba, vid);
+    if (ba.usesLeft(vid) == 0)
+        ba.release(vid); // dead result
+    return RegId(ba.cls, static_cast<uint8_t>(r));
 }
 
 void
-CodeGen::consumeV(int vvid)
+CodeGen::consume(BlockAlloc &ba, const KOp &op)
 {
-    ++vAlloc_.cursor[vvid];
-    --vAlloc_.usesLeft[vvid];
-    sim_assert(vAlloc_.usesLeft[vvid] >= 0, "over-consumed value");
-    if (vAlloc_.usesLeft[vvid] == 0) {
-        int r = vAlloc_.regOf[vvid];
-        if (r >= 0) {
-            vAlloc_.holder[r] = -1;
-            vAlloc_.regOf[vvid] = -1;
-        }
-    }
-}
-
-int
-CodeGen::allocS(int svid, size_t loop_idx)
-{
-    for (int i = 0; i < sAlloc_.numRegs; ++i) {
-        int r = (sAlloc_.rrNext + i) % sAlloc_.numRegs;
-        if (sAlloc_.holder[r] < 0 && !sAlloc_.pinned[r]) {
-            sAlloc_.rrNext = (r + 1) % sAlloc_.numRegs;
-            sAlloc_.holder[r] = svid;
-            sAlloc_.regOf[svid] = r;
-            return r;
-        }
-    }
-    int r = pickVictim(sAlloc_, curInfo_->sUsePos);
-    int victim = sAlloc_.holder[r];
-    if (sAlloc_.usesLeft[victim] > 0 && !sAlloc_.spilled[victim]) {
-        emit(makeSStore(sReg(static_cast<uint8_t>(r)),
-                        aReg(kSpillBaseAReg),
-                        sSpillAddr(loop_idx, victim),
-                        /*is_spill=*/true));
-        sAlloc_.spilled[victim] = true;
-    }
-    sAlloc_.regOf[victim] = -1;
-    sAlloc_.holder[r] = svid;
-    sAlloc_.regOf[svid] = r;
-    return r;
-}
-
-int
-CodeGen::ensureS(int svid, size_t loop_idx)
-{
-    int r = sAlloc_.regOf[svid];
-    if (r >= 0) {
-        sAlloc_.pinned[r] = true;
-        return r;
-    }
-    sim_assert(sAlloc_.spilled[svid],
-               "scalar value %d neither resident nor spilled", svid);
-    r = allocS(svid, loop_idx);
-    sAlloc_.pinned[r] = true;
-    emit(makeSLoad(sReg(static_cast<uint8_t>(r)), aReg(kSpillBaseAReg),
-                   sSpillAddr(loop_idx, svid), /*is_spill=*/true));
-    return r;
-}
-
-void
-CodeGen::consumeS(int svid)
-{
-    ++sAlloc_.cursor[svid];
-    --sAlloc_.usesLeft[svid];
-    sim_assert(sAlloc_.usesLeft[svid] >= 0, "over-consumed value");
-    if (sAlloc_.usesLeft[svid] == 0) {
-        int r = sAlloc_.regOf[svid];
-        if (r >= 0) {
-            sAlloc_.holder[r] = -1;
-            sAlloc_.regOf[svid] = -1;
-        }
+    for (int i = 0; i < op.nsrcs; ++i) {
+        int vid = op.srcs[i];
+        ++ba.cursor[vid];
+        sim_assert(ba.usesLeft(vid) >= 0, "over-consumed value");
+        if (ba.usesLeft(vid) == 0)
+            ba.release(vid);
     }
 }
 
@@ -315,13 +205,13 @@ CodeGen::resetStreamRegs()
     }
 }
 
-int
-CodeGen::ensureStream(int sid)
+RegId
+CodeGen::streamReg(int sid)
 {
     Stream &s = streams_[sid];
     s.lastUse = ++useClock_;
     if (s.areg >= 0)
-        return s.areg;
+        return aReg(static_cast<uint8_t>(s.areg));
 
     // Find a free stream register, else evict the LRU one.
     int reg = -1;
@@ -357,7 +247,7 @@ CodeGen::ensureStream(int sid)
     s.loaded = true;
     s.areg = reg;
     streamRegHolder_[reg] = sid;
-    return reg;
+    return aReg(static_cast<uint8_t>(reg));
 }
 
 void
@@ -374,12 +264,9 @@ CodeGen::bumpStream(int sid, int64_t advance_bytes)
 
 void
 CodeGen::emitIteration(const LoopSpec &loop, size_t loop_idx,
-                       uint64_t iter, uint16_t vl, bool last_iter)
+                       uint16_t vl, bool last_iter)
 {
-    (void)iter;
     const Kernel &k = *loop.kernel;
-    const KernelInfo &info = kernelInfo(&k);
-    curInfo_ = &info;
 
     if (vl != curVl_) {
         DynInst setvl;
@@ -389,10 +276,11 @@ CodeGen::emitIteration(const LoopSpec &loop, size_t loop_idx,
     }
     curVl_ = vl;
 
-    vAlloc_.reset(static_cast<int>(kNumLogicalVRegs), k.numVVals(),
-                  info.vUsePos);
-    sAlloc_.reset(kNumAllocSRegs, k.numSVals(), info.sUsePos);
+    vAlloc_.reset(k.vUses(), loop_idx);
+    sAlloc_.reset(k.sUses(), loop_idx);
 
+    // Each case keeps its order of allocator calls and emits: that
+    // order places the spill code in the trace.
     const auto &ops = k.ops();
     for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
         const KOp &op = ops[i];
@@ -403,190 +291,98 @@ CodeGen::emitIteration(const LoopSpec &loop, size_t loop_idx,
         std::fill(sAlloc_.pinned.begin(), sAlloc_.pinned.end(), false);
 
         switch (op.kind) {
-        case K::VLoad: {
-            int sid = streamId(loop_idx, i);
-            int areg = ensureStream(sid);
-            Addr addr = op.fixedAddr
-                            ? prog_.arrayBase(op.array) + op.offsetBytes
-                            : streams_[sid].cur;
-            uint16_t use_vl = op.vlOverride ? op.vlOverride : vl;
-            int r = allocV(op.dst, vl, loop_idx);
-            emit(makeVLoad(vReg(static_cast<uint8_t>(r)),
-                           aReg(static_cast<uint8_t>(areg)), addr,
-                           op.strideElems * kElemBytes, use_vl));
-            if (vAlloc_.usesLeft[op.dst] == 0) {
-                vAlloc_.holder[r] = -1; // dead load
-                vAlloc_.regOf[op.dst] = -1;
-            }
-            if (!op.fixedAddr)
-                bumpStream(sid, static_cast<int64_t>(vl) *
-                                    op.strideElems * kElemBytes);
-            break;
-        }
+        case K::VLoad:
         case K::VStore: {
-            int r = ensureV(op.srcs[0], vl, loop_idx);
+            // A store takes its source before its stream register, a
+            // load its stream register before its result.
+            bool load = op.kind == K::VLoad;
+            RegId data = load ? RegId() : ensure(vAlloc_, op.srcs[0]);
             int sid = streamId(loop_idx, i);
-            int areg = ensureStream(sid);
+            RegId base = streamReg(sid);
+            if (load)
+                data = define(vAlloc_, op.dst);
             Addr addr = op.fixedAddr
                             ? prog_.arrayBase(op.array) + op.offsetBytes
                             : streams_[sid].cur;
+            int64_t stride = op.strideElems * kElemBytes;
             uint16_t use_vl = op.vlOverride ? op.vlOverride : vl;
-            emit(makeVStore(vReg(static_cast<uint8_t>(r)),
-                            aReg(static_cast<uint8_t>(areg)), addr,
-                            op.strideElems * kElemBytes, use_vl));
-            consumeV(op.srcs[0]);
+            emit(load ? makeVLoad(data, base, addr, stride, use_vl)
+                      : makeVStore(data, base, addr, stride, use_vl));
+            consume(vAlloc_, op);
             if (!op.fixedAddr)
-                bumpStream(sid, static_cast<int64_t>(vl) *
-                                    op.strideElems * kElemBytes);
+                bumpStream(sid, static_cast<int64_t>(vl) * stride);
             break;
         }
-        case K::VGather: {
-            int ri = ensureV(op.srcs[0], vl, loop_idx);
-            int sid = streamId(loop_idx, i);
-            int areg = ensureStream(sid);
-            int rd = allocV(op.dst, vl, loop_idx);
-            DynInst inst;
-            inst.op = Opcode::VGather;
-            inst.dst = vReg(static_cast<uint8_t>(rd));
-            inst.addSrc(vReg(static_cast<uint8_t>(ri)));
-            inst.addSrc(aReg(static_cast<uint8_t>(areg)));
-            inst.vl = vl;
-            inst.addr = prog_.arrayBase(op.array);
-            inst.regionBytes =
-                static_cast<uint32_t>(prog_.arrayBytes(op.array));
-            inst.idxPattern = op.idxPattern;
-            inst.idxParam = op.idxParam;
-            // Seed from the trace position: deterministic, but each
-            // dynamic instance gets its own index placement.
-            inst.idxSeed = trace_.size() + 1;
-            emit(inst);
-            consumeV(op.srcs[0]);
-            if (vAlloc_.usesLeft[op.dst] == 0) {
-                vAlloc_.holder[rd] = -1;
-                vAlloc_.regOf[op.dst] = -1;
-            }
-            break;
-        }
+        case K::VGather:
         case K::VScatter: {
-            int rd = ensureV(op.srcs[0], vl, loop_idx);
-            int ri = ensureV(op.srcs[1], vl, loop_idx);
-            int sid = streamId(loop_idx, i);
-            int areg = ensureStream(sid);
+            // Vector sources (a scatter's data, then the index), the
+            // stream register, then a gather's result.
             DynInst inst;
-            inst.op = Opcode::VScatter;
-            inst.addSrc(vReg(static_cast<uint8_t>(rd)));
-            inst.addSrc(vReg(static_cast<uint8_t>(ri)));
-            inst.addSrc(aReg(static_cast<uint8_t>(areg)));
+            inst.op = op.opc;
+            for (int s = 0; s < op.nsrcs; ++s)
+                inst.addSrc(ensure(vAlloc_, op.srcs[s]));
+            inst.addSrc(streamReg(streamId(loop_idx, i)));
+            if (op.kind == K::VGather)
+                inst.dst = define(vAlloc_, op.dst);
             inst.vl = vl;
             inst.addr = prog_.arrayBase(op.array);
             inst.regionBytes =
                 static_cast<uint32_t>(prog_.arrayBytes(op.array));
             inst.idxPattern = op.idxPattern;
             inst.idxParam = op.idxParam;
+            // Seed from the trace position after this op's own spill
+            // code: deterministic, but each dynamic instance gets its
+            // own index placement.
             inst.idxSeed = trace_.size() + 1;
             emit(inst);
-            consumeV(op.srcs[0]);
-            consumeV(op.srcs[1]);
+            consume(vAlloc_, op);
             break;
         }
         case K::VArith: {
-            int ra = ensureV(op.srcs[0], vl, loop_idx);
-            int rb = -1;
-            if (op.nsrcs > 1)
-                rb = ensureV(op.srcs[1], vl, loop_idx);
-            int rd = allocV(op.dst, vl, loop_idx);
-            emit(makeVArith(op.opc, vReg(static_cast<uint8_t>(rd)),
-                            vReg(static_cast<uint8_t>(ra)),
-                            rb >= 0 ? vReg(static_cast<uint8_t>(rb))
-                                    : RegId(),
-                            vl));
-            for (int sidx = 0; sidx < op.nsrcs; ++sidx)
-                consumeV(op.srcs[sidx]);
-            if (vAlloc_.usesLeft[op.dst] == 0) {
-                vAlloc_.holder[rd] = -1;
-                vAlloc_.regOf[op.dst] = -1;
-            }
+            RegId ra = ensure(vAlloc_, op.srcs[0]);
+            RegId rb = op.nsrcs > 1 ? ensure(vAlloc_, op.srcs[1]) : RegId();
+            RegId rd = define(vAlloc_, op.dst);
+            emit(makeVArith(op.opc, rd, ra, rb, vl));
+            consume(vAlloc_, op);
             break;
         }
         case K::VCmpMerge: {
-            int ra = ensureV(op.srcs[0], vl, loop_idx);
-            int rb = ensureV(op.srcs[1], vl, loop_idx);
-            DynInst cmp = makeVArith(Opcode::VCmp, mReg(0),
-                                     vReg(static_cast<uint8_t>(ra)),
-                                     vReg(static_cast<uint8_t>(rb)),
-                                     vl);
-            emit(cmp);
-            int rd = allocV(op.dst, vl, loop_idx);
-            DynInst merge = makeVArith(
-                Opcode::VMerge, vReg(static_cast<uint8_t>(rd)),
-                vReg(static_cast<uint8_t>(ra)),
-                vReg(static_cast<uint8_t>(rb)), vl);
+            RegId ra = ensure(vAlloc_, op.srcs[0]);
+            RegId rb = ensure(vAlloc_, op.srcs[1]);
+            emit(makeVArith(Opcode::VCmp, mReg(0), ra, rb, vl));
+            RegId rd = define(vAlloc_, op.dst); // spills after the compare
+            DynInst merge = makeVArith(Opcode::VMerge, rd, ra, rb, vl);
             merge.addSrc(mReg(0));
             emit(merge);
-            consumeV(op.srcs[0]);
-            consumeV(op.srcs[1]);
-            if (vAlloc_.usesLeft[op.dst] == 0) {
-                vAlloc_.holder[rd] = -1;
-                vAlloc_.regOf[op.dst] = -1;
-            }
+            consume(vAlloc_, op);
             break;
         }
         case K::VReduce: {
-            int rv = ensureV(op.srcs[0], vl, loop_idx);
-            int rs = allocS(op.dst, loop_idx);
-            DynInst inst = makeVArith(Opcode::VReduce,
-                                      sReg(static_cast<uint8_t>(rs)),
-                                      vReg(static_cast<uint8_t>(rv)),
-                                      RegId(), vl);
-            emit(inst);
-            consumeV(op.srcs[0]);
-            if (sAlloc_.usesLeft[op.dst] == 0) {
-                sAlloc_.holder[rs] = -1;
-                sAlloc_.regOf[op.dst] = -1;
-            }
+            RegId rv = ensure(vAlloc_, op.srcs[0]);
+            emit(makeVArith(Opcode::VReduce, define(sAlloc_, op.dst), rv,
+                            RegId(), vl));
+            consume(vAlloc_, op);
             break;
         }
         case K::SArith: {
-            int ra = -1, rb = -1;
-            if (op.nsrcs > 0)
-                ra = ensureS(op.srcs[0], loop_idx);
-            if (op.nsrcs > 1)
-                rb = ensureS(op.srcs[1], loop_idx);
-            int rd = allocS(op.dst, loop_idx);
-            emit(makeScalar(op.opc, sReg(static_cast<uint8_t>(rd)),
-                            ra >= 0 ? sReg(static_cast<uint8_t>(ra))
-                                    : RegId(),
-                            rb >= 0 ? sReg(static_cast<uint8_t>(rb))
-                                    : RegId()));
-            for (int sidx = 0; sidx < op.nsrcs; ++sidx)
-                consumeS(op.srcs[sidx]);
-            if (sAlloc_.usesLeft[op.dst] == 0) {
-                sAlloc_.holder[rd] = -1;
-                sAlloc_.regOf[op.dst] = -1;
-            }
+            RegId ra = op.nsrcs > 0 ? ensure(sAlloc_, op.srcs[0]) : RegId();
+            RegId rb = op.nsrcs > 1 ? ensure(sAlloc_, op.srcs[1]) : RegId();
+            emit(makeScalar(op.opc, define(sAlloc_, op.dst), ra, rb));
+            consume(sAlloc_, op);
             break;
         }
-        case K::SLoadSlot: {
-            int rd = allocS(op.dst, loop_idx);
-            emit(makeSLoad(sReg(static_cast<uint8_t>(rd)),
-                           aReg(kSpillBaseAReg),
+        case K::SLoadSlot:
+            emit(makeSLoad(define(sAlloc_, op.dst), aReg(kSpillBaseAReg),
                            prog_.scalarSlotAddr(op.slot),
                            /*is_spill=*/true));
-            if (sAlloc_.usesLeft[op.dst] == 0) {
-                sAlloc_.holder[rd] = -1;
-                sAlloc_.regOf[op.dst] = -1;
-            }
             break;
-        }
-        case K::SStoreSlot: {
-            int rs = ensureS(op.srcs[0], loop_idx);
-            emit(makeSStore(sReg(static_cast<uint8_t>(rs)),
+        case K::SStoreSlot:
+            emit(makeSStore(ensure(sAlloc_, op.srcs[0]),
                             aReg(kSpillBaseAReg),
                             prog_.scalarSlotAddr(op.slot),
                             /*is_spill=*/true));
-            consumeS(op.srcs[0]);
+            consume(sAlloc_, op);
             break;
-        }
         case K::ScalarChain: {
             // Two interleaved dependence chains, re-seeded every few
             // operations: models the mix of serial and mildly
@@ -655,8 +451,7 @@ CodeGen::runLoop(const LoopSpec &loop, size_t loop_idx)
         sim_assert(vl >= 1 && vl <= kMaxVectorLength,
                    "loop %zu iter %llu: bad vl %u", loop_idx,
                    (unsigned long long)iter, vl);
-        emitIteration(loop, loop_idx, iter, vl,
-                      iter == trips - 1);
+        emitIteration(loop, loop_idx, vl, iter == trips - 1);
     }
 
     DynInst ret = makeRet(blockBase_ - 4);

@@ -3,10 +3,11 @@
  * Lowering from the kernel IR to the dynamic instruction trace.
  *
  * The generator plays the role of the Convex compiler plus the Dixie
- * tracer: it strip-mines loops, assigns the 8 architected vector
- * registers with a Belady (farthest-next-use) policy, spills to a
- * dedicated spill region when pressure exceeds the file, keeps array
- * stream pointers in the 6 allocatable A registers with LRU
+ * tracer: it strip-mines loops, and one register allocator assigns
+ * both the 8 architected vector registers and the 6 allocatable S
+ * registers with a Belady (farthest-next-use) policy, spilling to a
+ * dedicated spill region when pressure exceeds the file. It keeps
+ * array stream pointers in the 6 allocatable A registers with LRU
  * replacement (spilling pointers to their memory homes when they
  * overflow), and emits the loop-control scalar code and branches.
  *
@@ -36,32 +37,38 @@ class CodeGen
     Trace run();
 
   private:
-    // Static, per-kernel operand-use analysis, cached across loops.
-    struct KernelInfo
-    {
-        // Per virtual value: ordered op positions of each source use
-        // (duplicates kept: a value used twice by one op appears
-        // twice).
-        std::vector<std::vector<int>> vUsePos;
-        std::vector<std::vector<int>> sUsePos;
-    };
-
-    // Block-scoped register allocation state for one class.
+    // Block-scoped register allocation state for one register class
+    // (V or S). A value's uses are the kernel's vUses() or sUses().
     struct BlockAlloc
     {
-        int numRegs = 0;
-        std::vector<int> holder;  // reg -> vid (-1 free)
-        std::vector<int> regOf;   // vid -> reg (-1 not resident)
+        BlockAlloc(RegClass cls, int num_regs, Addr spill_region,
+                   Addr slot_bytes);
+
+        const RegClass cls;
+        const int numRegs;
+        const Addr spillRegion; // this class's spill slots, all loops
+        const Addr slotBytes;   // one spill slot
+
+        const std::vector<std::vector<int>> *uses = nullptr;
+        Addr spillBase = 0;       // the current loop's spill slots
+        std::vector<int> holder;  // reg -> value (-1 free)
+        std::vector<int> regOf;   // value -> reg (-1 not resident)
         std::vector<bool> spilled;
         std::vector<int> cursor;  // next unconsumed use index
-        std::vector<int> usesLeft;
         std::vector<bool> pinned; // per reg, during one op
         int rrNext = 0;           // round-robin start for free scan
 
-        void reset(int num_regs, int num_vids,
-                   const std::vector<std::vector<int>> &use_pos);
-        int nextUse(int vid,
-                    const std::vector<std::vector<int>> &use_pos) const;
+        /** Start a block of one iteration of loop @p loop_idx. */
+        void reset(const std::vector<std::vector<int>> &value_uses,
+                   size_t loop_idx);
+        /** Reads of @p vid not yet consumed. */
+        int usesLeft(int vid) const;
+        /** Op position of @p vid's next read (INT_MAX if none). */
+        int nextUse(int vid) const;
+        /** The unpinned holder with the farthest next use. */
+        int pickVictim() const;
+        /** Free @p vid's register, if it holds one. */
+        void release(int vid);
     };
 
     // Array stream pointers living in A registers a0..a5.
@@ -82,37 +89,35 @@ class CodeGen
     static constexpr int kChainSRegB = 6;     // s6 scratch chain 2
     static constexpr int kNumAllocSRegs = 6;  // s0..s5
 
-    const KernelInfo &kernelInfo(const Kernel *k);
-
     void emit(DynInst inst);
     void runLoop(const LoopSpec &loop, size_t loop_idx);
     void emitIteration(const LoopSpec &loop, size_t loop_idx,
-                       uint64_t iter, uint16_t vl, bool last_iter);
+                       uint16_t vl, bool last_iter);
 
     // Stream (A register) management.
     int streamId(size_t loop_idx, int op_idx);
-    int ensureStream(int sid);
+    /** The A register holding stream @p sid, loaded if needed. */
+    RegId streamReg(int sid);
     void bumpStream(int sid, int64_t advance_bytes);
     void resetStreamRegs();
 
-    // V/S block allocation; emits spill code as needed.
-    int ensureV(int vvid, uint16_t vl, size_t loop_idx);
-    int allocV(int vvid, uint16_t vl, size_t loop_idx);
-    void consumeV(int vvid);
-    int ensureS(int svid, size_t loop_idx);
-    int allocS(int svid, size_t loop_idx);
-    void consumeS(int svid);
-    int pickVictim(BlockAlloc &ba,
-                   const std::vector<std::vector<int>> &use_pos) const;
-
-    Addr vSpillAddr(size_t loop_idx, int vvid) const;
-    Addr sSpillAddr(size_t loop_idx, int svid) const;
+    // Register allocation, one algorithm for both classes; spill
+    // code is emitted as needed.
+    /** A register for @p vid: a free one, else evict a victim. */
+    int alloc(BlockAlloc &ba, int vid);
+    /** @p vid's register for the current op (reloaded if spilled). */
+    RegId ensure(BlockAlloc &ba, int vid);
+    /** Allocate an op's result, freed at once when nothing reads it. */
+    RegId define(BlockAlloc &ba, int vid);
+    /** The op has read its sources (all of @p ba's class). */
+    void consume(BlockAlloc &ba, const KOp &op);
+    /** Emit the class's spill store or reload of @p vid in @p reg. */
+    void spillInst(const BlockAlloc &ba, int reg, int vid, bool store);
 
     const Program &prog_;
     GenOptions opts_;
     Trace trace_;
 
-    std::map<const Kernel *, KernelInfo> kernelInfoCache_;
     std::map<std::pair<size_t, int>, int> streamIds_;
     std::vector<Stream> streams_;
     std::array<int, kNumStreamRegs> streamRegHolder_;
@@ -120,7 +125,6 @@ class CodeGen
 
     BlockAlloc vAlloc_;
     BlockAlloc sAlloc_;
-    const KernelInfo *curInfo_ = nullptr;
 
     uint16_t curVl_ = 0;
     Addr blockBase_ = 0;

@@ -5,101 +5,103 @@
 namespace oova
 {
 
+void
+Kernel::read(KOp &op, std::vector<std::vector<int>> &uses, int id)
+{
+    sim_assert(id >= 0 && id < static_cast<int>(uses.size()),
+               "kernel %s: op %zu reads %s value %d before it is defined",
+               name_.c_str(), ops_.size(),
+               &uses == &vUses_ ? "vector" : "scalar", id);
+    uses[id].push_back(static_cast<int>(ops_.size()));
+    op.srcs[op.nsrcs++] = id;
+}
+
+int
+Kernel::add(KOp op, std::vector<std::vector<int>> *result)
+{
+    if (result) {
+        op.dst = static_cast<int>(result->size());
+        result->emplace_back();
+    }
+    ops_.push_back(op);
+    return op.dst;
+}
+
 VVid
 Kernel::vload(int array, int64_t stride_elems)
 {
-    KOp op;
-    op.kind = KOp::Kind::VLoad;
-    op.opc = Opcode::VLoad;
-    op.dst = newV();
-    op.array = array;
-    op.strideElems = stride_elems;
-    ops_.push_back(op);
-    return op.dst;
+    return add({.kind = KOp::Kind::VLoad,
+                .opc = Opcode::VLoad,
+                .array = array,
+                .strideElems = stride_elems},
+               &vUses_);
 }
 
 VVid
 Kernel::vloadFixed(int array, uint64_t offset_bytes,
                    uint16_t vl_override)
 {
-    KOp op;
-    op.kind = KOp::Kind::VLoad;
-    op.opc = Opcode::VLoad;
-    op.dst = newV();
-    op.array = array;
-    op.fixedAddr = true;
-    op.offsetBytes = offset_bytes;
-    op.vlOverride = vl_override;
-    ops_.push_back(op);
-    return op.dst;
+    return add({.kind = KOp::Kind::VLoad,
+                .opc = Opcode::VLoad,
+                .array = array,
+                .fixedAddr = true,
+                .offsetBytes = offset_bytes,
+                .vlOverride = vl_override},
+               &vUses_);
 }
 
 void
 Kernel::vstore(int array, VVid v, int64_t stride_elems)
 {
-    sim_assert(v >= 0 && v < numVVals_, "vstore of undefined value");
-    KOp op;
-    op.kind = KOp::Kind::VStore;
-    op.opc = Opcode::VStore;
-    op.srcs[0] = v;
-    op.nsrcs = 1;
-    op.array = array;
-    op.strideElems = stride_elems;
-    ops_.push_back(op);
+    KOp op{.kind = KOp::Kind::VStore,
+           .opc = Opcode::VStore,
+           .array = array,
+           .strideElems = stride_elems};
+    read(op, vUses_, v);
+    add(op);
 }
 
 void
 Kernel::vstoreFixed(int array, VVid v, uint64_t offset_bytes,
                     uint16_t vl_override)
 {
-    sim_assert(v >= 0 && v < numVVals_, "vstore of undefined value");
-    KOp op;
-    op.kind = KOp::Kind::VStore;
-    op.opc = Opcode::VStore;
-    op.srcs[0] = v;
-    op.nsrcs = 1;
-    op.array = array;
-    op.fixedAddr = true;
-    op.offsetBytes = offset_bytes;
-    op.vlOverride = vl_override;
-    ops_.push_back(op);
+    KOp op{.kind = KOp::Kind::VStore,
+           .opc = Opcode::VStore,
+           .array = array,
+           .fixedAddr = true,
+           .offsetBytes = offset_bytes,
+           .vlOverride = vl_override};
+    read(op, vUses_, v);
+    add(op);
 }
 
 VVid
 Kernel::vgather(int array, VVid index, IndexPattern pattern,
                 uint32_t pattern_param)
 {
-    sim_assert(index >= 0 && index < numVVals_, "gather bad index");
-    KOp op;
-    op.kind = KOp::Kind::VGather;
-    op.opc = Opcode::VGather;
-    op.dst = newV();
-    op.srcs[0] = index;
-    op.nsrcs = 1;
-    op.array = array;
-    op.fixedAddr = true;
-    op.idxPattern = pattern;
-    op.idxParam = pattern_param;
-    ops_.push_back(op);
-    return op.dst;
+    KOp op{.kind = KOp::Kind::VGather,
+           .opc = Opcode::VGather,
+           .array = array,
+           .fixedAddr = true,
+           .idxPattern = pattern,
+           .idxParam = pattern_param};
+    read(op, vUses_, index);
+    return add(op, &vUses_);
 }
 
 void
 Kernel::vscatter(int array, VVid data, VVid index,
                  IndexPattern pattern, uint32_t pattern_param)
 {
-    sim_assert(data >= 0 && index >= 0, "scatter bad operands");
-    KOp op;
-    op.kind = KOp::Kind::VScatter;
-    op.opc = Opcode::VScatter;
-    op.srcs[0] = data;
-    op.srcs[1] = index;
-    op.nsrcs = 2;
-    op.array = array;
-    op.fixedAddr = true;
-    op.idxPattern = pattern;
-    op.idxParam = pattern_param;
-    ops_.push_back(op);
+    KOp op{.kind = KOp::Kind::VScatter,
+           .opc = Opcode::VScatter,
+           .array = array,
+           .fixedAddr = true,
+           .idxPattern = pattern,
+           .idxParam = pattern_param};
+    read(op, vUses_, data);
+    read(op, vUses_, index);
+    add(op);
 }
 
 VVid
@@ -107,98 +109,65 @@ Kernel::varith(Opcode opc, VVid a, VVid b)
 {
     sim_assert(traits(opc).isVector && !traits(opc).isMem,
                "varith with non-arith opcode %s", opName(opc));
-    KOp op;
-    op.kind = KOp::Kind::VArith;
-    op.opc = opc;
-    op.dst = newV();
-    op.srcs[0] = a;
-    op.nsrcs = 1;
-    if (b >= 0) {
-        op.srcs[1] = b;
-        op.nsrcs = 2;
-    }
-    ops_.push_back(op);
-    return op.dst;
+    KOp op{.kind = KOp::Kind::VArith, .opc = opc};
+    read(op, vUses_, a);
+    if (b >= 0)
+        read(op, vUses_, b);
+    return add(op, &vUses_);
 }
 
 VVid
 Kernel::vcmpMerge(VVid a, VVid b)
 {
-    KOp op;
-    op.kind = KOp::Kind::VCmpMerge;
-    op.opc = Opcode::VMerge;
-    op.dst = newV();
-    op.srcs[0] = a;
-    op.srcs[1] = b;
-    op.nsrcs = 2;
-    ops_.push_back(op);
-    return op.dst;
+    KOp op{.kind = KOp::Kind::VCmpMerge, .opc = Opcode::VMerge};
+    read(op, vUses_, a);
+    read(op, vUses_, b);
+    return add(op, &vUses_);
 }
 
 SVid
 Kernel::vreduce(VVid v)
 {
-    KOp op;
-    op.kind = KOp::Kind::VReduce;
-    op.opc = Opcode::VReduce;
-    op.dst = newS();
-    op.srcs[0] = v;
-    op.nsrcs = 1;
-    ops_.push_back(op);
-    return op.dst;
+    KOp op{.kind = KOp::Kind::VReduce, .opc = Opcode::VReduce};
+    read(op, vUses_, v);
+    return add(op, &sUses_);
 }
 
 SVid
 Kernel::sarith(Opcode opc, SVid a, SVid b)
 {
-    KOp op;
-    op.kind = KOp::Kind::SArith;
-    op.opc = opc;
-    op.dst = newS();
-    if (a >= 0) {
-        op.srcs[0] = a;
-        op.nsrcs = 1;
-    }
-    if (b >= 0) {
-        op.srcs[op.nsrcs] = b;
-        op.nsrcs++;
-    }
-    ops_.push_back(op);
-    return op.dst;
+    KOp op{.kind = KOp::Kind::SArith, .opc = opc};
+    if (a >= 0)
+        read(op, sUses_, a);
+    if (b >= 0)
+        read(op, sUses_, b);
+    return add(op, &sUses_);
 }
 
 SVid
 Kernel::sloadSlot(int slot)
 {
-    KOp op;
-    op.kind = KOp::Kind::SLoadSlot;
-    op.opc = Opcode::SLoad;
-    op.dst = newS();
-    op.slot = slot;
-    ops_.push_back(op);
-    return op.dst;
+    return add({.kind = KOp::Kind::SLoadSlot,
+                .opc = Opcode::SLoad,
+                .slot = slot},
+               &sUses_);
 }
 
 void
 Kernel::sstoreSlot(int slot, SVid v)
 {
-    KOp op;
-    op.kind = KOp::Kind::SStoreSlot;
-    op.opc = Opcode::SStore;
-    op.srcs[0] = v;
-    op.nsrcs = 1;
-    op.slot = slot;
-    ops_.push_back(op);
+    KOp op{.kind = KOp::Kind::SStoreSlot,
+           .opc = Opcode::SStore,
+           .slot = slot};
+    read(op, sUses_, v);
+    add(op);
 }
 
 void
 Kernel::scalarChain(int n)
 {
     sim_assert(n > 0, "empty scalar chain");
-    KOp op;
-    op.kind = KOp::Kind::ScalarChain;
-    op.chainLen = n;
-    ops_.push_back(op);
+    add({.kind = KOp::Kind::ScalarChain, .chainLen = n});
 }
 
 } // namespace oova

@@ -68,7 +68,10 @@ struct KOp
 
 /**
  * Builder for one loop body. All building methods return the id of
- * the produced virtual value (where applicable).
+ * the produced virtual value (where applicable). A source must be a
+ * value an earlier op defined: a call that reads anything else
+ * panics where the kernel is built. As each op is added, the kernel
+ * records it as a use of every value it reads.
  */
 class Kernel
 {
@@ -129,17 +132,31 @@ class Kernel
 
     const std::string &name() const { return name_; }
     const std::vector<KOp> &ops() const { return ops_; }
-    int numVVals() const { return numVVals_; }
-    int numSVals() const { return numSVals_; }
+    int numVVals() const { return static_cast<int>(vUses_.size()); }
+    int numSVals() const { return static_cast<int>(sUses_.size()); }
+
+    /**
+     * Per vector (scalar) value, the positions in ops() of the ops
+     * that read it, in op order. An op that reads a value twice is
+     * listed twice.
+     */
+    const std::vector<std::vector<int>> &vUses() const { return vUses_; }
+    const std::vector<std::vector<int>> &sUses() const { return sUses_; }
 
   private:
-    VVid newV() { return numVVals_++; }
-    SVid newS() { return numSVals_++; }
+    /** @p op, about to be added, reads value @p id of @p uses's class. */
+    void read(KOp &op, std::vector<std::vector<int>> &uses, int id);
+
+    /**
+     * Append @p op. A non-null @p result gives the op a new value of
+     * that class (vUses_ or sUses_), whose id it returns.
+     */
+    int add(KOp op, std::vector<std::vector<int>> *result = nullptr);
 
     std::string name_;
     std::vector<KOp> ops_;
-    int numVVals_ = 0;
-    int numSVals_ = 0;
+    std::vector<std::vector<int>> vUses_;
+    std::vector<std::vector<int>> sUses_;
 };
 
 } // namespace oova

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the invariant-audit subsystem (src/check/): registry
- * mechanics (recording caps, the structured report, the process-wide
- * tally and exit code), plus one injected violation
+ * mechanics (the structured line, the process-wide tally and exit
+ * code), plus one injected violation
  * per checker family to prove each family actually fires on corrupt
  * state. The companion end-to-end coverage — a full simulation with
  * every checker enabled staying violation-free — lives in
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -75,44 +76,25 @@ cleanTlb()
 TEST(CheckRegistry, ViolationIsRecordedStructured)
 {
     resetProcessViolations();
+    ::testing::internal::CaptureStderr();
     Registry reg = runOnce(
         [](Reporter &r) { r.fail("width %d exceeds %d", 7, 4); }, 42);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "OOVA-CHECK VIOLATION cycle=42 checker=test-checker "
+              "detail=width 7 exceeds 4\n");
+    EXPECT_EQ(reg.violationCount(), 1u);
 
-    ASSERT_EQ(reg.violationCount(), 1u);
-    ASSERT_EQ(reg.violations().size(), 1u);
-    const Violation &v = reg.violations()[0];
-    EXPECT_EQ(v.cycle, 42u);
-    EXPECT_EQ(v.checker, "test-checker");
-    EXPECT_EQ(v.detail, "width 7 exceeds 4");
-
-    std::string report = reg.report();
-    EXPECT_NE(report.find("1 violation"), std::string::npos);
-    EXPECT_NE(report.find("cycle=42"), std::string::npos);
-    EXPECT_NE(report.find("checker=test-checker"), std::string::npos);
-    EXPECT_NE(report.find("detail=width 7 exceeds 4"),
-              std::string::npos);
-    resetProcessViolations();
-}
-
-TEST(CheckRegistry, StoredViolationsAreCapped)
-{
-    resetProcessViolations();
+    // A hot broken invariant is counted and printed in full, one
+    // line per violation.
     ::testing::internal::CaptureStderr();
-    Registry reg = runOnce([](Reporter &r) {
+    Registry hot = runOnce([](Reporter &r) {
         for (int i = 0; i < 100; ++i)
             r.fail("violation %d", i);
     });
     std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(reg.violationCount(), 100u);
-    EXPECT_EQ(reg.violations().size(), Registry::kMaxStored);
-    // The cap is noted once, with the violation that fills the
-    // store: a hot broken invariant must not repeat it on each line.
-    const std::string note = "violations stored; further ones are "
-                             "counted but not recorded";
-    size_t first = err.find(note);
-    ASSERT_NE(first, std::string::npos);
-    EXPECT_EQ(err.find(note, first + 1), std::string::npos);
-    EXPECT_LT(first, err.find("violation 64\n"));
+    EXPECT_EQ(hot.violationCount(), 100u);
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 100);
+    EXPECT_NE(err.find("detail=violation 99\n"), std::string::npos);
     resetProcessViolations();
 }
 
@@ -138,7 +120,7 @@ TEST(CheckRegistry, ViolationTurnsExitCodeRed)
     EXPECT_EXIT(
         {
             resetProcessViolations();
-            Registry reg = runOnce([](Reporter &r) {
+            runOnce([](Reporter &r) {
                 r.fail("injected for exit-code test");
             });
             std::exit(processExitCode());

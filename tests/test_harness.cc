@@ -256,7 +256,7 @@ TEST(SweepEngine, SimulatesEachDistinctJobOnce)
 TEST(SweepEngine, UnkeyedAndInlineTraceJobsAlwaysSimulate)
 {
     // Only jobs the result store could key by name are copied: an
-    // empty key (prefetch, pipe tracing, timing runs) or an inline
+    // empty key (pipe tracing, timing runs) or an inline
     // trace (keyed by content, not name) simulates every time.
     TraceCache traces(kTestScale);
     SweepEngine engine(traces, 4);

@@ -769,6 +769,10 @@ TEST(MemGeometryDeathTest, ValidateHoldsTheUnitModelAndTlbRules)
     no_units.memUnits = 0;
     EXPECT_EXIT(validate(no_units), ::testing::ExitedWithCode(1),
                 "memory system needs >= 1 load/store unit");
+    // Clamped to one, no MSHRs would run as /c32k4w1m under its own
+    // /c32k4w0m label and store key.
+    EXPECT_EXIT(validate(makeCachedMem(32 * 1024, 0)),
+                ::testing::ExitedWithCode(1), "cache: 0 MSHRs, needs >= 1");
     MemConfig bad_model;
     bad_model.model = static_cast<MemModel>(3);
     EXPECT_EXIT(validate(bad_model), ::testing::ExitedWithCode(1),

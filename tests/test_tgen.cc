@@ -30,6 +30,50 @@ TEST(Kernel, BuilderCountsValues)
     EXPECT_EQ(k.ops().size(), 5u);
 }
 
+TEST(Kernel, RecordsEachReadAtItsOpPosition)
+{
+    Kernel k("k");
+    VVid a = k.vload(0);        // op 0
+    VVid b = k.vmul(a, a);      // op 1 reads a twice
+    k.vstore(1, b);             // op 2
+    SVid s = k.vreduce(b);      // op 3
+    SVid t = k.sarith(Opcode::SAdd, s, s); // op 4
+    k.sstoreSlot(0, t);         // op 5
+    using Uses = std::vector<std::vector<int>>;
+    EXPECT_EQ(k.vUses(), (Uses{{1, 1}, {2, 3}}));
+    EXPECT_EQ(k.sUses(), (Uses{{4, 4}, {5}}));
+}
+
+// A kernel that reads a value no earlier op defined dies where it is
+// built, not later inside the code generator.
+TEST(KernelDeathTest, UndefinedVectorSourceDiesWhenAdded)
+{
+    Kernel k("k");
+    VVid a = k.vload(0);
+    EXPECT_DEATH(k.vadd(a, 7),
+                 "kernel k: op 1 reads vector value 7 before it is "
+                 "defined");
+}
+
+TEST(KernelDeathTest, AnOpCannotReadItsOwnResult)
+{
+    Kernel k("k");
+    VVid a = k.vload(0);
+    // Value 1 is the id this vadd's own result would get.
+    EXPECT_DEATH(k.vadd(a, a + 1), "reads vector value 1 before it is "
+                                   "defined");
+}
+
+TEST(KernelDeathTest, UndefinedScalarSourceDiesWhenAdded)
+{
+    Kernel k("k");
+    SVid s = k.sloadSlot(0);
+    EXPECT_DEATH(k.sarith(Opcode::SAdd, s, 3),
+                 "op 1 reads scalar value 3 before it is defined");
+    EXPECT_DEATH(k.sstoreSlot(0, s + 1),
+                 "op 1 reads scalar value 1 before it is defined");
+}
+
 TEST(VlPatterns, Constant)
 {
     VlFn f = vlConstant(77);
